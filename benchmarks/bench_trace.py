@@ -53,7 +53,7 @@ def _best_seconds(trace, capacities, rounds=ROUNDS):
     best = float("inf")
     for _ in range(rounds):
         started = perf_counter()
-        run_sweep(trace, POLICIES, capacities, engine="batched")
+        run_sweep(trace, POLICIES, capacities)
         best = min(best, perf_counter() - started)
     return best
 
@@ -61,8 +61,7 @@ def _best_seconds(trace, capacities, rounds=ROUNDS):
 def test_span_overhead_report(dfn_trace, capacities, bench_scale,
                               tmp_path):
     cells = len(POLICIES) * len(capacities)
-    run_sweep(dfn_trace, POLICIES[:1], capacities[:1],
-              engine="batched")  # warm before either side
+    run_sweep(dfn_trace, POLICIES[:1], capacities[:1])  # warm up
 
     disable_tracing()
     set_event_sink(None)

@@ -42,31 +42,40 @@ def stack_distances(requests: Sequence[Request],
     the eviction boundary (a byte-bounded LRU evicts whole documents),
     which is why the byte curve helper carries a tolerance.
     """
-    n = len(requests)
+    return weighted_stack_distances(
+        [request.url for request in requests],
+        [request.size for request in requests] if byte_weighted
+        else [1] * len(requests))
+
+
+def weighted_stack_distances(keys: Sequence,
+                             weights: Sequence[int]) -> List[float]:
+    """Stack distances over parallel key/weight sequences.
+
+    The one Fenwick loop behind :func:`stack_distances` (keys are URLs)
+    and the simulator's exact LRU capacity ladder (keys are interned
+    document ids, weights their byte sizes).  Python-int arithmetic
+    throughout, so byte distances are exact at any trace size.
+    """
+    n = len(keys)
+    distances: List[float] = [COLD] * n
     if n == 0:
-        return []
+        return distances
     tree = FenwickTree(n)
-    last_position: Dict[str, int] = {}
-    distances: List[float] = []
-    for position, request in enumerate(requests):
-        weight = request.size if byte_weighted else 1
-        previous = last_position.get(request.url)
-        if previous is None:
-            distances.append(COLD)
-        else:
+    last: dict = {}
+    for position in range(n):
+        key = keys[position]
+        previous = last.get(key)
+        if previous is not None:
             # Distinct documents touched strictly between the two
-            # references = flagged weight in (previous, position).
-            distances.append(
-                float(tree.range_sum(previous + 1, position - 1)))
-            tree.add(previous, -tree_weight(tree, previous))
-        tree.add(position, weight)
-        last_position[request.url] = position
+            # references = flagged weight in (previous, position); the
+            # older reference then stops being the document's latest.
+            distances[position] = float(
+                tree.range_sum(previous + 1, position - 1))
+            tree.add(previous, -tree.range_sum(previous, previous))
+        tree.add(position, weights[position])
+        last[key] = position
     return distances
-
-
-def tree_weight(tree: FenwickTree, index: int) -> int:
-    """Current cell value at ``index`` (point query via range sum)."""
-    return tree.range_sum(index, index)
 
 
 @dataclass

@@ -101,13 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep-workers", type=int, default=0,
         help="run figure sweep grids across this many worker processes "
              "with crash recovery (default: 0 = in-process)")
-    fault.add_argument(
-        "--engine", choices=("percell", "batched"), default="percell",
-        help="sweep execution engine: 'percell' runs one trace pass "
-             "per (policy, capacity) cell, 'batched' runs every cell "
-             "of a grid over one shared trace pass (bit-identical "
-             "results; composes with --sweep-workers, --resume and "
-             "checkpoints, which stay per cell)")
     obs = parser.add_argument_group("observability")
     obs.add_argument(
         "--log-level", choices=list(LOG_LEVELS), default="info",
@@ -180,7 +173,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     ids = list(EXPERIMENT_IDS) if args.experiment == "all" \
         else [args.experiment]
-    extra = {"engine": args.engine}
+    extra = {}
     if args.sweep_workers:
         extra["sweep_workers"] = args.sweep_workers
         extra["max_retries"] = args.max_retries

@@ -264,24 +264,21 @@ _PACKET_POLICIES = ("lru", "lfu-da", "gds(p)", "gd*(p)")
 
 def _run_grid(trace: Trace, policies, capacities,
               settings: ExperimentSettings):
-    """Run a sweep grid serially, or in parallel with fault tolerance
-    when ``settings.extra`` carries ``sweep_workers`` (the CLI's
-    ``--sweep-workers``, with ``--cell-timeout`` / ``--max-retries``
-    riding along).  ``engine`` (the CLI's ``--engine``) picks between
-    the classic one-pass-per-cell layout and the shared-pass batched
-    engine.  All paths are bit-identical."""
+    """Run a sweep grid in one in-process pass, or across worker
+    processes with fault tolerance when ``settings.extra`` carries
+    ``sweep_workers`` (the CLI's ``--sweep-workers``, with
+    ``--cell-timeout`` / ``--max-retries`` riding along).  Both are
+    bit-identical."""
     workers = int(settings.extra.get("sweep_workers") or 0)
-    engine = settings.extra.get("engine") or "percell"
     if workers > 1:
         from repro.simulation.parallel import run_sweep_parallel
 
         return run_sweep_parallel(
             trace, policies, capacities,
             n_workers=workers,
-            engine=engine,
             max_retries=int(settings.extra.get("max_retries", 2)),
             cell_timeout=settings.extra.get("cell_timeout"))
-    return run_sweep(trace, policies, capacities, engine=engine)
+    return run_sweep(trace, policies, capacities)
 
 
 def _sweep_report(experiment_id: str, trace: Trace, policies, label: str,

@@ -70,8 +70,9 @@ TRACE_PROFILES = ("dfn", "rtp")
 #: the Request list in every worker process; ``columnar`` writes each
 #: (profile, scale, seed) trace exactly once as a ``.rcol`` file under
 #: ``REPRO_SERVICE_TRACE_DIR`` and mmaps it everywhere, which drops the
-#: per-worker generation cost and routes trials through the vectorized
-#: engine.  Both formats produce bit-identical payloads.
+#: per-worker generation cost and lets the shared pass consume columns
+#: instead of Request objects.  Both formats produce bit-identical
+#: payloads.
 TRACE_FORMATS = ("objects", "columnar")
 
 #: Subdirectory names inside a service root.
@@ -327,7 +328,7 @@ def execute_trial(spec: TrialSpec) -> dict:
     bit-identical compaction guarantee possible: any two executions of
     the same spec on the same code produce the same bytes.
     """
-    from repro.simulation.simulator import CacheSimulator, SimulationConfig
+    from repro.simulation.engine import SimulationConfig, run_cells
     from repro.simulation.sweep import cache_sizes_from_fractions
 
     trace = _TRACES.get(spec.trace, spec.scale, spec.seed)
@@ -335,14 +336,7 @@ def execute_trial(spec: TrialSpec) -> dict:
         trace, [spec.size_fraction])[0]
     config = SimulationConfig(capacity_bytes=capacity,
                               policy=spec.policy)
-    if getattr(trace, "is_columnar", False):
-        # Columnar traces ride the vectorized shared-pass engine
-        # (bit-identical to the object loop), never decoding Request
-        # objects at all.
-        from repro.simulation.engine import run_cells
-        result = run_cells(trace, [config], trace_name=trace.name)[0]
-    else:
-        result = CacheSimulator(config).run(trace)
+    result = run_cells(trace, [config], trace_name=trace.name)[0]
     return {
         "spec": spec.as_dict(),
         "capacity_bytes": capacity,

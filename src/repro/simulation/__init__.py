@@ -17,9 +17,12 @@ grid, the shape of every performance figure in the paper.
 
 The :mod:`~repro.simulation.engine` module underneath splits the
 simulator into a once-per-pass reference stream and per-configuration
-cache cells, so :func:`~repro.simulation.engine.run_cells` (and the
-``engine="batched"`` mode of the sweep entry points) runs a whole grid
-over one trace pass with bit-identical results.
+cache cells.  :func:`~repro.simulation.engine.run_cells` is the one
+driver from a trace (request list, lazy stream, or columnar file) to
+any number of cells: the sweep entry points, the parallel runner's
+batches and the experiment service all run their grids through it in
+one trace pass, with results bit-identical to running
+:class:`~repro.simulation.simulator.CacheSimulator` per cell.
 """
 
 from repro.simulation.engine import CacheCell, ReferenceStream, run_cells

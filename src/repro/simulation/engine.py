@@ -43,10 +43,14 @@ conversely at a hit every intervening document is resident above
 ``d``.)  Under those preconditions — ``TRUSTED`` sizes, per-URL sizes
 stable across the trace, every document no larger than the capacity,
 no TTL model, and plain LRU with no extra accounting — the entire LRU
-capacity ladder is served by **one**
-:func:`repro.analysis.stack_distance.stack_distances` pass, with exact
-hit/eviction counts.  Cells that fail any precondition silently fall
-back to ordinary simulation in the shared pass.
+capacity ladder is served by **one** stack-distance pass
+(:func:`repro.simulation.vectorized.run_lru_ladder`) over four integer
+columns, which a columnar trace already holds and a request list
+yields with ``np.fromiter``; hit and eviction counts are exact.  Cells
+that fail any precondition silently fall back to ordinary simulation
+in the shared pass.  :func:`fast_path` is the one place that decides,
+from a cell's config, which specialisation of the request step
+(:meth:`CacheCell.process_one`) may serve it.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from itertools import islice
 from typing import (
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -66,6 +69,9 @@ from typing import (
 )
 
 from repro.core.cache import Cache
+from repro.core.fifo import FIFOPolicy
+from repro.core.gds import GDSPolicy
+from repro.core.gdsf import GDSFPolicy
 from repro.core.gdstar import GDStarPolicy
 from repro.core.lru import LRUPolicy
 from repro.core.policy import AccessOutcome, ReplacementPolicy
@@ -149,8 +155,6 @@ class SimulationConfig:
 
 class _TrustedResolver:
     """Believes the request's ``size``/``transfer_size`` split."""
-
-    detector: Optional[ModificationDetector] = None
 
     def resolve(self, requests: Sequence[Request]) -> list:
         out = []
@@ -483,37 +487,19 @@ def _accumulate_requested(raw_chunk: Sequence[Request], start: int,
             bucket[1] += t if t < size else size
 
 
-def drive_pass(requests: Sequence[Request], offset: int,
+def drive_pass(requests: Iterable[Request], offset: int,
                groups: Sequence[Tuple[object, List[CacheCell]]],
                boundaries: Optional[Dict[int, Dict[DocumentType, list]]],
-               chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
+               chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
     """Feed ``requests`` (absolute positions starting at ``offset``)
-    through each resolver group's cells, chunk by chunk."""
-    n = len(requests)
-    for start in range(0, n, chunk_size):
-        raw = requests[start:start + chunk_size]
-        absolute_start = offset + start
-        for resolver, cell_list in groups:
-            chunk = resolver.resolve(raw)
-            for cell in cell_list:
-                cell.process_chunk(chunk, absolute_start)
-        if boundaries:
-            _accumulate_requested(raw, absolute_start, boundaries)
+    through each resolver group's cells, chunk by chunk.
 
-
-def drive_pass_streaming(request_iter: Iterator[Request],
-                         groups: Sequence[Tuple[object, List[CacheCell]]],
-                         boundaries: Optional[Dict[int, Dict[DocumentType,
-                                                             list]]],
-                         chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
-    """Feed a lazily decoded request stream through the cells.
-
-    The bounded-memory sibling of :func:`drive_pass`: only one chunk of
-    raw requests (plus its resolved tuples) is alive at a time, so a
-    multi-million-request trace file drives N cells without ever being
-    materialized.  Returns the number of requests consumed.
+    Only one chunk of raw requests (plus its resolved tuples) is alive
+    at a time, so a lazily decoded multi-million-request stream drives
+    N cells without ever being materialized.  Returns the position of
+    the last request consumed.
     """
-    offset = 0
+    request_iter = iter(requests)
     while True:
         raw = list(islice(request_iter, chunk_size))
         if not raw:
@@ -527,106 +513,32 @@ def drive_pass_streaming(request_iter: Iterator[Request],
         offset += len(raw)
 
 
-def _lru_ladder_split(requests: Sequence[Request],
-                      cells: Sequence[CacheCell],
-                      ) -> Tuple[List[CacheCell], List[CacheCell]]:
-    """Partition cells into (ladder, ordinary) for the LRU fast path.
+def fast_path(cell: CacheCell) -> Optional[str]:
+    """Which specialisation of the request step may serve ``cell``.
 
-    Config-side preconditions: plain LRU, TRUSTED sizes, deferred mode
-    (no cost/latency/occupancy/TTL accounting).  Trace-side: every URL
-    keeps one size across the trace and no document exceeds the cell's
-    capacity (so no bypasses, no invalidations — the regime where
-    byte-bounded LRU obeys inclusion exactly).
+    The config-side eligibility, decided once for every trace format:
+    ``"ladder"`` (plain LRU over ``TRUSTED`` sizes: the all-capacities
+    stack-distance pass, which additionally needs the trace-side
+    conditions :func:`repro.simulation.vectorized.split_ladder`
+    checks), ``"fifo"`` (the shadow queue), ``"hinted"`` (a
+    Greedy-Dual policy fed precomputed key costs), or ``None`` (the
+    ordinary :meth:`CacheCell.process_chunk`).  Every fast path needs a
+    deferred cell — no cost/latency/occupancy/TTL accounting — over a
+    plain :class:`~repro.core.cache.Cache`.  The FIFO and hinted paths
+    consume resolved size *columns*, so only columnar traces take
+    them; a request list runs those cells through ``process_chunk``.
     """
-    candidates = [
-        cell for cell in cells
-        if (cell.deferred
-            and type(cell.policy) is LRUPolicy
-            and type(cell.cache) is Cache
-            and (cell.config.size_interpretation
-                 is SizeInterpretation.TRUSTED))
-    ]
-    if not candidates:
-        return [], list(cells)
-    sizes: Dict[str, int] = {}
-    max_size = 0
-    stable = True
-    for r in requests:
-        size = r.size
-        previous = sizes.get(r.url)
-        if previous is None:
-            sizes[r.url] = size
-            if size > max_size:
-                max_size = size
-        elif previous != size:
-            stable = False
-            break
-    if not stable:
-        return [], list(cells)
-    ladder = [cell for cell in candidates
-              if cell.config.capacity_bytes >= max_size]
-    if not ladder:
-        return [], list(cells)
-    excluded = set(map(id, ladder))
-    ordinary = [cell for cell in cells if id(cell) not in excluded]
-    return ladder, ordinary
-
-
-def _run_lru_ladder(requests: Sequence[Request],
-                    cells: Sequence[CacheCell]) -> None:
-    """Serve every eligible LRU cell from one stack-distance pass.
-
-    Hits: a reference hits capacity ``C`` iff byte-weighted stack
-    distance + document size ≤ ``C`` (exact under the preconditions
-    checked by :func:`_lru_ladder_split`).  Evictions: admissions equal
-    misses (every miss admits — nothing bypasses), so evictions =
-    misses − residents at end of trace; the final resident set falls
-    out of the last-reference recency order.
-    """
-    from repro.analysis.stack_distance import stack_distances
-
-    distances = stack_distances(requests, byte_weighted=True)
-    capacities = [cell.config.capacity_bytes for cell in cells]
-    warmups = [cell._warmup for cell in cells]
-    overalls = [cell._hit_overall for cell in cells]
-    by_types = [cell._hit_by_type for cell in cells]
-    total_hits = [0] * len(cells)
-    indices = range(len(cells))
-    position = 0
-    for request, distance in zip(requests, distances):
-        position += 1
-        size = request.size
-        t = request.transfer_size
-        transfer = t if t < size else size
-        needed = distance + size
-        doc_type = request.doc_type
-        for i in indices:
-            if needed <= capacities[i]:
-                total_hits[i] += 1
-                if position > warmups[i]:
-                    overall = overalls[i]
-                    overall[0] += 1
-                    overall[1] += transfer
-                    bucket = by_types[i][doc_type]
-                    bucket[0] += 1
-                    bucket[1] += transfer
-    last: Dict[str, tuple] = {}
-    for p, r in enumerate(requests):
-        last[r.url] = (p, r.size)
-    residents = [0] * len(cells)
-    max_capacity = max(capacities) if capacities else 0
-    cumulative = 0
-    for _, size in sorted(last.values(), key=lambda item: -item[0]):
-        if cumulative > max_capacity:
-            break
-        for i in indices:
-            if cumulative + size <= capacities[i]:
-                residents[i] += 1
-        cumulative += size
-    total = len(requests)
-    for i, cell in enumerate(cells):
-        admissions = total - total_hits[i]
-        cell._evictions_override = admissions - residents[i]
+    if not cell.deferred or type(cell.cache) is not Cache:
+        return None
+    kind = type(cell.policy)
+    if (kind is LRUPolicy and cell.config.size_interpretation
+            is SizeInterpretation.TRUSTED):
+        return "ladder"
+    if kind is FIFOPolicy:
+        return "fifo"
+    if kind in (GDSPolicy, GDSFPolicy, GDStarPolicy):
+        return "hinted"
+    return None
 
 
 def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
@@ -639,111 +551,123 @@ def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
               ) -> List[SimulationResult]:
     """Run every cell over the trace in **one shared pass**.
 
+    The single driver between a trace and any number of cells: sweeps,
+    the parallel runner's batches, and the experiment service all end
+    here.
+
     Args:
         trace: The driving workload — a :class:`~repro.types.Trace`, a
-            request sequence, or (with ``total_requests``) a lazy
-            iterator such as :func:`repro.trace.pipeline.iter_trace`,
-            consumed chunk-wise with bounded memory.
+            request sequence, a
+            :class:`~repro.trace.columnar.ColumnarTrace` (consumed as
+            columns, see :mod:`repro.simulation.vectorized`), or (with
+            ``total_requests``) a lazy iterator such as
+            :func:`repro.trace.pipeline.iter_trace`, consumed
+            chunk-wise with bounded memory.
         configs: One :class:`SimulationConfig` (or prebuilt
             :class:`CacheCell`) per cell.
         trace_name: Overrides the trace's name in the results.
         chunk_size: Requests resolved per chunk.
         lru_fast_path: Allow eligible plain-LRU cells to be served by
-            the single-pass stack-distance ladder (materialized traces
-            only; streaming passes always simulate every cell).
+            the single-pass stack-distance ladder (materialized and
+            columnar traces only; streaming passes always simulate
+            every cell).
         timings: Optional :class:`PhaseTimings` to record pass phases
-            into ("pass", "lru_ladder", "aggregate").
+            into ("resolve" for columnar traces, "pass", "lru_ladder",
+            "aggregate").
         total_requests: Declared stream length, required to place the
             warm-up boundaries before the pass starts.  An iterator
             without it is materialized first.  The pass raises
-            :class:`~repro.errors.SimulationError` if the stream
+            :class:`~repro.errors.SimulationError` if the trace
             disagrees with the declared length.
 
     Returns results in input order, bit-identical to running each
     config through :class:`~repro.simulation.simulator.CacheSimulator`.
     """
-    if getattr(trace, "is_columnar", False):
-        from repro.simulation.vectorized import run_cells_columnar
+    # Lazy: the column kernels import this module.
+    from repro.simulation import vectorized
 
-        return run_cells_columnar(
-            trace, configs, trace_name=trace_name,
-            chunk_size=chunk_size, lru_fast_path=lru_fast_path,
-            timings=timings, total_requests=total_requests)
+    columnar = bool(getattr(trace, "is_columnar", False))
     requests = trace.requests if isinstance(trace, Trace) else trace
-    streaming = not isinstance(requests, (list, tuple))
+    streaming = not (columnar or isinstance(requests, (list, tuple)))
     if streaming and total_requests is None:
         requests = list(requests)
         streaming = False
-    name = trace_name or getattr(trace, "name", "trace")
     total = total_requests if streaming else len(requests)
-    cells: List[CacheCell] = []
-    for config in configs:
-        cell = config if isinstance(config, CacheCell) else CacheCell(config)
-        cells.append(cell)
+    if total_requests is not None and total_requests != total:
+        raise SimulationError(
+            f"trace holds {total} requests but "
+            f"total_requests={total_requests} was declared")
+    name = trace_name or getattr(trace, "name", "trace")
+    cells = [config if isinstance(config, CacheCell) else CacheCell(config)
+             for config in configs]
     for cell in cells:
-        warmup = int(total * cell.config.warmup_fraction)
-        cell.begin_run(warmup, deferred=True)
+        cell.begin_run(int(total * cell.config.warmup_fraction),
+                       deferred=True)
     if timings is None:
         timings = PhaseTimings()
     emit("pass_started", cells=len(cells), requests=total)
     pass_span = _span("pass", cells=len(cells), requests=total,
-                      trace=name, streaming=streaming)
+                      trace=name, streaming=streaming, columnar=columnar)
     with pass_span:
-        if lru_fast_path and not streaming:
-            ladder, ordinary = _lru_ladder_split(requests, cells)
-        else:
-            ladder, ordinary = [], list(cells)
-        pass_span.set_attribute("lru_fast_path_cells", len(ladder))
-        stream = ReferenceStream()
-        grouped: Dict[tuple, Tuple[object, List[CacheCell]]] = {}
-        for cell in ordinary:
-            key = stream.resolver_key(cell.config)
-            if key not in grouped:
-                grouped[key] = (stream.resolver(cell.config), [])
-            grouped[key][1].append(cell)
         boundaries: Dict[int, Dict[DocumentType, list]] = {}
         for cell in cells:
             if cell.deferred and cell._warmup not in boundaries:
                 boundaries[cell._warmup] = _new_requested_totals()
-        with _span("drive"), phase_timer("pass", timings):
-            if streaming:
-                seen = drive_pass_streaming(iter(requests),
-                                            list(grouped.values()),
-                                            boundaries, chunk_size)
-                if seen != total:
-                    raise SimulationError(
-                        f"trace stream yielded {seen} requests but "
-                        f"total_requests={total} was declared; warm-up "
-                        "boundaries would be wrong")
-            else:
-                drive_pass(requests, 0, list(grouped.values()),
-                           boundaries, chunk_size)
+        ladder, rest, columns, n_fifo = [], cells, None, 0
+        if lru_fast_path and not streaming:
+            ladder, rest, columns = vectorized.split_ladder(requests,
+                                                            cells)
+        pass_span.set_attribute("lru_fast_path_cells", len(ladder))
+        if columnar:
+            n_fifo = vectorized.drive_columnar(
+                trace, rest, boundaries, chunk_size, timings)
+            pass_span.set_attribute("fifo_fast_path_cells", n_fifo)
+        else:
+            stream = ReferenceStream()
+            grouped: Dict[tuple, Tuple[object, List[CacheCell]]] = {}
+            for cell in rest:
+                key = stream.resolver_key(cell.config)
+                if key not in grouped:
+                    grouped[key] = (stream.resolver(cell.config), [])
+                grouped[key][1].append(cell)
+            with _span("drive"), phase_timer("pass", timings):
+                seen = drive_pass(requests, 0, list(grouped.values()),
+                                  boundaries, chunk_size)
+            if seen != total:
+                raise SimulationError(
+                    f"trace stream yielded {seen} requests but "
+                    f"total_requests={total} was declared; warm-up "
+                    "boundaries would be wrong")
         if ladder:
             with _span("lru_ladder", cells=len(ladder)), \
                     phase_timer("lru_ladder", timings):
-                _run_lru_ladder(requests, ladder)
+                vectorized.run_lru_ladder(*columns, ladder)
         with _span("aggregate"), phase_timer("aggregate", timings):
             results = [cell.finalize(name, total,
                                      boundaries.get(cell._warmup))
                        for cell in cells]
-    _publish_pass_telemetry(results, timings, len(cells), len(ladder),
-                            total)
+    _publish_pass_telemetry(timings, len(cells), len(ladder), n_fifo,
+                            total, columnar)
     return results
 
 
-def _publish_pass_telemetry(results: Sequence[SimulationResult],
-                            timings: PhaseTimings, n_cells: int,
-                            n_ladder: int, total_requests: int,
-                            n_fifo: int = 0) -> None:
+def _publish_pass_telemetry(timings: PhaseTimings, n_cells: int,
+                            n_ladder: int, n_fifo: int,
+                            total_requests: int, columnar: bool) -> None:
     """Batch one pass's aggregates into the metrics registry — one
     update per pass, never one per request or per cell."""
     registry = get_registry()
     if registry.enabled:
         registry.counter("engine_passes_total").inc()
+        if columnar:
+            registry.counter("engine_columnar_passes_total").inc()
         registry.histogram("engine_cells_per_pass").observe(n_cells)
         if n_ladder:
             registry.counter("engine_lru_fast_path_cells_total").inc(
                 n_ladder)
+        if n_fifo:
+            registry.counter("engine_fifo_fast_path_cells_total").inc(
+                n_fifo)
         registry.counter("engine_pass_requests_total").inc(total_requests)
         for phase, seconds in timings.as_dict().items():
             registry.histogram("engine_phase_seconds",
@@ -752,9 +676,11 @@ def _publish_pass_telemetry(results: Sequence[SimulationResult],
          duration_seconds=round(timings.total, 6),
          lru_fast_path_cells=n_ladder, fifo_fast_path_cells=n_fifo)
     _logger.debug(
-        "shared pass: %d cells (%d via LRU ladder) over %d requests "
-        "in %.3fs", n_cells, n_ladder, total_requests, timings.total,
+        "shared pass: %d cells (%d via LRU ladder, %d via FIFO queue) "
+        "over %d requests in %.3fs", n_cells, n_ladder, n_fifo,
+        total_requests, timings.total,
         extra={"cells": n_cells, "lru_fast_path_cells": n_ladder,
+               "fifo_fast_path_cells": n_fifo, "columnar": columnar,
                "requests": total_requests,
                "phase_seconds": {k: round(v, 6)
                                  for k, v in timings.as_dict().items()}})

@@ -6,25 +6,28 @@ nothing but the read-only trace, so a process pool gives near-linear
 speedup.  The trace is shipped to each worker once (pool initializer),
 not once per cell.
 
-The unit of scheduling is a **batch** of cells.  With
-``engine="percell"`` every batch holds one cell — the classic layout,
-one trace pass per cell.  With ``engine="batched"`` the grid is
-partitioned into ``cells_per_pass``-sized batches and each worker runs
-its whole batch over **one** shared trace pass via
+The unit of scheduling is a **batch** of cells: the grid is
+partitioned into ``cells_per_pass``-sized batches (by default an even
+split across the workers) and each worker runs its whole batch over
+**one** shared trace pass via
 :func:`repro.simulation.engine.run_cells`, so a worker pays the trace
-tax once per batch instead of once per cell.  Either way the results
-are bit-identical.
+tax once per batch instead of once per cell.  The results are
+bit-identical whatever the batch size.
 
 Because every cell is a pure function of its config and the trace, a
 failed batch can simply be rerun: the scheduler submits batches as
 individual futures, retries transient failures (worker crashes, hangs
 past the batch's timeout budget, corrupt payloads) with a bounded
 deterministic backoff, and rebuilds the pool when a dead worker breaks
-it — resubmitting only the unfinished batches.  Telemetry events,
-checkpoints, and ``failure_policy="partial"``
-:class:`~repro.simulation.results.FailureRecord`\\ s all stay
-**per cell** regardless of batching, so a resumed or partially failed
-grid has the same cell-by-cell lifecycle either way.
+it — resubmitting only the unfinished batches.  Isolation stays **per
+cell**: a failed batch of several cells cannot say which cell is to
+blame, so its cells are requeued as singleton batches, uncharged, and
+only a cell that fails while running alone spends retry budget or is
+recorded as lost.  Telemetry events, checkpoints, and
+``failure_policy="partial"``
+:class:`~repro.simulation.results.FailureRecord`\\ s are per cell
+too, so a resumed or partially failed grid has the same cell-by-cell
+lifecycle whatever the batch size.
 
 Results are bit-identical to :func:`repro.simulation.sweep.run_sweep`
 — every policy is deterministic, and retries rerun the identical
@@ -63,12 +66,8 @@ from repro.simulation.results import (
     SimulationResult,
     SweepResult,
 )
-from repro.simulation.simulator import (
-    CacheSimulator,
-    SimulationConfig,
-    SizeInterpretation,
-)
-from repro.types import Request, Trace
+from repro.simulation.simulator import SimulationConfig, SizeInterpretation
+from repro.types import Trace
 
 #: How long the scheduler sleeps in ``wait()`` before re-checking
 #: deadlines; kept short so cell timeouts are detected promptly.
@@ -77,15 +76,11 @@ _POLL_SECONDS = 0.1
 #: Accepted values for ``failure_policy``.
 FAILURE_POLICIES = ("raise", "partial")
 
-#: Accepted values for ``engine``.
-ENGINES = ("percell", "batched")
-
 # Per-worker state, populated by the pool initializer.  The trace is
 # either a materialized Trace (request list shipped by pickle) or a
 # ColumnarTrace each worker mmaps itself from a shipped path string —
 # the kernel page cache then backs every worker with one copy.
 _worker_trace = None
-_worker_materialized: Optional[Trace] = None
 _worker_injector: Optional[FaultInjector] = None
 
 _logger = get_logger("simulation.parallel")
@@ -97,27 +92,20 @@ def cell_key(policy_name: str, capacity: int) -> str:
 
 
 def batch_key(cells: Sequence[Tuple[str, int]]) -> str:
-    """Stable identity of one scheduled batch; equals the cell key for
-    the singleton batches the per-cell engine produces."""
+    """Stable identity of one scheduled batch; a singleton batch goes
+    by its cell's key."""
     if len(cells) == 1:
         return cell_key(*cells[0])
     return (f"pass[{cell_key(*cells[0])}.."
             f"{cell_key(*cells[-1])}#{len(cells)}]")
 
 
-def partition_cells(cells: Sequence[Tuple[str, int]], engine: str,
-                    n_workers: int,
+def partition_cells(cells: Sequence[Tuple[str, int]], n_workers: int,
                     cells_per_pass: Optional[int] = None,
                     ) -> List[Tuple[Tuple[str, int], ...]]:
-    """Split the grid into scheduling batches.
-
-    ``percell`` yields singleton batches (one trace pass per cell);
-    ``batched`` yields contiguous chunks of ``cells_per_pass`` cells,
-    defaulting to an even split across the workers so one round of
-    passes covers the grid.
-    """
-    if engine == "percell":
-        return [(cell,) for cell in cells]
+    """Split the grid into scheduling batches: contiguous chunks of
+    ``cells_per_pass`` cells, defaulting to an even split across the
+    workers so one round of passes covers the grid."""
     if cells_per_pass is None:
         cells_per_pass = max(1, math.ceil(len(cells) / n_workers))
     return [tuple(cells[i:i + cells_per_pass])
@@ -141,7 +129,7 @@ def _init_worker(trace_source, name: str,
     or a path string to a columnar trace, which the worker mmaps
     itself — no per-worker decode, no per-worker copy.
     """
-    global _worker_trace, _worker_materialized, _worker_injector
+    global _worker_trace, _worker_injector
     if isinstance(trace_source, (str, Path)):
         from repro.trace.columnar import open_columnar
 
@@ -149,7 +137,6 @@ def _init_worker(trace_source, name: str,
         _worker_trace.name = name
     else:
         _worker_trace = Trace(trace_source, name=name)
-    _worker_materialized = None
     _worker_injector = injector
     # Fork-started workers inherit the parent's process-wide event
     # sink, including its open events.jsonl handle and a stale copy of
@@ -160,26 +147,14 @@ def _init_worker(trace_source, name: str,
     _events.set_event_sink(None)
 
 
-def _run_cell(cell: Tuple[str, int, float, str, int]) -> dict:
-    policy_name, capacity, warmup_fraction, interpretation, attempt = \
-        cell[:5]
-    profile_path = cell[5] if len(cell) > 5 else None
-    return _run_batch((((policy_name, capacity),), warmup_fraction,
-                       interpretation, attempt, profile_path,
-                       "percell"))[0]
-
-
 def _run_batch(batch: tuple) -> List[dict]:
     """Run one batch of cells in a worker; one payload per cell.
 
     ``batch`` is ``(cells, warmup_fraction, interpretation, attempt,
-    profile_path, engine)`` with ``cells`` a tuple of
-    ``(policy_name, capacity)`` pairs.  The batched engine runs the
-    whole batch over one shared trace pass; per-cell the batch is a
-    singleton and replays the classic simulator loop.
+    profile_path)`` with ``cells`` a tuple of ``(policy_name,
+    capacity)`` pairs; the whole batch rides one shared trace pass.
     """
-    cells, warmup_fraction, interpretation, attempt, profile_path, \
-        engine = batch
+    cells, warmup_fraction, interpretation, attempt, profile_path = batch
     keys = [cell_key(policy_name, capacity)
             for policy_name, capacity in cells]
     if _worker_injector is not None:
@@ -200,11 +175,7 @@ def _run_batch(batch: tuple) -> List[dict]:
         for policy_name, capacity in cells
     ]
     with maybe_profile(profile_path):
-        if engine == "batched":
-            results = run_cells(_worker_trace, configs)
-        else:
-            results = [CacheSimulator(config).run(_percell_trace())
-                       for config in configs]
+        results = run_cells(_worker_trace, configs)
     payloads = [result.as_dict() for result in results]
     if _worker_injector is not None:
         payloads = [_worker_injector.on_result(key, attempt, payload)
@@ -212,26 +183,9 @@ def _run_batch(batch: tuple) -> List[dict]:
     return payloads
 
 
-def _percell_trace() -> Trace:
-    """The worker trace as Request objects, decoded at most once.
-
-    The classic per-cell loop wants a materialized Trace; a columnar
-    worker trace is decoded on first use and cached for every later
-    cell this process runs.
-    """
-    global _worker_materialized
-    if isinstance(_worker_trace, Trace):
-        return _worker_trace
-    if _worker_materialized is None:
-        _worker_materialized = Trace(_worker_trace.iter_requests(),
-                                     name=_worker_trace.name)
-    return _worker_materialized
-
-
 def _reset_worker() -> None:
-    global _worker_trace, _worker_materialized, _worker_injector
+    global _worker_trace, _worker_injector
     _worker_trace = None
-    _worker_materialized = None
     _worker_injector = None
 
 
@@ -286,7 +240,6 @@ def run_sweep_parallel(trace,
                        SizeInterpretation.TRUSTED,
                        n_workers: Optional[int] = None,
                        *,
-                       engine: str = "percell",
                        cells_per_pass: Optional[int] = None,
                        max_retries: int = 2,
                        cell_timeout: Optional[float] = None,
@@ -307,24 +260,24 @@ def run_sweep_parallel(trace,
     :class:`~repro.trace.columnar.ColumnarTrace`, or a columnar file
     path: columnar sweeps ship only the *path* to workers, which mmap
     the file themselves — one kernel page-cache copy serves the whole
-    pool, and each worker decodes at most once (batched passes consume
-    the columns directly and never decode at all).
+    pool, and the passes consume the columns directly.
 
     Keyword-only knobs:
 
     Args:
-        engine: ``"percell"`` ships one cell per task (the classic
-            layout); ``"batched"`` ships batches of cells that each
-            ride **one** shared trace pass in their worker
-            (:func:`repro.simulation.engine.run_cells`).  Results are
-            bit-identical; telemetry events, checkpoints, and failure
-            records stay per cell either way.
-        cells_per_pass: Batch size for the batched engine; defaults to
-            an even split of the grid across the workers.  Ignored for
-            per-cell.
-        max_retries: Reruns allowed per batch for *transient* failures
+        cells_per_pass: How many cells each task carries; they ride
+            **one** shared trace pass in their worker
+            (:func:`repro.simulation.engine.run_cells`).  Defaults to
+            an even split of the grid across the workers; ``1`` gives
+            every cell its own task and pass.  Results are
+            bit-identical whatever the value; telemetry events,
+            checkpoints, and failure records stay per cell.
+        max_retries: Reruns allowed per cell for *transient* failures
             (worker crash, timeout, corrupt payload).  Deterministic
-            errors from the cells themselves are never retried.
+            errors from the cells themselves are never retried.  A
+            failed batch of several cells is first split into
+            singleton batches at no charge, so only the guilty cell
+            spends its budget.
         cell_timeout: Per-cell wall-clock budget in seconds; a batch
             past ``cell_timeout × len(batch)`` has its worker killed
             and counts as a transient failure.  ``None`` disables
@@ -380,9 +333,6 @@ def run_sweep_parallel(trace,
     ]
     if not cells:
         raise ConfigurationError("empty sweep grid")
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"engine must be one of {ENGINES}, got {engine!r}")
     if cells_per_pass is not None and cells_per_pass <= 0:
         raise ConfigurationError("cells_per_pass must be positive")
     if failure_policy not in FAILURE_POLICIES:
@@ -411,7 +361,6 @@ def run_sweep_parallel(trace,
                 "warmup_fraction": warmup_fraction,
                 "size_interpretation": size_interpretation.value,
                 "n_workers": n_workers,
-                "engine": engine,
                 "cells_per_pass": cells_per_pass,
                 "max_retries": max_retries,
                 "cell_timeout": cell_timeout,
@@ -422,7 +371,7 @@ def run_sweep_parallel(trace,
     emit = events.emit if events is not None else _events.emit
 
     sweep_span = _span("sweep", trace=trace.name, cells=len(cells),
-                       workers=n_workers, engine=engine)
+                       workers=n_workers)
 
     def _finish() -> SweepResult:
         sweep_span.set_attribute("failures", len(sweep.failures))
@@ -468,8 +417,7 @@ def run_sweep_parallel(trace,
                 checkpoint_store.save(cell_key(policy_name, capacity),
                                       payload, sweep_digest)
 
-        batches = partition_cells(cells, engine, n_workers,
-                                  cells_per_pass)
+        batches = partition_cells(cells, n_workers, cells_per_pass)
 
         if (n_workers == 1 and cell_timeout is None
                 and fault_injector is None):
@@ -488,8 +436,7 @@ def run_sweep_parallel(trace,
                         (batch_cells, warmup_fraction,
                          size_interpretation.value, 1,
                          _profile_path(profile_dir,
-                                       batch_key(batch_cells), 1),
-                         engine))
+                                       batch_key(batch_cells), 1)))
                     elapsed = time.monotonic() - started
                     for (policy_name, capacity), key, payload in zip(
                             batch_cells, keys, payloads):
@@ -509,7 +456,6 @@ def run_sweep_parallel(trace,
                           else trace.requests),
             trace_name=trace.name,
             batches=batches,
-            engine=engine,
             warmup_fraction=warmup_fraction,
             size_interpretation=size_interpretation,
             n_workers=max(min(n_workers, len(batches)), 1),
@@ -593,18 +539,17 @@ class _Scheduler:
     rebuilds the pool when workers die or hang.
 
     Scheduling is per batch; events, checkpoints, and failure records
-    are per cell.  A per-cell sweep has singleton batches, so its
-    behavior is unchanged from the pre-batching scheduler.
+    are per cell, and so is blame: only a singleton batch is ever
+    charged an attempt (see :meth:`_retry_or_fail`).
     """
 
-    def __init__(self, trace_source, trace_name, batches, engine,
+    def __init__(self, trace_source, trace_name, batches,
                  warmup_fraction, size_interpretation, n_workers,
                  retry_policy, cell_timeout, failure_policy,
                  fault_injector, on_cell_done, emit, profile_dir,
                  sleep):
         self.trace_source = trace_source
         self.trace_name = trace_name
-        self.engine = engine
         self.warmup_fraction = warmup_fraction
         self.size_interpretation = size_interpretation
         self.n_workers = n_workers
@@ -628,6 +573,11 @@ class _Scheduler:
         #: while running alone is provably the crasher.
         self.isolation = deque()
         self.isolated: Optional[_BatchRun] = None
+        #: (cell key, attempt) pairs already announced with
+        #: ``cell_scheduled``: an uncharged rerun (a split batch's
+        #: cells, a pool break's suspects) is the same attempt, not a
+        #: new one, and is not announced again.
+        self.announced = set()
         self.in_flight: Dict[object, _BatchRun] = {}
         self.failures: List[FailureRecord] = []
         self.pool: Optional[ProcessPoolExecutor] = None
@@ -683,12 +633,25 @@ class _Scheduler:
                        isolate: bool = False) -> None:
         """Charge a failed attempt; requeue the batch or record losses.
 
-        ``isolate`` requeues the retry into the isolation queue so a
-        known crasher keeps running alone instead of taking fresh
-        neighbours down with it.  Permanent failures are recorded per
-        cell, so a lost batch degrades exactly like the same cells
-        failing individually.
+        ``isolate`` requeues into the isolation queue so a known
+        crasher keeps running alone instead of taking fresh neighbours
+        down with it.  A batch of several cells cannot say which cell
+        failed, so — the rule pool breaks already follow — its cells
+        rerun as singleton batches, uncharged and under the attempt
+        already announced; the guilty one then fails alone, and per-cell
+        events, failure records and the attempts they report read
+        exactly as if every cell had been scheduled on its own.
         """
+        target = self.isolation if isolate else self.queue
+        if len(run.cells) > 1:
+            _logger.warning(
+                "batch %s attempt %d failed (%s); rerunning its %d "
+                "cells one per batch", run.key, run.attempt,
+                type(exc).__name__, len(run.cells),
+                extra={"key": run.key, "attempt": run.attempt,
+                       "error_type": type(exc).__name__})
+            target.extend(((cell,), run.attempt) for cell in run.cells)
+            return
         transient = isinstance(exc, (WorkerCrashError, CellTimeoutError,
                                      BrokenProcessPool))
         if transient and run.attempt < self.retry_policy.max_attempts:
@@ -703,7 +666,6 @@ class _Scheduler:
                 extra={"key": run.key, "attempt": run.attempt,
                        "error_type": type(exc).__name__})
             self.sleep(delay)
-            target = self.isolation if isolate else self.queue
             target.append((run.cells, run.attempt + 1))
             return
         for key in run.cell_keys:
@@ -805,8 +767,8 @@ class _Scheduler:
             self.isolated = None
         for _, run in hung:
             self._charge_elapsed(run)
-            for key in run.cell_keys:
-                self.emit("cell_timed_out", key=key,
+            if len(run.cells) == 1:  # else unattributable: split below
+                self.emit("cell_timed_out", key=run.key,
                           attempt=run.attempt,
                           timeout_seconds=self._batch_timeout(run))
         self._requeue_in_flight()
@@ -843,8 +805,7 @@ class _Scheduler:
                     _run_batch,
                     (cells, self.warmup_fraction,
                      self.size_interpretation.value, attempt,
-                     _profile_path(self.profile_dir, key, attempt),
-                     self.engine))
+                     _profile_path(self.profile_dir, key, attempt)))
             except BrokenProcessPool:
                 # Worker died between polls; nothing was submitted, so
                 # no attempt is charged.
@@ -854,9 +815,11 @@ class _Scheduler:
                 self._rebuild_pool()
                 continue
             for policy, capacity in cells:
-                self.emit("cell_scheduled",
-                          key=cell_key(policy, capacity),
-                          attempt=attempt)
+                cell = cell_key(policy, capacity)
+                if (cell, attempt) not in self.announced:
+                    self.announced.add((cell, attempt))
+                    self.emit("cell_scheduled", key=cell,
+                              attempt=attempt)
             run = _BatchRun(cells, attempt, time.monotonic())
             self.in_flight[future] = run
             if isolate:

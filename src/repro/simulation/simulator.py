@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.core.policy import AccessOutcome, ReplacementPolicy
+from repro.core.policy import ReplacementPolicy
 from repro.observability.logs import get_logger
 from repro.observability.metrics import get_registry
 from repro.observability.profiling import PhaseTimings, phase_timer
@@ -73,7 +73,6 @@ class CacheSimulator:
         self._cell = CacheCell(config, cache=cache)
         self.config = config
         self._resolver = make_resolver(config)
-        self._detector = self._resolver.detector
         #: Wall-clock seconds per phase of the most recent run
         #: (warmup / measurement / aggregate), for profiling long runs.
         self.phase_timings = PhaseTimings()
@@ -142,42 +141,28 @@ class CacheSimulator:
     def run_stream(self, requests: Iterable[Request],
                    warmup_requests: int = 0,
                    trace_name: str = "stream") -> SimulationResult:
-        """Simulate an unbounded stream with an absolute warm-up count."""
+        """Simulate an unbounded stream with an absolute warm-up count.
+
+        Every request takes the cell's full per-request step
+        (:meth:`~repro.simulation.engine.CacheCell.process_one`), so
+        cost, latency, TTL and occupancy accounting match :meth:`run`.
+        """
         timings = self.phase_timings = PhaseTimings()
         cell = self._cell
         cell.begin_run(warmup_requests, deferred=False)
+        resolve_one = self._resolver.resolve_one
+        process_one = cell.process_one
         total = 0
         with _span("stream", policy=str(self.config.policy)), \
                 phase_timer("stream", timings):
             for request in requests:
-                outcome = self._step(request)
                 total += 1
-                if total > warmup_requests:
-                    hit = outcome is AccessOutcome.HIT
-                    transfer = min(request.transfer_size, request.size)
-                    self.metrics.record(request.doc_type, hit, transfer)
-                if self.occupancy is not None:
-                    self.occupancy.maybe_sample(self.cache, total)
+                process_one(resolve_one(request), total)
         with phase_timer("aggregate", timings):
             result = cell.finalize(trace_name, total,
                                    warmup=min(warmup_requests, total))
         self._publish_telemetry(result, timings)
         return result
-
-    def _step(self, request: Request) -> AccessOutcome:
-        """Resolve and reference one request without accounting."""
-        url, size, doc_type, _transfer, _raw, timestamp = \
-            self._resolver.resolve_one(request)
-        cell = self._cell
-        cache = cell.cache
-        if cell._freshness is not None and url in cache:
-            if cell._freshness.expired(url, doc_type, timestamp):
-                cache.invalidate(url)
-        outcome = cache.reference(url, size, doc_type)
-        if (cell._freshness is not None
-                and outcome is not AccessOutcome.HIT):
-            cell._freshness.on_fetch(url, timestamp)
-        return outcome
 
     def _publish_telemetry(self, result: SimulationResult,
                            timings: PhaseTimings) -> None:

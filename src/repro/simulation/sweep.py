@@ -4,17 +4,12 @@ The paper plots hit rate and byte hit rate "for increasing cache sizes
 ... chosen from about 0.5 % to about 4 % of overall trace size".
 :func:`cache_sizes_from_fractions` converts those fractions to byte
 capacities for a given trace; :func:`run_sweep` runs the full grid,
-constructing a fresh policy and cache per cell.
-
-Two execution engines produce bit-identical grids:
-
-* ``percell`` — the classic loop: every (policy, capacity) cell gets
-  its own :class:`~repro.simulation.simulator.CacheSimulator` and its
-  own full trace pass.
-* ``batched`` — all cells ride **one** shared trace pass through
-  :func:`repro.simulation.engine.run_cells`, so trace iteration and
-  size resolution are paid once for the whole grid (and eligible LRU
-  cells collapse into a single stack-distance ladder).
+constructing a fresh policy and cache per cell.  All cells ride **one**
+shared trace pass through :func:`repro.simulation.engine.run_cells`, so
+trace iteration and size resolution are paid once for the whole grid
+(and eligible LRU cells collapse into a single stack-distance ladder);
+the grid is bit-identical to running
+:class:`~repro.simulation.simulator.CacheSimulator` once per cell.
 """
 
 from __future__ import annotations
@@ -25,11 +20,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Union
 from repro.errors import ConfigurationError
 from repro.simulation.engine import run_cells
 from repro.simulation.results import SweepResult
-from repro.simulation.simulator import (
-    CacheSimulator,
-    SimulationConfig,
-    SizeInterpretation,
-)
+from repro.simulation.simulator import SimulationConfig, SizeInterpretation
 from repro.types import Trace
 
 #: The paper's cache-size ladder, as fractions of overall trace size.
@@ -59,17 +50,15 @@ def run_sweep(trace: Union[Trace, str, Path],
               SizeInterpretation.TRUSTED,
               occupancy_interval: int = 0,
               progress: Optional[Callable[[str, int], None]] = None,
-              policy_kwargs: Optional[dict] = None,
-              engine: str = "percell") -> SweepResult:
+              policy_kwargs: Optional[dict] = None) -> SweepResult:
     """Run every (policy, capacity) cell over the trace.
 
     Args:
-        trace: The driving workload — a :class:`~repro.types.Trace`,
-            or a trace *file path* (any format
-            :func:`repro.trace.reader.open_trace` handles), swept with
-            bounded memory: the percell engine re-decodes the file
-            once per cell, the batched engine decodes it once for the
-            whole grid.
+        trace: The driving workload — a :class:`~repro.types.Trace`, a
+            :class:`~repro.trace.columnar.ColumnarTrace`, or a trace
+            *file path* (any format
+            :func:`repro.trace.reader.open_trace` handles), decoded
+            once for the whole grid and swept with bounded memory.
         policies: Policy names (see :mod:`repro.core.registry`).
         capacities: Cache capacities in bytes.
         warmup_fraction: Warm-up share per run (paper: 0.10).
@@ -77,146 +66,51 @@ def run_sweep(trace: Union[Trace, str, Path],
         occupancy_interval: Per-type occupancy sampling cadence
             (0 = off); only meaningful for adaptability studies.
         progress: Optional callback invoked with (policy, capacity)
-            before each cell, for long sweeps.  With the batched
-            engine all callbacks fire up front, before the single
-            shared pass starts.
+            for each cell, for long sweeps.  All callbacks fire up
+            front, before the single shared pass starts.
         policy_kwargs: Extra arguments forwarded to
             :func:`~repro.core.registry.make_policy` (e.g. fixed_beta).
-        engine: ``"percell"`` (one trace pass per cell) or
-            ``"batched"`` (one shared pass for the whole grid); the
-            grids are bit-identical.
 
     Returns a :class:`~repro.simulation.results.SweepResult` whose grid
     is keyed by policy name and capacity.
     """
     from repro.core.registry import make_policy
 
-    if engine not in ("percell", "batched"):
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected 'percell' or 'batched'")
-    if isinstance(trace, (str, Path)):
-        return _run_sweep_from_file(
-            Path(trace), policies, capacities, warmup_fraction,
-            size_interpretation, occupancy_interval, progress,
-            policy_kwargs, engine)
-    if getattr(trace, "is_columnar", False) and engine == "percell":
-        # The batched engine consumes the columns directly; the percell
-        # loop wants Request objects, so decode the mmap exactly once
-        # for the whole grid instead of once per cell.
-        trace = Trace(trace.iter_requests(), name=trace.name)
-    sweep = SweepResult(trace_name=trace.name)
     kwargs = policy_kwargs or {}
-    if engine == "batched":
-        configs = []
-        for policy_name in policies:
-            for capacity in capacities:
-                if progress is not None:
-                    progress(policy_name, capacity)
-                configs.append(SimulationConfig(
-                    capacity_bytes=capacity,
-                    policy=make_policy(policy_name, **kwargs),
-                    warmup_fraction=warmup_fraction,
-                    size_interpretation=size_interpretation,
-                    occupancy_interval=occupancy_interval,
-                ))
-        for result in run_cells(trace, configs, trace_name=trace.name):
-            sweep.add(result)
-        return sweep
+    configs = []
     for policy_name in policies:
         for capacity in capacities:
             if progress is not None:
                 progress(policy_name, capacity)
-            policy = make_policy(policy_name, **kwargs)
-            config = SimulationConfig(
+            configs.append(SimulationConfig(
                 capacity_bytes=capacity,
-                policy=policy,
+                policy=make_policy(policy_name, **kwargs),
                 warmup_fraction=warmup_fraction,
                 size_interpretation=size_interpretation,
                 occupancy_interval=occupancy_interval,
-            )
-            result = CacheSimulator(config).run(trace)
-            sweep.add(result)
+            ))
+    if isinstance(trace, (str, Path)):
+        name = Path(trace).stem
+        results = _run_cells_from_file(Path(trace), configs, name)
+    else:
+        name = trace.name
+        results = run_cells(trace, configs, trace_name=name)
+    sweep = SweepResult(trace_name=name)
+    for result in results:
+        sweep.add(result)
     return sweep
 
 
-def _run_sweep_from_file(path: Path, policies, capacities,
-                         warmup_fraction, size_interpretation,
-                         occupancy_interval, progress, policy_kwargs,
-                         engine: str) -> SweepResult:
-    """Sweep a trace *file* with bounded memory.
-
-    This is where the two engines differ most: streaming means the
-    trace is never materialized, so the percell engine has no choice
-    but to re-decode (and, for raw logs, re-preprocess) the file for
-    every cell — the ``O(cells × requests)`` trace tax — while the
-    batched engine decodes once and drives every cell from the same
-    chunk stream.
-    """
-    from repro.core.registry import make_policy
+def _run_cells_from_file(path: Path, configs, name: str):
+    """Open a trace *file* and drive the cells over it, never
+    materializing Request objects for the whole trace: a columnar file
+    is consumed as mmap'd columns, any other format as one lazily
+    decoded stream."""
     from repro.trace.columnar import is_columnar_file, open_columnar
     from repro.trace.pipeline import count_requests, iter_trace
 
-    name = path.stem
-    total = count_requests(path)
-    sweep = SweepResult(trace_name=name)
-    kwargs = policy_kwargs or {}
-
-    def make_config(policy_name, capacity):
-        return SimulationConfig(
-            capacity_bytes=capacity,
-            policy=make_policy(policy_name, **kwargs),
-            warmup_fraction=warmup_fraction,
-            size_interpretation=size_interpretation,
-            occupancy_interval=occupancy_interval,
-        )
-
     if is_columnar_file(path):
-        # Columnar files skip text decoding entirely: the batched
-        # engine consumes the mmap'd columns, the percell engine
-        # decodes Request objects exactly once for the whole grid.
         with open_columnar(path) as columnar:
-            if engine == "batched":
-                configs = []
-                for policy_name in policies:
-                    for capacity in capacities:
-                        if progress is not None:
-                            progress(policy_name, capacity)
-                        configs.append(make_config(policy_name, capacity))
-                for result in run_cells(columnar, configs,
-                                        trace_name=name):
-                    sweep.add(result)
-                return sweep
-            requests = list(columnar.iter_requests())
-        warmup = int(total * warmup_fraction)
-        for policy_name in policies:
-            for capacity in capacities:
-                if progress is not None:
-                    progress(policy_name, capacity)
-                simulator = CacheSimulator(
-                    make_config(policy_name, capacity))
-                sweep.add(simulator.run_stream(
-                    iter(requests), warmup_requests=warmup,
-                    trace_name=name))
-        return sweep
-
-    if engine == "batched":
-        configs = []
-        for policy_name in policies:
-            for capacity in capacities:
-                if progress is not None:
-                    progress(policy_name, capacity)
-                configs.append(make_config(policy_name, capacity))
-        for result in run_cells(iter_trace(path), configs,
-                                trace_name=name, total_requests=total):
-            sweep.add(result)
-        return sweep
-    warmup = int(total * warmup_fraction)
-    for policy_name in policies:
-        for capacity in capacities:
-            if progress is not None:
-                progress(policy_name, capacity)
-            simulator = CacheSimulator(make_config(policy_name, capacity))
-            sweep.add(simulator.run_stream(
-                iter_trace(path), warmup_requests=warmup,
-                trace_name=name))
-    return sweep
+            return run_cells(columnar, configs, trace_name=name)
+    return run_cells(iter_trace(path), configs, trace_name=name,
+                     total_requests=count_requests(path))

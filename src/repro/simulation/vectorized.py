@@ -1,12 +1,11 @@
-"""Array-backed shared pass over columnar traces.
+"""Column kernels of the shared pass.
 
-:func:`run_cells_columnar` is the columnar twin of
-:func:`repro.simulation.engine.run_cells`: it drives any number of
-:class:`~repro.simulation.engine.CacheCell`\\ s over one
-:class:`~repro.trace.columnar.ColumnarTrace` and returns results
-**bit-identical** to the object path.  The speed comes from moving
-every per-request computation that does not touch cache state into
-column operations:
+:func:`repro.simulation.engine.run_cells` is the one driver between a
+trace and its cells; this module holds the parts of that pass that run
+on integer *columns* instead of :class:`~repro.types.Request` objects,
+with results **bit-identical** to the object path.  The speed comes
+from moving every per-request computation that does not touch cache
+state into column operations:
 
 * **resolution** — size-interpretation reconstruction
   (:class:`ColumnarReferenceStream`) runs as array ops: ``TRUSTED`` is
@@ -17,7 +16,9 @@ column operations:
   cells merge at finalize are masked integer column sums;
 * **the LRU ladder** — byte-weighted stack distances feed vectorized
   per-capacity hit counting, per-type tallies, and final-resident
-  counting, replacing the per-request × per-cell inner loop;
+  counting.  It needs four columns (document ids, sizes, clamped
+  transfers, type codes), so it serves request lists as well as
+  columnar traces (:func:`split_ladder`);
 * **FIFO** — a shadow recency-free queue replays
   :meth:`~repro.core.cache.Cache.reference` exactly, without entry or
   heap machinery;
@@ -25,8 +26,10 @@ column operations:
   precomputed per chunk (:meth:`~repro.core.cost.CostModel.cost_array`)
   and consumed through the policies' ``_hint_cost`` slot.
 
-Cells that fit no fast path consume ordinary resolved-tuple chunks via
-:meth:`CacheCell.process_chunk`, decoded once per chunk from the mmap.
+Which cell takes which kernel is decided in one place,
+:func:`repro.simulation.engine.fast_path`.  Cells that fit none consume
+ordinary resolved-tuple chunks via :meth:`CacheCell.process_chunk`,
+decoded once per chunk from the mmap.
 
 Bit-identity caveat: array float ops round ``int64 → float64`` before
 dividing where the scalar path divides exact integers, so identity is
@@ -37,37 +40,21 @@ real trace.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cache import Cache
 from repro.core.cost import ByteCost, ConstantCost, LatencyCost, PacketCost
-from repro.core.fifo import FIFOPolicy
-from repro.core.gds import GDSPolicy
-from repro.core.gdsf import GDSFPolicy
-from repro.core.gdstar import GDStarPolicy
-from repro.core.lru import LRUPolicy
-from repro.errors import SimulationError
-from repro.observability.events import emit
-from repro.observability.logs import get_logger
-from repro.observability.metrics import get_registry
 from repro.observability.profiling import PhaseTimings, phase_timer
 from repro.observability.trace import span as _span
 from repro.simulation.engine import (
-    DEFAULT_CHUNK_SIZE,
     CacheCell,
     ReferenceStream,
-    SimulationConfig,
     SizeInterpretation,
-    _new_requested_totals,
-    _publish_pass_telemetry,
+    fast_path,
 )
-from repro.simulation.results import SimulationResult
-from repro.structures.fenwick import FenwickTree
+from repro.trace.columnar import _TYPE_CODE
 from repro.types import DOCUMENT_TYPES, DocumentType
-
-_logger = get_logger("simulation.vectorized")
 
 #: int64 sums whose worst-case magnitude reaches this bound fall back
 #: to exact python-int accumulation.
@@ -202,56 +189,34 @@ def _tally_boundaries(trace, stream: ColumnarReferenceStream,
 # ----- the exact all-capacities LRU ladder ----------------------------------
 
 
-def _byte_stack_distances(doc_ids: np.ndarray,
-                          sizes: np.ndarray) -> np.ndarray:
-    """Byte-weighted LRU stack distances over id columns.
+def split_ladder(source, cells: Sequence[CacheCell]) -> tuple:
+    """Partition ``cells`` into ``(ladder, rest, columns)``.
 
-    The Fenwick loop of
-    :func:`repro.analysis.stack_distance.stack_distances` verbatim —
-    python-int arithmetic, ``inf`` for cold misses — keyed by document
-    id instead of URL (the same partition).
+    ``ladder`` cells are served by :func:`run_lru_ladder` from
+    ``columns`` — ``(doc_ids, sizes, clamped transfers, type codes)``,
+    read off a columnar ``source`` or gathered from a request list.
+    Config side they are :func:`~repro.simulation.engine.fast_path`'s
+    ``"ladder"`` cells; trace side every document keeps one size across
+    the trace and none exceeds the cell's capacity (so no bypasses, no
+    invalidations — the regime where byte-bounded LRU obeys inclusion
+    exactly).
     """
-    n = len(doc_ids)
-    out = np.empty(n, dtype=np.float64)
-    if n == 0:
-        return out
-    tree = FenwickTree(n)
-    last: Dict[int, int] = {}
-    doc_list = doc_ids.tolist()
-    size_list = sizes.tolist()
-    for position in range(n):
-        doc = doc_list[position]
-        previous = last.get(doc)
-        if previous is None:
-            out[position] = np.inf
-        else:
-            out[position] = float(
-                tree.range_sum(previous + 1, position - 1))
-            tree.add(previous, -tree.range_sum(previous, previous))
-        tree.add(position, size_list[position])
-        last[doc] = position
-    return out
-
-
-def _ladder_split_columnar(trace, cells: Sequence[CacheCell],
-                           ) -> Tuple[List[CacheCell], List[CacheCell]]:
-    """Columnar twin of :func:`repro.simulation.engine._lru_ladder_split`.
-
-    Same config-side preconditions; the trace-side per-document size
-    stability scan runs as a grouped column comparison.
-    """
-    candidates = [
-        cell for cell in cells
-        if (cell.deferred
-            and type(cell.policy) is LRUPolicy
-            and type(cell.cache) is Cache
-            and (cell.config.size_interpretation
-                 is SizeInterpretation.TRUSTED))
-    ]
+    candidates = [cell for cell in cells if fast_path(cell) == "ladder"]
     if not candidates:
-        return [], list(cells)
-    sizes = trace.sizes
-    doc = trace.doc_ids
+        return [], cells, None
+    if getattr(source, "is_columnar", False):
+        doc, sizes = source.doc_ids, source.sizes
+        transfers, codes = source.transfers, source.type_codes
+    else:
+        n = len(source)
+        ids: Dict[str, int] = {}
+        doc = np.fromiter((ids.setdefault(r.url, len(ids))
+                           for r in source), np.int64, n)
+        sizes = np.fromiter((r.size for r in source), np.int64, n)
+        transfers = np.fromiter((r.transfer_size for r in source),
+                                np.int64, n)
+        codes = np.fromiter((_TYPE_CODE[r.doc_type] for r in source),
+                            np.int8, n)
     max_size = 0
     if len(doc):
         order = np.argsort(doc, kind="stable")
@@ -259,36 +224,43 @@ def _ladder_split_columnar(trace, cells: Sequence[CacheCell],
         s_s = sizes[order]
         same_doc = d_s[1:] == d_s[:-1]
         if bool(np.any(same_doc & (s_s[1:] != s_s[:-1]))):
-            return [], list(cells)
+            return [], cells, None
         max_size = int(sizes.max())
     ladder = [cell for cell in candidates
               if cell.config.capacity_bytes >= max_size]
-    if not ladder:
-        return [], list(cells)
     excluded = set(map(id, ladder))
-    ordinary = [cell for cell in cells if id(cell) not in excluded]
-    return ladder, ordinary
+    rest = [cell for cell in cells if id(cell) not in excluded]
+    return ladder, rest, (doc, sizes, np.minimum(transfers, sizes), codes)
 
 
-def _run_lru_ladder_columnar(trace, stream: ColumnarReferenceStream,
-                             cells: Sequence[CacheCell]) -> None:
+def run_lru_ladder(doc_ids: np.ndarray, sizes: np.ndarray,
+                   transfers: np.ndarray, codes: np.ndarray,
+                   cells: Sequence[CacheCell]) -> None:
     """Serve eligible LRU cells from one vectorized stack-distance pass.
+
+    Hits: a reference hits capacity ``C`` iff byte-weighted stack
+    distance + document size ≤ ``C`` (exact under the preconditions
+    checked by :func:`split_ladder`).  Evictions: admissions equal
+    misses (every miss admits — nothing bypasses), so evictions =
+    misses − residents at end of trace; the final resident set falls
+    out of the last-reference recency order.
 
     The stack-distance Fenwick loop stays scalar (python-int exact);
     everything downstream — per-capacity hit tests, warmup masking,
     per-type hit/byte tallies, final-resident counting — runs as
     column ops.  All tallies are integers, so the results match
-    :func:`repro.simulation.engine._run_lru_ladder` exactly.
+    per-request simulation exactly.
     """
-    n = len(trace)
+    # Lazy: repro.analysis imports repro.simulation (tables -> results).
+    from repro.analysis.stack_distance import weighted_stack_distances
+
+    n = len(doc_ids)
     if n == 0:
         for cell in cells:
             cell._evictions_override = 0
         return
-    sizes = trace.sizes
-    codes = trace.type_codes
-    transfers = stream.transfers_clamped
-    distances = _byte_stack_distances(trace.doc_ids, sizes)
+    distances = np.array(weighted_stack_distances(doc_ids.tolist(),
+                                                  sizes.tolist()))
     needed = distances + sizes
     type_masks = [codes == code for code in range(len(DOCUMENT_TYPES))]
     measured_by_warmup: Dict[int, np.ndarray] = {}
@@ -314,7 +286,7 @@ def _run_lru_ladder_columnar(trace, stream: ColumnarReferenceStream,
 
     # Final residents: walk last references in recency order and count
     # how many fit each capacity (prefix bytes + own size <= C).
-    reversed_docs = trace.doc_ids[::-1]
+    reversed_docs = doc_ids[::-1]
     _, first_in_reversed = np.unique(reversed_docs, return_index=True)
     last_positions = (n - 1) - first_in_reversed
     descending = np.sort(last_positions)[::-1]
@@ -344,12 +316,6 @@ def _run_lru_ladder_columnar(trace, stream: ColumnarReferenceStream,
 
 
 # ----- the FIFO shadow queue ------------------------------------------------
-
-
-def _fifo_eligible(cell: CacheCell) -> bool:
-    return (cell.deferred
-            and type(cell.policy) is FIFOPolicy
-            and type(cell.cache) is Cache)
 
 
 def _run_fifo_cell(cell: CacheCell, doc_list: list, size_list: list,
@@ -426,15 +392,6 @@ def _cost_model_key(model) -> tuple:
     return ("instance", id(model))
 
 
-def _hinted_model(cell: CacheCell):
-    """The cell's Greedy-Dual cost model when key hinting applies."""
-    if not cell.deferred or type(cell.cache) is not Cache:
-        return None
-    if type(cell.policy) in (GDSPolicy, GDSFPolicy, GDStarPolicy):
-        return cell.policy.cost_model
-    return None
-
-
 def _drive_chunks(trace, stream: ColumnarReferenceStream,
                   plain: Dict[tuple, List[CacheCell]],
                   hinted: Dict[tuple, List[tuple]],
@@ -485,102 +442,45 @@ def _drive_chunks(trace, stream: ColumnarReferenceStream,
 # ----- the columnar pass ----------------------------------------------------
 
 
-def run_cells_columnar(trace,
-                       configs: Sequence[Union[SimulationConfig,
-                                               CacheCell]],
-                       trace_name: Optional[str] = None,
-                       chunk_size: int = DEFAULT_CHUNK_SIZE,
-                       lru_fast_path: bool = True,
-                       timings: Optional[PhaseTimings] = None,
-                       total_requests: Optional[int] = None,
-                       ) -> List[SimulationResult]:
-    """Run every cell over a columnar trace in one array-backed pass.
+def drive_columnar(trace, cells: Sequence[CacheCell],
+                   boundaries: Dict[int, Dict[DocumentType, list]],
+                   chunk_size: int, timings: PhaseTimings) -> int:
+    """Drive ``cells`` over a columnar trace and tally ``boundaries``.
 
-    The columnar counterpart of
-    :func:`repro.simulation.engine.run_cells` (which dispatches here
-    when handed a :class:`~repro.trace.columnar.ColumnarTrace`):
-    identical arguments, identical telemetry, bit-identical results.
+    The columnar half of :func:`repro.simulation.engine.run_cells`
+    (which has already taken the LRU-ladder cells out of ``cells``).
+    Returns how many cells the FIFO shadow queue served.
     """
-    n = len(trace)
-    if total_requests is not None and total_requests != n:
-        raise SimulationError(
-            f"columnar trace holds {n} requests but "
-            f"total_requests={total_requests} was declared")
-    name = trace_name or trace.name
-    cells: List[CacheCell] = []
-    for config in configs:
-        cell = config if isinstance(config, CacheCell) else CacheCell(config)
-        cells.append(cell)
+    stream = ColumnarReferenceStream(trace)
+    keys = set()
+    fifo: List[Tuple[CacheCell, tuple]] = []
+    plain: Dict[tuple, List[CacheCell]] = {}
+    hinted: Dict[tuple, List[tuple]] = {}
     for cell in cells:
-        warmup = int(n * cell.config.warmup_fraction)
-        cell.begin_run(warmup, deferred=True)
-    if timings is None:
-        timings = PhaseTimings()
-    emit("pass_started", cells=len(cells), requests=n)
-    pass_span = _span("pass", cells=len(cells), requests=n, trace=name,
-                      streaming=False, columnar=True)
-    with pass_span:
-        stream = ColumnarReferenceStream(trace)
-        if lru_fast_path:
-            ladder, rest = _ladder_split_columnar(trace, cells)
+        key = ReferenceStream.resolver_key(cell.config)
+        keys.add(key)
+        path = fast_path(cell)
+        if path == "fifo":
+            fifo.append((cell, key))
+        elif path == "hinted":
+            model = cell.policy.cost_model
+            hinted.setdefault(key, []).append(
+                (cell, model, _cost_model_key(model)))
         else:
-            ladder, rest = [], list(cells)
-        pass_span.set_attribute("lru_fast_path_cells", len(ladder))
-        fifo = [cell for cell in rest if _fifo_eligible(cell)]
-        fifo_ids = set(map(id, fifo))
-        pass_span.set_attribute("fifo_fast_path_cells", len(fifo))
-        plain: Dict[tuple, List[CacheCell]] = {}
-        hinted: Dict[tuple, List[tuple]] = {}
-        for cell in rest:
-            if id(cell) in fifo_ids:
-                continue
-            key = ReferenceStream.resolver_key(cell.config)
-            model = _hinted_model(cell)
-            if model is not None:
-                hinted.setdefault(key, []).append(
-                    (cell, model, _cost_model_key(model)))
-            else:
-                plain.setdefault(key, []).append(cell)
-        boundaries: Dict[int, Dict[DocumentType, list]] = {}
-        for cell in cells:
-            if cell.deferred and cell._warmup not in boundaries:
-                boundaries[cell._warmup] = _new_requested_totals()
-        with _span("resolve"), phase_timer("resolve", timings):
-            for cell in cells:
-                stream.resolved_sizes(
-                    ReferenceStream.resolver_key(cell.config))
-            if boundaries:
-                _tally_boundaries(trace, stream, boundaries)
-        with _span("drive"), phase_timer("pass", timings):
-            _drive_chunks(trace, stream, plain, hinted, chunk_size)
-            if fifo:
-                doc_list = trace.doc_ids.tolist()
-                code_list = trace.type_codes.tolist()
-                transfer_list = stream.transfers_clamped.tolist()
-                for cell in fifo:
-                    key = ReferenceStream.resolver_key(cell.config)
-                    size_list = stream.resolved_sizes(key).tolist()
-                    _run_fifo_cell(cell, doc_list, size_list,
-                                   code_list, transfer_list)
-        if ladder:
-            with _span("lru_ladder", cells=len(ladder)), \
-                    phase_timer("lru_ladder", timings):
-                _run_lru_ladder_columnar(trace, stream, ladder)
-        with _span("aggregate"), phase_timer("aggregate", timings):
-            results = [cell.finalize(name, n,
-                                     boundaries.get(cell._warmup))
-                       for cell in cells]
-    _publish_pass_telemetry(results, timings, len(cells), len(ladder), n,
-                            n_fifo=len(fifo))
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("engine_columnar_passes_total").inc()
+            plain.setdefault(key, []).append(cell)
+    with _span("resolve"), phase_timer("resolve", timings):
+        for key in keys:
+            stream.resolved_sizes(key)
+        if boundaries:
+            _tally_boundaries(trace, stream, boundaries)
+    with _span("drive"), phase_timer("pass", timings):
+        _drive_chunks(trace, stream, plain, hinted, chunk_size)
         if fifo:
-            registry.counter(
-                "engine_fifo_fast_path_cells_total").inc(len(fifo))
-    _logger.debug(
-        "columnar pass: %d cells (%d ladder, %d fifo) over %d requests",
-        len(cells), len(ladder), len(fifo), n,
-        extra={"cells": len(cells), "lru_fast_path_cells": len(ladder),
-               "fifo_fast_path_cells": len(fifo), "requests": n})
-    return results
+            doc_list = trace.doc_ids.tolist()
+            code_list = trace.type_codes.tolist()
+            transfer_list = stream.transfers_clamped.tolist()
+            for cell, key in fifo:
+                size_list = stream.resolved_sizes(key).tolist()
+                _run_fifo_cell(cell, doc_list, size_list,
+                               code_list, transfer_list)
+    return len(fifo)

@@ -192,7 +192,10 @@ class TestCli:
                             fake_run_suite)
         assert main(["table1", "--quiet", "--sweep-workers", "2",
                      "--cell-timeout", "30", "--max-retries", "3"]) == 0
-        assert captured["extra"] == {"engine": "percell",
-                                     "sweep_workers": 2,
+        assert captured["extra"] == {"sweep_workers": 2,
                                      "max_retries": 3,
                                      "cell_timeout": 30.0}
+        # The retired --engine flag is an ordinary unknown argument.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig2", "--engine", "batched"])
+        assert exit_info.value.code == 2

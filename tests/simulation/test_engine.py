@@ -1,4 +1,4 @@
-"""Shared-pass engine equivalence: batched cells == classic simulator.
+"""Shared-pass engine equivalence: run_cells == classic simulator.
 
 The contract of :func:`repro.simulation.engine.run_cells` is that a
 whole grid of (policy, capacity) cells run over one trace pass produces
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.cache import Cache
 from repro.core.registry import POLICY_NAMES, make_policy
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.observability.events import read_events, set_event_sink
 from repro.simulation.engine import run_cells
 from repro.simulation.parallel import cell_key, run_sweep_parallel
@@ -66,6 +66,19 @@ def assert_identical(batched, reference):
     assert batched.as_dict() == reference.as_dict()
     assert batched.evictions == reference.evictions
     assert batched.invalidations == reference.invalidations
+
+
+def classic_grid(trace, policies, capacities):
+    """The sweep's reference side: one CacheSimulator per cell."""
+    return {(policy, capacity): classic(trace, SimulationConfig(
+        capacity_bytes=capacity, policy=policy)).as_dict()
+        for policy in policies for capacity in capacities}
+
+
+def sweep_grid(sweep):
+    return {(policy, capacity): cell.as_dict()
+            for policy, per_capacity in sweep.grid.items()
+            for capacity, cell in per_capacity.items()}
 
 
 class TestFullRegistryEquivalence:
@@ -131,9 +144,15 @@ class TestLRUFastPath:
         slow = run_cells(trace, self.lru_configs(
             (2_000, 9_000, 40_000, 200_000)),
             trace_name=trace.name, lru_fast_path=False)
-        for config, f, s in zip(configs, fast, slow):
+        # A lazy stream cannot be scanned for the ladder's trace-side
+        # conditions up front, so the same cells are simulated.
+        streamed = run_cells(iter(trace.requests), self.lru_configs(
+            (2_000, 9_000, 40_000, 200_000)),
+            trace_name=trace.name, total_requests=len(trace))
+        for config, f, s, lazy in zip(configs, fast, slow, streamed):
             assert_identical(f, s)
             assert_identical(f, classic(trace, config))
+            assert_identical(lazy, classic(trace, config))
 
     def test_zero_size_documents(self):
         """0-byte documents occupy no space but still hit/miss."""
@@ -180,18 +199,21 @@ class TestSweepEntryPoints:
     CAPACITIES = [4_000, 20_000]
 
     def test_run_sweep_batched_equals_percell(self):
+        """The one-pass sweep equals a per-cell CacheSimulator loop."""
         trace = mixed_trace(modify_every=17)
-        percell = run_sweep(trace, self.POLICIES, self.CAPACITIES)
-        batched = run_sweep(trace, self.POLICIES, self.CAPACITIES,
-                            engine="batched")
-        assert batched.as_dict() == percell.as_dict()
+        sweep = run_sweep(trace, self.POLICIES, self.CAPACITIES)
+        assert sweep_grid(sweep) == classic_grid(
+            trace, self.POLICIES, self.CAPACITIES)
 
-    def test_run_sweep_rejects_unknown_engine(self):
-        with pytest.raises(ConfigurationError):
-            run_sweep(mixed_trace(60), ["lru"], [4_000], engine="warp")
-        with pytest.raises(ConfigurationError):
+    def test_sweep_entry_points_take_no_engine_argument(self):
+        """The knob is gone, not shimmed: the keyword fails as any
+        unknown keyword does."""
+        with pytest.raises(TypeError):
+            run_sweep(mixed_trace(60), ["lru"], [4_000],
+                      engine="batched")
+        with pytest.raises(TypeError):
             run_sweep_parallel(mixed_trace(60), ["lru"], [4_000],
-                               engine="warp")
+                               engine="batched")
 
     def test_parallel_batched_equals_serial(self):
         trace = mixed_trace(modify_every=17)
@@ -199,7 +221,7 @@ class TestSweepEntryPoints:
         for n_workers in (1, 2):
             parallel = run_sweep_parallel(
                 trace, self.POLICIES, self.CAPACITIES,
-                n_workers=n_workers, engine="batched")
+                n_workers=n_workers)
             for policy in self.POLICIES:
                 assert parallel.series(policy) == serial.series(policy)
                 assert parallel.series(policy, byte_rate=True) == \
@@ -210,7 +232,7 @@ class TestSweepEntryPoints:
         serial = run_sweep(trace, self.POLICIES, self.CAPACITIES)
         parallel = run_sweep_parallel(
             trace, self.POLICIES, self.CAPACITIES, n_workers=2,
-            engine="batched", cells_per_pass=3)
+            cells_per_pass=3)
         for policy in self.POLICIES:
             assert parallel.series(policy) == serial.series(policy)
 
@@ -238,7 +260,9 @@ class TestStreamingPass:
                       total_requests=len(trace) + 7)
 
     def test_file_backed_sweep_both_engines(self, tmp_path):
-        from repro.trace.pipeline import count_requests
+        """A streamed file sweep equals both the in-memory sweep and
+        the reference simulator streaming the same file per cell."""
+        from repro.trace.pipeline import count_requests, iter_trace
         from repro.trace.writer import write_trace
         trace = mixed_trace(modify_every=13)
         path = tmp_path / "trace.csv"
@@ -247,13 +271,19 @@ class TestStreamingPass:
         policies = ["lru", "gd*(1)"]
         capacities = [4_000, 20_000]
         memory = run_sweep(trace, policies, capacities)
-        percell = run_sweep(path, policies, capacities)
-        batched = run_sweep(path, policies, capacities,
-                            engine="batched")
-        assert percell.as_dict() == batched.as_dict()
+        swept = run_sweep(path, policies, capacities)
+        # Reference side: one CacheSimulator stream per cell over the
+        # same file (csv rounds timestamps, so compare like sources).
+        warmup = int(len(trace) * 0.10)
         for policy in policies:
-            assert percell.series(policy) == memory.series(policy)
-            assert batched.series(policy, byte_rate=True) == \
+            for capacity in capacities:
+                reference = CacheSimulator(SimulationConfig(
+                    capacity_bytes=capacity, policy=policy)).run_stream(
+                        iter_trace(path), warmup_requests=warmup,
+                        trace_name="trace")
+                assert_identical(swept.grid[policy][capacity], reference)
+            assert swept.series(policy) == memory.series(policy)
+            assert swept.series(policy, byte_rate=True) == \
                 memory.series(policy, byte_rate=True)
 
 
@@ -287,7 +317,6 @@ class TestTelemetry:
         policies = ["lru", "gds(1)"]
         capacities = [4_000, 20_000]
         run_sweep_parallel(trace, policies, capacities, n_workers=2,
-                           engine="batched",
                            telemetry_dir=tmp_path / "tel")
         records = read_events(tmp_path / "tel" / "events.jsonl")
         for policy in policies:
@@ -309,8 +338,7 @@ class TestTelemetry:
             previous = set_event_sink(log)
             try:
                 run_sweep_parallel(trace, ["lru", "gds(1)"],
-                                   [4_000, 20_000], n_workers=2,
-                                   engine="batched")
+                                   [4_000, 20_000], n_workers=2)
             finally:
                 set_event_sink(previous)
         records = read_events(tmp_path / "events.jsonl")

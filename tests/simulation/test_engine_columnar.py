@@ -292,65 +292,78 @@ class TestEntryPoints:
                 flat[(policy, capacity)] = d
         return flat
 
+    def classic_grid(self, trace):
+        """The reference side: one CacheSimulator per cell."""
+        flat = {}
+        for policy in self.POLICIES:
+            for capacity in self.CAPACITIES:
+                d = classic(trace, SimulationConfig(
+                    capacity_bytes=capacity, policy=policy)).as_dict()
+                d.pop("trace_name", None)
+                flat[(policy, capacity)] = d
+        return flat
+
     def test_file_sweep_both_engines(self, tmp_path):
+        """An ``.rcol`` file sweep (column kernels) equals the
+        in-memory sweep (object pass) and the per-cell simulator."""
         trace = mixed_trace(modify_every=17)
         path = self.write(tmp_path, trace)
         memory = self.grid_sans_name(
             run_sweep(trace, self.POLICIES, self.CAPACITIES))
-        percell = self.grid_sans_name(
+        from_file = self.grid_sans_name(
             run_sweep(path, self.POLICIES, self.CAPACITIES))
-        batched = self.grid_sans_name(
-            run_sweep(path, self.POLICIES, self.CAPACITIES,
-                      engine="batched"))
-        assert percell == memory
-        assert batched == memory
+        assert from_file == memory
+        assert from_file == self.classic_grid(trace)
 
     def test_columnar_trace_object_sweep(self, tmp_path, columnar_of):
         trace = mixed_trace(modify_every=17)
         columnar = columnar_of(trace)
         memory = run_sweep(trace, self.POLICIES, self.CAPACITIES)
-        for engine in ("percell", "batched"):
-            direct = run_sweep(columnar, self.POLICIES, self.CAPACITIES,
-                               engine=engine)
-            assert direct.as_dict() == memory.as_dict()
+        direct = run_sweep(columnar, self.POLICIES, self.CAPACITIES)
+        assert direct.as_dict() == memory.as_dict()
+        assert self.grid_sans_name(direct) == self.classic_grid(trace)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_parallel_columnar_path(self, tmp_path, n_workers):
         trace = mixed_trace(modify_every=17)
         path = self.write(tmp_path, trace)
-        serial = self.grid_sans_name(
-            run_sweep(trace, self.POLICIES, self.CAPACITIES))
-        for engine in ("batched", "percell"):
+        reference = self.classic_grid(trace)
+        for cells_per_pass in (None, 1):
             parallel = self.grid_sans_name(run_sweep_parallel(
                 str(path), self.POLICIES, self.CAPACITIES,
-                n_workers=n_workers, engine=engine))
-            assert parallel == serial
+                n_workers=n_workers, cells_per_pass=cells_per_pass))
+            assert parallel == reference
 
 
 class TestServiceTrialParity:
     def test_objects_and_columnar_trials_match(self, tmp_path,
                                                monkeypatch):
+        """One spec, both trace formats, the same stored bytes — for a
+        hinted Greedy-Dual cell and a ladder-candidate LRU cell."""
         from repro.experiments.service import (
             TrialSpec,
             _WorkerTraceCache,
             execute_trial,
         )
+        from repro.experiments.store import canonical_json
         import repro.experiments.service as service
 
-        spec = TrialSpec(trace="dfn", scale=0.01, policy="gd*(1)",
-                         size_fraction=0.01, seed=42)
+        specs = [TrialSpec(trace="dfn", scale=0.01, policy=policy,
+                           size_fraction=0.01, seed=42)
+                 for policy in ("gd*(1)", "lru")]
         monkeypatch.delenv("REPRO_TRACE_FORMAT", raising=False)
         monkeypatch.setattr(service, "_TRACES", _WorkerTraceCache())
-        objects = execute_trial(spec)
+        objects = [execute_trial(spec) for spec in specs]
         monkeypatch.setenv("REPRO_TRACE_FORMAT", "columnar")
         monkeypatch.setenv("REPRO_SERVICE_TRACE_DIR",
                            str(tmp_path / "traces"))
         monkeypatch.setattr(service, "_TRACES", _WorkerTraceCache())
-        columnar = execute_trial(spec)
-        assert columnar == objects
+        columnar = [execute_trial(spec) for spec in specs]
+        assert [canonical_json(payload) for payload in columnar] == \
+            [canonical_json(payload) for payload in objects]
         assert (tmp_path / "traces" / "dfn-0.01-42.rcol").exists()
         # Second execution reuses the spilled file (and still matches).
-        assert execute_trial(spec) == objects
+        assert execute_trial(specs[0]) == objects[0]
 
 
 class TestTelemetry:

@@ -14,9 +14,10 @@ from repro.errors import (
     SimulationError,
     WorkerCrashError,
 )
+from repro.observability.events import read_events
 from repro.resilience import CheckpointStore, FaultInjector, FaultSpec
 from repro.simulation.parallel import (
-    _run_cell,
+    _run_batch,
     _reset_worker,
     cell_key,
     run_sweep_parallel,
@@ -106,6 +107,43 @@ class TestCrash:
         assert sweep.grid["gds(1)"][4000].counted_requests > 0
 
 
+class TestBatchIsolation:
+    def test_failed_batch_loses_only_the_guilty_cell(self, trace, serial,
+                                                     tmp_path):
+        """One batch of three cells, one of which fails on every
+        attempt: the batch is split, the batch-mates complete
+        bit-identically, and only the guilty cell spends its retry
+        budget and is recorded as lost."""
+        policies = ["lru", "lfu-da", "gds(1)"]
+        guilty = cell_key("lfu-da", 4000)
+        injector = FaultInjector.of(
+            FaultSpec(key=guilty, kind="raise", attempts=(1, 2, 3, 4)))
+        sweep = run_sweep_parallel(
+            trace, policies, [4000], n_workers=2, cells_per_pass=3,
+            fault_injector=injector, max_retries=2,
+            failure_policy="partial", telemetry_dir=tmp_path / "tel")
+        (failure,) = sweep.failures
+        assert (failure.policy, failure.capacity_bytes) == \
+            ("lfu-da", 4000)
+        assert failure.attempts == 3
+        records = read_events(tmp_path / "tel" / "events.jsonl")
+
+        def lifecycle(key):
+            return [(r["event"], r.get("attempt", r.get("attempts")))
+                    for r in records if r.get("key") == key]
+
+        for policy in ("lru", "gds(1)"):
+            assert sweep.grid[policy][4000].as_dict() == \
+                serial.grid[policy][4000].as_dict()
+            # The rerun alone is the attempt already announced.
+            assert lifecycle(cell_key(policy, 4000)) == [
+                ("cell_scheduled", 1), ("cell_finished", 1)]
+        assert lifecycle(guilty) == [
+            ("cell_scheduled", 1), ("cell_retried", 1),
+            ("cell_scheduled", 2), ("cell_retried", 2),
+            ("cell_scheduled", 3), ("cell_failed", 3)]
+
+
 class TestHang:
     def test_hang_without_retries_raises_cell_timeout(self, trace):
         injector = FaultInjector.hang_once(cell_key("lru", 4000),
@@ -152,10 +190,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             run_sweep_parallel(trace, ["lru"], [4000], cell_timeout=0)
 
-    def test_run_cell_without_initializer_raises_clear_error(self):
+    def test_run_batch_without_initializer_raises(self):
         _reset_worker()
         with pytest.raises(SimulationError, match="initializer"):
-            _run_cell(("lru", 4000, 0.1, "trusted", 1))
+            _run_batch(((("lru", 4000),), 0.1, "trusted", 1, None))
 
 
 class TestCellCheckpoints:

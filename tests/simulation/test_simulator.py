@@ -165,6 +165,40 @@ class TestRunStream:
         assert result.counted_requests == 2
         assert result.hit_rate() == 1.0
 
+    def test_stream_accounting_matches_run(self):
+        """Cost, latency, TTL and occupancy accounting are the cell's
+        one request step, so a stream and a materialized run agree."""
+        from repro.core.cost import PacketCost
+        from repro.simulation.freshness import TTLModel
+        from repro.simulation.latency import LatencyModel
+
+        requests = [req(f"u{u}", size=300 + 40 * (u % 5),
+                        doc_type=list(DocumentType)[u % 5], ts=float(i))
+                    for i in range(400) for u in [(i * 7) % 23]]
+
+        def simulator():
+            return CacheSimulator(SimulationConfig(
+                capacity_bytes=20_000, policy="gds(1)",
+                warmup_fraction=0.25, occupancy_interval=50,
+                report_cost_model=PacketCost(),
+                latency_model=LatencyModel(),
+                ttl_model=TTLModel(default_ttl=30.0)))
+
+        whole = simulator().run(requests, trace_name="t")
+        streamed = simulator().run_stream(
+            iter(requests), warmup_requests=100, trace_name="t")
+        assert streamed.as_dict() == whole.as_dict()
+        assert whole.latency.overall.count == 300
+        assert streamed.latency.overall.count == 300
+        assert streamed.latency.total_latency() == \
+            whole.latency.total_latency()
+        assert whole.metrics.overall.requested_cost > 0
+        for side in ("requested_cost", "saved_cost"):
+            assert getattr(streamed.metrics.overall, side) == \
+                getattr(whole.metrics.overall, side)
+        assert streamed.occupancy.samples == whole.occupancy.samples
+        assert streamed.ttl_expiries == whole.ttl_expiries > 0
+
     def test_empty_stream(self):
         simulator = CacheSimulator(
             SimulationConfig(capacity_bytes=10_000, policy="lru"))
