@@ -23,7 +23,7 @@ import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from repro.errors import ServiceError
 from repro.experiments.queue import TrialQueue
@@ -31,9 +31,9 @@ from repro.experiments.service import (
     enqueue_grid,
     open_service,
     work,
+    worker_entry,
 )
 from repro.experiments.store import ResultsStore
-from repro.observability import events as _events
 from repro.observability.logs import get_logger
 from repro.resilience.faults import FaultInjector, corrupt_file
 
@@ -82,14 +82,6 @@ class ChaosReport:
             f"  chaos digest       {self.chaos_digest}",
             f"  stores             {verdict}",
         ])
-
-
-def _chaos_worker_entry(root: str, lease_ttl: float,
-                        injector: Optional[FaultInjector]) -> None:
-    """Child-process worker (module-level so it forks cleanly)."""
-    _events.set_event_sink(None)
-    queue, store = open_service(root, lease_ttl=lease_ttl)
-    work(queue, store, fault_injector=injector)
 
 
 def _wait_for_claim(queue: TrialQueue, trial_id: str,
@@ -177,8 +169,9 @@ def run_chaos(root: PathLike, *, kills: int = 2, corrupt: bool = False,
             *[_hang_spec(victim_trial, attempt)
               for attempt in range(1, queue.max_attempts + 1)])
         worker = context.Process(
-            target=_chaos_worker_entry,
-            args=(str(root / "chaos"), lease_ttl, injector))
+            target=worker_entry,
+            args=(str(root / "chaos"), lease_ttl, queue.max_attempts,
+                  injector))
         worker.start()
         try:
             _wait_for_claim(queue, victim_trial)

@@ -38,6 +38,7 @@ as a live sharded cache and load-replays workloads against one::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import List, Optional
 
@@ -51,6 +52,18 @@ from repro.experiments.runner import run_suite
 from repro.observability.logs import LOG_LEVELS, configure, get_logger
 
 _logger = get_logger("experiments.cli")
+
+#: Sub-CLIs that carry their own option surface, dispatched before the
+#: experiment parser can reject their names: the analytical model
+#: (predict/curve/validate), the durable experiment service (enqueue/
+#: work/status/report/regress/compact/chaos), cache networks (run/
+#: sweep/placement/validate) and the online cache (serve/replay).
+_SUBCOMMANDS = {
+    "model": "repro.model.cli",
+    "service": "repro.experiments.service",
+    "network": "repro.network.cli",
+    "serving": "repro.serving.cli",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,26 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "model":
-        # The analytical-model verbs carry their own option surface;
-        # dispatch before the experiment parser rejects them.
-        from repro.model.cli import main as model_main
-        return model_main(argv[1:])
-    if argv and argv[0] == "service":
-        # Durable experiment service verbs (enqueue/work/status/
-        # report/compact/chaos); same early-dispatch pattern.
-        from repro.experiments.service import main as service_main
-        return service_main(argv[1:])
-    if argv and argv[0] == "network":
-        # Cache-network verbs (run/sweep/placement/validate/enqueue);
-        # same early-dispatch pattern.
-        from repro.network.cli import main as network_main
-        return network_main(argv[1:])
-    if argv and argv[0] == "serving":
-        # Online-serving verbs (serve/replay); same early-dispatch
-        # pattern.
-        from repro.serving.cli import main as serving_main
-        return serving_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        module = importlib.import_module(_SUBCOMMANDS[argv[0]])
+        return module.main(argv[1:])
     args = build_parser().parse_args(argv)
     configure(level=args.log_level, json_lines=args.log_json)
     if args.trace_spans:

@@ -33,6 +33,7 @@ import html as _html
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.experiments.service import AXES, TrialSpec
 from repro.experiments.stats import summarize
 from repro.types import PLOTTED_TYPES
 
@@ -410,7 +411,9 @@ def verdict_table(report_data: dict,
         icon = _VERDICT_ICONS.get(verdict, "")
         condition = (f"{v.get('trace')}/scale={v.get('scale')}"
                      f"/{v.get('policy')}"
-                     f"/cache={v.get('size_fraction')}")
+                     f"/cache={v.get('size_fraction')}"
+                     + "".join(f"/{axis}={v[axis]}"
+                               for axis in AXES if axis in v))
         rows.append(
             "<tr>"
             f"<td>{_esc(condition)}</td>"
@@ -460,16 +463,18 @@ def render_document(title: str, sections: Sequence[str],
 # --------------------------------------------------------------------------
 
 def _store_groups(store) -> Dict[tuple, Dict[float, Dict[str, dict]]]:
-    """(trace, scale, git_hash) -> size_fraction -> policy -> payloads
-    keyed by seed."""
+    """(condition, git_hash) -> size_fraction -> policy -> payloads
+    keyed by seed; the condition leaves out the two fields a panel
+    plots against each other."""
     groups: Dict[tuple, Dict[float, Dict[str, dict]]] = {}
     for key, record in sorted(store.records().items()):
         payload = record.get("payload") or {}
         spec = payload.get("spec") or {}
-        if "policy" not in spec or "size_fraction" not in spec:
+        condition = TrialSpec.condition_of(spec, "policy",
+                                           "size_fraction")
+        if condition is None:
             continue
-        group = groups.setdefault(
-            (spec.get("trace"), spec.get("scale"), key.git_hash), {})
+        group = groups.setdefault((condition, key.git_hash), {})
         by_policy = group.setdefault(float(spec["size_fraction"]), {})
         by_policy.setdefault(spec["policy"], {})[key.seed] = payload
     return groups
@@ -519,20 +524,23 @@ def report_from_store(store, *, regression: Optional[dict] = None,
     slots = SlotAssigner()
     for group_key, group in sorted(_store_groups(store).items(),
                                    key=lambda item: str(item[0])):
-        trace, scale, git_hash = group_key
+        (trace, scale, *axes), git_hash = group_key
+        widened = "".join(f" {axis}={value}" for axis, value in axes)
+        subject = f"{trace}{widened} @ {git_hash}"
         fractions = sorted(group)
         x_labels = [f"{fraction:g}" for fraction in fractions]
-        meta = (f"trace={trace} scale={scale:g} git={git_hash} — "
+        meta = (f"trace={trace} scale={scale:g}{widened} "
+                f"git={git_hash} — "
                 "x: cache size as a fraction of total data; whiskers: "
                 "95% CI across seeds")
         sections.append(line_chart(
-            f"hit rate vs cache size — {trace} @ {git_hash}",
+            f"hit rate vs cache size — {subject}",
             x_labels,
             _series_from_group(fractions, group,
                                lambda p: p.get("hit_rate")),
             meta=meta, slots=slots))
         sections.append(line_chart(
-            f"byte hit rate vs cache size — {trace} @ {git_hash}",
+            f"byte hit rate vs cache size — {subject}",
             x_labels,
             _series_from_group(fractions, group,
                                lambda p: p.get("byte_hit_rate")),
@@ -546,7 +554,7 @@ def report_from_store(store, *, regression: Optional[dict] = None,
                        for v in one["values"]):
                 continue  # records predate the per-type breakdown
             sections.append(line_chart(
-                f"{doc_type.value} hit rate — {trace} @ {git_hash}",
+                f"{doc_type.value} hit rate — {subject}",
                 x_labels, type_series, meta=meta, slots=slots))
     if not sections:
         sections.append('<div class="panel"><p class="note">'

@@ -156,14 +156,15 @@ class TrialQueue:
         finally:
             os.close(fd)
 
-    def _read_attempts(self, trial_id: str) -> int:
+    def attempts(self, trial_id: str) -> int:
+        """Claims burned on ``trial_id`` so far (0 if never claimed)."""
         try:
             return int((self.attempts_dir / trial_id).read_text())
         except (OSError, ValueError):
             return 0
 
     def _bump_attempts(self, trial_id: str) -> int:
-        attempt = self._read_attempts(trial_id) + 1
+        attempt = self.attempts(trial_id) + 1
         path = self.attempts_dir / trial_id
         tmp = path.with_name(
             f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
@@ -260,7 +261,7 @@ class TrialQueue:
         for trial_id in self.trial_ids():
             if trial_id in done or trial_id in failed:
                 continue
-            attempts_so_far = self._read_attempts(trial_id)
+            attempts_so_far = self.attempts(trial_id)
             if attempts_so_far >= self.max_attempts:
                 self._abandon(trial_id, attempts_so_far,
                               "attempt budget exhausted")

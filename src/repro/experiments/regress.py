@@ -3,8 +3,9 @@
 The store keys every record by ``(config_hash, git_hash, seed)``, so
 two code revisions that ran the same seeded trial grid leave two
 replicate samples per configuration and metric.  This module turns
-those into verdicts: for every (trace, scale, policy, size_fraction)
-condition and every metric it can find — overall hit rate, byte hit
+those into verdicts: for every condition (every spec field but the
+seed — :meth:`~repro.experiments.service.TrialSpec.condition_of`)
+and every metric it can find — overall hit rate, byte hit
 rate, and the per-document-type hit rates the paper's analysis turns
 on — it runs a Mann-Whitney U test plus the Vargha-Delaney A12 effect
 size between the baseline and candidate revisions and labels the pair
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
@@ -40,6 +41,7 @@ from repro.experiments.stats import (
     summarize,
     vargha_delaney_a12,
 )
+from repro.experiments.service import STORE_DIRNAME, TrialSpec
 from repro.experiments.store import ResultsStore, git_revision
 
 __all__ = [
@@ -65,6 +67,8 @@ class Verdict:
     scale: float
     policy: str
     size_fraction: float
+    #: ``(axis, value)`` pairs of a network or serving condition.
+    axes: Tuple[Tuple[str, object], ...]
     metric: str
     n_baseline: int
     n_candidate: int
@@ -79,22 +83,14 @@ class Verdict:
     @property
     def condition(self) -> str:
         return (f"{self.trace}/scale={self.scale:g}/{self.policy}"
-                f"/cache={self.size_fraction:g}")
+                f"/cache={self.size_fraction:g}"
+                + "".join(f"/{axis}={value}"
+                          for axis, value in self.axes))
 
     def as_dict(self) -> dict:
-        return {
-            "trace": self.trace, "scale": self.scale,
-            "policy": self.policy,
-            "size_fraction": self.size_fraction,
-            "metric": self.metric,
-            "n_baseline": self.n_baseline,
-            "n_candidate": self.n_candidate,
-            "mean_baseline": self.mean_baseline,
-            "mean_candidate": self.mean_candidate,
-            "delta": self.delta, "p_value": self.p_value,
-            "a12": self.a12, "magnitude": self.magnitude,
-            "verdict": self.verdict,
-        }
+        data = asdict(self)
+        data.update(data.pop("axes"))
+        return data
 
 
 @dataclass
@@ -173,27 +169,24 @@ def _payload_metrics(payload: dict) -> Dict[str, float]:
 
 
 # condition -> git_hash -> metric -> {seed: value}
-Samples = Dict[Tuple[str, float, str, float],
-               Dict[str, Dict[str, Dict[int, float]]]]
+Samples = Dict[tuple, Dict[str, Dict[str, Dict[int, float]]]]
 
 
 def collect_samples(store: ResultsStore) -> Samples:
     """Group the store's service records for cross-revision tests.
 
     Keyed by experimental condition — (trace, scale, policy,
-    size_fraction) — then git hash, then metric name; the innermost
-    dict is keyed by seed so a duplicate append never double-counts a
-    replica.
+    size_fraction), then one ``(axis, value)`` pair per optional axis
+    a network or serving trial carries — then git hash, then metric
+    name; the innermost dict is keyed by seed so a duplicate append
+    never double-counts a replica.
     """
     samples: Samples = {}
     for key, record in sorted(store.records().items()):
         payload = record.get("payload") or {}
-        spec = payload.get("spec") or {}
-        if not all(field in spec for field in
-                   ("trace", "scale", "policy", "size_fraction")):
+        condition = TrialSpec.condition_of(payload.get("spec") or {})
+        if condition is None:
             continue  # foreign record (not written by the service)
-        condition = (spec["trace"], spec["scale"], spec["policy"],
-                     spec["size_fraction"])
         by_hash = samples.setdefault(condition, {})
         by_metric = by_hash.setdefault(key.git_hash, {})
         for metric, value in _payload_metrics(payload).items():
@@ -274,10 +267,11 @@ def detect_regressions(store: ResultsStore,
                 verdict = IMPROVED if a12 > 0.5 else REGRESSED
             else:
                 verdict = INDISTINGUISHABLE
-            trace, scale, policy, fraction = condition
+            trace, scale, policy, fraction, *axes = condition
             verdicts.append(Verdict(
                 trace=trace, scale=scale, policy=policy,
-                size_fraction=fraction, metric=metric,
+                size_fraction=fraction, axes=tuple(axes),
+                metric=metric,
                 n_baseline=len(base), n_candidate=len(cand),
                 mean_baseline=summarize(base).mean,
                 mean_candidate=summarize(cand).mean,
@@ -314,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.experiments.service import STORE_DIRNAME
     from repro.experiments.store import canonical_json
     from pathlib import Path
 

@@ -1,7 +1,13 @@
 """The durable experiment service: enqueue / work / status / report.
 
 A *trial* is one seeded simulation cell — (trace profile, scale,
-policy, cache-size fraction, seed).  The service splits a standing
+policy, cache-size fraction, seed) — described by one flat
+:class:`TrialSpec` that may also carry a topology axis (a cache
+*network* trial) or a shard axis (a *serving* replay trial).  There is
+one way through for every kind: :func:`enqueue_grid` (CLI: ``service
+enqueue``) queues specs, :func:`execute_trial` runs one, and every
+reader of the store asks :meth:`TrialSpec.condition_of` which trials
+are replicas of one condition.  The service splits a standing
 experiment program into three crash-isolated pieces:
 
 * a :class:`~repro.experiments.queue.TrialQueue` of pending trials,
@@ -36,6 +42,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -50,6 +57,7 @@ from repro.experiments.store import (
     git_revision,
 )
 from repro.observability import events as _events
+from repro.observability.logs import LOG_LEVELS
 from repro.observability.logs import configure as configure_logs
 from repro.observability.logs import get_logger
 from repro.observability.trace import adopt, enable_tracing, inject
@@ -80,15 +88,52 @@ QUEUE_DIRNAME = "queue"
 STORE_DIRNAME = "store"
 
 
+#: The optional axes that widen a trial beyond one cache, in the order
+#: conditions and report headers list them.  Which of them a spec
+#: carries *is* its kind; no ``kind`` field is ever stored.
+AXES = ("topology", "strategy", "n", "shards")
+
+#: Every field with the coercion :meth:`TrialSpec.from_dict` applies —
+#: queue files are outside input.
+_FIELD_TYPES = {"trace": str, "scale": float, "policy": str,
+                "size_fraction": float, "seed": int,
+                "topology": str, "strategy": str, "n": int,
+                "shards": int}
+
+
 @dataclass(frozen=True)
 class TrialSpec:
-    """One seeded simulation cell, the service's unit of work."""
+    """One seeded (trace × policy × cache size) cell, the service's
+    unit of work, optionally widened along a topology or a shard axis.
+
+    The optional axes decide the :attr:`kind`:
+
+    * none — ``"cache"``: one cache, one policy.
+    * ``topology`` + ``strategy`` (+ ``n``) — ``"network"``: a cache
+      network.  ``size_fraction`` is the *aggregate* budget as a
+      fraction of the trace's distinct bytes, split uniformly across
+      nodes by :func:`repro.network.topology.build_topology` — holding
+      total cache bytes constant is what makes hit rates comparable
+      across topologies.  ``n`` is the shape parameter: children
+      (two-level), proxies (mesh), chain length (path), depth (tree);
+      ignored for ``single``; 4 when not given.
+    * ``shards`` — ``"serving"``: the online sharded cache replayed as
+      an experimental subject.
+
+    Any other combination is refused.  :meth:`as_dict` omits absent
+    axes, so a spec's stored identity (config hash, trial id, payload
+    bytes) is exactly what it was before the axes shared one class.
+    """
 
     trace: str
     scale: float
     policy: str
     size_fraction: float
     seed: int
+    topology: Optional[str] = None
+    strategy: Optional[str] = None
+    n: Optional[int] = None
+    shards: Optional[int] = None
 
     def __post_init__(self):
         if self.trace not in TRACE_PROFILES:
@@ -99,20 +144,53 @@ class TrialSpec:
             raise ServiceError("size_fraction must be in (0, 1]")
         if self.scale <= 0:
             raise ServiceError("scale must be positive")
+        if self.topology is None:
+            if self.strategy is not None or self.n is not None:
+                raise ServiceError("strategy and n need a topology")
+            if self.shards is not None and self.shards < 1:
+                raise ServiceError("shards must be >= 1")
+            return
+        if self.shards is not None:
+            raise ServiceError(
+                "a spec carries topology or shards, not both")
+        from repro.network.strategies import STRATEGY_NAMES
+        from repro.network.topology import TOPOLOGY_KINDS
+
+        if self.topology not in TOPOLOGY_KINDS:
+            raise ServiceError(
+                f"unknown topology {self.topology!r}; known: "
+                + ", ".join(TOPOLOGY_KINDS))
+        if self.strategy not in STRATEGY_NAMES:
+            raise ServiceError(
+                f"unknown strategy {self.strategy!r}; known: "
+                + ", ".join(STRATEGY_NAMES))
+        if self.n is None:
+            object.__setattr__(self, "n", 4)
+        if self.n < 1:
+            raise ServiceError("n must be >= 1")
+
+    @property
+    def kind(self) -> str:
+        """``"network"``, ``"serving"`` or ``"cache"``, from which
+        optional axes are present."""
+        if self.topology is not None:
+            return "network"
+        if self.shards is not None:
+            return "serving"
+        return "cache"
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrialSpec":
         try:
-            return cls(trace=str(data["trace"]),
-                       scale=float(data["scale"]),
-                       policy=str(data["policy"]),
-                       size_fraction=float(data["size_fraction"]),
-                       seed=int(data["seed"]))
+            return cls(**{name: coerce(data[name])
+                          for name, coerce in _FIELD_TYPES.items()
+                          if name in data})
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(f"malformed trial spec: {exc}") from exc
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {name: value for name, value in asdict(self).items()
+                if value is not None}
 
     def config_key(self) -> str:
         """Hash of everything *except* the seed: replicas of one
@@ -127,142 +205,24 @@ class TrialSpec:
                          git_hash=git_hash or git_revision(),
                          seed=self.seed)
 
+    @staticmethod
+    def condition_of(spec: dict, *drop: str) -> Optional[tuple]:
+        """The experimental condition a stored spec dict belongs to.
 
-@dataclass(frozen=True)
-class NetworkTrialSpec:
-    """One seeded cache-*network* cell: topology × strategy × policy.
-
-    Lives in the same queue and store as :class:`TrialSpec`; the
-    worker dispatches on the presence of the ``topology`` key (classic
-    specs never carry one, so stored hashes of existing trials are
-    untouched).  ``size_fraction`` is the *aggregate* cache budget as
-    a fraction of the trace's distinct bytes, split uniformly across
-    nodes by :func:`repro.network.topology.build_topology` — holding
-    total cache bytes constant is what makes hit rates comparable
-    across topologies.
-    """
-
-    trace: str
-    scale: float
-    topology: str
-    strategy: str
-    policy: str
-    size_fraction: float
-    seed: int
-    #: Shape parameter: children (two-level), proxies (mesh), chain
-    #: length (path), depth (tree); ignored for ``single``.
-    n: int = 4
-
-    def __post_init__(self):
-        from repro.network.strategies import STRATEGY_NAMES
-        from repro.network.topology import TOPOLOGY_KINDS
-
-        if self.trace not in TRACE_PROFILES:
-            raise ServiceError(
-                f"unknown trace profile {self.trace!r}; known: "
-                + ", ".join(TRACE_PROFILES))
-        if self.topology not in TOPOLOGY_KINDS:
-            raise ServiceError(
-                f"unknown topology {self.topology!r}; known: "
-                + ", ".join(TOPOLOGY_KINDS))
-        if self.strategy not in STRATEGY_NAMES:
-            raise ServiceError(
-                f"unknown strategy {self.strategy!r}; known: "
-                + ", ".join(STRATEGY_NAMES))
-        if not 0 < self.size_fraction <= 1:
-            raise ServiceError("size_fraction must be in (0, 1]")
-        if self.scale <= 0:
-            raise ServiceError("scale must be positive")
-        if self.n < 1:
-            raise ServiceError("n must be >= 1")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetworkTrialSpec":
-        try:
-            return cls(trace=str(data["trace"]),
-                       scale=float(data["scale"]),
-                       topology=str(data["topology"]),
-                       strategy=str(data["strategy"]),
-                       policy=str(data["policy"]),
-                       size_fraction=float(data["size_fraction"]),
-                       seed=int(data["seed"]),
-                       n=int(data.get("n", 4)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(
-                f"malformed network trial spec: {exc}") from exc
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def config_key(self) -> str:
-        config = self.as_dict()
-        del config["seed"]
-        return config_hash(config)
-
-    def result_key(self, git_hash: Optional[str] = None) -> ResultKey:
-        return ResultKey(config_hash=self.config_key(),
-                         git_hash=git_hash or git_revision(),
-                         seed=self.seed)
-
-
-@dataclass(frozen=True)
-class ServingTrialSpec:
-    """One seeded *serving replay* cell: the online sharded cache as
-    an experimental subject.
-
-    Lives in the same queue and store as :class:`TrialSpec`; the
-    worker dispatches on the presence of the ``shards`` key (classic
-    and network specs never carry one, so existing stored config
-    hashes are untouched).  The payload records the replayed hit
-    rates *and* their disagreement against the simulator and the Che
-    model — no timings, so the payload stays a pure function of the
-    spec and the store's bit-identical compaction guarantee holds.
-    """
-
-    trace: str
-    scale: float
-    policy: str
-    size_fraction: float
-    seed: int
-    shards: int = 4
-
-    def __post_init__(self):
-        if self.trace not in TRACE_PROFILES:
-            raise ServiceError(
-                f"unknown trace profile {self.trace!r}; known: "
-                + ", ".join(TRACE_PROFILES))
-        if not 0 < self.size_fraction <= 1:
-            raise ServiceError("size_fraction must be in (0, 1]")
-        if self.scale <= 0:
-            raise ServiceError("scale must be positive")
-        if self.shards < 1:
-            raise ServiceError("shards must be >= 1")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServingTrialSpec":
-        try:
-            return cls(trace=str(data["trace"]),
-                       scale=float(data["scale"]),
-                       policy=str(data["policy"]),
-                       size_fraction=float(data["size_fraction"]),
-                       seed=int(data["seed"]),
-                       shards=int(data["shards"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(
-                f"malformed serving trial spec: {exc}") from exc
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def config_key(self) -> str:
-        config = self.as_dict()
-        del config["seed"]
-        return config_hash(config)
-
-    def result_key(self, git_hash: Optional[str] = None) -> ResultKey:
-        return ResultKey(config_hash=self.config_key(),
-                         git_hash=git_hash or git_revision(),
-                         seed=self.seed)
+        Trials are replicas of one condition when they agree on every
+        field but ``seed``; a reader that compares policies (or plots
+        against cache size) names those fields in ``drop`` too.  The
+        four fields every spec has come back positionally, then one
+        ``(axis, value)`` pair per optional axis the spec carries — so
+        trials of different kinds, or network trials of different
+        shape, never share a condition.  ``None`` marks a foreign
+        record (not written by the service).
+        """
+        required = ("trace", "scale", "policy", "size_fraction")
+        if any(name not in spec for name in required):
+            return None
+        return (*(spec[name] for name in required if name not in drop),
+                *((axis, spec[axis]) for axis in AXES if axis in spec))
 
 
 class _WorkerTraceCache:
@@ -323,22 +283,30 @@ _TRACES = _WorkerTraceCache()
 def execute_trial(spec: TrialSpec) -> dict:
     """Run one trial; returns a deterministic, timestamp-free payload.
 
-    The payload is a pure function of the spec (generation and
-    simulation are seeded), which is what makes the store's
-    bit-identical compaction guarantee possible: any two executions of
-    the same spec on the same code produce the same bytes.
+    The payload is a pure function of the spec (generation, simulation,
+    placement and replay are all seeded), which is what makes the
+    store's bit-identical compaction guarantee possible: any two
+    executions of the same spec on the same code produce the same
+    bytes.  The size fraction resolves against the trace the same way
+    for every kind; what is measured at that capacity is the kind's
+    payload builder.
     """
-    from repro.simulation.engine import SimulationConfig, run_cells
     from repro.simulation.sweep import cache_sizes_from_fractions
 
     trace = _TRACES.get(spec.trace, spec.scale, spec.seed)
     capacity = cache_sizes_from_fractions(
         trace, [spec.size_fraction])[0]
+    return {"spec": spec.as_dict(),
+            **_PAYLOAD_BUILDERS[spec.kind](spec, trace, capacity)}
+
+
+def _cache_payload(spec: TrialSpec, trace, capacity: int) -> dict:
+    from repro.simulation.engine import SimulationConfig, run_cells
+
     config = SimulationConfig(capacity_bytes=capacity,
                               policy=spec.policy)
     result = run_cells(trace, [config], trace_name=trace.name)[0]
     return {
-        "spec": spec.as_dict(),
         "capacity_bytes": capacity,
         "hit_rate": result.hit_rate(),
         "byte_hit_rate": result.byte_hit_rate(),
@@ -352,25 +320,18 @@ def execute_trial(spec: TrialSpec) -> dict:
     }
 
 
-def execute_network_trial(spec: NetworkTrialSpec) -> dict:
-    """Run one network trial; deterministic, timestamp-free payload.
-
-    The aggregate budget resolves against the trace exactly like the
-    single-cache path; :func:`repro.network.engine.run_network`
-    dispatches to the vectorized cascade when the cell qualifies
-    (columnar trace, LRU, LCE) and the object walk otherwise — both
-    produce identical payload bytes.  The spec's seed feeds the
-    placement strategy's RNG and (via ``policy_seed``) any seedable
-    per-node policies, so replicas differ only through the seed.
+def _network_payload(spec: TrialSpec, trace, capacity: int) -> dict:
+    """:func:`repro.network.engine.run_network` dispatches to the
+    vectorized cascade when the cell qualifies (columnar trace, LRU,
+    LCE) and the object walk otherwise — both produce identical
+    payload bytes.  The spec's seed feeds the placement strategy's RNG
+    and (via ``policy_seed``) any seedable per-node policies, so
+    replicas differ only through the seed.
     """
     from repro.network.engine import NetworkConfig, run_network
     from repro.network.strategies import make_strategy
     from repro.network.topology import build_topology
-    from repro.simulation.sweep import cache_sizes_from_fractions
 
-    trace = _TRACES.get(spec.trace, spec.scale, spec.seed)
-    capacity = cache_sizes_from_fractions(
-        trace, [spec.size_fraction])[0]
     config = NetworkConfig(
         topology=build_topology(spec.topology, capacity, n=spec.n,
                                 policy=spec.policy),
@@ -379,7 +340,6 @@ def execute_network_trial(spec: NetworkTrialSpec) -> dict:
     result = run_network(trace, config)
     edge = result.edge_metrics()
     return {
-        "spec": spec.as_dict(),
         "total_capacity_bytes": capacity,
         "n_caches": result.config.topology.n_caches,
         "hit_rate": result.hit_rate,
@@ -400,33 +360,27 @@ def execute_network_trial(spec: NetworkTrialSpec) -> dict:
     }
 
 
-def execute_serving_trial(spec: ServingTrialSpec) -> dict:
-    """Run one serving replay trial; deterministic payload.
-
-    The replay runs one thread per shard, so per-shard hit counts are
-    exact and the validation errors are reproducible; wall-clock
-    numbers (throughput, latency) are deliberately dropped from the
-    payload — they vary per host, and the store requires re-executions
-    to be bit-identical.
+def _serving_payload(spec: TrialSpec, trace, capacity: int) -> dict:
+    """The replay runs one thread per shard, so per-shard hit counts
+    are exact and the validation errors — replay against the simulator
+    and against the Che model — are reproducible; wall-clock numbers
+    (throughput, latency) are deliberately dropped from the payload —
+    they vary per host, and the store requires re-executions to be
+    bit-identical.
     """
     from repro.serving.replay import ReplayConfig, validate_replay
-    from repro.simulation.sweep import cache_sizes_from_fractions
 
-    trace = _TRACES.get(spec.trace, spec.scale, spec.seed)
     if getattr(trace, "is_columnar", False):
         # Replay drives Request objects through shard threads; the
         # columnar mmap serves the simulators, not the serving layer.
         trace = _WorkerTraceCache._generate(spec.trace, spec.scale,
                                             spec.seed)
-    capacity = cache_sizes_from_fractions(
-        trace, [spec.size_fraction])[0]
     validation = validate_replay(
         trace, ReplayConfig(capacity_bytes=capacity,
                             n_shards=spec.shards,
                             policy=spec.policy))
     report = validation.report
     return {
-        "spec": spec.as_dict(),
         "capacity_bytes": capacity,
         "hit_rate": report.hit_rate,
         "shard_hit_rates": {
@@ -443,6 +397,11 @@ def execute_serving_trial(spec: ServingTrialSpec) -> dict:
         "model_mae": validation.model_mae,
         "model_max_error": validation.model_max_error,
     }
+
+
+_PAYLOAD_BUILDERS = {"cache": _cache_payload,
+                     "network": _network_payload,
+                     "serving": _serving_payload}
 
 
 # --------------------------------------------------------------------------
@@ -464,65 +423,27 @@ def open_service(root: PathLike, owner: Optional[str] = None,
 def enqueue_grid(queue: TrialQueue, *, traces: Sequence[str],
                  scale: float, policies: Sequence[str],
                  size_fractions: Sequence[float],
-                 seeds: Sequence[int]) -> List[str]:
-    """Enqueue the full cross product; idempotent, returns trial ids."""
+                 seeds: Sequence[int],
+                 topologies: Optional[Sequence[str]] = None,
+                 strategies: Optional[Sequence[str]] = None,
+                 n: Optional[int] = None,
+                 shards: Optional[int] = None) -> List[str]:
+    """Enqueue the full cross product; idempotent, returns trial ids.
+
+    ``topologies`` × ``strategies`` (at one shape ``n``) make it a
+    network grid, ``shards`` a serving grid at one shard count;
+    :class:`TrialSpec` refuses any other mix of the optional axes.
+    """
     ids = []
-    for trace in traces:
-        for policy in policies:
-            for fraction in size_fractions:
-                for seed in seeds:
-                    spec = TrialSpec(trace=trace, scale=scale,
-                                     policy=policy,
-                                     size_fraction=fraction, seed=seed)
-                    trial_id, _ = queue.enqueue(spec.as_dict())
-                    ids.append(trial_id)
-    return ids
-
-
-def enqueue_network_grid(queue: TrialQueue, *, traces: Sequence[str],
-                         scale: float, topologies: Sequence[str],
-                         strategies: Sequence[str],
-                         policies: Sequence[str],
-                         size_fractions: Sequence[float],
-                         seeds: Sequence[int],
-                         n: int = 4) -> List[str]:
-    """Enqueue a network cross product (topology × strategy × policy
-    × budget × seed); idempotent, returns trial ids."""
-    ids = []
-    for trace in traces:
-        for topology in topologies:
-            for strategy in strategies:
-                for policy in policies:
-                    for fraction in size_fractions:
-                        for seed in seeds:
-                            spec = NetworkTrialSpec(
-                                trace=trace, scale=scale,
-                                topology=topology, strategy=strategy,
-                                policy=policy, size_fraction=fraction,
-                                seed=seed, n=n)
-                            trial_id, _ = queue.enqueue(spec.as_dict())
-                            ids.append(trial_id)
-    return ids
-
-
-def enqueue_serving_grid(queue: TrialQueue, *, traces: Sequence[str],
-                         scale: float, policies: Sequence[str],
-                         size_fractions: Sequence[float],
-                         seeds: Sequence[int],
-                         shards: int = 4) -> List[str]:
-    """Enqueue a serving-replay cross product (policy × budget ×
-    seed at one shard count); idempotent, returns trial ids."""
-    ids = []
-    for trace in traces:
-        for policy in policies:
-            for fraction in size_fractions:
-                for seed in seeds:
-                    spec = ServingTrialSpec(
-                        trace=trace, scale=scale, policy=policy,
-                        size_fraction=fraction, seed=seed,
-                        shards=shards)
-                    trial_id, _ = queue.enqueue(spec.as_dict())
-                    ids.append(trial_id)
+    for trace, topology, strategy, policy, fraction, seed in product(
+            traces, topologies or [None], strategies or [None],
+            policies, size_fractions, seeds):
+        spec = TrialSpec(trace=trace, scale=scale, policy=policy,
+                         size_fraction=fraction, seed=seed,
+                         topology=topology, strategy=strategy, n=n,
+                         shards=shards)
+        trial_id, _ = queue.enqueue(spec.as_dict())
+        ids.append(trial_id)
     return ids
 
 
@@ -612,17 +533,7 @@ def _run_claimed(queue: TrialQueue, store: ResultsStore,
                  git_hash: str,
                  known_keys: Optional[set] = None) -> bool:
     try:
-        # Network and serving trials share the queue/store; the
-        # ``topology`` / ``shards`` keys are the dispatch bits
-        # (classic specs never carry either, so existing stored
-        # config hashes are unaffected).
-        if "topology" in claimed.spec:
-            spec_cls = NetworkTrialSpec
-        elif "shards" in claimed.spec:
-            spec_cls = ServingTrialSpec
-        else:
-            spec_cls = TrialSpec
-        spec = spec_cls.from_dict(claimed.spec)
+        spec = TrialSpec.from_dict(claimed.spec)
     except ServiceError as exc:
         # A structurally valid JSON file holding a semantically bad
         # spec: executing it will never work, so burn its attempts.
@@ -645,12 +556,7 @@ def _run_claimed(queue: TrialQueue, store: ResultsStore,
             if fault_injector is not None:
                 fault_injector.on_start(claimed.trial_id,
                                         claimed.attempt)
-            if isinstance(spec, NetworkTrialSpec):
-                payload = execute_network_trial(spec)
-            elif isinstance(spec, ServingTrialSpec):
-                payload = execute_serving_trial(spec)
-            else:
-                payload = execute_trial(spec)
+            payload = execute_trial(spec)
         except Exception as exc:  # noqa: BLE001 - released, not lost
             trial_span.set_status("error")
             queue.release(
@@ -695,7 +601,7 @@ def service_status(root: PathLike, clock=time.time) -> dict:
             "trial_id": trial_id,
             "owner": holder.get("owner") if holder else None,
             "stale": queue.leases.is_stale(trial_id),
-            "attempt": queue._read_attempts(trial_id),
+            "attempt": queue.attempts(trial_id),
         }
         if holder and isinstance(holder.get("renewed_at"),
                                  (int, float)):
@@ -727,9 +633,10 @@ def build_report(store: ResultsStore, alpha: float = 0.05,
                  metric: str = "hit_rate") -> ServiceReport:
     """Repeated-trial statistics, recomputed from the store alone.
 
-    Records are grouped by experimental condition — (trace, scale,
-    size_fraction, git_hash) — and within each condition the per-seed
-    replicas of every policy form one sample.  Each group gets:
+    Records are grouped by git hash and experimental condition
+    (:meth:`TrialSpec.condition_of` minus the policy being compared),
+    and within each group the per-seed replicas of every policy form
+    one sample.  Each group gets:
 
     * per-policy n / mean / 95% CI, with ranks that *share* a place
       when the adjacent pairwise difference is not significant at
@@ -747,17 +654,10 @@ def build_report(store: ResultsStore, alpha: float = 0.05,
         payload = record["payload"]
         spec = payload.get("spec") or {}
         value = payload.get(metric)
-        if value is None or "policy" not in spec:
+        condition = TrialSpec.condition_of(spec, "policy")
+        if value is None or condition is None:
             continue  # foreign record (not written by the service)
-        # Network trials extend the condition with (topology,
-        # strategy) and serving trials with (shards); classic trials
-        # carry None there, so their grouping — and the report over
-        # an existing store — is unchanged.
-        group = (spec.get("trace"), spec.get("scale"),
-                 spec.get("size_fraction"), key.git_hash,
-                 spec.get("topology"), spec.get("strategy"),
-                 spec.get("shards"))
-        samples = groups.setdefault(group, {})
+        samples = groups.setdefault((condition, key.git_hash), {})
         # keyed by seed: a duplicate append never double-counts
         samples.setdefault(spec["policy"], {})[key.seed] = value
 
@@ -765,8 +665,7 @@ def build_report(store: ResultsStore, alpha: float = 0.05,
     data: dict = {"metric": metric, "alpha": alpha, "groups": []}
     for group, by_policy in sorted(groups.items(),
                                    key=lambda item: str(item[0])):
-        (trace, scale, fraction, git_hash, topology, strategy,
-         shards) = group
+        (trace, scale, fraction, *axes), git_hash = group
         samples = {policy: [value for _, value in sorted(seeds.items())]
                    for policy, seeds in by_policy.items()}
         ranking = rank_policies(samples, alpha=alpha)
@@ -774,11 +673,9 @@ def build_report(store: ResultsStore, alpha: float = 0.05,
                                alpha=alpha)
                        for i, a in enumerate(sorted(samples))
                        for b in sorted(samples)[i + 1:]]
-        network = (f" topology={topology} strategy={strategy}"
-                   if topology is not None else "")
-        serving = (f" shards={shards}" if shards is not None else "")
+        widened = "".join(f" {axis}={value}" for axis, value in axes)
         lines.append(f"== trace={trace} scale={scale:g} "
-                     f"cache={fraction:.1%}{network}{serving} "
+                     f"cache={fraction:.1%}{widened} "
                      f"git={git_hash} ==")
         lines.append(f"{'rank':>4}  {'policy':<14} {'n':>3} "
                      f"{'mean':>8} {'95% CI':>19}")
@@ -800,18 +697,13 @@ def build_report(store: ResultsStore, alpha: float = 0.05,
                 f"{comparison.magnitude:<10} "
                 f"{str(comparison.significant):<11}")
         lines.append("")
-        entry = {
+        data["groups"].append({
             "trace": trace, "scale": scale, "size_fraction": fraction,
             "git_hash": git_hash,
             "ranking": ranking,
             "comparisons": [c.as_dict() for c in comparisons],
-        }
-        if topology is not None:
-            entry["topology"] = topology
-            entry["strategy"] = strategy
-        if shards is not None:
-            entry["shards"] = shards
-        data["groups"].append(entry)
+            **dict(axes),
+        })
     if not lines:
         lines.append("(store holds no service records)")
     return ServiceReport(text="\n".join(lines).rstrip(), data=data)
@@ -821,7 +713,7 @@ def build_report(store: ResultsStore, alpha: float = 0.05,
 # Multi-worker runs
 # --------------------------------------------------------------------------
 
-def _worker_entry(root: str, lease_ttl: float, max_attempts: int,
+def worker_entry(root: str, lease_ttl: float, max_attempts: int,
                   fault_injector: Optional[FaultInjector],
                   telemetry_dir: Optional[str] = None,
                   trace_context: Optional[dict] = None) -> None:
@@ -835,8 +727,6 @@ def _worker_entry(root: str, lease_ttl: float, max_attempts: int,
     across processes even though each appends to its own file.
     Exits 0 even when the queue was empty.
     """
-    import os
-
     if telemetry_dir is not None:
         _events.set_event_sink(_events.EventLog(
             Path(telemetry_dir) / f"events-{os.getpid()}.jsonl"))
@@ -874,7 +764,7 @@ def run_service(root: PathLike, n_workers: int = 2, *,
     with _span("service", workers=n_workers) as service_span:
         context = inject()
         outcome = supervise_workers(
-            _worker_entry,
+            worker_entry,
             args=(str(root), lease_ttl, max_attempts, fault_injector,
                   str(telemetry_dir) if telemetry_dir else None,
                   context),
@@ -892,6 +782,9 @@ def run_service(root: PathLike, n_workers: int = 2, *,
 # --------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.network.strategies import STRATEGY_NAMES
+    from repro.network.topology import TOPOLOGY_KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro-experiments service",
         description="Durable experiment service: a crash-safe results "
@@ -899,13 +792,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--root", default="service/",
                         help="service root directory (default: "
                              "service/)")
-    parser.add_argument("--log-level", default="info",
+    parser.add_argument("--log-level", choices=list(LOG_LEVELS),
+                        default="info",
                         help="diagnostic verbosity on stderr")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     enq = sub.add_parser("enqueue",
                          help="add a (trace x policy x size x seed) "
-                              "grid of trials; idempotent")
+                              "grid of trials, optionally widened "
+                              "by --topologies/--strategies/--n or "
+                              "by --shards; idempotent")
     enq.add_argument("--traces", nargs="+", default=["dfn"],
                      choices=list(TRACE_PROFILES))
     enq.add_argument("--scale", choices=list(SCALES), default="tiny")
@@ -916,21 +812,22 @@ def build_parser() -> argparse.ArgumentParser:
     enq.add_argument("--seeds", nargs="+", type=int,
                      default=[42, 1042, 2042])
 
-    esv = sub.add_parser("enqueue-serving",
-                         help="add a serving-replay (trace x policy "
-                              "x size x seed) grid at one shard "
-                              "count; idempotent")
-    esv.add_argument("--traces", nargs="+", default=["dfn"],
-                     choices=list(TRACE_PROFILES))
-    esv.add_argument("--scale", choices=list(SCALES), default="tiny")
-    esv.add_argument("--policies", nargs="+",
-                     default=["lru", "gds(1)", "gd*(1)"])
-    esv.add_argument("--size-fractions", nargs="+", type=float,
-                     default=[0.01])
-    esv.add_argument("--seeds", nargs="+", type=int,
-                     default=[42, 1042, 2042])
-    esv.add_argument("--shards", type=int, default=4,
-                     help="consistent-hash shard count (default: 4)")
+    enq.add_argument("--topologies", nargs="+", default=None,
+                     choices=list(TOPOLOGY_KINDS),
+                     help="make it a cache-network grid over these "
+                          "shapes; --size-fractions is then the "
+                          "aggregate budget split across nodes")
+    enq.add_argument("--strategies", nargs="+", default=None,
+                     choices=list(STRATEGY_NAMES),
+                     help="placement strategies for --topologies "
+                          "(default: lce)")
+    enq.add_argument("--n", type=int, default=None,
+                     help="shape parameter for --topologies: children "
+                          "(two-level), proxies (mesh), chain length "
+                          "(path), depth (tree) (default: 4)")
+    enq.add_argument("--shards", type=int, default=None,
+                     help="make it a serving-replay grid at this "
+                          "consistent-hash shard count")
 
     wrk = sub.add_parser("work",
                          help="run trials until the queue drains")
@@ -1020,22 +917,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.verb == "enqueue":
         queue, _ = open_service(root)
-        ids = enqueue_grid(
-            queue, traces=args.traces, scale=SCALES[args.scale],
-            policies=args.policies,
-            size_fractions=args.size_fractions, seeds=args.seeds)
+        try:
+            ids = enqueue_grid(
+                queue, traces=args.traces, scale=SCALES[args.scale],
+                policies=args.policies,
+                size_fractions=args.size_fractions, seeds=args.seeds,
+                topologies=args.topologies,
+                strategies=args.strategies
+                or (["lce"] if args.topologies else None),
+                n=args.n, shards=args.shards)
+        except ServiceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"enqueued {len(ids)} trial(s); "
-              f"{queue.status().pending} pending")
-        return 0
-
-    if args.verb == "enqueue-serving":
-        queue, _ = open_service(root)
-        ids = enqueue_serving_grid(
-            queue, traces=args.traces, scale=SCALES[args.scale],
-            policies=args.policies,
-            size_fractions=args.size_fractions, seeds=args.seeds,
-            shards=args.shards)
-        print(f"enqueued {len(ids)} serving trial(s); "
               f"{queue.status().pending} pending")
         return 0
 

@@ -30,7 +30,16 @@ import math
 import sys
 from typing import List, Optional
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
+from repro.experiments.cliopts import (
+    add_observability_options,
+    add_workload_options,
+    from_trace_file,
+    load_profile,
+    load_workload,
+    run_verbs,
+    split_list,
+)
 from repro.model.catalog import (
     Catalog,
     catalog_from_profile,
@@ -39,38 +48,11 @@ from repro.model.catalog import (
 from repro.model.che import hierarchy_predict, hit_rate_curve, predict
 from repro.model.solver import MODEL_POLICIES
 from repro.model.validation import DEFAULT_POLICIES, validate_model
-from repro.observability.logs import LOG_LEVELS, configure, get_logger
-from repro.observability.manifest import TelemetryRun
+from repro.observability.logs import get_logger
 from repro.simulation.sweep import PAPER_SIZE_FRACTIONS
 from repro.types import DOCUMENT_TYPES
 
 _logger = get_logger("model.cli")
-
-PROFILE_NAMES = ("dfn", "rtp", "future", "uniform")
-DEFAULT_PROFILE_SCALE = 1.0 / 256.0
-
-
-def _add_workload_options(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_argument_group("workload source")
-    source.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="calibrate from this trace file (one streaming pass; "
-             "squid/clf/csv, .gz ok)")
-    source.add_argument(
-        "--profile", choices=PROFILE_NAMES, default=None,
-        help="calibrate from a named workload profile instead of a "
-             "trace")
-    source.add_argument(
-        "--profile-scale", type=float, default=DEFAULT_PROFILE_SCALE,
-        help="profile scale factor (default: 1/256)")
-    source.add_argument(
-        "--seed", type=int, default=None,
-        help="override the profile's seed")
-    source.add_argument(
-        "--irm", action="store_true",
-        help="with --profile on 'validate': generate the reference "
-             "trace under the Independent Reference Model (the "
-             "regime the approximation assumes)")
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -81,17 +63,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json", action="store_true",
         help="emit machine-readable JSON instead of a table")
-    obs = parser.add_argument_group("observability")
-    obs.add_argument(
-        "--log-level", choices=list(LOG_LEVELS), default="info",
-        help="diagnostic verbosity on stderr (default: info)")
-    obs.add_argument(
-        "--log-json", action="store_true",
-        help="emit diagnostics as JSON lines")
-    obs.add_argument(
-        "--telemetry-dir", default=None,
-        help="write manifest.json + events.jsonl (calibration, "
-             "per-cell predictions, validation verdict) here")
+    add_observability_options(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument(
         "--steady-state", action="store_true",
         help="infinite-trace view: amortize compulsory misses away")
-    _add_workload_options(p_predict)
+    add_workload_options(p_predict)
     _add_common_options(p_predict)
 
     p_curve = verbs.add_parser(
@@ -134,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument(
         "--steady-state", action="store_true",
         help="infinite-trace view: amortize compulsory misses away")
-    _add_workload_options(p_curve)
+    add_workload_options(p_curve)
     _add_common_options(p_curve)
 
     p_validate = verbs.add_parser(
@@ -158,40 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument(
         "--report", default=None, metavar="PATH",
         help="also write the full structured error report as JSON")
-    _add_workload_options(p_validate)
+    add_workload_options(p_validate)
     _add_common_options(p_validate)
     return parser
 
 
-def _parse_float_list(text: str, flag: str) -> List[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as error:
-        raise ConfigurationError(f"{flag}: {error}") from None
-    if not values:
-        raise ConfigurationError(f"{flag} lists no values")
-    return values
-
-
-def _load_profile(args):
-    from repro.workload.profiles import profile_by_name, uniform_profile
-
-    if args.profile == "uniform":
-        profile = uniform_profile(
-            seed=args.seed if args.seed is not None else 7)
-        if args.profile_scale != DEFAULT_PROFILE_SCALE:
-            profile = profile.scaled(
-                args.profile_scale / DEFAULT_PROFILE_SCALE)
-        return profile
-    return profile_by_name(args.profile, scale=args.profile_scale,
-                           seed=args.seed)
-
-
 def _build_catalog(args) -> Catalog:
-    if (args.trace is None) == (args.profile is None):
-        raise ConfigurationError(
-            "exactly one of --trace or --profile is required")
-    if args.trace is not None:
+    if from_trace_file(args):
         from repro.trace.pipeline import iter_trace
 
         catalog = catalog_from_trace(iter_trace(args.trace),
@@ -202,16 +147,16 @@ def _build_catalog(args) -> Catalog:
             extra={"documents": catalog.n_documents,
                    "trace": str(args.trace)})
         return catalog
-    return catalog_from_profile(_load_profile(args))
+    return catalog_from_profile(load_profile(args))
 
 
 def _capacities_for(args, catalog: Catalog) -> List[int]:
     if getattr(args, "capacities", None):
         return [int(v) for v in
-                _parse_float_list(args.capacities, "--capacities")]
+                split_list(args.capacities, "--capacities", float)]
     fractions = (PAPER_SIZE_FRACTIONS if not getattr(args, "fractions",
                                                      None)
-                 else _parse_float_list(args.fractions, "--fractions"))
+                 else split_list(args.fractions, "--fractions", float))
     if any(f <= 0 for f in fractions):
         raise ConfigurationError("--fractions must be positive")
     total = catalog.total_bytes
@@ -279,26 +224,14 @@ def _run_curve(args) -> int:
 
 
 def _run_validate(args) -> int:
-    from repro.workload.generator import generate_trace
-
-    if (args.trace is None) == (args.profile is None):
-        raise ConfigurationError(
-            "exactly one of --trace or --profile is required")
-    if args.trace is not None:
-        from repro.trace.pipeline import load_trace
-
-        trace = load_trace(args.trace)
-    else:
-        trace = generate_trace(
-            _load_profile(args),
-            temporal_model="irm" if args.irm else "gaps")
+    trace = load_workload(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     capacities = None
     if args.capacities:
         capacities = [int(v) for v in
-                      _parse_float_list(args.capacities, "--capacities")]
+                      split_list(args.capacities, "--capacities", float)]
     fractions = (PAPER_SIZE_FRACTIONS if not args.fractions
-                 else _parse_float_list(args.fractions, "--fractions"))
+                 else split_list(args.fractions, "--fractions", float))
     report = validate_model(
         trace, policies=policies, capacities=capacities,
         fractions=fractions, warmup_fraction=args.warmup)
@@ -337,27 +270,7 @@ _VERBS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    configure(level=args.log_level, json_lines=args.log_json)
-    settings = {key: value for key, value in sorted(vars(args).items())
-                if key not in ("log_level", "log_json",
-                               "telemetry_dir") and value is not None}
-    run = None
-    if args.telemetry_dir:
-        run = TelemetryRun(args.telemetry_dir, kind=f"model-{args.verb}",
-                           settings=settings)
-    try:
-        code = _VERBS[args.verb](args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        code = 2
-    except Exception:
-        if run is not None:
-            run.finalize("failed")
-        raise
-    if run is not None:
-        run.finalize("complete" if code == 0 else "failed")
-    return code
+    return run_verbs(build_parser(), _VERBS, "model", argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,6 +14,9 @@ loops (single cache, two-level hierarchy, sibling mesh) into:
   columnar traces (bit-identical, benchmark-fast);
 * :mod:`repro.network.cli` — ``network run/sweep/validate/placement``.
 
+Durable network grids are :class:`repro.experiments.service.TrialSpec`
+trials that carry a ``topology`` (``service enqueue --topologies``).
+
 The legacy :mod:`repro.simulation.hierarchy` and
 :mod:`repro.simulation.mesh` APIs survive as thin constructors over
 this engine, pinned bit-identical by goldens.

@@ -1,6 +1,6 @@
 """The ``network`` subcommand of the experiments CLI.
 
-Five verbs over the general cache-network engine::
+Four verbs over the general cache-network engine::
 
     python -m repro.experiments network run \\
         --profile dfn --topology tree --strategy probcache
@@ -10,18 +10,18 @@ Five verbs over the general cache-network engine::
         --profile dfn --topology two-level --strategy lcd
     python -m repro.experiments network validate \\
         --profile dfn --irm --max-mae 0.03
-    python -m repro.experiments network enqueue --root service/
 
-Workload sources mirror the ``model`` subcommand: ``--trace PATH``
-loads a trace file (columnar ``.rcol`` auto-detected), ``--profile
-NAME`` generates a synthetic trace from a named workload profile.
+Workload sources are the ones every sub-CLI shares
+(:mod:`repro.experiments.cliopts`): ``--trace PATH`` loads a trace
+file (columnar ``.rcol`` auto-detected), ``--profile NAME`` generates
+a synthetic trace from a named workload profile.
 
 ``validate`` scores the analytical two-level tandem predictor
 (:func:`repro.model.che.hierarchy_predict`) against the network
 engine and exits non-zero when the combined-hit-rate mean absolute
 error exceeds ``--max-mae`` — that is the CI ``network`` gate.
-``enqueue`` feeds a topology × strategy × policy grid into the
-durable experiment service; drain it with ``service work``.
+A durable topology × strategy × policy grid is the experiment
+service's business: ``service enqueue --topologies ...``.
 """
 
 from __future__ import annotations
@@ -31,49 +31,25 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
+from repro.experiments.cliopts import (add_observability_options,
+                                       add_workload_options,
+                                       load_workload, run_verbs,
+                                       split_list)
 from repro.network.engine import (NetworkConfig, NetworkResult,
                                   run_network, run_network_cells)
 from repro.network.strategies import STRATEGY_NAMES, make_strategy
 from repro.network.topology import TOPOLOGY_KINDS, build_topology
-from repro.observability.logs import LOG_LEVELS, configure, get_logger
-from repro.observability.manifest import TelemetryRun
+from repro.observability.logs import get_logger
 from repro.types import DOCUMENT_TYPES
 
 _logger = get_logger("network.cli")
 
-PROFILE_NAMES = ("dfn", "rtp", "future")
-DEFAULT_PROFILE_SCALE = 1.0 / 256.0
 DEFAULT_SIZE_FRACTION = 0.02
 #: Measured combined-hit-rate MAE of the tandem predictor on the
 #: deterministic IRM dfn trace is ~0.025 across capacity pairs; 0.03
 #: is the documented bound the CI job gates on.
 DEFAULT_MAX_MAE = 0.03
-
-
-def _add_workload_options(parser: argparse.ArgumentParser,
-                          irm: bool = False) -> None:
-    source = parser.add_argument_group("workload source")
-    source.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="drive this trace file (squid/clf/csv/.rcol, .gz ok)")
-    source.add_argument(
-        "--profile", choices=PROFILE_NAMES, default=None,
-        help="generate a synthetic trace from a named workload "
-             "profile instead")
-    source.add_argument(
-        "--profile-scale", type=float, default=DEFAULT_PROFILE_SCALE,
-        help="profile scale factor (default: 1/256)")
-    source.add_argument(
-        "--seed", type=int, default=None,
-        help="override the profile's seed (also seeds the placement "
-             "strategy and seedable per-node policies)")
-    if irm:
-        source.add_argument(
-            "--irm", action="store_true",
-            help="generate the reference trace under the Independent "
-                 "Reference Model (the regime the tandem "
-                 "approximation assumes)")
 
 
 def _add_cell_options(parser: argparse.ArgumentParser) -> None:
@@ -115,17 +91,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json", action="store_true",
         help="emit machine-readable JSON instead of a table")
-    obs = parser.add_argument_group("observability")
-    obs.add_argument(
-        "--log-level", choices=list(LOG_LEVELS), default="info",
-        help="diagnostic verbosity on stderr (default: info)")
-    obs.add_argument(
-        "--log-json", action="store_true",
-        help="emit diagnostics as JSON lines")
-    obs.add_argument(
-        "--telemetry-dir", default=None,
-        help="write manifest.json + events.jsonl (network runs, "
-             "validation verdict) here")
+    add_observability_options(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="one network cell: per-node and network-wide "
                     "hit/byte-hit rates")
     _add_cell_options(p_run)
-    _add_workload_options(p_run)
+    add_workload_options(p_run)
     _add_common_options(p_run)
 
     p_sweep = verbs.add_parser(
@@ -162,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--n", type=int, default=4,
         help="shape parameter passed to every topology (default: 4)")
-    _add_workload_options(p_sweep)
+    add_workload_options(p_sweep)
     _add_common_options(p_sweep)
 
     p_place = verbs.add_parser(
@@ -170,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "which levels each document type's "
                           "resident bytes end up at")
     _add_cell_options(p_place)
-    _add_workload_options(p_place)
+    add_workload_options(p_place)
     _add_common_options(p_place)
 
     p_validate = verbs.add_parser(
@@ -191,59 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument(
         "--report", default=None, metavar="PATH",
         help="also write the full structured error report as JSON")
-    _add_workload_options(p_validate, irm=True)
+    add_workload_options(p_validate)
     _add_common_options(p_validate)
 
-    p_enq = verbs.add_parser(
-        "enqueue", help="feed a network grid into the durable "
-                        "experiment service (drain with "
-                        "'service work')")
-    p_enq.add_argument(
-        "--root", default="service/",
-        help="service root directory (default: service/)")
-    p_enq.add_argument("--traces", nargs="+", default=["dfn"])
-    p_enq.add_argument("--scale", default="tiny",
-                       help="trace scale name (default: tiny)")
-    p_enq.add_argument("--topologies", nargs="+",
-                       default=["two-level", "mesh"],
-                       choices=list(TOPOLOGY_KINDS))
-    p_enq.add_argument("--strategies", nargs="+", default=["lce"],
-                       choices=list(STRATEGY_NAMES))
-    p_enq.add_argument("--policies", nargs="+", default=["lru"])
-    p_enq.add_argument("--size-fractions", nargs="+", type=float,
-                       default=[DEFAULT_SIZE_FRACTION])
-    p_enq.add_argument("--seeds", nargs="+", type=int,
-                       default=[42, 1042, 2042])
-    p_enq.add_argument("--n", type=int, default=4)
-    p_enq.add_argument("--log-level", choices=list(LOG_LEVELS),
-                       default="info")
-    p_enq.add_argument("--log-json", action="store_true")
-    p_enq.add_argument("--telemetry-dir", default=None)
     return parser
-
-
-def _parse_list(text: str, flag: str) -> List[str]:
-    values = [part.strip() for part in text.split(",") if part.strip()]
-    if not values:
-        raise ConfigurationError(f"{flag} lists no values")
-    return values
-
-
-def _load_workload(args):
-    if (args.trace is None) == (args.profile is None):
-        raise ConfigurationError(
-            "exactly one of --trace or --profile is required")
-    if args.trace is not None:
-        from repro.trace.pipeline import load_trace
-
-        return load_trace(args.trace)
-    from repro.workload.generator import generate_trace
-    from repro.workload.profiles import profile_by_name
-
-    profile = profile_by_name(args.profile, scale=args.profile_scale,
-                              seed=args.seed)
-    temporal = "irm" if getattr(args, "irm", False) else "gaps"
-    return generate_trace(profile, temporal_model=temporal)
 
 
 def _resolve_capacity(args, trace) -> int:
@@ -304,7 +221,7 @@ def _format_result_table(result: NetworkResult) -> str:
 
 
 def _run_run(args) -> int:
-    trace = _load_workload(args)
+    trace = load_workload(args)
     capacity = _resolve_capacity(args, trace)
     config = _build_config(args, capacity, topology=args.topology,
                            strategy=args.strategy, policy=args.policy)
@@ -317,15 +234,15 @@ def _run_run(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    topologies = _parse_list(args.topologies, "--topologies")
-    strategies = _parse_list(args.strategies, "--strategies")
-    policies = _parse_list(args.policies, "--policies")
+    topologies = split_list(args.topologies, "--topologies")
+    strategies = split_list(args.strategies, "--strategies")
+    policies = split_list(args.policies, "--policies")
     for kind in topologies:
         if kind not in TOPOLOGY_KINDS:
             raise ConfigurationError(
                 f"unknown topology {kind!r}; known: "
                 + ", ".join(TOPOLOGY_KINDS))
-    trace = _load_workload(args)
+    trace = load_workload(args)
     args.capacity = None
     capacity = _resolve_capacity(args, trace)
     cells = [(kind, strategy, policy)
@@ -360,7 +277,7 @@ def _run_sweep(args) -> int:
 
 
 def _run_placement(args) -> int:
-    trace = _load_workload(args)
+    trace = load_workload(args)
     capacity = _resolve_capacity(args, trace)
     config = _build_config(args, capacity, topology=args.topology,
                            strategy=args.strategy, policy=args.policy)
@@ -397,8 +314,8 @@ def _run_placement(args) -> int:
 def _run_validate(args) -> int:
     from repro.model.validation import validate_hierarchy
 
-    trace = _load_workload(args)
-    policies = _parse_list(args.policies, "--policies")
+    trace = load_workload(args)
+    policies = split_list(args.policies, "--policies")
     report = validate_hierarchy(trace, policies=policies,
                                 n_children=args.n_children,
                                 warmup_fraction=args.warmup)
@@ -427,58 +344,16 @@ def _run_validate(args) -> int:
     return 0
 
 
-def _run_enqueue(args) -> int:
-    from repro.experiments.config import SCALES
-    from repro.experiments.service import (enqueue_network_grid,
-                                           open_service)
-
-    if args.scale not in SCALES:
-        raise ConfigurationError(
-            f"unknown scale {args.scale!r}; known: "
-            + ", ".join(SCALES))
-    queue, _ = open_service(args.root)
-    ids = enqueue_network_grid(
-        queue, traces=args.traces, scale=SCALES[args.scale],
-        topologies=args.topologies, strategies=args.strategies,
-        policies=args.policies, size_fractions=args.size_fractions,
-        seeds=args.seeds, n=args.n)
-    print(f"enqueued {len(ids)} network trial(s); "
-          f"{queue.status().pending} pending")
-    return 0
-
-
 _VERBS = {
     "run": _run_run,
     "sweep": _run_sweep,
     "placement": _run_placement,
     "validate": _run_validate,
-    "enqueue": _run_enqueue,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    configure(level=args.log_level, json_lines=args.log_json)
-    settings = {key: value for key, value in sorted(vars(args).items())
-                if key not in ("log_level", "log_json",
-                               "telemetry_dir") and value is not None}
-    run = None
-    if args.telemetry_dir:
-        run = TelemetryRun(args.telemetry_dir,
-                           kind=f"network-{args.verb}",
-                           settings=settings)
-    try:
-        code = _VERBS[args.verb](args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        code = 2
-    except Exception:
-        if run is not None:
-            run.finalize("failed")
-        raise
-    if run is not None:
-        run.finalize("complete" if code == 0 else "failed")
-    return code
+    return run_verbs(build_parser(), _VERBS, "network", argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

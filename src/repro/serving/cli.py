@@ -26,9 +26,14 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.errors import ConfigurationError, ReproError
-from repro.observability.logs import LOG_LEVELS, configure, get_logger
-from repro.observability.manifest import TelemetryRun
+from repro.errors import ConfigurationError
+from repro.experiments.cliopts import (
+    add_observability_options,
+    add_workload_options,
+    load_workload,
+    run_verbs,
+)
+from repro.observability.logs import get_logger
 from repro.serving.replay import (
     ReplayConfig,
     ReplayReport,
@@ -40,29 +45,7 @@ from repro.serving.sharding import ShardedCache
 
 _logger = get_logger("serving.cli")
 
-PROFILE_NAMES = ("dfn", "rtp", "future", "uniform")
-DEFAULT_PROFILE_SCALE = 1.0 / 256.0
 DEFAULT_SIZE_FRACTION = 0.05
-
-
-def _add_workload_options(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_argument_group("workload source")
-    source.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="replay this trace file (squid/clf/csv, .gz ok)")
-    source.add_argument(
-        "--profile", choices=PROFILE_NAMES, default=None,
-        help="generate a synthetic trace from a named profile")
-    source.add_argument(
-        "--profile-scale", type=float, default=DEFAULT_PROFILE_SCALE,
-        help="profile scale factor (default: 1/256)")
-    source.add_argument(
-        "--seed", type=int, default=None,
-        help="override the profile's seed")
-    source.add_argument(
-        "--irm", action="store_true",
-        help="generate under the Independent Reference Model (the "
-             "regime the Che comparison assumes)")
 
 
 def _add_cache_options(parser: argparse.ArgumentParser) -> None:
@@ -85,19 +68,6 @@ def _add_cache_options(parser: argparse.ArgumentParser) -> None:
         help="ring points per shard (default: 128)")
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    obs = parser.add_argument_group("observability")
-    obs.add_argument(
-        "--log-level", choices=list(LOG_LEVELS), default="info",
-        help="diagnostic verbosity on stderr (default: info)")
-    obs.add_argument(
-        "--log-json", action="store_true",
-        help="emit diagnostics as JSON lines")
-    obs.add_argument(
-        "--telemetry-dir", default=None,
-        help="write manifest.json + events.jsonl here")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments serving",
@@ -113,12 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=7070,
         help="listen port (0 picks a free one; default: 7070)")
     _add_cache_options(p_serve)
-    _add_common_options(p_serve)
+    add_observability_options(p_serve)
 
     p_replay = verbs.add_parser(
         "replay", help="fire a workload at an in-process sharded "
                        "cache and report throughput + hit rates")
-    _add_workload_options(p_replay)
+    add_workload_options(p_replay)
     _add_cache_options(p_replay)
     p_replay.add_argument(
         "--sample-every", type=int, default=16,
@@ -143,33 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument(
         "--report", default=None, metavar="PATH",
         help="also write the full replay/validation report as JSON")
-    _add_common_options(p_replay)
+    add_observability_options(p_replay)
     return parser
-
-
-def _load_trace(args):
-    if (args.trace is None) == (args.profile is None):
-        raise ConfigurationError(
-            "exactly one of --trace or --profile is required")
-    if args.trace is not None:
-        from repro.trace.pipeline import load_trace
-
-        return load_trace(args.trace)
-    from repro.workload.generator import generate_trace
-    from repro.workload.profiles import profile_by_name, uniform_profile
-
-    if args.profile == "uniform":
-        profile = uniform_profile(
-            seed=args.seed if args.seed is not None else 7)
-        if args.profile_scale != DEFAULT_PROFILE_SCALE:
-            profile = profile.scaled(
-                args.profile_scale / DEFAULT_PROFILE_SCALE)
-    else:
-        profile = profile_by_name(args.profile,
-                                  scale=args.profile_scale,
-                                  seed=args.seed)
-    return generate_trace(profile,
-                          temporal_model="irm" if args.irm else "gaps")
 
 
 def _capacity_for(args, trace) -> int:
@@ -238,7 +183,7 @@ def _summary(validation: Optional[ReplayValidation],
 
 
 def _run_replay(args) -> int:
-    trace = _load_trace(args)
+    trace = load_workload(args)
     config = ReplayConfig(
         capacity_bytes=_capacity_for(args, trace),
         n_shards=args.shards, policy=args.policy,
@@ -290,28 +235,7 @@ _VERBS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    configure(level=args.log_level, json_lines=args.log_json)
-    settings = {key: value for key, value in sorted(vars(args).items())
-                if key not in ("log_level", "log_json",
-                               "telemetry_dir") and value is not None}
-    run = None
-    if args.telemetry_dir:
-        run = TelemetryRun(args.telemetry_dir,
-                           kind=f"serving-{args.verb}",
-                           settings=settings)
-    try:
-        code = _VERBS[args.verb](args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        code = 2
-    except Exception:
-        if run is not None:
-            run.finalize("failed")
-        raise
-    if run is not None:
-        run.finalize("complete" if code == 0 else "failed")
-    return code
+    return run_verbs(build_parser(), _VERBS, "serving", argv)
 
 
 if __name__ == "__main__":  # pragma: no cover
