@@ -81,17 +81,15 @@ def test_stack_distance_one_pass(benchmark, dfn_trace):
 
 
 def test_hierarchy_simulation(benchmark, dfn_trace):
-    from repro.simulation.hierarchy import simulate_hierarchy
+    from repro.network import NetworkConfig, run_network, two_level
 
     total = dfn_trace.metadata().total_size_bytes
+    config = NetworkConfig(topology=two_level(
+        int(total * 0.005), int(total * 0.02), n_children=4))
 
-    def run():
-        return simulate_hierarchy(
-            dfn_trace, int(total * 0.005), int(total * 0.02),
-            n_children=4)
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert result.hierarchy_hit_rate >= result.child_hit_rate
+    result = benchmark.pedantic(run_network, args=(dfn_trace, config),
+                                rounds=3, iterations=1)
+    assert result.hit_rate >= result.edge_metrics().overall.hit_rate
 
 
 @pytest.mark.parametrize("policy_name", [

@@ -11,7 +11,7 @@ caches absorb the recency and popularity signal first::
 """
 
 from repro import dfn_like, generate_trace, simulate
-from repro.simulation.hierarchy import simulate_hierarchy
+from repro.network import NetworkConfig, run_network, two_level
 from repro.types import DocumentType
 
 trace = generate_trace(dfn_like(scale=1 / 256))
@@ -30,19 +30,21 @@ print(f"standalone proxy ({parent_capacity / 1e6:.1f} MB, lru): "
 for child_policy, parent_policy in (("lru", "lru"),
                                     ("lru", "gd*(p)"),
                                     ("gd*(1)", "gd*(p)")):
-    result = simulate_hierarchy(
-        trace, child_capacity, parent_capacity,
+    result = run_network(trace, NetworkConfig(topology=two_level(
+        child_capacity, parent_capacity,
         child_policy=child_policy, parent_policy=parent_policy,
-        n_children=4)
+        n_children=4)))
+    child = result.edge_metrics().overall
+    parent = result.nodes["parent"].metrics.overall
     print(f"\nchildren={child_policy}, parent={parent_policy}:")
-    print(f"  child hit rate       {result.child_hit_rate:.3f}  "
+    print(f"  child hit rate       {child.hit_rate:.3f}  "
           f"(end-user view)")
-    print(f"  parent hit rate      {result.parent_hit_rate:.3f}  "
+    print(f"  parent hit rate      {parent.hit_rate:.3f}  "
           f"(over child misses — note how far below the standalone "
           f"rate)")
-    print(f"  hierarchy hit rate   {result.hierarchy_hit_rate:.3f}  "
+    print(f"  hierarchy hit rate   {result.hit_rate:.3f}  "
           f"(origin off-load)")
     print(f"  origin byte traffic  {result.origin_byte_rate:.3f} "
           f"of requested bytes")
-    mm_rate = result.hierarchy.hit_rate(DocumentType.MULTIMEDIA)
+    mm_rate = result.network.hit_rate(DocumentType.MULTIMEDIA)
     print(f"  multimedia hierarchy hit rate {mm_rate:.3f}")

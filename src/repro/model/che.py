@@ -268,9 +268,8 @@ class HierarchyPrediction:
     ``child``/``parent`` carry the per-level views: the child sees the
     raw stream; the parent's rates are over the requests that *missed*
     the child (the filtered, low-locality stream, exactly how
-    :mod:`repro.simulation.hierarchy` reports parents).  ``combined``
-    is the hit-at-either-level (origin off-load) view over all
-    requests.
+    :mod:`repro.network` reports an upstream node).  ``combined`` is
+    the hit-at-either-level (origin off-load) view over all requests.
     """
 
     child: ModelPrediction

@@ -326,10 +326,10 @@ def validate_hierarchy(trace: Trace,
     The analytical side is :func:`repro.model.che.hierarchy_predict`
     (child solved on the raw stream, parent on the normalized child
     miss stream, independence approximation); the simulated side is
-    :func:`repro.simulation.hierarchy.simulate_hierarchy`, which since
-    the :mod:`repro.network` refactor *is* the network engine on a
-    :func:`~repro.network.topology.two_level` topology under
-    leave-copy-everywhere.
+    the network engine on a :func:`~repro.network.topology.two_level`
+    topology under leave-copy-everywhere, the whole policy ×
+    capacity-pair ladder in one
+    :func:`~repro.network.engine.run_network_cells` call.
 
     The tandem model is per-child-count agnostic — under IRM each
     round-robin child substream keeps the popularity distribution, so
@@ -340,7 +340,7 @@ def validate_hierarchy(trace: Trace,
     ``hierarchy_model_validated`` event and feeds per-cell combined
     errors into the ``hierarchy_validation_abs_error`` histogram.
     """
-    from repro.simulation.hierarchy import simulate_hierarchy
+    from repro.network import NetworkConfig, run_network_cells, two_level
     from repro.simulation.sweep import cache_sizes_from_fractions
 
     policies = [normalize_policy(p) for p in policies]
@@ -359,33 +359,35 @@ def validate_hierarchy(trace: Trace,
         n_children=n_children,
         warmup_fraction=warmup_fraction)
     registry = get_registry()
-    for policy in policies:
-        for child_fraction, parent_fraction in pairs:
-            child_cap, parent_cap = cache_sizes_from_fractions(
-                trace, [child_fraction, parent_fraction])
-            predicted = hierarchy_predict(
-                catalog, child_cap, parent_cap, policy=policy)
-            simulated = simulate_hierarchy(
-                trace, child_cap, parent_cap,
-                child_policy=policy, parent_policy=policy,
-                n_children=n_children,
-                warmup_fraction=warmup_fraction)
-            cell = HierarchyValidationCell(
-                policy=policy,
-                child_capacity_bytes=int(child_cap),
-                parent_capacity_bytes=int(parent_cap),
-                predicted=predicted,
-                simulated_child_hit_rate=simulated.child_hit_rate,
-                simulated_parent_hit_rate=simulated.parent_hit_rate,
-                simulated_combined_hit_rate=simulated.hierarchy_hit_rate,
-                simulated_combined_byte_hit_rate=
-                simulated.hierarchy.overall.byte_hit_rate,
-            )
-            report.cells.append(cell)
-            if registry.enabled:
-                registry.histogram(
-                    "hierarchy_validation_abs_error",
-                    policy=policy).observe(cell.combined_error)
+    grid = [(policy, *cache_sizes_from_fractions(trace, pair))
+            for policy in policies for pair in pairs]
+    simulated = run_network_cells(trace, [
+        NetworkConfig(
+            topology=two_level(child_cap, parent_cap,
+                               child_policy=policy,
+                               parent_policy=policy,
+                               n_children=n_children),
+            warmup_fraction=warmup_fraction)
+        for policy, child_cap, parent_cap in grid])
+    for (policy, child_cap, parent_cap), result in zip(grid, simulated):
+        cell = HierarchyValidationCell(
+            policy=policy,
+            child_capacity_bytes=int(child_cap),
+            parent_capacity_bytes=int(parent_cap),
+            predicted=hierarchy_predict(
+                catalog, child_cap, parent_cap, policy=policy),
+            simulated_child_hit_rate=
+            result.edge_metrics().overall.hit_rate,
+            simulated_parent_hit_rate=
+            result.nodes["parent"].metrics.overall.hit_rate,
+            simulated_combined_hit_rate=result.hit_rate,
+            simulated_combined_byte_hit_rate=result.byte_hit_rate,
+        )
+        report.cells.append(cell)
+        if registry.enabled:
+            registry.histogram(
+                "hierarchy_validation_abs_error",
+                policy=policy).observe(cell.combined_error)
     emit("hierarchy_model_validated",
          cells=len(report.cells),
          mean_absolute_error=round(report.mean_absolute_error, 6),

@@ -1,8 +1,8 @@
 """Cache networks: one engine for single caches, hierarchies, meshes,
 paths, and trees.
 
-The package factors what used to be three hand-written simulation
-loops (single cache, two-level hierarchy, sibling mesh) into:
+The only way to simulate more than one cache: a hierarchy or a mesh
+is one topology instance, not a simulator of its own.  The parts:
 
 * :mod:`repro.network.topology` — the shape: nodes, capacities,
   per-hop links, and constructors for the standard shapes;
@@ -10,22 +10,19 @@ loops (single cache, two-level hierarchy, sibling mesh) into:
   (LCE / LCD / ProbCache);
 * :mod:`repro.network.engine` — the routing core driving any
   registry policy at each node, with per-node per-type metrics;
+  :func:`run_network_cells` is the one dispatch point of a run
+  (:func:`run_network` is a batch of one);
 * :mod:`repro.network.fastpath` — the vectorized LRU/LCE cascade for
   columnar traces (bit-identical, benchmark-fast);
 * :mod:`repro.network.cli` — ``network run/sweep/validate/placement``.
 
 Durable network grids are :class:`repro.experiments.service.TrialSpec`
 trials that carry a ``topology`` (``service enqueue --topologies``).
-
-The legacy :mod:`repro.simulation.hierarchy` and
-:mod:`repro.simulation.mesh` APIs survive as thin constructors over
-this engine, pinned bit-identical by goldens.
 """
 
-from repro.network.engine import (NetworkConfig, NetworkLatencyMetrics,
-                                  NetworkResult, NetworkSimulator,
-                                  NodeResult, run_network,
-                                  run_network_cells)
+from repro.network.engine import (NetworkConfig, NetworkResult,
+                                  NetworkSimulator, NodeResult,
+                                  run_network, run_network_cells)
 from repro.network.strategies import (STRATEGY_NAMES, LeaveCopyDown,
                                       LeaveCopyEverywhere,
                                       PlacementStrategy, ProbCache,
@@ -38,9 +35,8 @@ from repro.network.topology import (DEFAULT_CLIENT_LINK,
                                     tree, two_level)
 
 __all__ = [
-    "NetworkConfig", "NetworkLatencyMetrics", "NetworkResult",
-    "NetworkSimulator", "NodeResult", "run_network",
-    "run_network_cells",
+    "NetworkConfig", "NetworkResult", "NetworkSimulator",
+    "NodeResult", "run_network", "run_network_cells",
     "PlacementStrategy", "LeaveCopyEverywhere", "LeaveCopyDown",
     "ProbCache", "make_strategy", "STRATEGY_NAMES",
     "NodeSpec", "Topology", "single", "two_level", "sibling_mesh",

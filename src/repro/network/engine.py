@@ -3,8 +3,8 @@
 One request's life, regardless of topology shape:
 
 1. the request arrives at its client population's edge cache
-   (round-robin over :attr:`Topology.edges`, preserving the legacy
-   simulators' client model);
+   (round-robin over :attr:`Topology.edges`: interleaved user
+   populations that share interests);
 2. the engine walks the cache path toward the origin until some cache
    holds the document at its current size — a stale copy (size
    changed) is dropped where it is found;
@@ -17,10 +17,9 @@ One request's life, regardless of topology shape:
    latency over the :class:`~repro.simulation.latency.Link` path.
 
 Under leave-copy-everywhere the walk probes with
-``Cache.reference()`` — probe and admit in one call — which makes the
-engine's cache-call sequence *identical* to the legacy
-hierarchy/mesh loops; the goldens under ``tests/network/data/`` pin
-that equality byte-for-byte across the whole policy registry.
+``Cache.reference()`` — probe and admit in one call; the goldens under
+``tests/network/data/`` pin the resulting two-level and sibling-mesh
+outputs byte-for-byte across the whole policy registry.
 
 The engine is policy-agnostic (any name from
 :data:`repro.core.registry.POLICY_NAMES`, or pre-built policy
@@ -44,7 +43,7 @@ from repro.network.topology import NodeSpec, Topology
 from repro.observability.events import emit
 from repro.observability.metrics import get_registry
 from repro.observability.trace import span as _span
-from repro.simulation.latency import Link, path_latency
+from repro.simulation.latency import LatencyMetrics, Link, path_latency
 from repro.simulation.metrics import TypeMetrics, measured_transfer
 from repro.structures.streaming import StreamingStats
 from repro.types import DOCUMENT_TYPES, DocumentType, Request, Trace
@@ -60,11 +59,11 @@ class NetworkConfig:
     strategy: Union[str, PlacementStrategy] = "lce"
     warmup_fraction: float = 0.10
     #: Record end-to-end service times over the topology's links.
-    #: Off by default: the legacy-equivalent wrappers and the fast
-    #: path skip it, and it roughly doubles per-request bookkeeping.
+    #: Off by default: the fast path skips it, and it roughly doubles
+    #: per-request bookkeeping.
     measure_latency: bool = False
     #: After a sibling serves, keep a copy at the home cache too (the
-    #: bandwidth-hungry ICP variant; the legacy mesh default).
+    #: bandwidth-hungry ICP variant).
     replicate_on_sibling_hit: bool = True
     #: When set, node i's policy is built with ``seed=policy_seed+i``
     #: where the policy accepts a seed — distinct randomized policies
@@ -87,36 +86,6 @@ class NetworkConfig:
 
 
 @dataclass
-class NetworkLatencyMetrics:
-    """End-to-end service times over the topology's link paths."""
-
-    overall: StreamingStats = field(default_factory=StreamingStats)
-    by_type: Dict[DocumentType, StreamingStats] = field(
-        default_factory=lambda: {t: StreamingStats()
-                                 for t in DOCUMENT_TYPES})
-    #: What the same requests would have cost with every fetch going
-    #: to the origin — the no-cache comparison point.
-    baseline: StreamingStats = field(default_factory=StreamingStats)
-
-    def record(self, doc_type: DocumentType, latency: float) -> None:
-        self.overall.add(latency)
-        self.by_type[doc_type].add(latency)
-
-    def mean_latency(self, doc_type: DocumentType = None) -> float:
-        stats = self.overall if doc_type is None \
-            else self.by_type[doc_type]
-        return stats.mean
-
-    @property
-    def speedup(self) -> float:
-        """No-cache mean latency / achieved mean latency (≥ 1)."""
-        achieved = self.overall.mean
-        if not achieved or achieved != achieved:
-            return 1.0
-        return self.baseline.mean / achieved
-
-
-@dataclass
 class NodeResult:
     """One cache node's view of a run."""
 
@@ -126,7 +95,8 @@ class NodeResult:
     policy: str
     #: Accounted over the requests that *reached* this node post-
     #: warmup: every request for an edge node, the local miss stream
-    #: for an upstream node — the legacy hierarchy's per-level view.
+    #: for an upstream node — the filtered stream a parent proxy's
+    #: own log would show.
     metrics: TypeMetrics = field(default_factory=TypeMetrics)
     #: Raw cache counters over the whole run, warmup included.
     hits: int = 0
@@ -178,7 +148,8 @@ class NetworkResult:
     #: Requests served by *any* cache in the network (origin off-load).
     network: TypeMetrics = field(default_factory=TypeMetrics)
     sibling_serves: int = 0
-    latency: Optional[NetworkLatencyMetrics] = None
+    #: End-to-end service times over the topology's link paths.
+    latency: Optional[LatencyMetrics] = None
 
     @property
     def hit_rate(self) -> float:
@@ -195,9 +166,15 @@ class NetworkResult:
             return 0.0
         return 1.0 - self.network.overall.byte_hit_rate
 
+    @property
+    def sibling_hit_share(self) -> float:
+        """Fraction of network hits supplied by a sibling."""
+        hits = self.network.overall.hits
+        return self.sibling_serves / hits if hits else 0.0
+
     def edge_metrics(self) -> TypeMetrics:
-        """All edge populations folded together — the legacy
-        hierarchy's ``child`` / mesh's ``local`` view."""
+        """All edge populations folded together: the end-user view
+        (a hierarchy's children, a mesh's home proxies)."""
         merged = TypeMetrics()
         for name in self.config.topology.edges:
             merged.merge(self.nodes[name].metrics)
@@ -328,14 +305,12 @@ class NetworkSimulator:
             requests = list(requests)
         total = len(requests)
         warmup = int(total * self.config.warmup_fraction)
-        name = (trace_name
-                or getattr(trace, "trace_name", None)
-                or getattr(trace, "name", "trace"))
+        name = trace_name or getattr(trace, "name", "trace")
         topology = self.config.topology
         result = NetworkResult(
             config=self.config, trace_name=name,
             total_requests=total, warmup_requests=warmup,
-            latency=(NetworkLatencyMetrics()
+            latency=(LatencyMetrics()
                      if self.config.measure_latency else None))
         for node_name, spec in topology.nodes.items():
             result.nodes[node_name] = NodeResult(
@@ -461,7 +436,7 @@ class NetworkSimulator:
                                            transfer)
                 else:
                     seconds = path_latency(links[len(path)], transfer)
-                latency.record(doc_type, seconds)
+                latency.add(doc_type, seconds)
                 latency.baseline.add(
                     path_latency(links[len(path)], transfer))
                 node_latency[edge].add(seconds)
@@ -478,7 +453,6 @@ class NetworkSimulator:
             node.used_bytes = cache.used_bytes
             for entry in cache.entries():
                 node.placement[entry.doc_type] += entry.size
-
 
 
 def publish_network_telemetry(result: NetworkResult) -> None:
@@ -514,45 +488,37 @@ def publish_network_telemetry(result: NetworkResult) -> None:
 
 def run_network(trace, config: NetworkConfig,
                 trace_name: Optional[str] = None) -> NetworkResult:
-    """One-call network simulation (object path or fast path).
-
-    Dispatches to the vectorized fast path when the cell qualifies
-    (columnar trace, LRU everywhere, LCE, no ring, latency off) —
-    :mod:`repro.network.fastpath` proves bit-identity with the walk.
-    """
-    from repro.network.fastpath import fastpath_eligible, run_fastpath
-    if fastpath_eligible(trace, config):
-        return run_fastpath(trace, config, trace_name)
-    return NetworkSimulator(config).run(trace, trace_name)
+    """One-call network simulation: a batch of one cell."""
+    return run_network_cells(trace, [config], trace_name)[0]
 
 
 def run_network_cells(trace, configs: Sequence[NetworkConfig],
                       trace_name: Optional[str] = None,
                       ) -> List[NetworkResult]:
-    """Run many network cells over one trace, decoding it once.
+    """Run network cells over one trace — the one dispatch point.
 
-    Splits the cells into fast-path (served straight off the columnar
-    arrays) and object-path groups; the object group shares a single
-    materialization of the request stream instead of re-decoding the
-    columnar trace per cell.
+    Validates every config, then splits the cells: those the
+    vectorized cascade is lossless for (columnar trace, LRU
+    everywhere, LCE, no ring, latency off — :mod:`repro.network
+    .fastpath` proves bit-identity with the walk) are served straight
+    off the columnar arrays; the rest share a single materialization
+    of the request stream instead of re-decoding the trace per cell.
     """
-    from repro.network.fastpath import fastpath_eligible, run_fastpath
-    fast = [c for c in configs if fastpath_eligible(trace, c)]
-    fast_ids = set(map(id, fast))
-    slow = [c for c in configs if id(c) not in fast_ids]
+    from repro.network.fastpath import eligible_cells, run_fastpath
+    for config in configs:
+        config.validate()
+    name = trace_name or getattr(trace, "name", "trace")
+    fast_ids = set(map(id, eligible_cells(trace, configs)))
     with _span("network_cells", cells=len(configs),
-               fastpath=len(fast)):
-        by_config: Dict[int, NetworkResult] = {}
-        for config in fast:
-            by_config[id(config)] = run_fastpath(trace, config,
-                                                 trace_name)
-        if slow:
-            requests = (trace.requests if isinstance(trace, Trace)
-                        else list(trace))
-            name = (trace_name
-                    or getattr(trace, "trace_name", None)
-                    or getattr(trace, "name", "trace"))
-            for config in slow:
-                by_config[id(config)] = NetworkSimulator(config).run(
-                    requests, trace_name=name)
-    return [by_config[id(config)] for config in configs]
+               fastpath=len(fast_ids)):
+        requests = None
+        results = []
+        for config in configs:
+            if id(config) in fast_ids:
+                results.append(run_fastpath(trace, config, name))
+                continue
+            if requests is None:
+                requests = (trace.requests if isinstance(trace, Trace)
+                            else list(trace))
+            results.append(NetworkSimulator(config).run(requests, name))
+    return results

@@ -11,7 +11,7 @@ also yields the node's final cache state — residents, used bytes,
 evictions — for free; everything around the scans (stream merging,
 per-type tallies, the network-served mask) is numpy column work.
 
-Eligibility is checked per cell by :func:`fastpath_eligible`; the
+Eligibility is decided by :func:`eligible_cells`; the
 conditions are exactly those under which the decomposition is
 lossless, and ``tests/network/test_equivalence.py`` pins the results
 bit-identical (every counter, every per-type tally) against the
@@ -24,7 +24,7 @@ node-visits/s floor (``benchmarks/bench_network.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,43 +33,49 @@ from repro.network.engine import (NetworkConfig, NetworkResult,
 from repro.network.strategies import LeaveCopyEverywhere
 from repro.observability.trace import span as _span
 from repro.simulation.metrics import RateAccumulator, TypeMetrics
-from repro.simulation.vectorized import _exact_sum
+from repro.simulation.vectorized import _exact_sum, stable_max_size
 from repro.types import DOCUMENT_TYPES
 
 
-def fastpath_eligible(trace, config: NetworkConfig) -> bool:
-    """True when the cascade is provably lossless for this cell.
+def eligible_cells(trace, configs: Sequence[NetworkConfig],
+                   ) -> List[NetworkConfig]:
+    """The configs the cascade is provably lossless for.
 
     Requires: a columnar trace; LCE placement; no sibling ring; no
     latency accounting; every node running the registry ``"lru"``
     policy; per-document stable sizes (no modification misses — a
     stale drop at one node would change its miss stream); and every
-    document fitting every node (no bypasses).
+    document fitting every node (no bypasses).  The trace-side
+    condition is evaluated once for all configs, and only when some
+    config passes the config-side ones.
     """
     if not getattr(trace, "is_columnar", False):
-        return False
-    strategy = config.strategy
-    if not (strategy == "lce"
-            or isinstance(strategy, LeaveCopyEverywhere)):
-        return False
-    topology = config.topology
-    if topology.sibling_ring or config.measure_latency:
-        return False
-    if any(spec.policy != "lru" for spec in topology.nodes.values()):
-        return False
-    if len(trace) == 0:
-        return True
-    sizes = trace.sizes
-    doc = trace.doc_ids
-    order = np.argsort(doc, kind="stable")
-    d_s = doc[order]
-    s_s = sizes[order]
-    same_doc = d_s[1:] == d_s[:-1]
-    if bool(np.any(same_doc & (s_s[1:] != s_s[:-1]))):
-        return False
-    max_size = int(sizes.max())
-    return all(spec.capacity_bytes >= max_size
-               for spec in topology.nodes.values())
+        return []
+    candidates = []
+    for config in configs:
+        strategy = config.strategy
+        if not (strategy == "lce"
+                or isinstance(strategy, LeaveCopyEverywhere)):
+            continue
+        topology = config.topology
+        if topology.sibling_ring or config.measure_latency:
+            continue
+        if all(spec.policy == "lru"
+               for spec in topology.nodes.values()):
+            candidates.append(config)
+    if not candidates:
+        return []
+    max_size = stable_max_size(trace.doc_ids, trace.sizes)
+    if max_size is None:
+        return []
+    return [config for config in candidates
+            if all(spec.capacity_bytes >= max_size
+                   for spec in config.topology.nodes.values())]
+
+
+def fastpath_eligible(trace, config: NetworkConfig) -> bool:
+    """True when :func:`eligible_cells` keeps this one cell."""
+    return bool(eligible_cells(trace, [config]))
 
 
 def _lru_pass(doc_ids: np.ndarray, sizes: np.ndarray,
@@ -80,7 +86,7 @@ def _lru_pass(doc_ids: np.ndarray, sizes: np.ndarray,
     (oldest first) — python dicts preserve insertion order and a hit
     reinserts, so the dict *is* the LRU list.  All byte arithmetic is
     python-int exact.  Preconditions (checked by
-    :func:`fastpath_eligible`): stable per-document sizes, every
+    :func:`eligible_cells`): stable per-document sizes, every
     document fits — under those this is reference-for-reference what
     :class:`~repro.core.cache.Cache` with registry ``"lru"`` does.
     """

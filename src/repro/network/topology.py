@@ -7,15 +7,14 @@ origin, for top-level nodes).  Client populations attach round-robin
 to the *edge* nodes; an optional *sibling ring* marks edge nodes that
 probe each other ICP-style before escalating.
 
-The shapes the literature (and this repo's history) actually uses come
-as constructors:
+The shapes the literature actually uses come as constructors:
 
 * :func:`single` — one cache, the degenerate network (bit-identical to
   :class:`~repro.simulation.simulator.CacheSimulator`);
 * :func:`two_level` — N institutional children under one shared parent
-  (the legacy :mod:`repro.simulation.hierarchy` shape);
-* :func:`sibling_mesh` — flat ICP peers (the legacy
-  :mod:`repro.simulation.mesh` shape);
+  (the setting the paper's upper-level DFN/NLANR proxies sit in);
+* :func:`sibling_mesh` — flat ICP peers (the DFN cache mesh the paper
+  cites as reference [6]);
 * :func:`path` — a linear chain of caches toward the origin (the
   standard ICN evaluation shape, where LCD/ProbCache differentiate);
 * :func:`tree` — a balanced k-ary tree of caches, leaves at the edge.
@@ -208,9 +207,10 @@ def two_level(child_capacity_bytes: int, parent_capacity_bytes: int,
               client_link: Link = DEFAULT_CLIENT_LINK) -> Topology:
     """N institutional children under one shared parent.
 
-    The legacy :class:`~repro.simulation.hierarchy.HierarchySimulator`
-    shape: requests are dealt to children round-robin; child misses
-    escalate to the parent; parent misses go to the origin.
+    Requests are dealt to children round-robin, modelling interleaved
+    user populations that share interests (every child sees every hot
+    document eventually — the regime where a parent is useful); child
+    misses escalate to the parent, parent misses go to the origin.
     """
     if n_children < 1:
         raise ConfigurationError("need at least one child")
@@ -242,9 +242,11 @@ def sibling_mesh(proxy_capacity_bytes: int, n_proxies: int = 4,
                  client_link: Link = DEFAULT_CLIENT_LINK) -> Topology:
     """Flat ICP peers: on a local miss, ask the siblings, then origin.
 
-    The legacy :class:`~repro.simulation.mesh.MeshSimulator` shape.
-    ``policies`` overrides the shared ``policy`` with one spec per
-    proxy (e.g. pre-seeded randomized policies).
+    A sibling hit serves the document cheaper than the origin and
+    dearer than a local hit; whether the home proxy then keeps a copy
+    is :attr:`NetworkConfig.replicate_on_sibling_hit`.  ``policies``
+    overrides the shared ``policy`` with one spec per proxy (e.g.
+    pre-seeded randomized policies).
     """
     if n_proxies < 2:
         raise ConfigurationError("a mesh needs at least two proxies")

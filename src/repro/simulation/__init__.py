@@ -39,16 +39,9 @@ from repro.simulation.simulator import (
     SizeInterpretation,
     simulate,
 )
-from repro.simulation.mesh import MeshConfig, MeshResult, MeshSimulator, simulate_mesh
 from repro.simulation.parallel import cell_key, run_sweep_parallel
 from repro.simulation.sweep import cache_sizes_from_fractions, run_sweep
 from repro.simulation.freshness import FreshnessTracker, TTLModel
-from repro.simulation.hierarchy import (
-    HierarchyConfig,
-    HierarchyResult,
-    HierarchySimulator,
-    simulate_hierarchy,
-)
 
 __all__ = [
     "RateAccumulator",
@@ -71,12 +64,4 @@ __all__ = [
     "run_sweep_parallel",
     "TTLModel",
     "FreshnessTracker",
-    "HierarchyConfig",
-    "HierarchyResult",
-    "HierarchySimulator",
-    "simulate_hierarchy",
-    "MeshConfig",
-    "MeshResult",
-    "MeshSimulator",
-    "simulate_mesh",
 ]

@@ -17,7 +17,7 @@ simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
 from repro.errors import ConfigurationError
 from repro.structures.streaming import StreamingStats
@@ -125,20 +125,39 @@ class LatencyModel:
 
 @dataclass
 class LatencyMetrics:
-    """Mean/total service time, overall and per type."""
+    """Mean/total service time, overall and per type.
 
-    model: LatencyModel
+    The one service-time accumulator of the library.  The cache-network
+    engine prices each request itself (a sum over the topology's
+    :class:`Link` path) and feeds :meth:`add`; the single-cache
+    simulator hands :meth:`record` a hit flag and lets ``model`` price
+    it.
+    """
+
+    #: Prices :meth:`record` / :meth:`record_baseline`; ``None`` when
+    #: the caller supplies seconds through :meth:`add`.
+    model: Optional[LatencyModel] = None
     overall: StreamingStats = field(default_factory=StreamingStats)
     by_type: Dict[DocumentType, StreamingStats] = field(
         default_factory=lambda: {t: StreamingStats()
                                  for t in DOCUMENT_TYPES})
+    #: What the same requests would have cost with every fetch going
+    #: to the origin — the no-cache comparison point.  Recorded
+    #: directly: deriving it from the means would need the hit split.
+    baseline: StreamingStats = field(default_factory=StreamingStats)
+
+    def add(self, doc_type: DocumentType, seconds: float) -> None:
+        self.overall.add(seconds)
+        self.by_type[doc_type].add(seconds)
 
     def record(self, doc_type: DocumentType, hit: bool,
                transfer_bytes: int) -> None:
-        latency = (self.model.hit_latency(transfer_bytes) if hit
-                   else self.model.miss_latency(transfer_bytes))
-        self.overall.add(latency)
-        self.by_type[doc_type].add(latency)
+        self.add(doc_type,
+                 self.model.hit_latency(transfer_bytes) if hit
+                 else self.model.miss_latency(transfer_bytes))
+
+    def record_baseline(self, transfer_bytes: int) -> None:
+        self.baseline.add(self.model.miss_latency(transfer_bytes))
 
     def mean_latency(self, doc_type: DocumentType = None) -> float:
         stats = self.overall if doc_type is None else self.by_type[doc_type]
@@ -147,21 +166,6 @@ class LatencyMetrics:
     def total_latency(self, doc_type: DocumentType = None) -> float:
         stats = self.overall if doc_type is None else self.by_type[doc_type]
         return stats.total
-
-    def no_cache_baseline(self) -> float:
-        """Mean latency had every request gone to the origin.
-
-        Derivable in closed form because the model is linear: replace
-        each recorded latency with its miss-path value.  Computed by
-        re-deriving from the recorded means would need the hit split,
-        so the simulator records it directly into
-        :attr:`baseline`."""
-        return self.baseline.mean
-
-    baseline: StreamingStats = field(default_factory=StreamingStats)
-
-    def record_baseline(self, transfer_bytes: int) -> None:
-        self.baseline.add(self.model.miss_latency(transfer_bytes))
 
     @property
     def speedup(self) -> float:

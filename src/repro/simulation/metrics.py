@@ -31,22 +31,6 @@ def measured_transfer(request: Request) -> int:
     return min(request.transfer_size, request.size)
 
 
-def record_reference(metrics: "TypeMetrics", request: Request,
-                     hit: bool, cost: float = 0.0) -> int:
-    """Account one reference into a :class:`TypeMetrics`.
-
-    The one-line pattern every simulator loop used to hand-copy
-    (clamp the transfer, record under the request's document type),
-    centralized so multi-cache engines cannot drift from the
-    single-cache accounting.  Returns the clamped transfer so callers
-    recording the same request into several populations (per-node,
-    per-level, network-wide) clamp exactly once.
-    """
-    transfer = measured_transfer(request)
-    metrics.record(request.doc_type, hit, transfer, cost)
-    return transfer
-
-
 @dataclass
 class RateAccumulator:
     """Hit/byte-hit (and optional cost-savings) counters for one

@@ -189,6 +189,28 @@ def _tally_boundaries(trace, stream: ColumnarReferenceStream,
 # ----- the exact all-capacities LRU ladder ----------------------------------
 
 
+def stable_max_size(doc_ids: np.ndarray,
+                    sizes: np.ndarray) -> Optional[int]:
+    """The largest document size, or ``None`` if any document changes
+    size within the trace.
+
+    The trace-side precondition of both vectorized LRU paths (the
+    ladder below and the network cascade in
+    :mod:`repro.network.fastpath`): with one size per document there
+    are no modification misses, and a cache at least this large never
+    bypasses.  An empty trace has largest size 0.
+    """
+    if not len(doc_ids):
+        return 0
+    order = np.argsort(doc_ids, kind="stable")
+    d_s = doc_ids[order]
+    s_s = sizes[order]
+    same_doc = d_s[1:] == d_s[:-1]
+    if bool(np.any(same_doc & (s_s[1:] != s_s[:-1]))):
+        return None
+    return int(sizes.max())
+
+
 def split_ladder(source, cells: Sequence[CacheCell]) -> tuple:
     """Partition ``cells`` into ``(ladder, rest, columns)``.
 
@@ -217,15 +239,9 @@ def split_ladder(source, cells: Sequence[CacheCell]) -> tuple:
                                 np.int64, n)
         codes = np.fromiter((_TYPE_CODE[r.doc_type] for r in source),
                             np.int8, n)
-    max_size = 0
-    if len(doc):
-        order = np.argsort(doc, kind="stable")
-        d_s = doc[order]
-        s_s = sizes[order]
-        same_doc = d_s[1:] == d_s[:-1]
-        if bool(np.any(same_doc & (s_s[1:] != s_s[:-1]))):
-            return [], cells, None
-        max_size = int(sizes.max())
+    max_size = stable_max_size(doc, sizes)
+    if max_size is None:
+        return [], cells, None
     ladder = [cell for cell in candidates
               if cell.config.capacity_bytes >= max_size]
     excluded = set(map(id, ladder))

@@ -7,12 +7,15 @@ grid.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.model.validation import validate_model
+from repro.model.validation import validate_hierarchy, validate_model
 from repro.simulation.sweep import PAPER_SIZE_FRACTIONS
+from repro.workload.generator import generate_trace
+from repro.workload.profiles import dfn_like
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +103,26 @@ class TestWarmup:
         assert report.warmup_fraction == 0.3
         # The warmup generalization stays honest too.
         assert report.mean_absolute_error <= 0.04
+
+
+class TestValidateHierarchy:
+    """The simulated side of ``validate_hierarchy`` is one
+    ``run_network_cells`` call over the whole ladder; its numbers are
+    pinned to what the per-cell walk produced before that change."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data"
+                         / "golden_validate_hierarchy.json").read_text())
+
+    def test_simulated_side_pinned(self):
+        trace = generate_trace(dfn_like(scale=1.0 / 512.0),
+                               temporal_model="irm")
+        report = validate_hierarchy(
+            trace, policies=("lru", "fifo"),
+            fraction_pairs=((0.005, 0.02), (0.01, 0.04))).as_dict()
+        pinned = self.GOLDEN["cells"]
+        assert len(report["cells"]) == len(pinned)
+        for cell, expected in zip(report["cells"], pinned):
+            assert {key: cell[key] for key in expected} == expected
+        for key in ("total_requests", "n_children", "warmup_fraction"):
+            assert report[key] == self.GOLDEN[key]
+        assert report["mean_absolute_error"] <= 0.03

@@ -4,17 +4,18 @@ Run from the repo root::
 
     PYTHONPATH=src python tests/network/gen_goldens.py
 
-The JSON files under ``tests/network/data/`` were produced by the
-*legacy* per-topology loops (``HierarchySimulator``/``MeshSimulator``
-before the ``repro.network`` refactor) and pin their exact outputs —
-every counter, every per-type accumulator — across the full policy
-registry.  ``tests/network/test_equivalence.py`` replays the same
-calls through the network engine and asserts byte-for-byte equality,
-which is what licensed deleting the old loops.
+The JSON files under ``tests/network/data/`` pin the exact outputs —
+every counter, every per-type accumulator — of ``two_level`` and
+``sibling_mesh`` topologies under leave-copy-everywhere across the
+full policy registry.  They were first produced by the hand-written
+hierarchy and mesh loops that predate ``repro.network`` and have been
+byte-identical ever since; ``tests/network/test_equivalence.py``
+replays the cells below, and CI reruns this script and fails on any
+diff.
 
-Regenerating is only legitimate when the *workload generator* changes
-(the goldens would then pin a trace nobody can produce anymore), never
-to paper over an engine difference.
+A diff is only legitimate when the *workload generator* changes (the
+goldens would then pin a trace nobody can produce anymore), never to
+paper over an engine difference.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import json
 from pathlib import Path
 
 from repro.core.registry import POLICY_NAMES
-from repro.simulation.hierarchy import simulate_hierarchy
-from repro.simulation.mesh import simulate_mesh
+from repro.network import (NetworkConfig, run_network, sibling_mesh,
+                           two_level)
 from repro.workload.generator import generate_trace
 from repro.workload.profiles import dfn_like
 
@@ -61,23 +62,31 @@ def mesh_key(policy, replicate, n_proxies):
            f"|{n_proxies}"
 
 
-def hierarchy_record(result):
+def hierarchy_cell(trace, child_cap, parent_cap, child_policy,
+                   parent_policy, n_children):
+    result = run_network(trace, NetworkConfig(topology=two_level(
+        child_cap, parent_cap, child_policy=child_policy,
+        parent_policy=parent_policy, n_children=n_children)))
     return {
         "total_requests": result.total_requests,
         "warmup_requests": result.warmup_requests,
-        "child": result.child.as_dict(),
-        "parent": result.parent.as_dict(),
-        "hierarchy": result.hierarchy.as_dict(),
+        "child": result.edge_metrics().as_dict(),
+        "parent": result.nodes["parent"].metrics.as_dict(),
+        "hierarchy": result.network.as_dict(),
     }
 
 
-def mesh_record(result):
+def mesh_cell(trace, proxy_cap, policy, replicate, n_proxies):
+    result = run_network(trace, NetworkConfig(
+        topology=sibling_mesh(proxy_cap, n_proxies=n_proxies,
+                              policy=policy),
+        replicate_on_sibling_hit=replicate))
     return {
         "total_requests": result.total_requests,
         "warmup_requests": result.warmup_requests,
-        "local": result.local.as_dict(),
-        "mesh": result.mesh.as_dict(),
-        "sibling_hits": result.sibling_hits,
+        "local": result.edge_metrics().as_dict(),
+        "mesh": result.network.as_dict(),
+        "sibling_hits": result.sibling_serves,
     }
 
 
@@ -87,26 +96,18 @@ def generate():
 
     hierarchy = {}
     for policy in POLICY_NAMES:
-        result = simulate_hierarchy(
-            trace, child_cap, parent_cap,
-            child_policy=policy, parent_policy=policy, n_children=3)
-        hierarchy[hierarchy_key(policy, policy, 3)] = \
-            hierarchy_record(result)
+        hierarchy[hierarchy_key(policy, policy, 3)] = hierarchy_cell(
+            trace, child_cap, parent_cap, policy, policy, 3)
     for child_policy, parent_policy in MIXED_LEVELS:
-        result = simulate_hierarchy(
-            trace, child_cap, parent_cap,
-            child_policy=child_policy, parent_policy=parent_policy,
-            n_children=2)
         hierarchy[hierarchy_key(child_policy, parent_policy, 2)] = \
-            hierarchy_record(result)
+            hierarchy_cell(trace, child_cap, parent_cap, child_policy,
+                           parent_policy, 2)
 
     mesh = {}
     for policy in POLICY_NAMES:
         for replicate in (True, False):
-            result = simulate_mesh(
-                trace, proxy_cap, n_proxies=3, policy=policy,
-                replicate_on_sibling_hit=replicate)
-            mesh[mesh_key(policy, replicate, 3)] = mesh_record(result)
+            mesh[mesh_key(policy, replicate, 3)] = mesh_cell(
+                trace, proxy_cap, policy, replicate, 3)
 
     meta = {
         "trace_scale": TRACE_SCALE,

@@ -1,15 +1,17 @@
-"""Equivalence pins: the network engine reproduces the legacy loops.
+"""Equivalence pins of the network engine.
 
-Three families of guarantees, all byte-for-byte:
+Four families of guarantees, all byte-for-byte:
 
-* the goldens under ``data/`` — produced by the pre-refactor
-  ``HierarchySimulator``/``MeshSimulator`` loops across the whole
-  policy registry — replayed through the thin wrappers over the
-  engine (this is what licensed deleting the old loops);
+* the goldens under ``data/`` — ``two_level`` and ``sibling_mesh``
+  under LCE across the whole policy registry, first produced by the
+  hand-written loops that predate the engine — replayed through the
+  same cell builders ``gen_goldens.py`` regenerates them with;
 * a ``single`` topology under LCE equals the single-cache
   :class:`~repro.simulation.simulator.CacheSimulator`;
 * the vectorized fast path equals the object walk on every eligible
-  topology shape.
+  topology shape;
+* ``run_network`` is ``run_network_cells`` with a batch of one, and
+  that one dispatch point validates before it picks a path.
 """
 
 import json
@@ -17,14 +19,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.network.engine import NetworkConfig, NetworkSimulator, run_network
+from repro.errors import ConfigurationError
+from repro.network.engine import (NetworkConfig, NetworkSimulator,
+                                  run_network, run_network_cells)
 from repro.network.fastpath import fastpath_eligible, run_fastpath
 from repro.network.topology import path, single, tree, two_level
-from repro.simulation.hierarchy import simulate_hierarchy
-from repro.simulation.mesh import simulate_mesh
 from repro.simulation.simulator import simulate
 from repro.trace.columnar import ColumnarTrace, write_columnar
 from repro.types import Request
+from tests.network.gen_goldens import hierarchy_cell, mesh_cell
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -48,17 +51,11 @@ class TestHierarchyGoldens:
     def test_cell(self, key, golden_trace):
         child_policy, parent_policy, n_children = key.split("|")
         meta = GOLDEN_HIERARCHY["meta"]
-        result = simulate_hierarchy(
+        assert hierarchy_cell(
             golden_trace, meta["child_capacity_bytes"],
-            meta["parent_capacity_bytes"],
-            child_policy=child_policy, parent_policy=parent_policy,
-            n_children=int(n_children))
-        expected = GOLDEN_HIERARCHY["cells"][key]
-        assert result.total_requests == expected["total_requests"]
-        assert result.warmup_requests == expected["warmup_requests"]
-        assert result.child.as_dict() == expected["child"]
-        assert result.parent.as_dict() == expected["parent"]
-        assert result.hierarchy.as_dict() == expected["hierarchy"]
+            meta["parent_capacity_bytes"], child_policy,
+            parent_policy, int(n_children)
+        ) == GOLDEN_HIERARCHY["cells"][key]
 
 
 class TestMeshGoldens:
@@ -66,16 +63,10 @@ class TestMeshGoldens:
     def test_cell(self, key, golden_trace):
         policy, mode, n_proxies = key.split("|")
         meta = GOLDEN_MESH["meta"]
-        result = simulate_mesh(
-            golden_trace, meta["proxy_capacity_bytes"],
-            n_proxies=int(n_proxies), policy=policy,
-            replicate_on_sibling_hit=(mode == "replicate"))
-        expected = GOLDEN_MESH["cells"][key]
-        assert result.total_requests == expected["total_requests"]
-        assert result.warmup_requests == expected["warmup_requests"]
-        assert result.sibling_hits == expected["sibling_hits"]
-        assert result.local.as_dict() == expected["local"]
-        assert result.mesh.as_dict() == expected["mesh"]
+        assert mesh_cell(
+            golden_trace, meta["proxy_capacity_bytes"], policy,
+            mode == "replicate", int(n_proxies)
+        ) == GOLDEN_MESH["cells"][key]
 
 
 class TestSingleNodeEquivalence:
@@ -182,3 +173,54 @@ class TestFastpath:
         # A node smaller than the largest document disqualifies.
         assert not fastpath_eligible(columnar_trace, NetworkConfig(
             topology=single(MAX_SIZE - 1)))
+
+
+class TestOneDispatchPoint:
+    """``run_network`` is a batch of one through ``run_network_cells``:
+    same result, same refusals, whichever path serves the cell."""
+
+    @pytest.mark.parametrize("strategy,eligible",
+                             [("lce", True), ("lcd", False)])
+    def test_run_network_is_a_batch_of_one(self, strategy, eligible,
+                                           columnar_trace):
+        config = NetworkConfig(topology=topologies()[1],
+                               strategy=strategy)
+        assert fastpath_eligible(columnar_trace, config) is eligible
+        assert run_network(columnar_trace, config).as_dict() == \
+            run_network_cells(columnar_trace, [config])[0].as_dict()
+
+    @pytest.mark.parametrize("run", [
+        run_network,
+        lambda trace, config: run_network_cells(trace, [config]),
+    ], ids=["run_network", "run_network_cells"])
+    def test_cascade_path_validates_its_config(self, run,
+                                               columnar_trace):
+        """The cascade used to accept what ``NetworkSimulator``
+        refuses (and report more warm-up than trace)."""
+        config = NetworkConfig(topology=single(MAX_SIZE * 40),
+                               warmup_fraction=1.5)
+        with pytest.raises(ConfigurationError, match="warmup_fraction"):
+            NetworkSimulator(config)
+        with pytest.raises(ConfigurationError, match="warmup_fraction"):
+            run(columnar_trace, config)
+
+    def test_trace_checked_once_per_batch(self, columnar_trace,
+                                          monkeypatch):
+        import repro.network.fastpath as fastpath_module
+
+        calls = []
+        original = fastpath_module.stable_max_size
+
+        def spy(doc_ids, sizes):
+            calls.append(len(doc_ids))
+            return original(doc_ids, sizes)
+
+        monkeypatch.setattr(fastpath_module, "stable_max_size", spy)
+        run_network_cells(columnar_trace, [
+            NetworkConfig(topology=topology) for topology in topologies()])
+        assert calls == [len(columnar_trace)]
+        # No cascade-shaped cell: the trace is not sorted at all.
+        del calls[:]
+        run_network_cells(columnar_trace, [
+            NetworkConfig(topology=topologies()[0], strategy="lcd")])
+        assert calls == []

@@ -1,9 +1,10 @@
-"""Tests for the sibling cache mesh."""
+"""Tests for the sibling cache mesh: a ``sibling_mesh`` topology under
+leave-copy-everywhere on the network engine."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.simulation.mesh import MeshConfig, MeshSimulator, simulate_mesh
+from repro.network import NetworkConfig, run_network, sibling_mesh
 from repro.types import DocumentType, Request, Trace
 
 
@@ -11,20 +12,34 @@ def req(url, size=100, ts=0.0):
     return Request(ts, url, size, size, DocumentType.HTML)
 
 
+def run_mesh(trace, proxy_capacity, n_proxies=4, warmup_fraction=0.10,
+             replicate_on_sibling_hit=True):
+    return run_network(trace, NetworkConfig(
+        topology=sibling_mesh(proxy_capacity, n_proxies=n_proxies),
+        warmup_fraction=warmup_fraction,
+        replicate_on_sibling_hit=replicate_on_sibling_hit))
+
+
+def local_hit_rate(result):
+    """Hits in the client's home proxy."""
+    return result.edge_metrics().overall.hit_rate
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            MeshConfig(0).validate()
+            NetworkConfig(topology=sibling_mesh(0)).validate()
         with pytest.raises(ConfigurationError):
-            MeshConfig(100, n_proxies=1).validate()
+            sibling_mesh(100, n_proxies=1)
         with pytest.raises(ConfigurationError):
-            MeshConfig(100, warmup_fraction=1.0).validate()
+            NetworkConfig(topology=sibling_mesh(100),
+                          warmup_fraction=1.0).validate()
 
     def test_per_proxy_policies(self):
         from repro.core.registry import make_policy
         with pytest.raises(ConfigurationError):
-            MeshSimulator(MeshConfig(1000, n_proxies=2),
-                          policies=[make_policy("lru")])
+            sibling_mesh(1000, n_proxies=2,
+                         policies=[make_policy("lru")])
 
 
 class TestSiblingServing:
@@ -32,33 +47,33 @@ class TestSiblingServing:
         """Proxy 0 caches on request 0; request 1 (proxy 1) misses
         locally but finds the document at its sibling."""
         trace = Trace([req("shared"), req("shared")])
-        result = simulate_mesh(trace, 10_000, n_proxies=2,
-                               warmup_fraction=0.0)
-        assert result.local_hit_rate == 0.0
-        assert result.mesh_hit_rate == 0.5
-        assert result.sibling_hits == 1
+        result = run_mesh(trace, 10_000, n_proxies=2,
+                          warmup_fraction=0.0)
+        assert local_hit_rate(result) == 0.0
+        assert result.hit_rate == 0.5
+        assert result.sibling_serves == 1
         assert result.sibling_hit_share == 1.0
 
     def test_replication_builds_local_hits(self):
         """With replication, the second round of requests hits
         locally at every proxy."""
         trace = Trace([req("shared") for _ in range(6)])
-        result = simulate_mesh(trace, 10_000, n_proxies=2,
-                               warmup_fraction=0.0,
-                               replicate_on_sibling_hit=True)
+        result = run_mesh(trace, 10_000, n_proxies=2,
+                          warmup_fraction=0.0,
+                          replicate_on_sibling_hit=True)
         # Requests 0,1 miss locally (1 sibling hit); 2..5 hit locally.
-        assert result.local.overall.hits == 4
-        assert result.mesh_hit_rate == pytest.approx(5 / 6)
+        assert result.edge_metrics().overall.hits == 4
+        assert result.hit_rate == pytest.approx(5 / 6)
 
     def test_no_replication_keeps_single_owner(self):
         trace = Trace([req("shared") for _ in range(6)])
-        result = simulate_mesh(trace, 10_000, n_proxies=2,
-                               warmup_fraction=0.0,
-                               replicate_on_sibling_hit=False)
+        result = run_mesh(trace, 10_000, n_proxies=2,
+                          warmup_fraction=0.0,
+                          replicate_on_sibling_hit=False)
         # Proxy 0 owns the document; proxy 1 keeps sibling-hitting.
-        assert result.sibling_hits == 3       # requests 1, 3, 5
-        assert result.local.overall.hits == 2  # requests 2, 4
-        assert result.mesh_hit_rate == pytest.approx(5 / 6)
+        assert result.sibling_serves == 3              # requests 1, 3, 5
+        assert result.edge_metrics().overall.hits == 2  # requests 2, 4
+        assert result.hit_rate == pytest.approx(5 / 6)
 
     def test_stale_sibling_copy_not_served(self):
         """A sibling copy at a different size is stale, not a hit."""
@@ -66,9 +81,9 @@ class TestSiblingServing:
             req("doc", size=1000),    # proxy 0 caches v1
             req("doc", size=1040),    # proxy 1: sibling copy stale
         ])
-        result = simulate_mesh(trace, 10_000, n_proxies=2,
-                               warmup_fraction=0.0)
-        assert result.sibling_hits == 0
+        result = run_mesh(trace, 10_000, n_proxies=2,
+                          warmup_fraction=0.0)
+        assert result.sibling_serves == 0
 
 
 class TestMeshTradeoffs:
@@ -77,8 +92,8 @@ class TestMeshTradeoffs:
         local-only hit rate."""
         capacity = int(
             tiny_dfn_trace.metadata().total_size_bytes * 0.005)
-        result = simulate_mesh(tiny_dfn_trace, capacity, n_proxies=4)
-        assert result.mesh_hit_rate > result.local_hit_rate
+        result = run_mesh(tiny_dfn_trace, capacity, n_proxies=4)
+        assert result.hit_rate > local_hit_rate(result)
         assert 0.0 < result.sibling_hit_share < 1.0
 
     def test_replication_tradeoff(self, tiny_dfn_trace):
@@ -86,19 +101,17 @@ class TestMeshTradeoffs:
         more distinct documents (sibling share rises)."""
         capacity = int(
             tiny_dfn_trace.metadata().total_size_bytes * 0.005)
-        replicated = simulate_mesh(tiny_dfn_trace, capacity,
-                                   n_proxies=4,
-                                   replicate_on_sibling_hit=True)
-        single_owner = simulate_mesh(tiny_dfn_trace, capacity,
-                                     n_proxies=4,
-                                     replicate_on_sibling_hit=False)
-        assert replicated.local_hit_rate > single_owner.local_hit_rate
+        replicated = run_mesh(tiny_dfn_trace, capacity, n_proxies=4,
+                              replicate_on_sibling_hit=True)
+        single_owner = run_mesh(tiny_dfn_trace, capacity, n_proxies=4,
+                                replicate_on_sibling_hit=False)
+        assert local_hit_rate(replicated) > local_hit_rate(single_owner)
         assert single_owner.sibling_hit_share > \
             replicated.sibling_hit_share
 
     def test_warmup_excluded(self):
         trace = Trace([req("a") for _ in range(10)])
-        result = simulate_mesh(trace, 10_000, n_proxies=2,
-                               warmup_fraction=0.5)
+        result = run_mesh(trace, 10_000, n_proxies=2,
+                          warmup_fraction=0.5)
         assert result.warmup_requests == 5
-        assert result.mesh.overall.requests == 5
+        assert result.network.overall.requests == 5

@@ -43,8 +43,9 @@ DOCUMENTED_API = [
     ("repro.core", "PartitionedCache"),
     ("repro.core", "LatencyCost"),
     ("repro.core.belady", "compute_next_uses"),
-    ("repro.simulation", "simulate_hierarchy"),
-    ("repro.simulation", "simulate_mesh"),
+    ("repro.network", "two_level"),
+    ("repro.network", "sibling_mesh"),
+    ("repro.network", "run_network"),
     ("repro.simulation", "run_sweep_parallel"),
     ("repro.simulation", "TTLModel"),
     ("repro.simulation.latency", "LatencyModel"),
@@ -107,6 +108,14 @@ DOCUMENTED_API = [
 def test_documented_path_resolves(module_name, attribute):
     module = importlib.import_module(module_name)
     assert hasattr(module, attribute), f"{module_name}.{attribute}"
+
+
+def test_multi_cache_wrappers_are_gone():
+    """``repro.network`` is the only way to simulate several caches."""
+    with pytest.raises(ImportError):
+        from repro.simulation import simulate_hierarchy  # noqa: F401
+    with pytest.raises(ImportError):
+        import repro.simulation.mesh  # noqa: F401
 
 
 def test_top_level_all_resolves():
