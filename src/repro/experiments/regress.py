@@ -282,13 +282,9 @@ def detect_regressions(store: ResultsStore,
                             alpha=alpha, verdicts=verdicts)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.regress",
-        description="Statistically-gated regression detection between "
-                    "two git revisions sharing one results store.")
-    parser.add_argument("--root", default="service/",
-                        help="service root directory")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The regress options — shared by this module's own parser and
+    the ``service regress`` verb (which has ``--root`` already)."""
     parser.add_argument("--baseline", default=None,
                         help="baseline git hash (inferred when the "
                              "store holds exactly two)")
@@ -304,15 +300,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fail-on-regression", action="store_true",
                         help="exit 1 when any pair is labelled "
                              "'regressed' (for CI gates)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.regress",
+        description="Statistically-gated regression detection between "
+                    "two git revisions sharing one results store.")
+    parser.add_argument("--root", default="service/",
+                        help="service root directory")
+    add_arguments(parser)
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def run(args: argparse.Namespace) -> int:
+    """The regress verb on parsed arguments (``root`` plus the options
+    of :func:`add_arguments`); returns the exit code."""
     from repro.experiments.store import canonical_json
     from pathlib import Path
 
-    args = build_parser().parse_args(
-        list(sys.argv[1:] if argv is None else argv))
     store = ResultsStore(Path(args.root) / STORE_DIRNAME)
     try:
         report = detect_regressions(
@@ -328,6 +334,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.fail_on_regression and report.regressions:
         return 1
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    return run(build_parser().parse_args(
+        list(sys.argv[1:] if argv is None else argv)))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -74,15 +74,6 @@ _logger = get_logger("experiments.service")
 #: Trace profiles the service knows how to realize.
 TRACE_PROFILES = ("dfn", "rtp")
 
-#: How workers materialize generated traces.  ``objects`` regenerates
-#: the Request list in every worker process; ``columnar`` writes each
-#: (profile, scale, seed) trace exactly once as a ``.rcol`` file under
-#: ``REPRO_SERVICE_TRACE_DIR`` and mmaps it everywhere, which drops the
-#: per-worker generation cost and lets the shared pass consume columns
-#: instead of Request objects.  Both formats produce bit-identical
-#: payloads.
-TRACE_FORMATS = ("objects", "columnar")
-
 #: Subdirectory names inside a service root.
 QUEUE_DIRNAME = "queue"
 STORE_DIRNAME = "store"
@@ -230,14 +221,15 @@ class _WorkerTraceCache:
     runner's cache: one (profile, scale, seed) trace serves every
     policy × fraction trial that shares it.
 
-    The format is read from the ``REPRO_TRACE_FORMAT`` environment
-    variable (set by the CLI's ``--trace-format`` flag before workers
-    spawn, so every child inherits it).  In ``columnar`` mode the first
-    process to need a trace generates it and publishes the ``.rcol``
-    file with an atomic rename; everyone else — including other worker
-    processes — just mmaps it.  Generation is seeded, so concurrent
-    writers race to install identical bytes and the rename is
-    idempotent.
+    With a spill directory (``REPRO_SERVICE_TRACE_DIR``; ``service
+    work`` always exports one, workers inherit it) the first process to
+    need a trace generates it and publishes a ``.rcol`` file with an
+    atomic rename; everyone else — including other worker processes —
+    just mmaps it.  Generation is seeded, so concurrent writers race to
+    install identical bytes and the rename is idempotent.  Without one
+    the generated :class:`~repro.types.Trace` is handed to the same
+    simulators, which gather its columns themselves; the payload bytes
+    are identical either way.
     """
 
     def __init__(self):
@@ -253,27 +245,32 @@ class _WorkerTraceCache:
 
     def _columnar(self, trace: str, scale: float, seed: int,
                   spill_dir: Path):
-        from repro.trace.columnar import open_columnar, write_columnar
+        from repro.trace.columnar import (ColumnarFormatError,
+                                          open_columnar, write_columnar)
 
         spill_dir.mkdir(parents=True, exist_ok=True)
         path = spill_dir / f"{trace}-{scale:g}-{seed}.rcol"
-        if not path.exists():
-            generated = self._generate(trace, scale, seed)
-            tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-            write_columnar(tmp, generated.requests, name=generated.name)
-            os.replace(tmp, path)
+        try:
+            return open_columnar(path)
+        except ColumnarFormatError:
+            # Absent, or left truncated/unflushed by a crash: publish
+            # it (again) rather than fail every trial that needs it.
+            pass
+        generated = self._generate(trace, scale, seed)
+        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+        write_columnar(tmp, generated.requests, name=generated.name)
+        with open(tmp, "rb") as stream:
+            os.fsync(stream.fileno())
+        os.replace(tmp, path)
         return open_columnar(path, verify=False)
 
     def get(self, trace: str, scale: float, seed: int):
-        fmt = os.environ.get("REPRO_TRACE_FORMAT", "objects")
         spill = os.environ.get("REPRO_SERVICE_TRACE_DIR")
-        key = (trace, scale, seed, fmt)
+        key = (trace, scale, seed, spill)
         if key not in self._traces:
-            if fmt == "columnar" and spill:
-                self._traces[key] = self._columnar(
-                    trace, scale, seed, Path(spill))
-            else:
-                self._traces[key] = self._generate(trace, scale, seed)
+            self._traces[key] = (
+                self._columnar(trace, scale, seed, Path(spill)) if spill
+                else self._generate(trace, scale, seed))
         return self._traces[key]
 
 
@@ -322,8 +319,8 @@ def _cache_payload(spec: TrialSpec, trace, capacity: int) -> dict:
 
 def _network_payload(spec: TrialSpec, trace, capacity: int) -> dict:
     """:func:`repro.network.engine.run_network` dispatches to the
-    vectorized cascade when the cell qualifies (columnar trace, LRU,
-    LCE) and the object walk otherwise — both produce identical
+    vectorized cascade when the cell qualifies (LRU, LCE) and the
+    object walk otherwise — both produce identical
     payload bytes.  The spec's seed feeds the placement strategy's RNG
     and (via ``policy_seed``) any seedable per-node policies, so
     replicas differ only through the seed.
@@ -370,11 +367,10 @@ def _serving_payload(spec: TrialSpec, trace, capacity: int) -> dict:
     """
     from repro.serving.replay import ReplayConfig, validate_replay
 
-    if getattr(trace, "is_columnar", False):
-        # Replay drives Request objects through shard threads; the
-        # columnar mmap serves the simulators, not the serving layer.
-        trace = _WorkerTraceCache._generate(spec.trace, spec.scale,
-                                            spec.seed)
+    # Replay drives Request objects through shard threads; a spilled
+    # mmap serves the simulators, not the serving layer.
+    if not isinstance(trace, Trace):
+        trace = Trace(trace, name=trace.name)
     validation = validate_replay(
         trace, ReplayConfig(capacity_bytes=capacity,
                             n_shards=spec.shards,
@@ -782,6 +778,7 @@ def run_service(root: PathLike, n_workers: int = 2, *,
 # --------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments import regress
     from repro.network.strategies import STRATEGY_NAMES
     from repro.network.topology import TOPOLOGY_KINDS
 
@@ -846,13 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(workers append to their own "
                           "events-<pid>.jsonl); 'status --watch' "
                           "tails <root>/telemetry by default")
-    wrk.add_argument("--trace-format", choices=TRACE_FORMATS,
-                     default="objects",
-                     help="'columnar' materializes each (profile, "
-                          "scale, seed) trace once as a .rcol file "
-                          "under <root>/traces/ shared by all workers "
-                          "via mmap; 'objects' regenerates Request "
-                          "lists per process (default)")
 
     sta = sub.add_parser("status", help="queue + store census "
                                         "(one-shot or live)")
@@ -880,18 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
     rgr = sub.add_parser("regress",
                          help="statistically-gated cross-revision "
                               "regression verdicts from the store")
-    rgr.add_argument("--baseline", default=None,
-                     help="baseline git hash (inferred when the "
-                          "store holds exactly two)")
-    rgr.add_argument("--candidate", default=None,
-                     help="candidate git hash (default: current "
-                          "checkout's revision)")
-    rgr.add_argument("--alpha", type=float, default=0.05)
-    rgr.add_argument("--json", action="store_true",
-                     help="machine-readable output")
-    rgr.add_argument("--fail-on-regression", action="store_true",
-                     help="exit 1 when anything is labelled "
-                          "'regressed'")
+    regress.add_arguments(rgr)
 
     sub.add_parser("compact",
                    help="merge store segments into one sorted, "
@@ -934,12 +913,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.verb == "work":
-        if args.trace_format == "columnar":
-            # Workers inherit the environment, so setting these before
-            # the pool spawns configures every child's trace cache.
-            os.environ["REPRO_TRACE_FORMAT"] = "columnar"
-            os.environ.setdefault("REPRO_SERVICE_TRACE_DIR",
-                                  str(root / "traces"))
+        # Workers inherit the environment, so exporting this before the
+        # pool spawns points every child's trace cache at one place.
+        exported = "REPRO_SERVICE_TRACE_DIR" not in os.environ
+        if exported:
+            os.environ["REPRO_SERVICE_TRACE_DIR"] = str(root / "traces")
         telemetry = None
         if args.telemetry_dir is not None:
             from repro.observability.manifest import TelemetryRun
@@ -967,6 +945,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{canonical_json(queue.status().as_dict())}")
             return 0
         finally:
+            if exported:
+                del os.environ["REPRO_SERVICE_TRACE_DIR"]
             if telemetry is not None:
                 telemetry.finalize("complete")
 
@@ -1003,21 +983,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.verb == "regress":
-        from repro.experiments.regress import detect_regressions
-        _, store = open_service(root)
-        try:
-            regression = detect_regressions(
-                store, baseline=args.baseline,
-                candidate=args.candidate, alpha=args.alpha)
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(canonical_json(regression.as_dict()))
-        else:
-            print(regression.render())
-        return 1 if args.fail_on_regression \
-            and regression.regressions else 0
+        from repro.experiments import regress
+        return regress.run(args)
 
     if args.verb == "compact":
         _, store = open_service(root)

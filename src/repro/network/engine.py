@@ -498,24 +498,28 @@ def run_network_cells(trace, configs: Sequence[NetworkConfig],
     """Run network cells over one trace — the one dispatch point.
 
     Validates every config, then splits the cells: those the
-    vectorized cascade is lossless for (columnar trace, LRU
-    everywhere, LCE, no ring, latency off — :mod:`repro.network
-    .fastpath` proves bit-identity with the walk) are served straight
-    off the columnar arrays; the rest share a single materialization
-    of the request stream instead of re-decoding the trace per cell.
+    vectorized cascade is lossless for (LRU everywhere, LCE, no ring,
+    latency off — :mod:`repro.network.fastpath` proves bit-identity
+    with the walk) are served from the trace's columns, mmap'd or
+    gathered once; the rest share a single materialization of the
+    request stream instead of re-decoding the trace per cell.
     """
     from repro.network.fastpath import eligible_cells, run_fastpath
     for config in configs:
         config.validate()
     name = trace_name or getattr(trace, "name", "trace")
-    fast_ids = set(map(id, eligible_cells(trace, configs)))
+    if not hasattr(trace, "__len__"):
+        # An iterator may have to feed both the cascade and the walk.
+        trace = list(trace)
+    columns, fast = eligible_cells(trace, configs)
+    fast_ids = set(map(id, fast))
     with _span("network_cells", cells=len(configs),
                fastpath=len(fast_ids)):
         requests = None
         results = []
         for config in configs:
             if id(config) in fast_ids:
-                results.append(run_fastpath(trace, config, name))
+                results.append(run_fastpath(columns, config, name))
                 continue
             if requests is None:
                 requests = (trace.requests if isinstance(trace, Trace)

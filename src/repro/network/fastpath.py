@@ -1,4 +1,4 @@
-"""Vectorized LRU/LCE network fast path over columnar traces.
+"""Vectorized LRU/LCE network fast path over a trace's columns.
 
 A network of LRU caches under leave-copy-everywhere decomposes into
 independent per-node single-cache problems: each node sees a fixed
@@ -34,23 +34,24 @@ from repro.network.strategies import LeaveCopyEverywhere
 from repro.observability.trace import span as _span
 from repro.simulation.metrics import RateAccumulator, TypeMetrics
 from repro.simulation.vectorized import _exact_sum, stable_max_size
+from repro.trace.columnar import columns_of
 from repro.types import DOCUMENT_TYPES
 
 
 def eligible_cells(trace, configs: Sequence[NetworkConfig],
-                   ) -> List[NetworkConfig]:
-    """The configs the cascade is provably lossless for.
+                   ) -> Tuple[object, List[NetworkConfig]]:
+    """The configs the cascade is provably lossless for, after the
+    trace's columns they are to be run from (:func:`run_fastpath`).
 
-    Requires: a columnar trace; LCE placement; no sibling ring; no
-    latency accounting; every node running the registry ``"lru"``
-    policy; per-document stable sizes (no modification misses — a
-    stale drop at one node would change its miss stream); and every
-    document fitting every node (no bypasses).  The trace-side
-    condition is evaluated once for all configs, and only when some
-    config passes the config-side ones.
+    ``trace`` is anything :func:`~repro.trace.columnar.columns_of`
+    accepts.  Requires: LCE placement; no sibling ring; no latency
+    accounting; every node running the registry ``"lru"`` policy;
+    per-document stable sizes (no modification misses — a stale drop
+    at one node would change its miss stream); and every document
+    fitting every node (no bypasses).  The trace-side condition is
+    evaluated once for all configs, and only when some config passes
+    the config-side ones — an ineligible grid never gathers columns.
     """
-    if not getattr(trace, "is_columnar", False):
-        return []
     candidates = []
     for config in configs:
         strategy = config.strategy
@@ -64,18 +65,19 @@ def eligible_cells(trace, configs: Sequence[NetworkConfig],
                for spec in topology.nodes.values()):
             candidates.append(config)
     if not candidates:
-        return []
-    max_size = stable_max_size(trace.doc_ids, trace.sizes)
+        return None, []
+    columns = columns_of(trace)
+    max_size = stable_max_size(columns.doc_ids, columns.sizes)
     if max_size is None:
-        return []
-    return [config for config in candidates
-            if all(spec.capacity_bytes >= max_size
-                   for spec in config.topology.nodes.values())]
+        return columns, []
+    return columns, [config for config in candidates
+                     if all(spec.capacity_bytes >= max_size
+                            for spec in config.topology.nodes.values())]
 
 
 def fastpath_eligible(trace, config: NetworkConfig) -> bool:
     """True when :func:`eligible_cells` keeps this one cell."""
-    return bool(eligible_cells(trace, [config]))
+    return bool(eligible_cells(trace, [config])[1])
 
 
 def _lru_pass(doc_ids: np.ndarray, sizes: np.ndarray,
@@ -137,6 +139,7 @@ def _tally(metrics: TypeMetrics, hit: np.ndarray, measured: np.ndarray,
 def run_fastpath(trace, config: NetworkConfig,
                  trace_name: Optional[str] = None) -> NetworkResult:
     """Run one eligible cell as a cascade of per-node LRU passes."""
+    trace = columns_of(trace)
     topology = config.topology
     n = len(trace)
     warmup = int(n * config.warmup_fraction)

@@ -47,7 +47,7 @@ EVENT_SCHEMAS: Dict[str, Set[str]] = {
     # shared-pass engine (one trace pass serving N cache cells)
     "pass_started": {"cells", "requests"},
     "pass_finished": {"cells", "requests", "duration_seconds",
-                      "lru_fast_path_cells"},
+                      "lru_ladder_cells"},
     # analytical model (repro.model): calibration and predictions
     "model_calibrated": {"documents", "requests", "source"},
     "model_predicted": {"policy", "capacity_bytes", "hit_rate"},

@@ -15,17 +15,18 @@ stream through a :class:`~repro.core.cache.Cache`, with
 :func:`~repro.simulation.sweep.run_sweep` runs a policy × cache-size
 grid, the shape of every performance figure in the paper.
 
-The :mod:`~repro.simulation.engine` module underneath splits the
-simulator into a once-per-pass reference stream and per-configuration
-cache cells.  :func:`~repro.simulation.engine.run_cells` is the one
-driver from a trace (request list, lazy stream, or columnar file) to
-any number of cells: the sweep entry points, the parallel runner's
-batches and the experiment service all run their grids through it in
-one trace pass, with results bit-identical to running
-:class:`~repro.simulation.simulator.CacheSimulator` per cell.
+The :mod:`~repro.simulation.engine` module underneath is the shared
+pass: the trace's integer columns in, per-configuration cache cells
+out.  :func:`~repro.simulation.engine.run_cells` is the one driver from
+a trace (request list, request iterator, or columnar file — all read
+as columns) to any number of cells: the sweep entry points, the
+parallel runner's batches and the experiment service all run their
+grids through it in one trace pass, with results bit-identical to
+running :class:`~repro.simulation.simulator.CacheSimulator`, the
+per-request reference, per cell.
 """
 
-from repro.simulation.engine import CacheCell, ReferenceStream, run_cells
+from repro.simulation.engine import CacheCell, run_cells
 from repro.simulation.metrics import RateAccumulator, TypeMetrics
 from repro.simulation.occupancy import OccupancySample, OccupancyTracker
 from repro.simulation.results import (
@@ -53,7 +54,6 @@ __all__ = [
     "FailureRecord",
     "cell_key",
     "CacheCell",
-    "ReferenceStream",
     "run_cells",
     "CacheSimulator",
     "SimulationConfig",

@@ -1,19 +1,16 @@
-"""The shared-pass simulation engine.
+"""The shared-pass simulation engine: columns in, cells out.
 
 Sweeping the paper's grids costs ``O(cells × requests)`` when every
 (policy, capacity) cell re-iterates the trace: trace iteration,
 :class:`SizeInterpretation` resolution, and modification/staleness
-reconstruction are identical across cells, yet the classic simulator
-repays them per cell.  This module splits the simulator into the two
-stages that actually differ in reusability:
+reconstruction are identical across cells.  :func:`run_cells` pays them
+once per pass:
 
-* :class:`ReferenceStream` — the per-request *reference-stream* stage.
-  It resolves each raw :class:`~repro.types.Request` into an immutable
-  reference tuple ``(url, size, doc_type, transfer, raw_size,
-  timestamp)`` exactly once per pass.  Resolution state (the
-  :class:`~repro.trace.modification.ModificationDetector`) depends only
-  on the size interpretation and tolerance — never on the cache — so
-  one resolver serves every cell that shares those knobs.
+* **columns** — the pass reads one thing, the trace's integer columns
+  (:func:`repro.trace.columnar.columns_of`: an ``.rcol`` file is
+  mmap'd, anything else is gathered once).  Size resolution runs as
+  column operations, once per :func:`resolver_key`, whatever the number
+  of cells (:mod:`repro.simulation.vectorized`).
 
 * :class:`CacheCell` — one cache + policy +
   :class:`~repro.simulation.metrics.TypeMetrics` (plus optional
@@ -21,14 +18,15 @@ stages that actually differ in reusability:
   Cells are independent: N of them ride the same pass, so a sweep
   costs one trace iteration instead of N.
 
-:func:`run_cells` drives any number of cells over one pass and returns
-their :class:`~repro.simulation.results.SimulationResult`\\ s in input
-order, **bit-identical** to running each cell through
-:class:`~repro.simulation.simulator.CacheSimulator` alone.  Identity
-holds because (a) each cell still sees every reference in trace order,
-(b) requested-side tallies are integers (order-independent sums), and
-(c) cost accumulation — the one float — only happens in per-cell
-general mode, which replays the classic per-request loop.
+:func:`run_cells` returns the cells'
+:class:`~repro.simulation.results.SimulationResult`\\ s in input
+order, **bit-identical** to running each cell through the per-request
+reference, :class:`~repro.simulation.simulator.CacheSimulator`, alone.
+Identity holds because (a) each cell still sees every reference in
+trace order, (b) requested-side tallies are integers (order-independent
+sums), and (c) cost accumulation — the one float — only happens in
+:meth:`CacheCell.process_one`, the same per-request step the reference
+runs.
 
 LRU inclusion fast path
 -----------------------
@@ -44,12 +42,11 @@ conversely at a hit every intervening document is resident above
 stable across the trace, every document no larger than the capacity,
 no TTL model, and plain LRU with no extra accounting — the entire LRU
 capacity ladder is served by **one** stack-distance pass
-(:func:`repro.simulation.vectorized.run_lru_ladder`) over four integer
-columns, which a columnar trace already holds and a request list
-yields with ``np.fromiter``; hit and eviction counts are exact.  Cells
-that fail any precondition silently fall back to ordinary simulation
-in the shared pass.  :func:`fast_path` is the one place that decides,
-from a cell's config, which specialisation of the request step
+(:func:`repro.simulation.vectorized.run_lru_ladder`) over four of the
+columns; hit and eviction counts are exact.  Cells that fail any
+precondition silently fall back to ordinary simulation in the shared
+pass.  :func:`fast_path` is the one place that decides, from a cell's
+config, which specialisation of the request step
 (:meth:`CacheCell.process_one`) may serve it.
 """
 
@@ -57,14 +54,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import islice
 from typing import (
     Dict,
     Iterable,
     List,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -86,7 +81,6 @@ from repro.simulation.freshness import FreshnessTracker, TTLModel
 from repro.simulation.metrics import TypeMetrics
 from repro.simulation.occupancy import OccupancyTracker
 from repro.simulation.results import SimulationResult
-from repro.trace.modification import ModificationDetector, ModificationPolicy
 from repro.types import DOCUMENT_TYPES, DocumentType, Request, Trace
 
 _logger = get_logger("simulation")
@@ -150,91 +144,17 @@ class SimulationConfig:
             raise ConfigurationError("occupancy_interval must be >= 0")
 
 
-# ----- stage (a): the reference stream --------------------------------------
+# ----- stage (a): resolved columns -----------------------------------------
 
 
-class _TrustedResolver:
-    """Believes the request's ``size``/``transfer_size`` split."""
-
-    def resolve(self, requests: Sequence[Request]) -> list:
-        out = []
-        append = out.append
-        for r in requests:
-            size = r.size
-            t = r.transfer_size
-            append((r.url, size, r.doc_type,
-                    t if t < size else size, size, r.timestamp))
-        return out
-
-    def resolve_one(self, r: Request) -> tuple:
-        size = r.size
-        t = r.transfer_size
-        return (r.url, size, r.doc_type,
-                t if t < size else size, size, r.timestamp)
-
-
-class _DetectorResolver:
-    """Reconstructs document sizes from the logged transfer sizes."""
-
-    def __init__(self, policy: ModificationPolicy, tolerance: float):
-        self.detector = ModificationDetector(tolerance=tolerance,
-                                             policy=policy)
-
-    def resolve(self, requests: Sequence[Request]) -> list:
-        observe = self.detector.observe
-        out = []
-        append = out.append
-        for r in requests:
-            raw = r.size
-            t = r.transfer_size
-            append((r.url, observe(r.url, t).document_size, r.doc_type,
-                    t if t < raw else raw, raw, r.timestamp))
-        return out
-
-    def resolve_one(self, r: Request) -> tuple:
-        raw = r.size
-        t = r.transfer_size
-        return (r.url, self.detector.observe(r.url, t).document_size,
-                r.doc_type, t if t < raw else raw, raw, r.timestamp)
-
-
-def make_resolver(config: SimulationConfig):
-    """Build the resolver a config's size interpretation calls for."""
+def resolver_key(config: SimulationConfig) -> tuple:
+    """What a resolved size column depends on: every cell sharing this
+    key reads the same column, so size resolution runs once per key
+    however many cells ride the pass."""
     interp = config.size_interpretation
     if interp is SizeInterpretation.TRUSTED:
-        return _TrustedResolver()
-    policy = (ModificationPolicy.PAPER
-              if interp is SizeInterpretation.PAPER_RULE
-              else ModificationPolicy.ANY_CHANGE)
-    return _DetectorResolver(policy, config.modification_tolerance)
-
-
-class ReferenceStream:
-    """Resolves raw requests into reference tuples once per pass.
-
-    Resolution state is keyed by ``(interpretation, tolerance)``: every
-    cell sharing those knobs consumes the same resolved chunk, so the
-    modification detector runs once regardless of how many cells ride
-    the pass.
-    """
-
-    def __init__(self):
-        self._resolvers: Dict[tuple, object] = {}
-
-    @staticmethod
-    def resolver_key(config: SimulationConfig) -> tuple:
-        interp = config.size_interpretation
-        if interp is SizeInterpretation.TRUSTED:
-            return ("trusted",)
-        return (interp.value, config.modification_tolerance)
-
-    def resolver(self, config: SimulationConfig):
-        key = self.resolver_key(config)
-        resolver = self._resolvers.get(key)
-        if resolver is None:
-            resolver = make_resolver(config)
-            self._resolvers[key] = resolver
-        return resolver
+        return ("trusted",)
+    return (interp.value, config.modification_tolerance)
 
 
 # ----- stage (b): cache cells -----------------------------------------------
@@ -460,73 +380,18 @@ class CacheCell:
 # ----- the shared pass ------------------------------------------------------
 
 
-def _new_requested_totals() -> Dict[DocumentType, list]:
-    return {t: [0, 0] for t in DOCUMENT_TYPES}
-
-
-def _accumulate_requested(raw_chunk: Sequence[Request], start: int,
-                          boundaries: Dict[int, Dict[DocumentType, list]],
-                          ) -> None:
-    """Tally measured requests/bytes per type for each warmup boundary.
-
-    Requested-side totals depend only on the raw requests (transfer is
-    ``min(transfer_size, size)`` regardless of size interpretation), so
-    one tally per distinct warmup boundary serves every deferred cell.
-    """
-    n = len(raw_chunk)
-    for boundary, totals in boundaries.items():
-        measured_from = boundary - start
-        if measured_from >= n:
-            continue
-        part = raw_chunk if measured_from <= 0 else raw_chunk[measured_from:]
-        for r in part:
-            size = r.size
-            t = r.transfer_size
-            bucket = totals[r.doc_type]
-            bucket[0] += 1
-            bucket[1] += t if t < size else size
-
-
-def drive_pass(requests: Iterable[Request], offset: int,
-               groups: Sequence[Tuple[object, List[CacheCell]]],
-               boundaries: Optional[Dict[int, Dict[DocumentType, list]]],
-               chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
-    """Feed ``requests`` (absolute positions starting at ``offset``)
-    through each resolver group's cells, chunk by chunk.
-
-    Only one chunk of raw requests (plus its resolved tuples) is alive
-    at a time, so a lazily decoded multi-million-request stream drives
-    N cells without ever being materialized.  Returns the position of
-    the last request consumed.
-    """
-    request_iter = iter(requests)
-    while True:
-        raw = list(islice(request_iter, chunk_size))
-        if not raw:
-            return offset
-        for resolver, cell_list in groups:
-            chunk = resolver.resolve(raw)
-            for cell in cell_list:
-                cell.process_chunk(chunk, offset)
-        if boundaries:
-            _accumulate_requested(raw, offset, boundaries)
-        offset += len(raw)
-
-
 def fast_path(cell: CacheCell) -> Optional[str]:
     """Which specialisation of the request step may serve ``cell``.
 
-    The config-side eligibility, decided once for every trace format:
-    ``"ladder"`` (plain LRU over ``TRUSTED`` sizes: the all-capacities
-    stack-distance pass, which additionally needs the trace-side
-    conditions :func:`repro.simulation.vectorized.split_ladder`
-    checks), ``"fifo"`` (the shadow queue), ``"hinted"`` (a
-    Greedy-Dual policy fed precomputed key costs), or ``None`` (the
-    ordinary :meth:`CacheCell.process_chunk`).  Every fast path needs a
+    The config-side eligibility: ``"ladder"`` (plain LRU over
+    ``TRUSTED`` sizes: the all-capacities stack-distance pass, which
+    additionally needs the trace-side conditions
+    :func:`repro.simulation.vectorized.split_ladder` checks),
+    ``"fifo"`` (the shadow queue), ``"hinted"`` (a Greedy-Dual policy
+    fed precomputed key costs), or ``None`` (the ordinary
+    :meth:`CacheCell.process_chunk`).  Every fast path needs a
     deferred cell — no cost/latency/occupancy/TTL accounting — over a
-    plain :class:`~repro.core.cache.Cache`.  The FIFO and hinted paths
-    consume resolved size *columns*, so only columnar traces take
-    them; a request list runs those cells through ``process_chunk``.
+    plain :class:`~repro.core.cache.Cache`.
     """
     if not cell.deferred or type(cell.cache) is not Cache:
         return None
@@ -545,9 +410,7 @@ def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
               configs: Sequence[Union[SimulationConfig, CacheCell]],
               trace_name: Optional[str] = None,
               chunk_size: int = DEFAULT_CHUNK_SIZE,
-              lru_fast_path: bool = True,
               timings: Optional[PhaseTimings] = None,
-              total_requests: Optional[int] = None,
               ) -> List[SimulationResult]:
     """Run every cell over the trace in **one shared pass**.
 
@@ -556,131 +419,87 @@ def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
     here.
 
     Args:
-        trace: The driving workload — a :class:`~repro.types.Trace`, a
-            request sequence, a
-            :class:`~repro.trace.columnar.ColumnarTrace` (consumed as
-            columns, see :mod:`repro.simulation.vectorized`), or (with
-            ``total_requests``) a lazy iterator such as
-            :func:`repro.trace.pipeline.iter_trace`, consumed
-            chunk-wise with bounded memory.
+        trace: The driving workload — anything
+            :func:`repro.trace.columnar.columns_of` accepts: a
+            :class:`~repro.trace.columnar.ColumnarTrace` is read in
+            place; a :class:`~repro.types.Trace`, request sequence or
+            request iterator is gathered into columns once.
         configs: One :class:`SimulationConfig` (or prebuilt
             :class:`CacheCell`) per cell.
         trace_name: Overrides the trace's name in the results.
-        chunk_size: Requests resolved per chunk.
-        lru_fast_path: Allow eligible plain-LRU cells to be served by
-            the single-pass stack-distance ladder (materialized and
-            columnar traces only; streaming passes always simulate
-            every cell).
+        chunk_size: References decoded per chunk.
         timings: Optional :class:`PhaseTimings` to record pass phases
-            into ("resolve" for columnar traces, "pass", "lru_ladder",
-            "aggregate").
-        total_requests: Declared stream length, required to place the
-            warm-up boundaries before the pass starts.  An iterator
-            without it is materialized first.  The pass raises
-            :class:`~repro.errors.SimulationError` if the trace
-            disagrees with the declared length.
+            into ("resolve", "pass", "lru_ladder", "aggregate").
 
     Returns results in input order, bit-identical to running each
     config through :class:`~repro.simulation.simulator.CacheSimulator`.
     """
     # Lazy: the column kernels import this module.
     from repro.simulation import vectorized
+    from repro.trace.columnar import columns_of
 
-    columnar = bool(getattr(trace, "is_columnar", False))
-    requests = trace.requests if isinstance(trace, Trace) else trace
-    streaming = not (columnar or isinstance(requests, (list, tuple)))
-    if streaming and total_requests is None:
-        requests = list(requests)
-        streaming = False
-    total = total_requests if streaming else len(requests)
-    if total_requests is not None and total_requests != total:
-        raise SimulationError(
-            f"trace holds {total} requests but "
-            f"total_requests={total_requests} was declared")
-    name = trace_name or getattr(trace, "name", "trace")
+    if timings is None:
+        timings = PhaseTimings()
+    with phase_timer("resolve", timings):
+        columns = columns_of(trace)
+    total = len(columns)
+    name = trace_name or columns.name
     cells = [config if isinstance(config, CacheCell) else CacheCell(config)
              for config in configs]
     for cell in cells:
         cell.begin_run(int(total * cell.config.warmup_fraction),
                        deferred=True)
-    if timings is None:
-        timings = PhaseTimings()
     emit("pass_started", cells=len(cells), requests=total)
-    pass_span = _span("pass", cells=len(cells), requests=total,
-                      trace=name, streaming=streaming, columnar=columnar)
+    pass_span = _span("pass", cells=len(cells), requests=total, trace=name)
     with pass_span:
         boundaries: Dict[int, Dict[DocumentType, list]] = {}
         for cell in cells:
             if cell.deferred and cell._warmup not in boundaries:
-                boundaries[cell._warmup] = _new_requested_totals()
-        ladder, rest, columns, n_fifo = [], cells, None, 0
-        if lru_fast_path and not streaming:
-            ladder, rest, columns = vectorized.split_ladder(requests,
-                                                            cells)
-        pass_span.set_attribute("lru_fast_path_cells", len(ladder))
-        if columnar:
-            n_fifo = vectorized.drive_columnar(
-                trace, rest, boundaries, chunk_size, timings)
-            pass_span.set_attribute("fifo_fast_path_cells", n_fifo)
-        else:
-            stream = ReferenceStream()
-            grouped: Dict[tuple, Tuple[object, List[CacheCell]]] = {}
-            for cell in rest:
-                key = stream.resolver_key(cell.config)
-                if key not in grouped:
-                    grouped[key] = (stream.resolver(cell.config), [])
-                grouped[key][1].append(cell)
-            with _span("drive"), phase_timer("pass", timings):
-                seen = drive_pass(requests, 0, list(grouped.values()),
-                                  boundaries, chunk_size)
-            if seen != total:
-                raise SimulationError(
-                    f"trace stream yielded {seen} requests but "
-                    f"total_requests={total} was declared; warm-up "
-                    "boundaries would be wrong")
+                boundaries[cell._warmup] = {t: [0, 0]
+                                            for t in DOCUMENT_TYPES}
+        ladder, rest, ladder_columns = vectorized.split_ladder(columns,
+                                                               cells)
+        pass_span.set_attribute("lru_ladder_cells", len(ladder))
+        n_fifo = vectorized.drive_columnar(columns, rest, boundaries,
+                                           chunk_size, timings)
+        pass_span.set_attribute("fifo_queue_cells", n_fifo)
         if ladder:
             with _span("lru_ladder", cells=len(ladder)), \
                     phase_timer("lru_ladder", timings):
-                vectorized.run_lru_ladder(*columns, ladder)
+                vectorized.run_lru_ladder(*ladder_columns, ladder)
         with _span("aggregate"), phase_timer("aggregate", timings):
             results = [cell.finalize(name, total,
                                      boundaries.get(cell._warmup))
                        for cell in cells]
-    _publish_pass_telemetry(timings, len(cells), len(ladder), n_fifo,
-                            total, columnar)
+    _publish_pass_telemetry(timings, len(cells), len(ladder), n_fifo, total)
     return results
 
 
 def _publish_pass_telemetry(timings: PhaseTimings, n_cells: int,
                             n_ladder: int, n_fifo: int,
-                            total_requests: int, columnar: bool) -> None:
+                            total_requests: int) -> None:
     """Batch one pass's aggregates into the metrics registry — one
     update per pass, never one per request or per cell."""
     registry = get_registry()
     if registry.enabled:
         registry.counter("engine_passes_total").inc()
-        if columnar:
-            registry.counter("engine_columnar_passes_total").inc()
         registry.histogram("engine_cells_per_pass").observe(n_cells)
         if n_ladder:
-            registry.counter("engine_lru_fast_path_cells_total").inc(
-                n_ladder)
+            registry.counter("engine_lru_ladder_cells_total").inc(n_ladder)
         if n_fifo:
-            registry.counter("engine_fifo_fast_path_cells_total").inc(
-                n_fifo)
+            registry.counter("engine_fifo_queue_cells_total").inc(n_fifo)
         registry.counter("engine_pass_requests_total").inc(total_requests)
         for phase, seconds in timings.as_dict().items():
             registry.histogram("engine_phase_seconds",
                                phase=phase).observe(seconds)
     emit("pass_finished", cells=n_cells, requests=total_requests,
          duration_seconds=round(timings.total, 6),
-         lru_fast_path_cells=n_ladder, fifo_fast_path_cells=n_fifo)
+         lru_ladder_cells=n_ladder, fifo_queue_cells=n_fifo)
     _logger.debug(
         "shared pass: %d cells (%d via LRU ladder, %d via FIFO queue) "
         "over %d requests in %.3fs", n_cells, n_ladder, n_fifo,
         total_requests, timings.total,
-        extra={"cells": n_cells, "lru_fast_path_cells": n_ladder,
-               "fifo_fast_path_cells": n_fifo, "columnar": columnar,
-               "requests": total_requests,
+        extra={"cells": n_cells, "lru_ladder_cells": n_ladder,
+               "fifo_queue_cells": n_fifo, "requests": total_requests,
                "phase_seconds": {k: round(v, 6)
                                  for k, v in timings.as_dict().items()}})

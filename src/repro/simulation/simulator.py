@@ -24,13 +24,15 @@ Size interpretations:
   its one disagreement with [8] to this difference, which makes
   TRUSTED/PAPER_RULE vs ANY_CHANGE a designed-in ablation.
 
-Since the shared-pass refactor this module is a thin one-cell wrapper:
-the trace walk and size resolution live in
-:mod:`repro.simulation.engine` (:class:`~repro.simulation.engine.
-ReferenceStream`), and the cache/policy/metrics state lives in a single
-:class:`~repro.simulation.engine.CacheCell`.  ``CacheSimulator`` keeps
-its public API — sweeps that want N cells per trace pass use
-:func:`repro.simulation.engine.run_cells` directly.
+``CacheSimulator`` is the independent **per-request reference**: one
+loop, request by request, that resolves the size (:func:`make_resolver`)
+and takes the full request step of a single
+:class:`~repro.simulation.engine.CacheCell`
+(:meth:`~repro.simulation.engine.CacheCell.process_one`), with none of
+the shared pass's machinery — no columns, no deferred tallies, no fast
+paths.  Every equivalence test and the perf ledger's ``verify()``
+compare :func:`repro.simulation.engine.run_cells` against it; sweeps
+that want N cells per trace pass use ``run_cells`` directly.
 """
 
 from __future__ import annotations
@@ -46,11 +48,9 @@ from repro.simulation.engine import (
     CacheCell,
     SimulationConfig,
     SizeInterpretation,
-    _new_requested_totals,
-    drive_pass,
-    make_resolver,
 )
 from repro.simulation.results import SimulationResult
+from repro.trace.modification import ModificationDetector, ModificationPolicy
 from repro.types import Request, Trace
 
 __all__ = [
@@ -63,6 +63,33 @@ __all__ = [
 _logger = get_logger("simulation")
 
 
+def make_resolver(config: SimulationConfig):
+    """``resolve(request)`` → the reference tuple ``(url, size,
+    doc_type, transfer, raw_size, timestamp)`` that
+    :meth:`CacheCell.process_one` consumes, with ``size`` read under
+    the config's size interpretation."""
+    interp = config.size_interpretation
+    if interp is SizeInterpretation.TRUSTED:
+        def resolve(r: Request) -> tuple:
+            size = r.size
+            t = r.transfer_size
+            return (r.url, size, r.doc_type,
+                    t if t < size else size, size, r.timestamp)
+        return resolve
+    observe = ModificationDetector(
+        tolerance=config.modification_tolerance,
+        policy=(ModificationPolicy.PAPER
+                if interp is SizeInterpretation.PAPER_RULE
+                else ModificationPolicy.ANY_CHANGE)).observe
+
+    def resolve(r: Request) -> tuple:
+        raw = r.size
+        t = r.transfer_size
+        return (r.url, observe(r.url, t).document_size, r.doc_type,
+                t if t < raw else raw, raw, r.timestamp)
+    return resolve
+
+
 class CacheSimulator:
     """Runs one policy over one trace with the paper's methodology."""
 
@@ -72,9 +99,9 @@ class CacheSimulator:
         :class:`~repro.core.partitioned.PartitionedCache`)."""
         self._cell = CacheCell(config, cache=cache)
         self.config = config
-        self._resolver = make_resolver(config)
+        self._resolve = make_resolver(config)
         #: Wall-clock seconds per phase of the most recent run
-        #: (warmup / measurement / aggregate), for profiling long runs.
+        #: (stream / aggregate), for profiling long runs.
         self.phase_timings = PhaseTimings()
 
     # The cell owns all mutable simulation state; expose the historical
@@ -108,35 +135,11 @@ class CacheSimulator:
             trace_name: Optional[str] = None) -> SimulationResult:
         """Simulate the full trace and return the result."""
         requests = trace.requests if isinstance(trace, Trace) else trace
-        if not isinstance(requests, (list, tuple)):
+        if not hasattr(requests, "__len__"):
             requests = list(requests)
-        total = len(requests)
-        warmup = int(total * self.config.warmup_fraction)
-        name = trace_name or getattr(trace, "name", "trace")
-
-        # The warm-up/measurement split is hoisted out of the loop so
-        # neither half pays a per-request branch; the phase timers sit
-        # outside the loops and cost two clock reads per phase.
-        timings = self.phase_timings = PhaseTimings()
-        cell = self._cell
-        cell.begin_run(warmup, deferred=True)
-        boundaries = ({warmup: _new_requested_totals()}
-                      if cell.deferred else None)
-        groups = [(self._resolver, [cell])]
-        with _span("simulate", policy=str(self.config.policy),
-                   capacity_bytes=self.config.capacity_bytes,
-                   trace=name, requests=total):
-            with _span("warmup"), phase_timer("warmup", timings):
-                drive_pass(requests[:warmup], 0, groups, None)
-            with _span("measurement"), \
-                    phase_timer("measurement", timings):
-                drive_pass(requests[warmup:], warmup, groups, boundaries)
-            with _span("aggregate"), phase_timer("aggregate", timings):
-                result = cell.finalize(
-                    name, total,
-                    boundaries[warmup] if boundaries else None)
-        self._publish_telemetry(result, timings)
-        return result
+        return self.run_stream(
+            requests, int(len(requests) * self.config.warmup_fraction),
+            trace_name or getattr(trace, "name", "trace"))
 
     def run_stream(self, requests: Iterable[Request],
                    warmup_requests: int = 0,
@@ -150,14 +153,14 @@ class CacheSimulator:
         timings = self.phase_timings = PhaseTimings()
         cell = self._cell
         cell.begin_run(warmup_requests, deferred=False)
-        resolve_one = self._resolver.resolve_one
+        resolve = self._resolve
         process_one = cell.process_one
         total = 0
         with _span("stream", policy=str(self.config.policy)), \
                 phase_timer("stream", timings):
             for request in requests:
                 total += 1
-                process_one(resolve_one(request), total)
+                process_one(resolve(request), total)
         with phase_timer("aggregate", timings):
             result = cell.finalize(trace_name, total,
                                    warmup=min(warmup_requests, total))
@@ -187,7 +190,7 @@ class CacheSimulator:
             for phase, seconds in timings.as_dict().items():
                 registry.histogram("simulator_phase_seconds",
                                    phase=phase).observe(seconds)
-        measured = timings.get("measurement") or timings.get("stream")
+        measured = timings.get("stream")
         _logger.debug(
             "simulated %s: %d requests in %.3fs", result.policy,
             result.total_requests, timings.total,

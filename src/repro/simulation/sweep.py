@@ -102,15 +102,16 @@ def run_sweep(trace: Union[Trace, str, Path],
 
 
 def _run_cells_from_file(path: Path, configs, name: str):
-    """Open a trace *file* and drive the cells over it, never
-    materializing Request objects for the whole trace: a columnar file
-    is consumed as mmap'd columns, any other format as one lazily
-    decoded stream."""
-    from repro.trace.columnar import is_columnar_file, open_columnar
-    from repro.trace.pipeline import count_requests, iter_trace
+    """Open a trace *file* and drive the cells over its mmap'd columns,
+    never materializing Request objects for the whole trace.  A text
+    format is decoded once into a temporary ``.rcol`` first."""
+    import tempfile
 
-    if is_columnar_file(path):
+    from repro.trace.columnar import (convert_to_columnar,
+                                      is_columnar_file, open_columnar)
+
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
+        if not is_columnar_file(path):
+            path = convert_to_columnar(path, Path(scratch) / "trace.rcol")
         with open_columnar(path) as columnar:
             return run_cells(columnar, configs, trace_name=name)
-    return run_cells(iter_trace(path), configs, trace_name=name,
-                     total_requests=count_requests(path))

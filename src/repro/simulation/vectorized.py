@@ -1,11 +1,12 @@
 """Column kernels of the shared pass.
 
 :func:`repro.simulation.engine.run_cells` is the one driver between a
-trace and its cells; this module holds the parts of that pass that run
-on integer *columns* instead of :class:`~repro.types.Request` objects,
-with results **bit-identical** to the object path.  The speed comes
-from moving every per-request computation that does not touch cache
-state into column operations:
+trace and its cells, and integer *columns*
+(:func:`repro.trace.columnar.columns_of`) are the only thing it reads;
+this module is that pass.  Every per-request computation that does not
+touch cache state is a column operation, with results **bit-identical**
+to the per-request reference
+(:class:`~repro.simulation.simulator.CacheSimulator`):
 
 * **resolution** — size-interpretation reconstruction
   (:class:`ColumnarReferenceStream`) runs as array ops: ``TRUSTED`` is
@@ -16,9 +17,7 @@ state into column operations:
   cells merge at finalize are masked integer column sums;
 * **the LRU ladder** — byte-weighted stack distances feed vectorized
   per-capacity hit counting, per-type tallies, and final-resident
-  counting.  It needs four columns (document ids, sizes, clamped
-  transfers, type codes), so it serves request lists as well as
-  columnar traces (:func:`split_ladder`);
+  counting (:func:`split_ladder`, :func:`run_lru_ladder`);
 * **FIFO** — a shadow recency-free queue replays
   :meth:`~repro.core.cache.Cache.reference` exactly, without entry or
   heap machinery;
@@ -29,7 +28,7 @@ state into column operations:
 Which cell takes which kernel is decided in one place,
 :func:`repro.simulation.engine.fast_path`.  Cells that fit none consume
 ordinary resolved-tuple chunks via :meth:`CacheCell.process_chunk`,
-decoded once per chunk from the mmap.
+decoded once per chunk from the columns.
 
 Bit-identity caveat: array float ops round ``int64 → float64`` before
 dividing where the scalar path divides exact integers, so identity is
@@ -49,11 +48,10 @@ from repro.observability.profiling import PhaseTimings, phase_timer
 from repro.observability.trace import span as _span
 from repro.simulation.engine import (
     CacheCell,
-    ReferenceStream,
     SizeInterpretation,
     fast_path,
+    resolver_key,
 )
-from repro.trace.columnar import _TYPE_CODE
 from repro.types import DOCUMENT_TYPES, DocumentType
 
 #: int64 sums whose worst-case magnitude reaches this bound fall back
@@ -126,10 +124,9 @@ def _resolve_paper(trace, tolerance: float) -> np.ndarray:
 class ColumnarReferenceStream:
     """Resolves size-interpretation columns once per pass.
 
-    The columnar sibling of
-    :class:`~repro.simulation.engine.ReferenceStream`: resolution state
-    is keyed by ``(interpretation, tolerance)`` and memoized, so every
-    cell sharing those knobs reads the same resolved column.
+    Resolution state is keyed by
+    :func:`~repro.simulation.engine.resolver_key` and memoized, so
+    every cell sharing those knobs reads the same resolved column.
     """
 
     def __init__(self, trace):
@@ -172,7 +169,7 @@ def _tally_boundaries(trace, stream: ColumnarReferenceStream,
     """Measured requests/bytes per type for each warmup boundary.
 
     Integer masked column sums: order-independent, so exactly the
-    totals the object path accumulates chunk by chunk.
+    totals per-request accounting accumulates.
     """
     codes = trace.type_codes
     transfers = stream.transfers_clamped
@@ -215,38 +212,27 @@ def split_ladder(source, cells: Sequence[CacheCell]) -> tuple:
     """Partition ``cells`` into ``(ladder, rest, columns)``.
 
     ``ladder`` cells are served by :func:`run_lru_ladder` from
-    ``columns`` — ``(doc_ids, sizes, clamped transfers, type codes)``,
-    read off a columnar ``source`` or gathered from a request list.
-    Config side they are :func:`~repro.simulation.engine.fast_path`'s
-    ``"ladder"`` cells; trace side every document keeps one size across
-    the trace and none exceeds the cell's capacity (so no bypasses, no
-    invalidations — the regime where byte-bounded LRU obeys inclusion
-    exactly).
+    ``columns`` — ``(doc_ids, sizes, clamped transfers, type codes)``
+    of ``source``.  Config side they are
+    :func:`~repro.simulation.engine.fast_path`'s ``"ladder"`` cells;
+    trace side every document keeps one size across the trace and none
+    exceeds the cell's capacity (so no bypasses, no invalidations — the
+    regime where byte-bounded LRU obeys inclusion exactly).
     """
     candidates = [cell for cell in cells if fast_path(cell) == "ladder"]
     if not candidates:
         return [], cells, None
-    if getattr(source, "is_columnar", False):
-        doc, sizes = source.doc_ids, source.sizes
-        transfers, codes = source.transfers, source.type_codes
-    else:
-        n = len(source)
-        ids: Dict[str, int] = {}
-        doc = np.fromiter((ids.setdefault(r.url, len(ids))
-                           for r in source), np.int64, n)
-        sizes = np.fromiter((r.size for r in source), np.int64, n)
-        transfers = np.fromiter((r.transfer_size for r in source),
-                                np.int64, n)
-        codes = np.fromiter((_TYPE_CODE[r.doc_type] for r in source),
-                            np.int8, n)
-    max_size = stable_max_size(doc, sizes)
+    sizes = source.sizes
+    max_size = stable_max_size(source.doc_ids, sizes)
     if max_size is None:
         return [], cells, None
     ladder = [cell for cell in candidates
               if cell.config.capacity_bytes >= max_size]
     excluded = set(map(id, ladder))
     rest = [cell for cell in cells if id(cell) not in excluded]
-    return ladder, rest, (doc, sizes, np.minimum(transfers, sizes), codes)
+    return ladder, rest, (source.doc_ids, sizes,
+                          np.minimum(source.transfers, sizes),
+                          source.type_codes)
 
 
 def run_lru_ladder(doc_ids: np.ndarray, sizes: np.ndarray,
@@ -461,11 +447,11 @@ def _drive_chunks(trace, stream: ColumnarReferenceStream,
 def drive_columnar(trace, cells: Sequence[CacheCell],
                    boundaries: Dict[int, Dict[DocumentType, list]],
                    chunk_size: int, timings: PhaseTimings) -> int:
-    """Drive ``cells`` over a columnar trace and tally ``boundaries``.
+    """Drive ``cells`` over a trace's columns and tally ``boundaries``.
 
-    The columnar half of :func:`repro.simulation.engine.run_cells`
-    (which has already taken the LRU-ladder cells out of ``cells``).
-    Returns how many cells the FIFO shadow queue served.
+    The body of :func:`repro.simulation.engine.run_cells` (which has
+    already taken the LRU-ladder cells out of ``cells``).  Returns how
+    many cells the FIFO shadow queue served.
     """
     stream = ColumnarReferenceStream(trace)
     keys = set()
@@ -473,7 +459,7 @@ def drive_columnar(trace, cells: Sequence[CacheCell],
     plain: Dict[tuple, List[CacheCell]] = {}
     hinted: Dict[tuple, List[tuple]] = {}
     for cell in cells:
-        key = ReferenceStream.resolver_key(cell.config)
+        key = resolver_key(cell.config)
         keys.add(key)
         path = fast_path(cell)
         if path == "fifo":

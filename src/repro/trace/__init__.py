@@ -35,6 +35,8 @@ from repro.trace.columnar import (
     ColumnarHeader,
     ColumnarTrace,
     ColumnarWriter,
+    TraceColumns,
+    columns_of,
     convert_to_columnar,
     inspect_columnar,
     is_columnar_file,
@@ -44,7 +46,6 @@ from repro.trace.columnar import (
 )
 from repro.trace.pipeline import (
     TracePipeline,
-    count_requests,
     iter_trace,
     load_trace,
 )
@@ -87,6 +88,8 @@ __all__ = [
     "ColumnarHeader",
     "ColumnarTrace",
     "ColumnarWriter",
+    "TraceColumns",
+    "columns_of",
     "convert_to_columnar",
     "inspect_columnar",
     "is_columnar_file",
@@ -94,7 +97,6 @@ __all__ = [
     "read_header",
     "write_columnar",
     "TracePipeline",
-    "count_requests",
     "iter_trace",
     "load_trace",
     "validate_trace",

@@ -7,7 +7,7 @@ content-type string tables, all behind a small versioned header that
 carries request/byte counts and per-type histograms.  The layout makes
 three things cheap that the text formats cannot offer:
 
-* ``count_requests`` and ``Trace.metadata()`` become O(1) header reads;
+* ``len(trace)`` and ``Trace.metadata()`` become O(1) header reads;
 * a simulation pass can mmap the file and run the resolver and the
   policy fast paths as numpy column operations instead of streaming
   Python :class:`~repro.types.Request` objects;
@@ -203,7 +203,7 @@ def _unpack_header(raw: bytes, path: Path) -> ColumnarHeader:
 def read_header(path: PathLike) -> ColumnarHeader:
     """Read and CRC-check just the header of a columnar trace — O(1).
 
-    This is what makes ``count_requests`` and metadata lookups free:
+    This is what makes request counts and metadata lookups free:
     request/byte counts and per-type histograms live in the header.
     """
     path = Path(path)
@@ -670,6 +670,62 @@ def open_columnar(path: PathLike,
     ``verify=True`` additionally CRCs the record and string sections).
     """
     return ColumnarTrace(path, verify=verify)
+
+
+class TraceColumns:
+    """The integer columns of a request sequence, held in memory.
+
+    What :func:`columns_of` gathers a :class:`~repro.types.Trace`,
+    request list or request iterator into: the part of a
+    :class:`ColumnarTrace` the simulation's column kernels read
+    (``doc_ids``, ``sizes``, ``transfers``, ``type_codes``,
+    ``timestamps``, :meth:`urls`, ``name``, ``len``), with the same
+    interning — document ids in first-seen order — and no file.
+    """
+
+    def __init__(self, requests: Iterable[Request], name: str = "trace"):
+        self.name = name
+        if not isinstance(requests, (list, tuple)):
+            requests = list(requests)
+        ids: dict = {}
+        intern = ids.setdefault
+        # One comprehension per column: about half the cost of one loop
+        # appending to five lists.
+        self.doc_ids = np.array(
+            [intern(r.url, len(ids)) for r in requests], dtype=np.int64)
+        try:
+            self.sizes = np.array([r.size for r in requests],
+                                  dtype=np.int64)
+            self.transfers = np.array(
+                [r.transfer_size for r in requests], dtype=np.int64)
+        except OverflowError as exc:
+            raise ColumnarFormatError(
+                "a size exceeds the 63-bit size columns") from exc
+        self.type_codes = np.array(
+            [_TYPE_CODE[r.doc_type] for r in requests], dtype=np.uint8)
+        self.timestamps = np.array([r.timestamp for r in requests],
+                                   dtype=np.float64)
+        self._urls = list(ids)
+
+    def urls(self) -> List[str]:
+        """The interned url table, index = doc id."""
+        return self._urls
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+
+def columns_of(trace):
+    """The integer columns of ``trace`` — what simulation passes read.
+
+    A :class:`ColumnarTrace` (or columns gathered earlier) is returned
+    as is; a :class:`~repro.types.Trace`, request sequence or request
+    iterator is gathered once into :class:`TraceColumns`.
+    """
+    if isinstance(trace, (ColumnarTrace, TraceColumns)):
+        return trace
+    return TraceColumns(getattr(trace, "requests", trace),
+                        name=getattr(trace, "name", "trace"))
 
 
 def write_columnar(path: PathLike, requests: Iterable[Request],

@@ -103,82 +103,6 @@ def iter_trace(path: PathLike, fmt: Optional[str] = None,
     yield from pipeline.process(_records())
 
 
-#: Sidecar suffix for cached request counts of text-format traces.
-COUNT_SIDECAR_SUFFIX = ".rcount"
-
-
-def _sidecar_path(path: Path) -> Path:
-    return path.with_name(path.name + COUNT_SIDECAR_SUFFIX)
-
-
-def _read_count_sidecar(path: Path, fmt: str) -> Optional[int]:
-    """Cached count for ``path``, or None when absent/stale."""
-    import json
-
-    sidecar = _sidecar_path(path)
-    try:
-        cached = json.loads(sidecar.read_text(encoding="utf-8"))
-        stat = path.stat()
-    except (OSError, ValueError):
-        return None
-    if (cached.get("fmt") == fmt
-            and cached.get("size") == stat.st_size
-            and cached.get("mtime_ns") == stat.st_mtime_ns
-            and isinstance(cached.get("count"), int)):
-        return cached["count"]
-    return None
-
-
-def _write_count_sidecar(path: Path, fmt: str, count: int) -> None:
-    """Best-effort: a read-only trace directory is not an error."""
-    import json
-
-    try:
-        stat = path.stat()
-        _sidecar_path(path).write_text(json.dumps({
-            "count": count, "fmt": fmt, "size": stat.st_size,
-            "mtime_ns": stat.st_mtime_ns}), encoding="utf-8")
-    except OSError:  # pragma: no cover - read-only trace directory
-        pass
-
-
-def count_requests(path: PathLike, fmt: Optional[str] = None) -> int:
-    """Number of requests a streaming pass over ``path`` yields.
-
-    Columnar traces answer from the header in O(1).  Text formats pay
-    a counting pass once and cache the result in a ``.rcount`` sidecar
-    keyed on file size and mtime, so progress/ETA setup stops costing
-    a full decode on every run: csv counts raw lines, raw-log formats
-    must run the full pipeline because cacheability filtering drops
-    records.
-    """
-    from repro.trace.columnar import is_columnar_file, read_header
-    from repro.trace.reader import _open_text, detect_format
-
-    path = Path(path)
-    if fmt == "columnar" or (fmt is None and is_columnar_file(path)):
-        return read_header(path).n_records
-    if fmt is None:
-        with _open_text(path) as stream:
-            first = stream.readline()
-            while first and not first.strip():
-                first = stream.readline()
-            if not first:
-                return 0
-            fmt = detect_format(first)
-    cached = _read_count_sidecar(path, fmt)
-    if cached is not None:
-        return cached
-    if fmt == "csv":
-        with _open_text(path) as stream:
-            lines = sum(1 for line in stream if line.strip())
-        count = max(lines - 1, 0)   # minus the header row
-    else:
-        count = sum(1 for _ in iter_trace(path, fmt=fmt))
-    _write_count_sidecar(path, fmt, count)
-    return count
-
-
 def load_trace(path: PathLike, fmt: Optional[str] = None,
                name: Optional[str] = None,
                pipeline: Optional[TracePipeline] = None,

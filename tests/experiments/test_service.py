@@ -191,18 +191,43 @@ class TestEveryKind:
                                                 monkeypatch):
         import repro.experiments.service as service
 
+        """Same bytes whichever way the trace is held: generated in
+        memory, or spilled once and mmap'd."""
         spec = make_spec(kind)
-        monkeypatch.delenv("REPRO_TRACE_FORMAT", raising=False)
+        monkeypatch.delenv("REPRO_SERVICE_TRACE_DIR", raising=False)
         monkeypatch.setattr(service, "_TRACES",
                             service._WorkerTraceCache())
         objects = execute_trial(spec)
-        monkeypatch.setenv("REPRO_TRACE_FORMAT", "columnar")
         monkeypatch.setenv("REPRO_SERVICE_TRACE_DIR", str(tmp_path))
         monkeypatch.setattr(service, "_TRACES",
                             service._WorkerTraceCache())
         assert canonical_json(execute_trial(spec)) == \
             canonical_json(objects)
         assert list(tmp_path.glob("*.rcol"))
+
+    @pytest.mark.parametrize("damage", ["truncated", "zeroed-header"])
+    def test_damaged_spill_file_is_republished(self, kind, damage,
+                                               tmp_path, monkeypatch):
+        """A spilled trace a crash left truncated (or with its header
+        never written) is regenerated, not trusted: the next process —
+        a fresh trace cache — stores the same payload bytes."""
+        import repro.experiments.service as service
+
+        spec = make_spec(kind)
+        monkeypatch.setenv("REPRO_SERVICE_TRACE_DIR", str(tmp_path))
+        monkeypatch.setattr(service, "_TRACES",
+                            service._WorkerTraceCache())
+        intact = canonical_json(execute_trial(spec))
+        (spilled,) = tmp_path.glob("*.rcol")
+        whole = spilled.read_bytes()
+        spilled.write_bytes(whole[:len(whole) // 2]
+                            if damage == "truncated"
+                            else bytes(4096) + whole[4096:])
+        monkeypatch.setattr(service, "_TRACES",
+                            service._WorkerTraceCache())
+        assert canonical_json(execute_trial(spec)) == intact
+        assert spilled.read_bytes() == whole
+        assert [p.name for p in tmp_path.iterdir()] == [spilled.name]
 
     def test_enqueue_work_report(self, kind, tmp_path):
         queue, store = open_service(tmp_path / "svc")

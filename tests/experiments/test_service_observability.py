@@ -140,6 +140,24 @@ class TestCliVerbs:
                      str(root / "telemetry")]) == 0
         return root
 
+    def test_work_spills_each_trace_once_under_the_root(
+            self, tmp_path, capsys, monkeypatch):
+        import os
+
+        monkeypatch.delenv("REPRO_SERVICE_TRACE_DIR", raising=False)
+        root = self._drained_root(tmp_path)
+        # Four trials, two seeds: one .rcol per (profile, scale, seed).
+        assert sorted(p.name.rsplit("-", 1)[1]
+                      for p in (root / "traces").iterdir()) == \
+            ["1042.rcol", "42.rcol"]
+        assert "REPRO_SERVICE_TRACE_DIR" not in os.environ
+        # How the trace is held is not an option any more.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--root", str(root), "work",
+                  "--trace-format", "columnar"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_work_writes_telemetry_spans(self, tmp_path, capsys):
         root = self._drained_root(tmp_path)
         capsys.readouterr()
@@ -198,6 +216,14 @@ class TestCliVerbs:
         assert main(["--root", str(root), "regress",
                      "--candidate", "cand",
                      "--fail-on-regression"]) == 1
+        capsys.readouterr()
+        # One handler with the module CLI: the verb filters by metric.
+        assert main(["--root", str(root), "regress", "--candidate",
+                     "cand", "--json", "--metric", "byte_hit_rate"]) == 0
+        filtered = json.loads(capsys.readouterr().out)
+        assert {v["metric"] for v in filtered["verdicts"]} == \
+            {"byte_hit_rate"}
+        assert len(filtered["verdicts"]) < len(data["verdicts"])
 
     def test_regress_verb_error_exit(self, tmp_path, capsys):
         root = tmp_path / "svc"

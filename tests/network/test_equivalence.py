@@ -9,7 +9,7 @@ Four families of guarantees, all byte-for-byte:
 * a ``single`` topology under LCE equals the single-cache
   :class:`~repro.simulation.simulator.CacheSimulator`;
 * the vectorized fast path equals the object walk on every eligible
-  topology shape;
+  topology shape, whether the trace is a request list or an ``.rcol``;
 * ``run_network`` is ``run_network_cells`` with a batch of one, and
   that one dispatch point validates before it picks a path.
 """
@@ -26,7 +26,7 @@ from repro.network.fastpath import fastpath_eligible, run_fastpath
 from repro.network.topology import path, single, tree, two_level
 from repro.simulation.simulator import simulate
 from repro.trace.columnar import ColumnarTrace, write_columnar
-from repro.types import Request
+from repro.types import Request, Trace
 from tests.network.gen_goldens import hierarchy_cell, mesh_cell
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -95,7 +95,7 @@ MAX_SIZE = 200_000
 
 
 @pytest.fixture(scope="module")
-def columnar_trace(tiny_dfn_trace, tmp_path_factory):
+def capped_trace(tiny_dfn_trace):
     # Pin every document to its first-seen (capped) size: the dfn
     # workload contains modification events, and a size change forces
     # the object walk's stale-drop — the fast path refuses such cells.
@@ -105,8 +105,13 @@ def columnar_trace(tiny_dfn_trace, tmp_path_factory):
         size = pinned.setdefault(r.url, min(r.size, MAX_SIZE))
         requests.append(Request(r.timestamp, r.url, size, size,
                                 r.doc_type, r.status))
+    return Trace(requests, name="capped-dfn")
+
+
+@pytest.fixture(scope="module")
+def columnar_trace(capped_trace, tmp_path_factory):
     target = tmp_path_factory.mktemp("rcol") / "capped.rcol"
-    write_columnar(target, requests, name="capped-dfn")
+    write_columnar(target, capped_trace.requests, name=capped_trace.name)
     return ColumnarTrace(target)
 
 
@@ -125,40 +130,49 @@ class TestFastpath:
     @pytest.mark.parametrize("topology", topologies(),
                              ids=lambda t: t.name)
     def test_bit_identical_to_object_walk(self, topology,
-                                          columnar_trace):
+                                          columnar_trace, capped_trace):
         config = NetworkConfig(topology=topology, strategy="lce")
-        assert fastpath_eligible(columnar_trace, config)
-        fast = run_fastpath(columnar_trace, config)
-        slow = NetworkSimulator(config).run(columnar_trace)
-        assert fast.trace_name == slow.trace_name
-        assert fast.total_requests == slow.total_requests
-        assert fast.warmup_requests == slow.warmup_requests
-        assert fast.network.as_dict() == slow.network.as_dict()
-        for name in topology.nodes:
-            assert fast.nodes[name].as_dict() == \
-                slow.nodes[name].as_dict(), name
+        slow = NetworkSimulator(config).run(capped_trace)
+        for source in (columnar_trace, capped_trace):
+            assert fastpath_eligible(source, config)
+            fast = run_fastpath(source, config)
+            assert fast.trace_name == slow.trace_name
+            assert fast.total_requests == slow.total_requests
+            assert fast.warmup_requests == slow.warmup_requests
+            assert fast.network.as_dict() == slow.network.as_dict()
+            for name in topology.nodes:
+                assert fast.nodes[name].as_dict() == \
+                    slow.nodes[name].as_dict(), name
 
     def test_run_network_dispatches_to_fastpath(self, columnar_trace,
+                                                capped_trace,
                                                 monkeypatch):
         import repro.network.fastpath as fastpath_module
 
-        called = {}
+        calls = []
         original = fastpath_module.run_fastpath
 
         def spy(trace, config, trace_name=None):
-            called["yes"] = True
+            calls.append(trace)
             return original(trace, config, trace_name)
 
         monkeypatch.setattr(fastpath_module, "run_fastpath", spy)
         config = NetworkConfig(topology=topologies()[0],
                                strategy="lce")
-        run_network(columnar_trace, config)
-        assert called
+        results = [run_network(source, config).as_dict()
+                   for source in (columnar_trace, capped_trace,
+                                  iter(capped_trace.requests))]
+        # The .rcol is read in place; a request list or iterator is
+        # gathered into columns once and takes the same cascade.
+        assert calls[0] is columnar_trace
+        assert len(calls) == 3
+        assert results[1] == results[0]
+        assert {**results[2], "trace_name": "capped-dfn"} == results[0]
 
     def test_ineligible_cells_detected(self, columnar_trace,
                                        tiny_dfn_trace):
         topology = topologies()[0]
-        # Object traces never qualify.
+        # Documents that change size (the raw dfn workload) disqualify.
         assert not fastpath_eligible(
             tiny_dfn_trace, NetworkConfig(topology=topology))
         # Non-LRU policies disqualify.

@@ -1,23 +1,36 @@
-"""Shared-pass engine equivalence: run_cells == classic simulator.
+"""Shared-pass engine equivalence: run_cells == the per-request reference.
 
 The contract of :func:`repro.simulation.engine.run_cells` is that a
-whole grid of (policy, capacity) cells run over one trace pass produces
-*bit-identical* :class:`SimulationResult`s to running
-:class:`CacheSimulator` once per cell.  These tests pin that contract
-across every registered policy, every size interpretation, warmup
-fractions, modification-heavy traces, the LRU fast-path ladder (and
-its eligibility edges), and both sweep entry points.
+whole grid of cells run over one trace pass produces *bit-identical*
+:class:`SimulationResult`s to running :class:`CacheSimulator` — the
+independent per-request loop — once per cell, **however the trace is
+held**: a request list, a request iterator, or an mmap'd ``.rcol``
+file all reach the pass as the same integer columns.  This module is
+that one equivalence matrix, parametrized by trace *source*: every
+registered policy × every size interpretation × warm-up fractions ×
+{plain, cost, latency, occupancy, TTL} cells, plus the LRU ladder's
+eligibility edges, the sweep entry points, and pins of the reference
+itself.  ``SOURCES`` names the sources a class runs; this module runs
+the in-memory ones and ``test_engine_columnar.py`` re-runs the same
+classes from ``.rcol`` files beside its column-kernel tests.
 """
 
+import functools
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.core.cache import Cache
+from repro.core.cost import PacketCost
 from repro.core.registry import POLICY_NAMES, make_policy
 from repro.errors import SimulationError
 from repro.observability.events import read_events, set_event_sink
 from repro.simulation.engine import run_cells
+from repro.simulation.freshness import TTLModel
+from repro.simulation.latency import LatencyModel
 from repro.simulation.parallel import cell_key, run_sweep_parallel
 from repro.simulation.simulator import (
     CacheSimulator,
@@ -25,9 +38,12 @@ from repro.simulation.simulator import (
     SizeInterpretation,
 )
 from repro.simulation.sweep import run_sweep
+from repro.trace.columnar import open_columnar, write_columnar
 from repro.types import DocumentType, Request, Trace
 
 DOC_TYPES = list(DocumentType)
+
+GOLDENS = Path(__file__).parent / "data" / "simulator_goldens.json"
 
 
 @pytest.fixture(autouse=True)
@@ -58,14 +74,72 @@ def mixed_trace(n=600, seed=7, modify_every=0):
     return Trace(requests, name="engine-test")
 
 
+@pytest.fixture
+def feed(tmp_path):
+    """``feed(source, trace)``: the same requests, held the way
+    ``source`` names, ready to hand to ``run_cells``."""
+    opened = []
+
+    def factory(source, trace):
+        if source == "requests":
+            return trace
+        if source == "generator":
+            return (request for request in trace.requests)
+        assert source == "rcol"
+        path = tmp_path / f"{len(opened)}.rcol"
+        write_columnar(path, trace.requests, name=trace.name)
+        opened.append(open_columnar(path))
+        return opened[-1]
+
+    yield factory
+    for columnar in opened:
+        columnar.close()
+
+
+class EventRecorder:
+    """An in-memory event sink."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event, **fields):
+        self.events.append({"event": event, **fields})
+
+    def named(self, event):
+        return [e for e in self.events if e["event"] == event]
+
+
 def classic(trace, config):
     return CacheSimulator(config).run(trace, trace_name=trace.name)
 
 
+def observed(result):
+    """Everything a result reports: ``as_dict()`` plus the latency
+    statistics it leaves out."""
+    data = result.as_dict()
+    if result.latency is not None:
+        data["latency"] = {
+            "mean": result.latency.mean_latency(),
+            "total": result.latency.total_latency(),
+            "by_type": {t.value: result.latency.mean_latency(t)
+                        for t in DOC_TYPES}}
+    return data
+
+
 def assert_identical(batched, reference):
-    assert batched.as_dict() == reference.as_dict()
+    assert observed(batched) == observed(reference)
     assert batched.evictions == reference.evictions
     assert batched.invalidations == reference.invalidations
+    assert batched.bypasses == reference.bypasses
+
+
+def assert_cells_match_classic(source_trace, trace, configs):
+    """One shared pass over ``source_trace`` against one per-request
+    reference run per config over the in-memory ``trace``."""
+    results = run_cells(source_trace, configs, trace_name=trace.name)
+    for config, result in zip(configs, results):
+        assert_identical(result, classic(trace, config))
+    return results
 
 
 def classic_grid(trace, policies, capacities):
@@ -81,42 +155,84 @@ def sweep_grid(sweep):
             for capacity, cell in per_capacity.items()}
 
 
+#: The accounting a cell may carry; anything but "plain" keeps it off
+#: the deferred hot loop and every fast path.
+CELL_KINDS = {
+    "plain": {},
+    "cost": {"report_cost_model": PacketCost()},
+    "latency": {"latency_model": LatencyModel()},
+    "occupancy": {"occupancy_interval": 50},
+    "ttl": {"ttl_model": TTLModel(default_ttl=120.0)},
+}
+
+
+def matrix_configs(policy):
+    """interpretation × warm-up × cell kind at one capacity, then the
+    plain capacity ladder of the original registry test."""
+    configs = [SimulationConfig(capacity_bytes=12_000, policy=policy,
+                                warmup_fraction=warmup,
+                                size_interpretation=interp, **extras)
+               for interp in SizeInterpretation
+               for warmup in (0.0, 0.1, 0.5)
+               for extras in CELL_KINDS.values()]
+    configs += [SimulationConfig(capacity_bytes=c, policy=policy)
+                for c in (3_000, 60_000)]
+    return configs
+
+
+@functools.lru_cache(maxsize=None)
+def matrix_reference(policy, modify_every):
+    """The reference side of the matrix, computed once per policy and
+    shared by every source (and by ``test_engine_columnar``)."""
+    trace = mixed_trace(modify_every=modify_every)
+    return [observed(classic(trace, config))
+            for config in matrix_configs(policy)]
+
+
 class TestFullRegistryEquivalence:
+    SOURCES = ("requests", "generator")
+
     @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_every_registered_policy(self, policy):
-        trace = mixed_trace()
-        configs = [SimulationConfig(capacity_bytes=c, policy=policy)
-                   for c in (3_000, 12_000, 60_000)]
-        results = run_cells(trace, configs, trace_name=trace.name)
-        for config, result in zip(configs, results):
-            assert_identical(result, classic(trace, config))
+    def test_every_registered_policy(self, policy, feed):
+        # Stable sizes (ladder-, cascade-eligible) and modified sizes
+        # (where the three interpretations actually differ).
+        for modify_every in (0, 7):
+            trace = mixed_trace(modify_every=modify_every)
+            expected = matrix_reference(policy, modify_every)
+            for source in self.SOURCES:
+                results = run_cells(feed(source, trace),
+                                    matrix_configs(policy),
+                                    trace_name=trace.name)
+                assert [observed(r) for r in results] == expected, source
 
 
 class TestInterpretationAndWarmupEquivalence:
+    SOURCES = ("requests", "generator")
+
     @pytest.mark.parametrize("interp", list(SizeInterpretation))
     @pytest.mark.parametrize("warmup", [0.0, 0.1, 0.5])
-    def test_modification_heavy(self, interp, warmup):
+    def test_modification_heavy(self, interp, warmup, feed):
         trace = mixed_trace(modify_every=7)
         configs = [
             SimulationConfig(capacity_bytes=c, policy=p,
                              warmup_fraction=warmup,
                              size_interpretation=interp)
-            for p in ("lru", "gd*(p)") for c in (4_000, 25_000)]
-        results = run_cells(trace, configs, trace_name=trace.name)
-        for config, result in zip(configs, results):
-            assert_identical(result, classic(trace, config))
+            for p in ("lru", "fifo", "gd*(p)") for c in (4_000, 25_000)]
+        for source in self.SOURCES:
+            assert_cells_match_classic(feed(source, trace), trace,
+                                       configs)
 
-    def test_mixed_interpretations_in_one_pass(self):
+    def test_mixed_interpretations_in_one_pass(self, feed):
         """Cells with different resolvers share a pass correctly."""
         trace = mixed_trace(modify_every=11)
         configs = [SimulationConfig(capacity_bytes=9_000, policy="lru",
                                     size_interpretation=interp)
                    for interp in SizeInterpretation]
-        results = run_cells(trace, configs, trace_name=trace.name)
-        for config, result in zip(configs, results):
-            assert_identical(result, classic(trace, config))
+        for source in self.SOURCES:
+            assert_cells_match_classic(feed(source, trace), trace,
+                                       configs)
 
-    def test_accounting_cells_share_pass_with_deferred(self):
+    def test_accounting_cells_share_pass_with_deferred(self, feed):
         """Occupancy-sampling cells (general mode) coexist with
         deferred cells in the same pass."""
         trace = mixed_trace()
@@ -126,35 +242,44 @@ class TestInterpretationAndWarmupEquivalence:
                              occupancy_interval=50),
             SimulationConfig(capacity_bytes=9_000, policy="lfu-da"),
         ]
-        results = run_cells(trace, configs, trace_name=trace.name)
-        for config, result in zip(configs, results):
-            assert_identical(result, classic(trace, config))
-        assert results[1].occupancy is not None
+        for source in self.SOURCES:
+            results = assert_cells_match_classic(feed(source, trace),
+                                                 trace, configs)
+            assert results[1].occupancy is not None
+
+
+def lru_configs(capacities, warmup=0.10):
+    return [SimulationConfig(capacity_bytes=c, policy="lru",
+                             warmup_fraction=warmup)
+            for c in capacities]
+
+
+def assert_ladder(feed, sources, trace, configs, ladder_cells):
+    """Exact against the reference from every source, and the ladder
+    took exactly the cells it is proven for."""
+    for source in sources:
+        recorder = EventRecorder()
+        previous = set_event_sink(recorder)
+        try:
+            assert_cells_match_classic(feed(source, trace), trace,
+                                       configs)
+        finally:
+            set_event_sink(previous)
+        (finished,) = recorder.named("pass_finished")
+        assert finished["lru_ladder_cells"] == ladder_cells, source
 
 
 class TestLRUFastPath:
-    def lru_configs(self, capacities):
-        return [SimulationConfig(capacity_bytes=c, policy="lru")
-                for c in capacities]
+    SOURCES = ("requests", "generator")
 
-    def test_ladder_matches_classic(self):
-        trace = mixed_trace()
-        configs = self.lru_configs((2_000, 9_000, 40_000, 200_000))
-        fast = run_cells(trace, configs, trace_name=trace.name)
-        slow = run_cells(trace, self.lru_configs(
-            (2_000, 9_000, 40_000, 200_000)),
-            trace_name=trace.name, lru_fast_path=False)
-        # A lazy stream cannot be scanned for the ladder's trace-side
-        # conditions up front, so the same cells are simulated.
-        streamed = run_cells(iter(trace.requests), self.lru_configs(
-            (2_000, 9_000, 40_000, 200_000)),
-            trace_name=trace.name, total_requests=len(trace))
-        for config, f, s, lazy in zip(configs, fast, slow, streamed):
-            assert_identical(f, s)
-            assert_identical(f, classic(trace, config))
-            assert_identical(lazy, classic(trace, config))
+    def check(self, feed, trace, configs, ladder_cells):
+        assert_ladder(feed, self.SOURCES, trace, configs, ladder_cells)
 
-    def test_zero_size_documents(self):
+    def test_ladder_matches_classic(self, feed):
+        self.check(feed, mixed_trace(), lru_configs(
+            (9_000, 40_000, 200_000)), ladder_cells=3)
+
+    def test_zero_size_documents(self, feed):
         """0-byte documents occupy no space but still hit/miss."""
         requests = []
         for i in range(200):
@@ -162,36 +287,26 @@ class TestLRUFastPath:
             size = 0 if i % 9 < 3 else 800
             requests.append(Request(float(i), url, size, size,
                                     DocumentType.HTML))
-        trace = Trace(requests, name="zero-size")
-        configs = self.lru_configs((800, 2_400, 10_000))
-        results = run_cells(trace, configs, trace_name=trace.name)
-        for config, result in zip(configs, results):
-            assert_identical(result, classic(trace, config))
+        self.check(feed, Trace(requests, name="zero-size"),
+                   lru_configs((800, 2_400, 10_000)),
+                   ladder_cells=3)
 
-    def test_capacity_below_max_doc_size_still_exact(self):
+    def test_capacity_below_max_doc_size_still_exact(self, feed):
         """Bypassed documents disqualify the ladder; the engine must
         fall back to per-cell simulation and stay exact."""
-        trace = mixed_trace()   # max size > 5_000 for high url ids
-        configs = self.lru_configs((1_000, 2_000))
-        results = run_cells(trace, configs, trace_name=trace.name)
-        for config, result in zip(configs, results):
-            assert_identical(result, classic(trace, config))
+        # max size > 5_000 for high url ids
+        self.check(feed, mixed_trace(), lru_configs(
+            (1_000, 2_000, 9_000)), ladder_cells=1)
 
-    def test_modified_sizes_disqualify_ladder(self):
-        trace = mixed_trace(modify_every=13)
-        configs = self.lru_configs((4_000, 50_000))
-        results = run_cells(trace, configs, trace_name=trace.name)
-        for config, result in zip(configs, results):
-            assert_identical(result, classic(trace, config))
+    def test_modified_sizes_disqualify_ladder(self, feed):
+        self.check(feed, mixed_trace(modify_every=13),
+                   lru_configs((4_000, 50_000)), ladder_cells=0)
 
-    def test_warmup_with_ladder(self):
-        trace = mixed_trace()
-        configs = [SimulationConfig(capacity_bytes=c, policy="lru",
-                                    warmup_fraction=w)
-                   for c in (9_000, 60_000) for w in (0.1, 0.4)]
-        results = run_cells(trace, configs, trace_name=trace.name)
-        for config, result in zip(configs, results):
-            assert_identical(result, classic(trace, config))
+    def test_warmup_with_ladder(self, feed):
+        configs = [config for warmup in (0.1, 0.4)
+                   for config in lru_configs((9_000, 60_000),
+                                                  warmup)]
+        self.check(feed, mixed_trace(), configs, ladder_cells=4)
 
 
 class TestSweepEntryPoints:
@@ -237,41 +352,54 @@ class TestSweepEntryPoints:
             assert parallel.series(policy) == serial.series(policy)
 
 
-class TestStreamingPass:
-    """Bounded-memory passes: lazy request streams and trace files."""
+class TestRemovedKnobs:
+    """Gone, not shimmed: each keyword fails as any unknown one does."""
 
-    def test_iterator_with_total_matches_materialized(self):
+    def test_total_requests_is_refused(self):
+        trace = mixed_trace(100)
+        with pytest.raises(TypeError):
+            run_cells(iter(trace.requests),
+                      [SimulationConfig(capacity_bytes=5_000)],
+                      total_requests=len(trace))
+
+    def test_lru_fast_path_is_refused(self):
+        with pytest.raises(TypeError):
+            run_cells(mixed_trace(100),
+                      [SimulationConfig(capacity_bytes=5_000)],
+                      lru_fast_path=False)
+
+
+class TestStreamingPass:
+    """Request iterators and trace files."""
+
+    def test_iterator_matches_materialized(self):
+        """An iterator is gathered into the same columns, so it takes
+        the same fast paths — no declared length needed."""
         trace = mixed_trace(modify_every=19)
         def configs():
             return [SimulationConfig(capacity_bytes=c, policy=p)
                     for p in ("lru", "gds(1)") for c in (4_000, 20_000)]
         materialized = run_cells(trace, configs(), trace_name="t")
         streamed = run_cells(iter(trace.requests), configs(),
-                             trace_name="t",
-                             total_requests=len(trace))
+                             trace_name="t")
         for m, s in zip(materialized, streamed):
             assert_identical(s, m)
 
-    def test_wrong_declared_total_raises(self):
-        trace = mixed_trace(100)
-        with pytest.raises(SimulationError):
-            run_cells(iter(trace.requests),
-                      [SimulationConfig(capacity_bytes=5_000)],
-                      total_requests=len(trace) + 7)
-
     def test_file_backed_sweep_both_engines(self, tmp_path):
-        """A streamed file sweep equals both the in-memory sweep and
-        the reference simulator streaming the same file per cell."""
-        from repro.trace.pipeline import count_requests, iter_trace
+        """A text-file sweep (decoded once into a temporary ``.rcol``)
+        equals both the in-memory sweep and the reference simulator
+        streaming the same file per cell."""
+        from repro.trace.pipeline import iter_trace
         from repro.trace.writer import write_trace
         trace = mixed_trace(modify_every=13)
         path = tmp_path / "trace.csv"
         write_trace(path, trace.requests)
-        assert count_requests(path) == len(trace)
         policies = ["lru", "gd*(1)"]
         capacities = [4_000, 20_000]
         memory = run_sweep(trace, policies, capacities)
         swept = run_sweep(path, policies, capacities)
+        # The conversion leaves nothing beside the trace.
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
         # Reference side: one CacheSimulator stream per cell over the
         # same file (csv rounds timestamps, so compare like sources).
         warmup = int(len(trace) * 0.10)
@@ -285,6 +413,36 @@ class TestStreamingPass:
             assert swept.series(policy) == memory.series(policy)
             assert swept.series(policy, byte_rate=True) == \
                 memory.series(policy, byte_rate=True)
+
+
+def simulator_goldens():
+    """What ``data/simulator_goldens.json`` pins: ``CacheSimulator.run``
+    for the paper's four policies, every size interpretation and cell
+    kind — headline counters in clear, the full ``as_dict()`` by
+    digest.  Regenerate with ``python tests/simulation/test_engine.py``
+    (the file in the repo was computed before ``run`` lost its
+    deferred-tally path)."""
+    trace = mixed_trace(modify_every=7)
+    cells = {}
+    for policy in ("lru", "lfu-da", "gds(1)", "gd*(1)"):
+        for interp in SizeInterpretation:
+            for kind, extras in CELL_KINDS.items():
+                result = classic(trace, SimulationConfig(
+                    capacity_bytes=12_000, policy=policy,
+                    size_interpretation=interp, **extras))
+                text = json.dumps(observed(result), sort_keys=True)
+                cells[f"{policy}/{interp.value}/{kind}"] = {
+                    "hits": result.metrics.overall.hits,
+                    "hit_bytes": result.metrics.overall.hit_bytes,
+                    "evictions": result.evictions,
+                    "sha256": hashlib.sha256(
+                        text.encode("utf-8")).hexdigest()}
+    return cells
+
+
+class TestReferenceGoldens:
+    def test_cache_simulator_run_is_unchanged(self):
+        assert simulator_goldens() == json.loads(GOLDENS.read_text())
 
 
 class TestTelemetry:
@@ -308,7 +466,7 @@ class TestTelemetry:
         assert finished["cells"] == len(configs)
         assert finished["duration_seconds"] >= 0
         # Two of the four cells are plain-LRU ladder cells.
-        assert finished["lru_fast_path_cells"] == 2
+        assert finished["lru_ladder_cells"] == 2
 
     def test_batched_parallel_preserves_cell_lifecycle(self, tmp_path):
         """Per-cell scheduled/finished events survive batching, so
@@ -362,3 +520,9 @@ class TestAttachContract:
         policy = make_policy("lru")
         cache = Cache(capacity_bytes=1_000, policy=policy)
         policy.attach(cache)   # no-op, not an error
+
+
+if __name__ == "__main__":
+    GOLDENS.parent.mkdir(exist_ok=True)
+    GOLDENS.write_text(json.dumps(simulator_goldens(), indent=1,
+                                  sort_keys=True) + "\n")

@@ -19,6 +19,7 @@ from repro.trace.columnar import (
     RECORD_DTYPE,
     ColumnarFormatError,
     ColumnarWriter,
+    columns_of,
     convert_to_columnar,
     inspect_columnar,
     is_columnar_file,
@@ -27,7 +28,6 @@ from repro.trace.columnar import (
     write_columnar,
 )
 from repro.trace.csvtrace import dumps
-from repro.trace.pipeline import count_requests
 from repro.types import DOCUMENT_TYPES, DocumentType, Request, Trace
 
 from tests.conftest import make_request
@@ -130,30 +130,34 @@ def test_empty_trace_round_trips(tmp_path):
         assert len(trace) == 0
         assert list(trace) == []
         assert trace.metadata().total_requests == 0
-    assert count_requests(path) == 0
 
 
-def test_count_requests_is_a_header_read(tmp_path):
+def test_columns_of_gathers_what_the_file_holds(tmp_path):
+    """In-memory columns are the file's columns: same interning, same
+    values — whether gathered from a Trace, a list or an iterator."""
     requests = sample_requests()
     path = write_sample(tmp_path, requests)
-    assert count_requests(path) == len(requests)
-    # No .rcount sidecar for columnar files — the header answers.
-    assert not (tmp_path / f"t{COLUMNAR_SUFFIX}.rcount").exists()
+    with open_columnar(path) as on_disk:
+        assert columns_of(on_disk) is on_disk
+        for source in (Trace(requests, name="t"), requests,
+                       iter(requests)):
+            gathered = columns_of(source)
+            assert columns_of(gathered) is gathered
+            assert len(gathered) == len(on_disk)
+            assert gathered.urls() == on_disk.urls()
+            for column in ("doc_ids", "sizes", "transfers",
+                           "type_codes", "timestamps"):
+                assert getattr(gathered, column).tolist() == \
+                    getattr(on_disk, column).tolist(), column
+    assert columns_of(Trace(requests, name="named")).name == "named"
+    assert len(columns_of([])) == 0
 
 
-def test_count_sidecar_for_text_formats(tmp_path):
-    requests = sample_requests()
-    path = tmp_path / "t.csv"
-    path.write_text(dumps(requests))
-    assert count_requests(path) == len(requests)
-    sidecar = tmp_path / "t.csv.rcount"
-    assert sidecar.exists()
-    cached = json.loads(sidecar.read_text())
-    assert cached["count"] == len(requests)
-    # A stale sidecar (file changed) is ignored and rewritten.
-    sidecar.write_text(json.dumps({"count": 999, "fmt": "csv",
-                                   "size": -1, "mtime_ns": -1}))
-    assert count_requests(path) == len(requests)
+def test_columns_of_refuses_sizes_beyond_63_bits():
+    huge = Request(timestamp=0.0, url="http://a/big", size=2 ** 63,
+                   transfer_size=1, doc_type=DocumentType.OTHER)
+    with pytest.raises(ColumnarFormatError):
+        columns_of([huge])
 
 
 def test_writer_name_lands_in_header(tmp_path):

@@ -143,12 +143,3 @@ def test_any_corrupted_byte_is_detected(requests, offset, flip,
 def _header_length(data: bytes) -> int:
     import struct
     return struct.unpack_from("<8sIII", data)[2]
-
-
-@settings(max_examples=40, deadline=None)
-@given(requests=streams)
-def test_count_requests_matches_len(requests, tmp_path_factory):
-    from repro.trace.pipeline import count_requests
-    path = tmp_path_factory.mktemp("col") / "t.rcol"
-    write_columnar(path, requests)
-    assert count_requests(path) == len(requests)
