@@ -82,6 +82,9 @@ class BeladyPolicy(ReplacementPolicy):
         self._heap.update_key(entry,
                               self._key(entry, self._current_next_use()))
 
+    def peek_victim(self) -> CacheEntry:
+        return self._heap.peek()[0]
+
     def pop_victim(self) -> CacheEntry:
         entry, _ = self._heap.pop()
         return entry

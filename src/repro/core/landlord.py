@@ -57,6 +57,9 @@ class LandlordPolicy(ReplacementPolicy):
         refreshed = current + (target - current) * self.refresh
         self._heap.update_key(entry, refreshed)
 
+    def peek_victim(self) -> CacheEntry:
+        return self._heap.peek()[0]
+
     def pop_victim(self) -> CacheEntry:
         entry, expiry = self._heap.pop()
         # Charge rent globally up to the victim's expiry level; credit

@@ -56,6 +56,9 @@ class LRUKPolicy(ReplacementPolicy):
         history.append(self._tick())
         self._heap.update_key(entry, self._key(history))
 
+    def peek_victim(self) -> CacheEntry:
+        return self._heap.peek()[0]
+
     def pop_victim(self) -> CacheEntry:
         entry, _ = self._heap.pop()
         entry.policy_data = None

@@ -30,6 +30,9 @@ class SizePolicy(ReplacementPolicy):
         # Size does not change on a hit; nothing to reorder.
         pass
 
+    def peek_victim(self) -> CacheEntry:
+        return self._heap.peek()[0]
+
     def pop_victim(self) -> CacheEntry:
         entry, _ = self._heap.pop()
         return entry

@@ -1,9 +1,23 @@
-"""Addressable binary min-heap.
+"""Addressable min-heap: C ``heapq`` plus lazy deletion.
 
-A binary heap over ``(key, item)`` pairs with a position map so that a
-specific item's key can be updated (raised or lowered) in O(log n) and an
-arbitrary item removed in O(log n).  Ties are broken by insertion order,
-which makes every policy built on it deterministic.
+A priority queue over ``(key, item)`` pairs in which a specific item's
+key can be updated (raised or lowered) or the item removed in amortised
+O(log n).  Entries are immutable ``(key, seq, item)`` tuples on a
+:mod:`heapq` list, and one dict maps each item to its *live* tuple.
+Re-keying never sifts: it pushes a fresh tuple and repoints the dict;
+removing just drops the dict entry.  A tuple in the list is live iff it
+*is* the tuple the dict holds for its item; every other tuple is stale
+and is discarded when it surfaces at the top, or by a rebuild as soon as
+a re-key or removal leaves the list longer than twice the live count
+plus :data:`_SLACK` — so memory stays O(n) and a re-key amortised
+O(log n) however long a run goes without popping (a pop only ever
+shortens the list).
+
+Ties are broken by ``seq``, a single insertion counter that every push
+and every re-key draws from.  ``(key, seq)`` is therefore a strict total
+order, the minimum is unique, and the pop sequence does not depend on
+how the list happens to be laid out — which makes every policy built on
+this structure deterministic.
 
 This single structure backs all value-based replacement policies: the
 Greedy-Dual family pops the minimum-H document, LFU-DA pops the minimum
@@ -13,186 +27,121 @@ Greedy-Dual family pops the minimum-H document, LFU-DA pops the minimum
 from __future__ import annotations
 
 import itertools
+from heapq import heapify, heappop, heappush
 from typing import Dict, Generic, Hashable, Iterator, Tuple, TypeVar
 
 K = TypeVar("K")  # keys must be mutually comparable
+
+#: A re-key or removal may leave the list this many tuples longer than
+#: twice the live count before it is rebuilt; keeps tiny heaps from
+#: rebuilding constantly.
+_SLACK = 64
 
 
 class AddressableHeap(Generic[K]):
     """Min-heap keyed by ``(key, sequence)`` with item addressing."""
 
-    __slots__ = ("_entries", "_positions", "_counter")
+    __slots__ = ("_heap", "_live", "_counter")
 
     def __init__(self):
-        # Each entry is [key, seq, item]; seq breaks ties FIFO.
-        self._entries: list = []
-        self._positions: Dict[Hashable, int] = {}
+        # (key, seq, item) tuples in heapq order; seq breaks ties FIFO
+        # and is unique, so comparisons never reach the item.
+        self._heap: list = []
+        self._live: Dict[Hashable, tuple] = {}
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._live)
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self._live)
 
     def __contains__(self, item: Hashable) -> bool:
-        return item in self._positions
+        return item in self._live
 
     def __iter__(self) -> Iterator[Hashable]:
-        """Iterate items in arbitrary (heap) order."""
-        return (entry[2] for entry in self._entries)
+        """Iterate items in arbitrary order."""
+        return iter(self._live)
 
     def push(self, item: Hashable, key: K) -> None:
         """Insert an item.  Raises KeyError if the item is already present."""
-        if item in self._positions:
+        live = self._live
+        if item in live:
             raise KeyError(f"item already in heap: {item!r}")
-        entry = [key, next(self._counter), item]
-        self._entries.append(entry)
-        self._positions[item] = len(self._entries) - 1
-        self._sift_up(len(self._entries) - 1)
+        entry = (key, next(self._counter), item)
+        heappush(self._heap, entry)
+        live[item] = entry
 
     def key_of(self, item: Hashable) -> K:
         """Current key of an item.  Raises KeyError if absent."""
-        return self._entries[self._positions[item]][0]
+        return self._live[item][0]
 
     def peek(self) -> Tuple[Hashable, K]:
         """The (item, key) pair with the minimum key, without removing it."""
-        if not self._entries:
-            raise IndexError("peek at empty heap")
-        entry = self._entries[0]
-        return entry[2], entry[0]
+        heap, live = self._heap, self._live
+        while heap:
+            entry = heap[0]
+            item = entry[2]
+            if live.get(item) is entry:
+                return item, entry[0]
+            heappop(heap)
+        raise IndexError("peek at empty heap")
 
     def pop(self) -> Tuple[Hashable, K]:
         """Remove and return the (item, key) pair with the minimum key."""
-        if not self._entries:
-            raise IndexError("pop from empty heap")
-        entry = self._entries[0]
-        self._remove_at(0)
-        return entry[2], entry[0]
+        heap, live = self._heap, self._live
+        while heap:
+            entry = heappop(heap)
+            item = entry[2]
+            if live.get(item) is entry:
+                del live[item]
+                return item, entry[0]
+        raise IndexError("pop from empty heap")
 
     def remove(self, item: Hashable) -> K:
         """Remove an arbitrary item; returns its key."""
-        pos = self._positions[item]
-        key = self._entries[pos][0]
-        self._remove_at(pos)
+        live = self._live
+        key = live.pop(item)[0]
+        if len(self._heap) > 2 * len(live) + _SLACK:
+            self._compact()
         return key
 
     def update_key(self, item: Hashable, key: K) -> None:
-        """Set an item's key, restoring heap order in O(log n).
+        """Set an item's key in amortised O(log n).
 
         The new key is also assigned a fresh tie-break sequence number, so
         re-keyed items sort after existing equal keys (matching the
         "refreshed documents are newer" semantics the Greedy-Dual policies
         expect).
         """
-        pos = self._positions[item]
-        entry = self._entries[pos]
-        old_key = entry[0]
-        entry[0] = key
-        entry[1] = next(self._counter)
-        if key < old_key:
-            self._sift_up(pos)
-        else:
-            self._sift_down(pos)
+        live = self._live
+        if item not in live:
+            raise KeyError(item)
+        entry = (key, next(self._counter), item)
+        heap = self._heap
+        heappush(heap, entry)
+        live[item] = entry
+        if len(heap) > 2 * len(live) + _SLACK:
+            self._compact()
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._positions.clear()
+        self._heap.clear()
+        self._live.clear()
 
-    # ----- internal sift machinery -------------------------------------
-
-    def _less(self, a: int, b: int) -> bool:
-        ea, eb = self._entries[a], self._entries[b]
-        # Hot path: avoid building tie-break tuples unless keys tie.
-        key_a, key_b = ea[0], eb[0]
-        if key_a != key_b:
-            return key_a < key_b
-        return ea[1] < eb[1]
-
-    def _swap(self, a: int, b: int) -> None:
-        entries = self._entries
-        entries[a], entries[b] = entries[b], entries[a]
-        self._positions[entries[a][2]] = a
-        self._positions[entries[b][2]] = b
-
-    # The sift loops are the hottest code in every value-based policy
-    # (millions of calls per simulated trace), so they trade the tidy
-    # _less/_swap helpers for inlined comparisons and the classic
-    # "hole" technique: the moving entry is written once at its final
-    # position instead of being swapped down level by level.  The
-    # comparison predicate is exactly _less, so heap layouts (and with
-    # them every policy's eviction order) are unchanged.
-
-    def _sift_up(self, pos: int) -> None:
-        entries = self._entries
-        positions = self._positions
-        entry = entries[pos]
-        key, seq = entry[0], entry[1]
-        while pos > 0:
-            parent_pos = (pos - 1) >> 1
-            parent = entries[parent_pos]
-            parent_key = parent[0]
-            if key < parent_key or (key == parent_key
-                                    and seq < parent[1]):
-                entries[pos] = parent
-                positions[parent[2]] = pos
-                pos = parent_pos
-            else:
-                break
-        entries[pos] = entry
-        positions[entry[2]] = pos
-
-    def _sift_down(self, pos: int) -> None:
-        entries = self._entries
-        positions = self._positions
-        size = len(entries)
-        entry = entries[pos]
-        key, seq = entry[0], entry[1]
-        while True:
-            child_pos = 2 * pos + 1
-            if child_pos >= size:
-                break
-            child = entries[child_pos]
-            right_pos = child_pos + 1
-            if right_pos < size:
-                right = entries[right_pos]
-                child_key, right_key = child[0], right[0]
-                if right_key < child_key or (right_key == child_key
-                                             and right[1] < child[1]):
-                    child_pos, child = right_pos, right
-            child_key = child[0]
-            if child_key < key or (child_key == key
-                                   and child[1] < seq):
-                entries[pos] = child
-                positions[child[2]] = pos
-                pos = child_pos
-            else:
-                break
-        entries[pos] = entry
-        positions[entry[2]] = pos
-
-    def _remove_at(self, pos: int) -> None:
-        entries = self._entries
-        last = len(entries) - 1
-        item = entries[pos][2]
-        if pos != last:
-            self._swap(pos, last)
-            entries.pop()
-            del self._positions[item]
-            # The moved entry may need to go either way.
-            self._sift_down(pos)
-            self._sift_up(pos)
-        else:
-            entries.pop()
-            del self._positions[item]
+    def _compact(self) -> None:
+        """Rebuild the list from the live tuples alone."""
+        self._heap[:] = self._live.values()
+        heapify(self._heap)
 
     # ----- debugging aids ----------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert heap order and position-map consistency (tests only)."""
-        for pos, entry in enumerate(self._entries):
-            assert self._positions[entry[2]] == pos, "position map stale"
-            if pos > 0:
-                parent = (pos - 1) >> 1
-                assert not self._less(pos, parent), "heap order violated"
-        assert len(self._positions) == len(self._entries)
+        """Assert heap order and that each live tuple is listed (tests only)."""
+        heap, live = self._heap, self._live
+        for pos in range(1, len(heap)):
+            assert not heap[pos] < heap[(pos - 1) >> 1], "heap order violated"
+        present = {id(entry) for entry in heap}
+        assert len(present) == len(heap), "tuple listed twice"
+        for item, entry in live.items():
+            assert entry[2] == item, "live tuple filed under another item"
+            assert id(entry) in present, "live tuple missing from the list"

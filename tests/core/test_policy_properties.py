@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.core.belady import BeladyPolicy, compute_next_uses
 from repro.core.cache import Cache
 from repro.core.registry import POLICY_NAMES, make_policy
+from repro.structures.addressable_heap import AddressableHeap
 from repro.types import DocumentType, Request
 
 DOC_TYPES = list(DocumentType)
@@ -113,3 +114,45 @@ def test_deterministic_replay(policy_name):
         return sorted(e.url for e in cache.entries()), cache.hits
 
     assert run() == run()
+
+
+HEAP_BACKED = [name for name in POLICY_NAMES if isinstance(
+    getattr(make_policy(name), "_heap", None), AddressableHeap)]
+
+
+@pytest.mark.parametrize("policy_name", HEAP_BACKED + ["belady"])
+def test_heap_backed_peek_is_total_and_pure(policy_name):
+    """Every policy on the shared heap previews its victim: the entry
+    ``pop_victim`` returns next, with no entry and no aging level moved."""
+    import random
+    rng = random.Random(5)
+    sizes = {}
+    requests = []
+    for _ in range(400):
+        url = f"u{rng.randint(0, 40)}"
+        size = sizes.setdefault(url, rng.randint(5, 80))
+        requests.append(Request(0.0, url, size, size, DocumentType.HTML))
+    if policy_name == "belady":
+        policy = BeladyPolicy(compute_next_uses(requests))
+    else:
+        policy = make_policy(policy_name)
+    assert isinstance(policy._heap, AddressableHeap)
+    cache = Cache(600, policy)
+    for request in requests:
+        cache.reference(request.url, request.size, request.doc_type)
+    assert cache.evictions > 50 and cache.hits > 50
+    while cache.used_bytes > cache.capacity_bytes // 2:
+        cache.invalidate(cache.next_victim().url)
+
+    def state():
+        return (len(policy), sorted(e.url for e in cache.entries()),
+                [getattr(policy, level, None)
+                 for level in ("inflation", "rent_level", "cache_age")])
+
+    before = state()
+    victim = policy.peek_victim()
+    assert cache.next_victim() is victim
+    assert cache.get(victim.url) is victim
+    assert state() == before
+    assert policy.pop_victim() is victim
+    assert len(policy) == before[0] - 1

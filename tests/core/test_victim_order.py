@@ -1,0 +1,111 @@
+"""Victim-order goldens for the heap-backed policies.
+
+Hit counts do not notice two equal-H victims swapping places; the exact
+sequence of departures does.  For each policy one fixed trace is driven
+through a :class:`~repro.core.cache.Cache` and every ``on_evict`` call
+is recorded as ``(url, cache.clock)``; ``data/victim_order_goldens.json``
+pins the sha256 of that sequence, its head in clear (so a wrong order
+fails with a readable diff) and the policy's final aging level.
+
+Regenerate with ``python tests/core/test_victim_order.py`` (the file in
+the repo was computed from the sift-based heap, before
+``AddressableHeap`` moved onto ``heapq``).
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.core.cache import Cache
+from repro.core.registry import make_policy
+from repro.workload.generator import generate_trace
+from repro.workload.profiles import dfn_like
+
+GOLDENS = Path(__file__).parent / "data" / "victim_order_goldens.json"
+
+#: Golden key -> make_policy arguments.  The trace is too short for the
+#: online β estimator to leave 1 (gd*(1) evicts exactly as gdsf(1)
+#: here), so a pinned β = 0.5 cell covers the exponentiated key.
+POLICIES = {name: {} for name in (
+    "gds(1)", "gds(p)", "gd*(1)", "gdsf(1)", "lfu-da", "lfu", "size",
+    "lru-2", "landlord(1)")}
+POLICIES["gd*(1) beta=0.5"] = {"fixed_beta": 0.5}
+
+CAPACITY_BYTES = 1_000_000   # ~2 % of the trace's distinct bytes
+
+#: The aging state each policy advances on eviction, where it has one.
+LEVEL_ATTRIBUTES = ("inflation", "cache_age", "rent_level")
+
+HEAD = 12
+
+
+def golden_references():
+    """dfn-like 1/1024 trace (6 560 requests, 24 natural size changes)
+    with every 17th reference to an already-seen document grown by its
+    position, so the modification path runs against resident copies."""
+    references = []
+    seen = set()
+    for position, request in enumerate(
+            generate_trace(dfn_like(scale=1.0 / 1024.0, seed=5)).requests):
+        size = request.size
+        if request.url in seen and position % 17 == 0:
+            size += position
+        seen.add(request.url)
+        references.append((request.url, size, request.doc_type))
+    return references
+
+
+def victim_order(key, references):
+    policy = make_policy(key.split()[0], **POLICIES[key])
+    cache = Cache(CAPACITY_BYTES, policy)
+    departures = []
+    cache.on_evict = lambda entry: departures.append(
+        [entry.url, cache.clock])
+    for url, size, doc_type in references:
+        cache.reference(url, size, doc_type)
+    cache.check_invariants()
+    level = next((getattr(policy, name) for name in LEVEL_ATTRIBUTES
+                  if hasattr(policy, name)), None)
+    return {
+        "sha256": hashlib.sha256(
+            json.dumps(departures).encode("utf-8")).hexdigest(),
+        "head": departures[:HEAD],
+        "departures": len(departures),
+        "evictions": cache.evictions,
+        "invalidations": cache.invalidations,
+        "hits": cache.hits,
+        "level": level,
+    }
+
+
+@pytest.fixture(scope="module")
+def references():
+    return golden_references()
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    return json.loads(GOLDENS.read_text())
+
+
+def test_goldens_cover_every_pinned_policy(goldens):
+    assert sorted(goldens) == sorted(POLICIES)
+
+
+@pytest.mark.parametrize("key", POLICIES)
+def test_victim_order_is_unchanged(key, references, goldens):
+    observed = victim_order(key, references)
+    expected = goldens[key]
+    # Both paths ran, or the golden pins nothing worth pinning.
+    assert observed["evictions"] > 100 and observed["invalidations"] > 10
+    assert observed == expected
+
+
+if __name__ == "__main__":
+    GOLDENS.parent.mkdir(exist_ok=True)
+    refs = golden_references()
+    GOLDENS.write_text(json.dumps(
+        {key: victim_order(key, refs) for key in POLICIES},
+        indent=1, sort_keys=True) + "\n")

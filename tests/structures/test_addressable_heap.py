@@ -1,12 +1,14 @@
-"""Unit and property tests for the addressable binary min-heap."""
+"""Unit and property tests for the addressable min-heap."""
 
+import bisect
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.structures.addressable_heap import AddressableHeap
+from repro.structures.addressable_heap import _SLACK, AddressableHeap
 
 
 def test_empty_heap():
@@ -182,3 +184,185 @@ def test_property_update_then_drain(ops):
         _, key = heap.pop()
         drained.append(key)
     assert drained == sorted(live.values())
+
+
+# ----- differential test against a sorted-list model -------------------------
+
+
+class SortedListModel:
+    """The specification: a list of ``(key, seq, item)`` kept sorted, one
+    counter feeding ``seq`` on every successful push and re-key."""
+
+    def __init__(self):
+        self.rows = []
+        self.seq = 0
+
+    def _row_of(self, item):
+        for row in self.rows:
+            if row[2] == item:
+                return row
+        raise KeyError(item)
+
+    def __contains__(self, item):
+        return any(row[2] == item for row in self.rows)
+
+    def push(self, item, key):
+        if item in self:
+            raise KeyError(item)
+        bisect.insort(self.rows, (key, self.seq, item))
+        self.seq += 1
+
+    def update_key(self, item, key):
+        self.rows.remove(self._row_of(item))
+        bisect.insort(self.rows, (key, self.seq, item))
+        self.seq += 1
+
+    def remove(self, item):
+        row = self._row_of(item)
+        self.rows.remove(row)
+        return row[0]
+
+    def key_of(self, item):
+        return self._row_of(item)[0]
+
+    def peek(self):
+        key, _, item = self.rows[0]   # IndexError when empty
+        return item, key
+
+    def pop(self):
+        key, _, item = self.rows.pop(0)
+        return item, key
+
+
+ITEMS = st.integers(0, 9)
+
+#: Few distinct values, so ties and re-keyed ties are the common case;
+#: ints and floats mix (lfu counts against lfu-da ages), -inf is belady's
+#: "never used again".
+NUMBER_KEYS = st.sampled_from(
+    [-math.inf, -2, -0.5, 0, 0.0, 0.5, 1, 1.0, 3, math.inf])
+#: lru-2 and belady key on pairs.
+TUPLE_KEYS = st.tuples(st.sampled_from([-math.inf, -1, 0, 7]),
+                       st.integers(-2, 2))
+
+
+def operations(keys):
+    return st.lists(st.one_of(
+        st.tuples(st.just("push"), ITEMS, keys),
+        st.tuples(st.just("update_key"), ITEMS, keys),
+        st.tuples(st.just("remove"), ITEMS),
+        st.tuples(st.just("key_of"), ITEMS),
+        st.tuples(st.just("pop")),
+        st.tuples(st.just("peek")),
+    ), max_size=200)
+
+
+def outcome(target, name, args):
+    try:
+        return getattr(target, name)(*args)
+    except (KeyError, IndexError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(operations(NUMBER_KEYS), operations(TUPLE_KEYS)))
+def test_property_matches_sorted_list_model(ops):
+    """Same answers, same errors and the identical pop sequence —
+    including ties and re-keyed ties — as the sorted-list model."""
+    heap, model = AddressableHeap(), SortedListModel()
+    for name, *args in ops:
+        assert outcome(heap, name, args) == outcome(model, name, args)
+        heap.check_invariants()
+        assert len(heap) == len(model.rows)
+        assert bool(heap) == bool(model.rows)
+        assert sorted(heap) == sorted(row[2] for row in model.rows)
+        for item in range(10):
+            assert (item in heap) == (item in model)
+    drained = [heap.pop() for _ in range(len(heap))]
+    assert drained == [(item, key) for key, _, item in model.rows]
+    assert not heap
+
+
+# ----- lazy deletion keeps its garbage bounded --------------------------------
+
+
+def test_rekeying_without_pops_keeps_the_list_bounded():
+    rng = random.Random(7)
+    heap = AddressableHeap()
+    n = 100
+    for item in range(n):
+        heap.push(item, rng.random())
+    longest = 0
+    for step in range(100_000):
+        heap.update_key(rng.randrange(n), rng.random() + step)
+        longest = max(longest, len(heap._heap))
+    assert longest <= 2 * n + _SLACK
+    heap.check_invariants()
+    drained = [heap.pop()[1] for _ in range(n)]
+    assert drained == sorted(drained)
+
+
+def test_push_remove_pairs_keep_the_list_bounded():
+    heap = AddressableHeap()
+    n = 50
+    for item in range(n):
+        heap.push(item, item)
+    longest = 0
+    for step in range(10_000):
+        heap.push(("transient", step), -step)
+        assert heap.remove(("transient", step)) == -step
+        longest = max(longest, len(heap._heap))
+    assert longest <= 2 * n + _SLACK
+    heap.check_invariants()
+    assert [heap.pop()[0] for _ in range(n)] == list(range(n))
+
+
+# ----- error contract ---------------------------------------------------------
+
+
+def snapshot(heap):
+    return sorted((heap.key_of(item), item) for item in heap)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda heap: heap.push("a", 99), KeyError),
+    (lambda heap: heap.update_key("ghost", 1), KeyError),
+    (lambda heap: heap.remove("ghost"), KeyError),
+    (lambda heap: heap.key_of("ghost"), KeyError),
+])
+def test_failed_call_leaves_the_heap_unchanged(call, error):
+    heap = AddressableHeap()
+    heap.push("a", 2)
+    heap.push("b", 1)
+    before = snapshot(heap)
+    with pytest.raises(error):
+        call(heap)
+    assert snapshot(heap) == before
+    heap.check_invariants()
+    heap.push("c", 0)   # still usable
+    assert [heap.pop()[0] for _ in range(3)] == ["c", "b", "a"]
+
+
+@pytest.mark.parametrize("method", ["pop", "peek"])
+def test_empty_heap_errors_leave_it_usable(method):
+    heap = AddressableHeap()
+    heap.push("a", 1)
+    heap.update_key("a", 2)   # leaves a stale tuple behind
+    heap.remove("a")
+    with pytest.raises(IndexError):
+        getattr(heap, method)()
+    assert len(heap) == 0 and not heap
+    heap.check_invariants()
+    heap.push("b", 1)
+    assert heap.pop() == ("b", 1)
+
+
+def test_failed_update_key_consumes_no_sequence_number():
+    heap = AddressableHeap()
+    heap.push("a", 1)
+    with pytest.raises(KeyError):
+        heap.update_key("ghost", 1)
+    with pytest.raises(KeyError):
+        heap.push("a", 1)
+    heap.push("b", 1)
+    assert [heap._live[item][1] for item in ("a", "b")] == [0, 1]
