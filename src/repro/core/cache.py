@@ -14,6 +14,15 @@ Semantics (paper Section 4.1):
 * a document larger than the whole cache is never admitted (bypass);
 * admission evicts minimum-value victims until the new document fits.
 
+:meth:`Cache.reference` is the loop every simulation, network walk and
+served request runs once per reference, so its miss path is written
+flat: the policy's admission gate is resolved once at construction
+(most policies have none), room is made only when the document does not
+already fit, and a plain miss and a modified document share one admit
+sequence.  What is left per admitted document is the calls that do the
+work — the entry constructor, ``policy.on_admit`` and, per victim,
+``policy.pop_victim``.
+
 The cache is **single-threaded** (see the concurrency contract in
 :mod:`repro.core.policy`); the serving layer wraps it in one
 per-instance lock rather than this module locking per operation.
@@ -29,6 +38,11 @@ from typing import Dict, Iterator, Optional
 from repro.core.policy import AccessOutcome, CacheEntry, ReplacementPolicy
 from repro.errors import CapacityError, SimulationError
 from repro.types import DocumentType
+
+_HIT = AccessOutcome.HIT
+_MISS = AccessOutcome.MISS
+_MISS_MODIFIED = AccessOutcome.MISS_MODIFIED
+_MISS_TOO_BIG = AccessOutcome.MISS_TOO_BIG
 
 
 class Cache:
@@ -57,6 +71,16 @@ class Cache:
         #: every departure.  None (the default) costs one comparison.
         self.on_evict = None
         policy.attach(self)
+        # The policy's admission test as ``gate(url, size)``, resolved
+        # once: ``admits_url`` where the policy defines it, else
+        # ``admits`` where it overrides the base class's always-true
+        # default, else None (nothing to ask on a miss).
+        gate = getattr(policy, "admits_url", None)
+        if gate is None and (type(policy).admits
+                             is not ReplacementPolicy.admits):
+            admits = policy.admits
+            gate = lambda url, size: admits(size)  # noqa: E731
+        self._gate = gate
 
     # ----- queries ------------------------------------------------------
 
@@ -100,45 +124,41 @@ class Cache:
         if size < 0:
             raise ValueError("size must be non-negative")
         self.clock += 1
-        entry = self._entries.get(url)
-        if entry is not None:
-            if entry.size == size:
-                entry.frequency += 1
-                entry.last_access = self.clock
-                self.policy.on_hit(entry)
-                self.hits += 1
-                return AccessOutcome.HIT
+        entries = self._entries
+        entry = entries.get(url)
+        if entry is None:
+            outcome = _MISS
+        elif entry.size == size:
+            entry.frequency += 1
+            entry.last_access = self.clock
+            self.policy.on_hit(entry)
+            self.hits += 1
+            return _HIT
+        else:
             # Modified document: stale copy out, new version in (unless
             # the new version no longer fits or is refused admission).
-            self._drop(entry, count_as_invalidation=True)
-            self.misses += 1
-            if not self._admission_allowed(url, size):
-                self.bypasses += 1
-                return AccessOutcome.MISS_TOO_BIG
-            self._admit(url, size, doc_type)
-            return AccessOutcome.MISS_MODIFIED
-
+            self._drop(entry)
+            outcome = _MISS_MODIFIED
         self.misses += 1
-        if not self._admission_allowed(url, size):
+        gate = self._gate
+        if size > self.capacity_bytes or (
+                gate is not None and not gate(url, size)):
             self.bypasses += 1
-            return AccessOutcome.MISS_TOO_BIG
-        self._admit(url, size, doc_type)
-        return AccessOutcome.MISS
-
-    def _admission_allowed(self, url: str, size: int) -> bool:
-        if size > self.capacity_bytes:
-            return False
-        url_check = getattr(self.policy, "admits_url", None)
-        if url_check is not None:
-            return url_check(url, size)
-        return self.policy.admits(size)
+            return _MISS_TOO_BIG
+        if self.used_bytes + size > self.capacity_bytes:
+            self._make_room(size)
+        entry = CacheEntry(url, size, doc_type, self.clock)
+        entries[url] = entry
+        self.used_bytes += size
+        self.policy.on_admit(entry)
+        return outcome
 
     def invalidate(self, url: str) -> bool:
         """Remove a document without counting a reference; True if present."""
         entry = self._entries.get(url)
         if entry is None:
             return False
-        self._drop(entry, count_as_invalidation=True)
+        self._drop(entry)
         return True
 
     def flush(self) -> None:
@@ -148,13 +168,6 @@ class Cache:
         self.policy.clear()
 
     # ----- internals ------------------------------------------------------
-
-    def _admit(self, url: str, size: int, doc_type: DocumentType) -> None:
-        self._make_room(size)
-        entry = CacheEntry(url, size, doc_type, clock=self.clock)
-        self._entries[url] = entry
-        self.used_bytes += size
-        self.policy.on_admit(entry)
 
     def _make_room(self, needed: int) -> None:
         while self.used_bytes + needed > self.capacity_bytes:
@@ -174,12 +187,12 @@ class Cache:
             if self.on_evict is not None:
                 self.on_evict(victim)
 
-    def _drop(self, entry: CacheEntry, count_as_invalidation: bool) -> None:
+    def _drop(self, entry: CacheEntry) -> None:
+        """A resident entry leaves for a reason other than eviction."""
         self.policy.remove(entry)
         del self._entries[entry.url]
         self.used_bytes -= entry.size
-        if count_as_invalidation:
-            self.invalidations += 1
+        self.invalidations += 1
         if self.on_evict is not None:
             self.on_evict(entry)
 
