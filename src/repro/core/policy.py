@@ -18,13 +18,14 @@ Concurrency contract
 --------------------
 
 Policies are **single-threaded**.  Every mutation point — the dlist
-relinks of :meth:`ReplacementPolicy.on_hit`, the heap sifts of
-``pop_victim``/``update_key``, the aging-state updates of LFU-DA and
+relinks of :meth:`ReplacementPolicy.on_hit`, the heap pushes and pops
+of ``update_key``/``pop_victim``, the aging-state updates of LFU-DA and
 the Greedy-Dual family — leaves the backing structure transiently
-inconsistent (a node unlinked but not relinked, a heap entry mid-sift
-with a stale position map, ``cache_age``/``inflation`` read before the
-pop that advances it).  Nothing in :mod:`repro.core` locks, because
-the simulator drives each cache from exactly one thread.
+inconsistent (a node unlinked but not relinked, a re-keyed tuple pushed
+onto the heap list but not yet recorded as the item's live one,
+``cache_age``/``inflation`` read before the pop that advances it).
+Nothing in :mod:`repro.core` locks, because the simulator drives each
+cache from exactly one thread.
 
 Concurrent access therefore belongs one layer up:
 :class:`repro.serving.cache.ServedCache` serializes *every* cache and

@@ -2,9 +2,10 @@
 
 * :class:`~repro.structures.dlist.DList` — intrusive doubly-linked list
   backing the LRU and FIFO policies (O(1) move-to-front / unlink).
-* :class:`~repro.structures.addressable_heap.AddressableHeap` — binary
-  min-heap with a position map, supporting in-place key updates; backs the
-  Greedy-Dual family and LFU-DA.
+* :class:`~repro.structures.addressable_heap.AddressableHeap` — min-heap
+  on C ``heapq`` with lazy deletion, supporting key updates and removal
+  by item; backs every value-based policy (the Greedy-Dual family,
+  LFU-DA, LFU, SIZE, LRU-K, Landlord, Belady).
 * :class:`~repro.structures.histogram.LogHistogram` — logarithmically
   binned counter used for reuse-distance distributions (β estimation).
 * :mod:`~repro.structures.streaming` — Welford mean/variance and a P²

@@ -12,6 +12,7 @@ what the residency map shows happened.
 """
 
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import settings
@@ -30,18 +31,13 @@ from repro.types import DocumentType
 CAPACITY = 200
 THRESHOLD = 60
 
-POLICIES = {
-    "lru": lambda: make_policy("lru"),
-    "slru": lambda: make_policy("slru"),
-    "gds(1)": lambda: make_policy("gds(1)"),
-    "gd*(1)": lambda: make_policy("gd*(1)"),
-    "lfu-da": lambda: make_policy("lfu-da"),
-    "landlord(1)": lambda: make_policy("landlord(1)"),
-    "hyperbolic(1)": lambda: make_policy("hyperbolic(1)", seed=3),
-    "lru-threshold": lambda: make_policy("lru-threshold",
-                                         threshold_bytes=THRESHOLD),
-    "2hit+lru": lambda: SecondHitAdmission(LRUPolicy(), window_urls=4),
-}
+POLICIES = {name: partial(make_policy, name) for name in (
+    "lru", "slru", "gds(1)", "gd*(1)", "lfu-da", "landlord(1)")}
+POLICIES["hyperbolic(1)"] = partial(make_policy, "hyperbolic(1)", seed=3)
+POLICIES["lru-threshold"] = partial(make_policy, "lru-threshold",
+                                    threshold_bytes=THRESHOLD)
+POLICIES["2hit+lru"] = lambda: SecondHitAdmission(LRUPolicy(),
+                                                  window_urls=4)
 
 URLS = st.sampled_from([f"u{i}" for i in range(12)])
 #: Size 0, sizes that fit, sizes that need several evictions, and
@@ -83,7 +79,7 @@ class CacheMachine(RuleBasedStateMachine):
     def departures_match(self, left):
         assert Counter(map(id, self.departed)) == Counter(map(id, left))
 
-    def refused(self, url, size):
+    def refused(self, size):
         """Whether admission must (True), must not (False) or may
         (None) refuse a document that is not resident."""
         if size > CAPACITY:
@@ -109,7 +105,7 @@ class CacheMachine(RuleBasedStateMachine):
             return
         assert (cache.hits, cache.misses) == (hits, misses + 1)
         assert invalidated == (resident is not None)
-        refused = self.refused(url, size)
+        refused = self.refused(size)
         if outcome is AccessOutcome.MISS_TOO_BIG:
             assert refused is not False
             assert url not in cache
@@ -184,7 +180,7 @@ def machine_for(name):
     machine = type(f"CacheMachine[{name}]", (CacheMachine,),
                    {"policy_name": name})
     machine.TestCase.settings = settings(
-        max_examples=40, stateful_step_count=40, deadline=None)
+        max_examples=100, stateful_step_count=50, deadline=None)
     return machine.TestCase
 
 

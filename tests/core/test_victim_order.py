@@ -28,10 +28,10 @@ GOLDENS = Path(__file__).parent / "data" / "victim_order_goldens.json"
 #: Golden key -> make_policy arguments.  The trace is too short for the
 #: online β estimator to leave 1 (gd*(1) evicts exactly as gdsf(1)
 #: here), so a pinned β = 0.5 cell covers the exponentiated key.
-POLICIES = {name: {} for name in (
+POLICIES = {name: (name, {}) for name in (
     "gds(1)", "gds(p)", "gd*(1)", "gdsf(1)", "lfu-da", "lfu", "size",
     "lru-2", "landlord(1)")}
-POLICIES["gd*(1) beta=0.5"] = {"fixed_beta": 0.5}
+POLICIES["gd*(1) beta=0.5"] = ("gd*(1)", {"fixed_beta": 0.5})
 
 CAPACITY_BYTES = 1_000_000   # ~2 % of the trace's distinct bytes
 
@@ -58,7 +58,8 @@ def golden_references():
 
 
 def victim_order(key, references):
-    policy = make_policy(key.split()[0], **POLICIES[key])
+    name, kwargs = POLICIES[key]
+    policy = make_policy(name, **kwargs)
     cache = Cache(CAPACITY_BYTES, policy)
     departures = []
     cache.on_evict = lambda entry: departures.append(
@@ -71,7 +72,7 @@ def victim_order(key, references):
     return {
         "sha256": hashlib.sha256(
             json.dumps(departures).encode("utf-8")).hexdigest(),
-        "head": departures[:HEAD],
+        "head": [f"{url} @{clock}" for url, clock in departures[:HEAD]],
         "departures": len(departures),
         "evictions": cache.evictions,
         "invalidations": cache.invalidations,
