@@ -7,9 +7,11 @@ is recorded as ``(url, cache.clock)``; ``data/victim_order_goldens.json``
 pins the sha256 of that sequence, its head in clear (so a wrong order
 fails with a readable diff) and the policy's final aging level.
 
-Regenerate with ``python tests/core/test_victim_order.py`` (the file in
-the repo was computed from the sift-based heap, before
-``AddressableHeap`` moved onto ``heapq``).
+Regenerate with ``python tests/core/test_victim_order.py`` (the first
+ten entries in the repo were computed from the sift-based heap, before
+``AddressableHeap`` moved onto ``heapq``; ``gd*t(1)``, ``gd*(p)``,
+``landlord(p)`` and ``belady`` from the per-policy heaps, before the
+ten policies moved onto ``core/heap_policy.py``).
 """
 
 import hashlib
@@ -18,8 +20,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.belady import BeladyPolicy, compute_next_uses
 from repro.core.cache import Cache
 from repro.core.registry import make_policy
+from repro.types import Request
 from repro.workload.generator import generate_trace
 from repro.workload.profiles import dfn_like
 
@@ -28,9 +32,12 @@ GOLDENS = Path(__file__).parent / "data" / "victim_order_goldens.json"
 #: Golden key -> make_policy arguments.  The trace is too short for the
 #: online β estimator to leave 1 (gd*(1) evicts exactly as gdsf(1)
 #: here), so a pinned β = 0.5 cell covers the exponentiated key.
+#: ``belady`` is not a registry name: its policy is built from the next
+#: uses of the golden trace itself.
 POLICIES = {name: (name, {}) for name in (
-    "gds(1)", "gds(p)", "gd*(1)", "gdsf(1)", "lfu-da", "lfu", "size",
-    "lru-2", "landlord(1)")}
+    "gds(1)", "gds(p)", "gd*(1)", "gd*(p)", "gd*t(1)", "gdsf(1)",
+    "lfu-da", "lfu", "size", "lru-2", "landlord(1)", "landlord(p)",
+    "belady")}
 POLICIES["gd*(1) beta=0.5"] = ("gd*(1)", {"fixed_beta": 0.5})
 
 CAPACITY_BYTES = 1_000_000   # ~2 % of the trace's distinct bytes
@@ -59,7 +66,12 @@ def golden_references():
 
 def victim_order(key, references):
     name, kwargs = POLICIES[key]
-    policy = make_policy(name, **kwargs)
+    if name == "belady":
+        policy = BeladyPolicy(compute_next_uses(
+            [Request(0.0, url, size, size, doc_type)
+             for url, size, doc_type in references]))
+    else:
+        policy = make_policy(name, **kwargs)
     cache = Cache(CAPACITY_BYTES, policy)
     departures = []
     cache.on_evict = lambda entry: departures.append(
