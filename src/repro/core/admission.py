@@ -17,7 +17,7 @@ mirroring the library's cache/policy split.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.policy import CacheEntry, ReplacementPolicy
 from repro.errors import ConfigurationError
@@ -65,7 +65,7 @@ class SeenOnceTable:
 class SecondHitAdmission(ReplacementPolicy):
     """Wraps a policy with admit-on-second-request filtering.
 
-    The cache calls :meth:`admits` before every insertion; a URL not
+    The cache calls :meth:`admits_url` before every insertion; a URL not
     yet in the seen-once table is refused (and remembered), so its
     *next* miss within the window is admitted.  Every other policy
     hook forwards to the wrapped policy unchanged.
@@ -76,7 +76,6 @@ class SecondHitAdmission(ReplacementPolicy):
         self.inner = inner
         self.name = f"2hit+{inner.name}"
         self._seen = SeenOnceTable(window_urls)
-        self._pending: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.inner)
@@ -86,13 +85,8 @@ class SecondHitAdmission(ReplacementPolicy):
         self.inner.attach(cache)
 
     def admits(self, size: int) -> bool:
-        # The cache consults admits(size) without the URL; the
-        # simulator-visible URL is snooped from the pending reference
-        # the cache is processing.  To keep the wrapper self-contained
-        # we instead overload record_request(), which the cache cannot
-        # call — so admits() here only forwards the inner policy's
-        # size-based decision and the URL filtering happens in
-        # admits_url(), called by the cache when available.
+        # Only the inner policy's size test: Cache.__init__ resolves
+        # admits_url as the gate when a policy defines it.
         return self.inner.admits(size)
 
     def admits_url(self, url: str, size: int) -> bool:
@@ -110,6 +104,9 @@ class SecondHitAdmission(ReplacementPolicy):
 
     def on_hit(self, entry: CacheEntry) -> None:
         self.inner.on_hit(entry)
+
+    def peek_victim(self) -> CacheEntry:
+        return self.inner.peek_victim()
 
     def pop_victim(self) -> CacheEntry:
         victim = self.inner.pop_victim()

@@ -74,6 +74,10 @@ class SLRUPolicy(ReplacementPolicy):
             demoted.policy_data = self._probation.push_back(demoted)
             self._segments[demoted.url] = _PROBATION
 
+    def peek_victim(self) -> CacheEntry:
+        # Exactly what pop_victim takes: probation's LRU end first.
+        return (self._probation or self._protected).front()
+
     def pop_victim(self) -> CacheEntry:
         if self._probation:
             entry = self._probation.pop_front()
