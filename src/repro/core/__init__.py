@@ -12,7 +12,9 @@ eviction order.  The policies studied in the paper —
   and online temporal-correlation adaptation) —
 
 plus the comparison baselines of the cited studies (FIFO, LFU, SIZE,
-RAND, LRU-K, GDSF, offline Belady bound).  Cost models: constant cost
+RAND, LRU-K, GDSF, offline Belady bound).  The value-based ones share
+one base (:mod:`~repro.core.heap_policy`): a priority queue on
+H(p) = L + u(p), each member stating only its key.  Cost models: constant cost
 ``c(p)=1`` and packet cost ``c(p)=2+s(p)/536`` (:mod:`~repro.core.cost`).
 
 Use :func:`~repro.core.registry.make_policy` to construct policies by
@@ -22,6 +24,7 @@ the names the paper uses: ``"lru"``, ``"lfu-da"``, ``"gds(1)"``,
 
 from repro.core.policy import AccessOutcome, CacheEntry, ReplacementPolicy
 from repro.core.cache import Cache
+from repro.core.heap_policy import GreedyDualPolicy, HeapPolicy
 from repro.core.cost import (
     ConstantCost,
     CostModel,
@@ -54,6 +57,8 @@ __all__ = [
     "AccessOutcome",
     "CacheEntry",
     "ReplacementPolicy",
+    "HeapPolicy",
+    "GreedyDualPolicy",
     "Cache",
     "CostModel",
     "ConstantCost",

@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence
 
-from repro.core.policy import CacheEntry, ReplacementPolicy
+from repro.core.heap_policy import HeapPolicy
+from repro.core.policy import CacheEntry
 from repro.errors import ConfigurationError
-from repro.structures.addressable_heap import AddressableHeap
 from repro.types import Request
 
 #: Sentinel next-use for "never referenced again".
@@ -41,7 +41,7 @@ def compute_next_uses(requests: Sequence[Request]) -> List[float]:
     return next_uses
 
 
-class BeladyPolicy(ReplacementPolicy):
+class BeladyPolicy(HeapPolicy):
     """Clairvoyant farthest-next-use eviction.
 
     Heap key is (−next_use, −size): among documents never used again,
@@ -53,12 +53,9 @@ class BeladyPolicy(ReplacementPolicy):
     def __init__(self, next_uses: Sequence[float]):
         if not len(next_uses):
             raise ConfigurationError("next_uses must not be empty")
+        super().__init__()
         self._next_uses = next_uses
-        self._heap: AddressableHeap = AddressableHeap()
         self.cache = None
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     def _current_next_use(self) -> float:
         if self.cache is None:
@@ -72,25 +69,5 @@ class BeladyPolicy(ReplacementPolicy):
                 "driven with exactly the trace it was computed from")
         return self._next_uses[index]
 
-    def _key(self, entry: CacheEntry, next_use: float) -> tuple:
-        return (-next_use, -entry.size)
-
-    def on_admit(self, entry: CacheEntry) -> None:
-        self._heap.push(entry, self._key(entry, self._current_next_use()))
-
-    def on_hit(self, entry: CacheEntry) -> None:
-        self._heap.update_key(entry,
-                              self._key(entry, self._current_next_use()))
-
-    def peek_victim(self) -> CacheEntry:
-        return self._heap.peek()[0]
-
-    def pop_victim(self) -> CacheEntry:
-        entry, _ = self._heap.pop()
-        return entry
-
-    def remove(self, entry: CacheEntry) -> None:
-        self._heap.remove(entry)
-
-    def clear(self) -> None:
-        self._heap.clear()
+    def _key(self, entry: CacheEntry) -> tuple:
+        return (-self._current_next_use(), -entry.size)

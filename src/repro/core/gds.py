@@ -17,29 +17,20 @@ weakness, motivating GD*, is ignoring frequency.
 from __future__ import annotations
 
 from repro.core.cost import ConstantCost, CostModel
-from repro.core.policy import CacheEntry, ReplacementPolicy
-from repro.structures.addressable_heap import AddressableHeap
+from repro.core.heap_policy import GreedyDualPolicy
+from repro.core.policy import CacheEntry
 
 
-class GDSPolicy(ReplacementPolicy):
+class GDSPolicy(GreedyDualPolicy):
     """Greedy-Dual-Size with inflation-based aging."""
 
-    #: Per-reference cost precomputed by the columnar engine.  When
-    #: set, :meth:`_value` consumes it instead of calling the cost
-    #: model.  Sound because ``_value`` only runs from on_admit/on_hit,
-    #: whose entry size always equals the current reference's size.
-    _hint_cost = None
-
     def __init__(self, cost_model: CostModel = None):
+        super().__init__()
         self.cost_model = cost_model or ConstantCost()
         self.name = f"gds({self.cost_model.tag.lower()})"
-        self._heap: AddressableHeap = AddressableHeap()
-        self.inflation = 0.0
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def _value(self, entry: CacheEntry) -> float:
+    def _key(self, entry: CacheEntry) -> float:
+        # On a hit this restores the document's full (inflated) value.
         # Clamp zero-size documents consistently: the same floored
         # size feeds both the cost model and the denominator.
         size = max(entry.size, 1)
@@ -47,31 +38,3 @@ class GDSPolicy(ReplacementPolicy):
         if cost is None:
             cost = self.cost_model.cost(size)
         return self.inflation + cost / size
-
-    def on_admit(self, entry: CacheEntry) -> None:
-        self._heap.push(entry, self._value(entry))
-
-    def on_hit(self, entry: CacheEntry) -> None:
-        # A hit restores the document's full (inflated) value.
-        self._heap.update_key(entry, self._value(entry))
-
-    def peek_victim(self) -> CacheEntry:
-        return self._heap.peek()[0]
-
-    def pop_victim(self) -> CacheEntry:
-        entry, h_min = self._heap.pop()
-        # Aging: everything not touched since stays below future H values.
-        self.inflation = h_min
-        return entry
-
-    def remove(self, entry: CacheEntry) -> None:
-        # Invalidation is not an eviction decision; L stays put.
-        self._heap.remove(entry)
-
-    def clear(self) -> None:
-        self._heap.clear()
-        self.inflation = 0.0
-
-    def h_value(self, entry: CacheEntry) -> float:
-        """Current H value of a resident entry (diagnostics)."""
-        return self._heap.key_of(entry)

@@ -10,54 +10,22 @@ exponent).
 from __future__ import annotations
 
 from repro.core.cost import ConstantCost, CostModel
-from repro.core.policy import CacheEntry, ReplacementPolicy
-from repro.structures.addressable_heap import AddressableHeap
+from repro.core.heap_policy import GreedyDualPolicy
+from repro.core.policy import CacheEntry
 
 
-class GDSFPolicy(ReplacementPolicy):
+class GDSFPolicy(GreedyDualPolicy):
     """Greedy-Dual-Size-Frequency with inflation-based aging."""
 
-    #: Per-reference cost precomputed by the columnar engine.  When
-    #: set, :meth:`_value` consumes it instead of calling the cost
-    #: model (see :class:`~repro.core.gds.GDSPolicy`).  Only the cost
-    #: term is hinted: ``f · c / s`` keeps its left-to-right float
-    #: evaluation order, so the key is bit-identical.
-    _hint_cost = None
-
     def __init__(self, cost_model: CostModel = None):
+        super().__init__()
         self.cost_model = cost_model or ConstantCost()
         self.name = f"gdsf({self.cost_model.tag.lower()})"
-        self._heap: AddressableHeap = AddressableHeap()
-        self.inflation = 0.0
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def _value(self, entry: CacheEntry) -> float:
+    def _key(self, entry: CacheEntry) -> float:
         size = max(entry.size, 1)
         cost = self._hint_cost
         if cost is None:
             cost = self.cost_model.cost(size)
         utility = entry.frequency * cost / size
         return self.inflation + utility
-
-    def on_admit(self, entry: CacheEntry) -> None:
-        self._heap.push(entry, self._value(entry))
-
-    def on_hit(self, entry: CacheEntry) -> None:
-        self._heap.update_key(entry, self._value(entry))
-
-    def peek_victim(self) -> CacheEntry:
-        return self._heap.peek()[0]
-
-    def pop_victim(self) -> CacheEntry:
-        entry, h_min = self._heap.pop()
-        self.inflation = h_min
-        return entry
-
-    def remove(self, entry: CacheEntry) -> None:
-        self._heap.remove(entry)
-
-    def clear(self) -> None:
-        self._heap.clear()
-        self.inflation = 0.0

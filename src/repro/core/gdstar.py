@@ -30,8 +30,8 @@ from typing import Optional, Union
 
 from repro.core.beta_estimator import FixedBetaEstimator, OnlineBetaEstimator
 from repro.core.cost import ConstantCost, CostModel
-from repro.core.policy import CacheEntry, ReplacementPolicy
-from repro.structures.addressable_heap import AddressableHeap
+from repro.core.heap_policy import GreedyDualPolicy
+from repro.core.policy import CacheEntry
 
 Estimator = Union[OnlineBetaEstimator, FixedBetaEstimator]
 
@@ -40,32 +40,22 @@ Estimator = Union[OnlineBetaEstimator, FixedBetaEstimator]
 _MAX_UTILITY = 1e12
 
 
-class GDStarPolicy(ReplacementPolicy):
+class GDStarPolicy(GreedyDualPolicy):
     """Greedy-Dual* with online (or fixed) β."""
-
-    #: Per-reference cost precomputed by the columnar engine.  When
-    #: set, :meth:`_value` consumes it instead of calling the cost
-    #: model (see :class:`~repro.core.gds.GDSPolicy`).  Only the cost
-    #: term is hinted so ``f · c / s`` keeps its evaluation order.
-    _hint_cost = None
 
     def __init__(self, cost_model: CostModel = None,
                  beta_estimator: Optional[Estimator] = None):
+        super().__init__()
         self.cost_model = cost_model or ConstantCost()
         self.name = f"gd*({self.cost_model.tag.lower()})"
         self.estimator: Estimator = beta_estimator or OnlineBetaEstimator()
-        self._heap: AddressableHeap = AddressableHeap()
-        self.inflation = 0.0
         self._clock = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     @property
     def beta(self) -> float:
         return self.estimator.beta
 
-    def _value(self, entry: CacheEntry) -> float:
+    def _key(self, entry: CacheEntry) -> float:
         size = max(entry.size, 1)
         cost = self._hint_cost
         if cost is None:
@@ -84,7 +74,7 @@ class GDStarPolicy(ReplacementPolicy):
     def on_admit(self, entry: CacheEntry) -> None:
         self._clock += 1
         entry.policy_data = self._clock  # last-reference time for reuse gaps
-        self._heap.push(entry, self._value(entry))
+        self._heap.push(entry, self._key(entry))
 
     def on_hit(self, entry: CacheEntry) -> None:
         self._clock += 1
@@ -92,10 +82,7 @@ class GDStarPolicy(ReplacementPolicy):
         if last is not None:
             self.estimator.observe(self._clock - last)
         entry.policy_data = self._clock
-        self._heap.update_key(entry, self._value(entry))
-
-    def peek_victim(self) -> CacheEntry:
-        return self._heap.peek()[0]
+        self._heap.update_key(entry, self._key(entry))
 
     def pop_victim(self) -> CacheEntry:
         entry, h_min = self._heap.pop()
@@ -108,10 +95,5 @@ class GDStarPolicy(ReplacementPolicy):
         entry.policy_data = None
 
     def clear(self) -> None:
-        self._heap.clear()
-        self.inflation = 0.0
+        super().clear()
         self._clock = 0
-
-    def h_value(self, entry: CacheEntry) -> float:
-        """Current H value of a resident entry (diagnostics)."""
-        return self._heap.key_of(entry)

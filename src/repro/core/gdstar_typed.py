@@ -24,8 +24,8 @@ from typing import Callable, Dict, Optional
 
 from repro.core.beta_estimator import OnlineBetaEstimator
 from repro.core.cost import ConstantCost, CostModel
-from repro.core.policy import CacheEntry, ReplacementPolicy
-from repro.structures.addressable_heap import AddressableHeap
+from repro.core.heap_policy import GreedyDualPolicy
+from repro.core.policy import CacheEntry
 from repro.types import DOCUMENT_TYPES, DocumentType
 
 #: See :data:`repro.core.gdstar._MAX_UTILITY`.
@@ -34,30 +34,29 @@ _MAX_UTILITY = 1e12
 EstimatorFactory = Callable[[], OnlineBetaEstimator]
 
 
-class GDStarTypedPolicy(ReplacementPolicy):
+class GDStarTypedPolicy(GreedyDualPolicy):
     """Greedy-Dual* with one online β estimator per document type."""
 
     def __init__(self, cost_model: CostModel = None,
                  estimator_factory: Optional[EstimatorFactory] = None):
+        super().__init__()
         self.cost_model = cost_model or ConstantCost()
         self.name = f"gd*t({self.cost_model.tag.lower()})"
         factory = estimator_factory or OnlineBetaEstimator
         self.estimators: Dict[DocumentType, OnlineBetaEstimator] = {
             doc_type: factory() for doc_type in DOCUMENT_TYPES}
-        self._heap: AddressableHeap = AddressableHeap()
-        self.inflation = 0.0
         self._clock = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     def beta(self, doc_type: DocumentType) -> float:
         """Current β estimate for one document type."""
         return self.estimators[doc_type].beta
 
-    def _value(self, entry: CacheEntry) -> float:
+    def _key(self, entry: CacheEntry) -> float:
         size = max(entry.size, 1)
-        utility = entry.frequency * self.cost_model.cost(size) / size
+        cost = self._hint_cost
+        if cost is None:
+            cost = self.cost_model.cost(size)
+        utility = entry.frequency * cost / size
         if utility > _MAX_UTILITY:
             utility = _MAX_UTILITY
         exponent = 1.0 / self.estimators[entry.doc_type].beta
@@ -70,7 +69,7 @@ class GDStarTypedPolicy(ReplacementPolicy):
     def on_admit(self, entry: CacheEntry) -> None:
         self._clock += 1
         entry.policy_data = self._clock
-        self._heap.push(entry, self._value(entry))
+        self._heap.push(entry, self._key(entry))
 
     def on_hit(self, entry: CacheEntry) -> None:
         self._clock += 1
@@ -78,10 +77,7 @@ class GDStarTypedPolicy(ReplacementPolicy):
         if last is not None:
             self.estimators[entry.doc_type].observe(self._clock - last)
         entry.policy_data = self._clock
-        self._heap.update_key(entry, self._value(entry))
-
-    def peek_victim(self) -> CacheEntry:
-        return self._heap.peek()[0]
+        self._heap.update_key(entry, self._key(entry))
 
     def pop_victim(self) -> CacheEntry:
         entry, h_min = self._heap.pop()
@@ -94,6 +90,5 @@ class GDStarTypedPolicy(ReplacementPolicy):
         entry.policy_data = None
 
     def clear(self) -> None:
-        self._heap.clear()
-        self.inflation = 0.0
+        super().clear()
         self._clock = 0

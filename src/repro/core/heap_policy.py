@@ -1,0 +1,112 @@
+"""The value-based policies' shared base: one priority queue, one L.
+
+Paper Section 3 describes LFU-DA, GDS and GD* as one scheme: keep the
+resident documents in a priority queue on
+
+    H(p) = L + u(p)
+
+evict the minimum, and set the offset L — the *inflation* — to the key
+of that victim, so every document touched afterwards starts above
+everything that has not been touched since.  The members differ only in
+the base value u(p): f for LFU-DA, c/s for GDS, f·c/s for GDSF,
+(f·c/s)^(1/β) for GD*.
+
+:class:`HeapPolicy` is the queue: it owns the
+:class:`~repro.structures.addressable_heap.AddressableHeap` and the
+whole :class:`~repro.core.policy.ReplacementPolicy` protocol, so a
+member says only what its key is (:meth:`HeapPolicy._key`).  LFU, SIZE,
+LRU-K and the Belady bound are queues without aging and sit directly on
+it.  :class:`GreedyDualPolicy` adds the paper's aging, the optional
+cost model and the engine's cost hint; LFU-DA, GDS, GDSF, GD*, typed
+GD* and Landlord sit on that.
+"""
+
+from __future__ import annotations
+
+from abc import abstractmethod
+from typing import Any, Optional
+
+from repro.core.cost import CostModel
+from repro.core.policy import CacheEntry, ReplacementPolicy
+from repro.structures.addressable_heap import AddressableHeap
+
+
+class HeapPolicy(ReplacementPolicy):
+    """Evicts the minimum-key entry of one addressable min-heap.
+
+    Ties leave in the order their keys were set (the heap's sequence
+    number).  Members that keep per-entry state beside the key override
+    the hooks that maintain it.
+    """
+
+    def __init__(self):
+        self._heap: AddressableHeap = AddressableHeap()
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    @abstractmethod
+    def _key(self, entry: CacheEntry) -> Any:
+        """Heap key of ``entry`` as of the reference being processed."""
+
+    def on_admit(self, entry: CacheEntry) -> None:
+        self._heap.push(entry, self._key(entry))
+
+    def on_hit(self, entry: CacheEntry) -> None:
+        self._heap.update_key(entry, self._key(entry))
+
+    def peek_victim(self) -> CacheEntry:
+        return self._heap.peek()[0]
+
+    def pop_victim(self) -> CacheEntry:
+        return self._heap.pop()[0]
+
+    def remove(self, entry: CacheEntry) -> None:
+        self._heap.remove(entry)
+
+    def clear(self) -> None:
+        self._heap.clear()
+
+    def h_value(self, entry: CacheEntry) -> Any:
+        """Current key of a resident entry (diagnostics)."""
+        return self._heap.key_of(entry)
+
+
+class GreedyDualPolicy(HeapPolicy):
+    """A :class:`HeapPolicy` whose keys are ``inflation + u(p)``.
+
+    Conceptually Greedy-Dual reduces every H value by H_min at each
+    eviction; the standard O(log n) realization instead keeps
+    :attr:`inflation` (L) equal to the H value of the last victim and
+    adds it whenever a key is (re)set, so no mass update ever happens.
+    Keys only grow, so L is monotone non-decreasing.  ``remove`` leaves
+    it alone: invalidation is not an eviction decision, the document
+    was not the least valuable.
+    """
+
+    #: c(p) of the cost-aware members; None for LFU-DA, the paper's
+    #: fixed-cost/fixed-size member.
+    cost_model: Optional[CostModel] = None
+
+    #: Per-reference cost precomputed by the columnar engine
+    #: (:meth:`repro.simulation.engine.CacheCell.process_chunk_hinted`).
+    #: When set, ``_key`` consumes it instead of calling the cost model.
+    #: Sound because keys are computed only from on_admit/on_hit, whose
+    #: entry size always equals the current reference's size.  Only the
+    #: cost term is hinted: ``f · c / s`` keeps its left-to-right float
+    #: evaluation order, so the key is bit-identical.
+    _hint_cost = None
+
+    def __init__(self):
+        super().__init__()
+        self.inflation = 0.0
+
+    def pop_victim(self) -> CacheEntry:
+        entry, h_min = self._heap.pop()
+        # Aging: everything not touched since stays below future H values.
+        self.inflation = h_min
+        return entry
+
+    def clear(self) -> None:
+        super().clear()
+        self.inflation = 0.0

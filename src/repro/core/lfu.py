@@ -10,36 +10,14 @@ baseline for the aging mechanism.
 
 from __future__ import annotations
 
-from repro.core.policy import CacheEntry, ReplacementPolicy
-from repro.structures.addressable_heap import AddressableHeap
+from repro.core.heap_policy import HeapPolicy
+from repro.core.policy import CacheEntry
 
 
-class LFUPolicy(ReplacementPolicy):
+class LFUPolicy(HeapPolicy):
     """Min-heap on reference count, FIFO tie-break."""
 
     name = "lfu"
 
-    def __init__(self):
-        self._heap: AddressableHeap = AddressableHeap()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def on_admit(self, entry: CacheEntry) -> None:
-        self._heap.push(entry, entry.frequency)
-
-    def on_hit(self, entry: CacheEntry) -> None:
-        self._heap.update_key(entry, entry.frequency)
-
-    def peek_victim(self) -> CacheEntry:
-        return self._heap.peek()[0]
-
-    def pop_victim(self) -> CacheEntry:
-        entry, _ = self._heap.pop()
-        return entry
-
-    def remove(self, entry: CacheEntry) -> None:
-        self._heap.remove(entry)
-
-    def clear(self) -> None:
-        self._heap.clear()
+    def _key(self, entry: CacheEntry) -> int:
+        return entry.frequency

@@ -1,8 +1,9 @@
 """Least Frequently Used with Dynamic Aging (paper Section 3).
 
 Frequency-based with a recency correction: every entry's heap key is
-``frequency + L`` where the *cache age* L is the key value of the most
-recently evicted document.  Because L only grows, documents admitted or
+``frequency + L`` where the *cache age* L (``inflation``, as for the
+rest of the family) is the key value of the most recently evicted
+document.  Because L only grows, documents admitted or
 referenced later start ahead of long-dead former favourites, which
 prevents the cache pollution plain LFU suffers from.  Arlitt et al.
 showed LFU-DA achieves high byte hit rates; the paper uses it as the
@@ -12,46 +13,15 @@ assumption.
 
 from __future__ import annotations
 
-from repro.core.policy import CacheEntry, ReplacementPolicy
-from repro.structures.addressable_heap import AddressableHeap
+from repro.core.heap_policy import GreedyDualPolicy
+from repro.core.policy import CacheEntry
 
 
-class LFUDAPolicy(ReplacementPolicy):
-    """Min-heap on ``frequency + cache_age``."""
+class LFUDAPolicy(GreedyDualPolicy):
+    """Min-heap on ``frequency + inflation``: Greedy-Dual with base
+    value f and no cost term."""
 
     name = "lfu-da"
 
-    def __init__(self):
-        self._heap: AddressableHeap = AddressableHeap()
-        self.cache_age = 0.0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def _key(self, entry: CacheEntry) -> float:
-        return entry.frequency + self.cache_age
-
-    def on_admit(self, entry: CacheEntry) -> None:
-        self._heap.push(entry, self._key(entry))
-
-    def on_hit(self, entry: CacheEntry) -> None:
-        self._heap.update_key(entry, self._key(entry))
-
-    def peek_victim(self) -> CacheEntry:
-        return self._heap.peek()[0]
-
-    def pop_victim(self) -> CacheEntry:
-        entry, key = self._heap.pop()
-        # The evicted document's key becomes the new cache age; keys only
-        # grow, so the age is monotone non-decreasing.
-        self.cache_age = key
-        return entry
-
-    def remove(self, entry: CacheEntry) -> None:
-        # Invalidations do not advance the cache age: the document was
-        # not evicted for being the least valuable.
-        self._heap.remove(entry)
-
-    def clear(self) -> None:
-        self._heap.clear()
-        self.cache_age = 0.0
+        return entry.frequency + self.inflation

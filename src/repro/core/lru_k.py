@@ -12,15 +12,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque
 
-from repro.core.policy import CacheEntry, ReplacementPolicy
+from repro.core.heap_policy import HeapPolicy
+from repro.core.policy import CacheEntry
 from repro.errors import ConfigurationError
-from repro.structures.addressable_heap import AddressableHeap
 
 #: Key component marking "fewer than K references yet".
 _NO_HISTORY = -1
 
 
-class LRUKPolicy(ReplacementPolicy):
+class LRUKPolicy(HeapPolicy):
     """Min-heap on (K-th-last reference time, last reference time)."""
 
     name = "lru-k"
@@ -28,19 +28,17 @@ class LRUKPolicy(ReplacementPolicy):
     def __init__(self, k: int = 2):
         if k < 1:
             raise ConfigurationError("k must be at least 1")
+        super().__init__()
         self.k = k
         self.name = f"lru-{k}" if k != 2 else "lru-2"
-        self._heap: AddressableHeap = AddressableHeap()
         self._clock = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     def _tick(self) -> int:
         self._clock += 1
         return self._clock
 
-    def _key(self, history: Deque[int]) -> tuple:
+    def _key(self, entry: CacheEntry) -> tuple:
+        history: Deque[int] = entry.policy_data
         if len(history) < self.k:
             return (_NO_HISTORY, history[-1])
         return (history[0], history[-1])
@@ -49,25 +47,21 @@ class LRUKPolicy(ReplacementPolicy):
         history: Deque[int] = deque(maxlen=self.k)
         history.append(self._tick())
         entry.policy_data = history
-        self._heap.push(entry, self._key(history))
+        super().on_admit(entry)
 
     def on_hit(self, entry: CacheEntry) -> None:
-        history: Deque[int] = entry.policy_data
-        history.append(self._tick())
-        self._heap.update_key(entry, self._key(history))
-
-    def peek_victim(self) -> CacheEntry:
-        return self._heap.peek()[0]
+        entry.policy_data.append(self._tick())
+        super().on_hit(entry)
 
     def pop_victim(self) -> CacheEntry:
-        entry, _ = self._heap.pop()
+        entry = super().pop_victim()
         entry.policy_data = None
         return entry
 
     def remove(self, entry: CacheEntry) -> None:
-        self._heap.remove(entry)
+        super().remove(entry)
         entry.policy_data = None
 
     def clear(self) -> None:
-        self._heap.clear()
+        super().clear()
         self._clock = 0

@@ -12,18 +12,22 @@ eviction order over the entries the cache hands it.  The contract:
 * ``clear()`` — drop all state.
 
 Policies may keep per-entry state in ``entry.policy_data``; the cache
-guarantees an entry is handed to exactly one policy.
+guarantees an entry is handed to exactly one policy.  A policy that is
+a priority queue on one key per entry derives from
+:class:`~repro.core.heap_policy.HeapPolicy` (or, with the paper's
+inflation L, :class:`~repro.core.heap_policy.GreedyDualPolicy`) and
+defines only ``_key``.
 
 Concurrency contract
 --------------------
 
 Policies are **single-threaded**.  Every mutation point — the dlist
 relinks of :meth:`ReplacementPolicy.on_hit`, the heap pushes and pops
-of ``update_key``/``pop_victim``, the aging-state updates of LFU-DA and
-the Greedy-Dual family — leaves the backing structure transiently
-inconsistent (a node unlinked but not relinked, a re-keyed tuple pushed
-onto the heap list but not yet recorded as the item's live one,
-``cache_age``/``inflation`` read before the pop that advances it).
+of ``update_key``/``pop_victim``, the aging-state update of the
+Greedy-Dual family (:mod:`repro.core.heap_policy`) — leaves the backing
+structure transiently inconsistent (a node unlinked but not relinked, a
+re-keyed tuple pushed onto the heap list but not yet recorded as the
+item's live one, ``inflation`` read before the pop that advances it).
 Nothing in :mod:`repro.core` locks, because the simulator drives each
 cache from exactly one thread.
 

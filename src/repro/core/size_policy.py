@@ -8,37 +8,18 @@ rates — a useful extreme against which to read GDS(1)'s behaviour.
 
 from __future__ import annotations
 
-from repro.core.policy import CacheEntry, ReplacementPolicy
-from repro.structures.addressable_heap import AddressableHeap
+from repro.core.heap_policy import HeapPolicy
+from repro.core.policy import CacheEntry
 
 
-class SizePolicy(ReplacementPolicy):
+class SizePolicy(HeapPolicy):
     """Min-heap on negative size (largest evicts first); ties FIFO."""
 
     name = "size"
 
-    def __init__(self):
-        self._heap: AddressableHeap = AddressableHeap()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def on_admit(self, entry: CacheEntry) -> None:
-        self._heap.push(entry, -entry.size)
+    def _key(self, entry: CacheEntry) -> int:
+        return -entry.size
 
     def on_hit(self, entry: CacheEntry) -> None:
         # Size does not change on a hit; nothing to reorder.
         pass
-
-    def peek_victim(self) -> CacheEntry:
-        return self._heap.peek()[0]
-
-    def pop_victim(self) -> CacheEntry:
-        entry, _ = self._heap.pop()
-        return entry
-
-    def remove(self, entry: CacheEntry) -> None:
-        self._heap.remove(entry)
-
-    def clear(self) -> None:
-        self._heap.clear()

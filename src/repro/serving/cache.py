@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.cache import Cache
+from repro.core.heap_policy import HeapPolicy
 from repro.core.policy import AccessOutcome, CacheEntry, ReplacementPolicy
 from repro.core.registry import make_policy
 from repro.errors import ConfigurationError
@@ -179,9 +180,8 @@ class ServedCache:
         from reader threads while writers are mid-eviction)."""
         with self._lock:
             self._cache.check_invariants()
-            check = getattr(self.policy, "_heap", None)
-            if check is not None and hasattr(check, "check_invariants"):
-                check.check_invariants()
+            if isinstance(self.policy, HeapPolicy):
+                self.policy._heap.check_invariants()
             for url in self._payloads:
                 assert url in self._cache, (
                     f"payload for non-resident {url!r}")

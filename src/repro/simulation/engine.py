@@ -65,9 +65,8 @@ from typing import (
 
 from repro.core.cache import Cache
 from repro.core.fifo import FIFOPolicy
-from repro.core.gds import GDSPolicy
-from repro.core.gdsf import GDSFPolicy
 from repro.core.gdstar import GDStarPolicy
+from repro.core.heap_policy import GreedyDualPolicy
 from repro.core.lru import LRUPolicy
 from repro.core.policy import AccessOutcome, ReplacementPolicy
 from repro.core.registry import make_policy
@@ -387,8 +386,9 @@ def fast_path(cell: CacheCell) -> Optional[str]:
     ``TRUSTED`` sizes: the all-capacities stack-distance pass, which
     additionally needs the trace-side conditions
     :func:`repro.simulation.vectorized.split_ladder` checks),
-    ``"fifo"`` (the shadow queue), ``"hinted"`` (a Greedy-Dual policy
-    fed precomputed key costs), or ``None`` (the ordinary
+    ``"fifo"`` (the shadow queue), ``"hinted"`` (any
+    :class:`~repro.core.heap_policy.GreedyDualPolicy` with a cost
+    model, fed precomputed key costs), or ``None`` (the ordinary
     :meth:`CacheCell.process_chunk`).  Every fast path needs a
     deferred cell — no cost/latency/occupancy/TTL accounting — over a
     plain :class:`~repro.core.cache.Cache`.
@@ -401,7 +401,8 @@ def fast_path(cell: CacheCell) -> Optional[str]:
         return "ladder"
     if kind is FIFOPolicy:
         return "fifo"
-    if kind in (GDSPolicy, GDSFPolicy, GDStarPolicy):
+    if (isinstance(cell.policy, GreedyDualPolicy)
+            and cell.policy.cost_model is not None):
         return "hinted"
     return None
 

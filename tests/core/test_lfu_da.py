@@ -23,9 +23,9 @@ def test_cache_age_advances_on_eviction():
     policy = LFUDAPolicy()
     c = Cache(30, policy)
     ref(c, "a"), ref(c, "b"), ref(c, "c")
-    assert policy.cache_age == 0.0
+    assert policy.inflation == 0.0
     ref(c, "d")   # evicts a with key 1 + 0
-    assert policy.cache_age == 1.0
+    assert policy.inflation == 1.0
 
 
 def test_aging_prevents_pollution():
@@ -34,8 +34,8 @@ def test_aging_prevents_pollution():
     c = cache(30)
     for _ in range(100):
         ref(c, "hot")          # key 100
-    # Stream of fresh documents; each admission uses key 1 + cache_age,
-    # and cache_age climbs with each eviction until it passes hot's key.
+    # Stream of fresh documents; each admission uses key 1 + inflation,
+    # and inflation climbs with each eviction until it passes hot's key.
     for i in range(300):
         ref(c, f"n{i}")
     assert "hot" not in c
@@ -48,7 +48,7 @@ def test_recently_referenced_beats_equally_frequent_older():
         ref(c, "old")          # key 5
     for i in range(10):        # force evictions to raise the age
         ref(c, f"f{i}")
-    age = policy.cache_age
+    age = policy.inflation
     assert age > 0
     ref(c, "new")              # key 1 + age
     # If the age exceeds old's standalone key, new outranks old.
@@ -63,7 +63,7 @@ def test_invalidation_does_not_advance_age():
     for _ in range(9):
         ref(c, "a")
     c.invalidate("a")
-    assert policy.cache_age == 0.0
+    assert policy.inflation == 0.0
 
 
 def test_age_monotone_nondecreasing():
@@ -74,8 +74,8 @@ def test_age_monotone_nondecreasing():
     last_age = 0.0
     for i in range(500):
         ref(c, f"u{rng.randint(0, 30)}")
-        assert policy.cache_age >= last_age
-        last_age = policy.cache_age
+        assert policy.inflation >= last_age
+        last_age = policy.inflation
 
 
 def test_clear_resets_age():
@@ -83,6 +83,6 @@ def test_clear_resets_age():
     c = Cache(30, policy)
     for url in "abcd":
         ref(c, url)
-    assert policy.cache_age > 0
+    assert policy.inflation > 0
     c.flush()
-    assert policy.cache_age == 0.0
+    assert policy.inflation == 0.0

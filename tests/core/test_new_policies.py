@@ -84,8 +84,8 @@ class TestLandlord:
         last = 0.0
         for _ in range(300):
             ref(cache, f"u{rng.randint(0, 30)}", size=rng.choice((20, 45)))
-            assert policy.rent_level >= last
-            last = policy.rent_level
+            assert policy.inflation >= last
+            last = policy.inflation
 
     def test_credit_diagnostics(self):
         policy = LandlordPolicy(ConstantCost())
@@ -113,7 +113,7 @@ class TestLandlord:
         cache = Cache(50, policy)
         ref(cache, "a", size=30), ref(cache, "b", size=30)
         cache.flush()
-        assert policy.rent_level == 0.0
+        assert policy.inflation == 0.0
         assert len(policy) == 0
 
 

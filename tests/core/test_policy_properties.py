@@ -9,11 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.admission import SecondHitAdmission
 from repro.core.belady import BeladyPolicy, compute_next_uses
 from repro.core.cache import Cache
+from repro.core.heap_policy import GreedyDualPolicy, HeapPolicy
 from repro.core.registry import POLICY_NAMES, make_policy
-from repro.structures.addressable_heap import AddressableHeap
+from repro.simulation.engine import CacheCell, SimulationConfig, fast_path
 from repro.types import DocumentType, Request
+
+from tests.core.test_victim_order import CAPACITY_BYTES, golden_references
 
 DOC_TYPES = list(DocumentType)
 
@@ -116,14 +120,17 @@ def test_deterministic_replay(policy_name):
     assert run() == run()
 
 
-HEAP_BACKED = [name for name in POLICY_NAMES if isinstance(
-    getattr(make_policy(name), "_heap", None), AddressableHeap)]
+#: Sampling policies draw their victim in ``pop_victim``: the only ones
+#: with no answer to ``peek_victim``.
+CANNOT_PEEK = {"rand", "hyperbolic(1)", "hyperbolic(p)"}
 
 
-@pytest.mark.parametrize("policy_name", HEAP_BACKED + ["belady"])
+@pytest.mark.parametrize("policy_name",
+                         POLICY_NAMES + ["belady", "2hit+lru"])
 def test_heap_backed_peek_is_total_and_pure(policy_name):
-    """Every policy on the shared heap previews its victim: the entry
-    ``pop_victim`` returns next, with no entry and no aging level moved."""
+    """Every policy but the sampling ones — all on the shared heap
+    among them — previews its victim: the entry ``pop_victim`` returns
+    next, with no entry and no aging level moved."""
     import random
     rng = random.Random(5)
     sizes = {}
@@ -134,20 +141,26 @@ def test_heap_backed_peek_is_total_and_pure(policy_name):
         requests.append(Request(0.0, url, size, size, DocumentType.HTML))
     if policy_name == "belady":
         policy = BeladyPolicy(compute_next_uses(requests))
+    elif policy_name == "2hit+lru":
+        policy = SecondHitAdmission(make_policy("lru"))
     else:
         policy = make_policy(policy_name)
-    assert isinstance(policy._heap, AddressableHeap)
     cache = Cache(600, policy)
     for request in requests:
         cache.reference(request.url, request.size, request.doc_type)
     assert cache.evictions > 50 and cache.hits > 50
+    if policy_name in CANNOT_PEEK:
+        assert not isinstance(policy, HeapPolicy)
+        with pytest.raises(NotImplementedError):
+            policy.peek_victim()
+        assert cache.next_victim() is None
+        return
     while cache.used_bytes > cache.capacity_bytes // 2:
         cache.invalidate(cache.next_victim().url)
 
     def state():
         return (len(policy), sorted(e.url for e in cache.entries()),
-                [getattr(policy, level, None)
-                 for level in ("inflation", "rent_level", "cache_age")])
+                getattr(policy, "inflation", None))
 
     before = state()
     victim = policy.peek_victim()
@@ -156,3 +169,41 @@ def test_heap_backed_peek_is_total_and_pure(policy_name):
     assert state() == before
     assert policy.pop_victim() is victim
     assert len(policy) == before[0] - 1
+
+
+GREEDY_DUAL = [name for name in POLICY_NAMES
+               if isinstance(make_policy(name), GreedyDualPolicy)]
+
+
+def test_greedy_dual_family_is_the_registry_members_with_an_L():
+    assert GREEDY_DUAL == [
+        "gd*(1)", "gd*(p)", "gd*t(1)", "gd*t(p)", "gds(1)", "gds(p)",
+        "gdsf(1)", "gdsf(p)", "landlord(1)", "landlord(p)", "lfu-da"]
+
+
+@pytest.mark.parametrize("policy_name", GREEDY_DUAL)
+def test_greedy_dual_family_contract(policy_name):
+    """One family, one contract: the engine feeds key costs to exactly
+    the members that have a cost model, L never decreases, and an
+    invalidation (``remove``) never moves it."""
+    cell = CacheCell(SimulationConfig(CAPACITY_BYTES, policy_name))
+    cell.begin_run(0, deferred=True)
+    policy, cache = cell.policy, cell.cache
+    assert fast_path(cell) == (
+        "hinted" if policy.cost_model is not None else None)
+    level = policy.inflation
+    assert level == 0.0
+    for url, size, doc_type in golden_references():
+        invalidations = cache.invalidations
+        evictions = cache.evictions
+        cache.reference(url, size, doc_type)
+        assert policy.inflation >= level
+        if cache.evictions == evictions:
+            # A hit, a plain admission or a modification miss whose
+            # stale copy left through remove(): L stays put.
+            assert policy.inflation == level
+        level = policy.inflation
+    assert cache.invalidations > 10 and level > 0.0
+    while len(cache):
+        cache.invalidate(next(cache.entries()).url)
+    assert policy.inflation == level

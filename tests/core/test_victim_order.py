@@ -42,9 +42,6 @@ POLICIES["gd*(1) beta=0.5"] = ("gd*(1)", {"fixed_beta": 0.5})
 
 CAPACITY_BYTES = 1_000_000   # ~2 % of the trace's distinct bytes
 
-#: The aging state each policy advances on eviction, where it has one.
-LEVEL_ATTRIBUTES = ("inflation", "cache_age", "rent_level")
-
 HEAD = 12
 
 
@@ -79,8 +76,6 @@ def victim_order(key, references):
     for url, size, doc_type in references:
         cache.reference(url, size, doc_type)
     cache.check_invariants()
-    level = next((getattr(policy, name) for name in LEVEL_ATTRIBUTES
-                  if hasattr(policy, name)), None)
     return {
         "sha256": hashlib.sha256(
             json.dumps(departures).encode("utf-8")).hexdigest(),
@@ -89,7 +84,8 @@ def victim_order(key, references):
         "evictions": cache.evictions,
         "invalidations": cache.invalidations,
         "hits": cache.hits,
-        "level": level,
+        # The Greedy-Dual members' final L; None for a queue without aging.
+        "level": getattr(policy, "inflation", None),
     }
 
 
