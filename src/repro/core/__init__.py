@@ -12,9 +12,8 @@ eviction order.  The policies studied in the paper —
   and online temporal-correlation adaptation) —
 
 plus the comparison baselines of the cited studies (FIFO, LFU, SIZE,
-RAND, LRU-K, GDSF, offline Belady bound).  The value-based ones share
-one base (:mod:`~repro.core.heap_policy`): a priority queue on
-H(p) = L + u(p), each member stating only its key.  Cost models: constant cost
+RAND, LRU-K, GDSF, offline Belady bound).  The value-based ones state
+only their key on one shared base (:mod:`~repro.core.heap_policy`).  Cost models: constant cost
 ``c(p)=1`` and packet cost ``c(p)=2+s(p)/536`` (:mod:`~repro.core.cost`).
 
 Use :func:`~repro.core.registry.make_policy` to construct policies by

@@ -1,24 +1,18 @@
 """The value-based policies' shared base: one priority queue, one L.
 
-Paper Section 3 describes LFU-DA, GDS and GD* as one scheme: keep the
-resident documents in a priority queue on
+Paper Section 3 describes LFU-DA, GDS and GD* as one scheme: a priority
+queue on H(p) = L + u(p) whose offset L — the *inflation* — is the key
+of the last victim, so a document touched afterwards starts above
+everything not touched since.  The members differ only in the base
+value u(p): f for LFU-DA, c/s for GDS, f·c/s for GDSF, (f·c/s)^(1/β)
+for GD*.
 
-    H(p) = L + u(p)
-
-evict the minimum, and set the offset L — the *inflation* — to the key
-of that victim, so every document touched afterwards starts above
-everything that has not been touched since.  The members differ only in
-the base value u(p): f for LFU-DA, c/s for GDS, f·c/s for GDSF,
-(f·c/s)^(1/β) for GD*.
-
-:class:`HeapPolicy` is the queue: it owns the
-:class:`~repro.structures.addressable_heap.AddressableHeap` and the
-whole :class:`~repro.core.policy.ReplacementPolicy` protocol, so a
-member says only what its key is (:meth:`HeapPolicy._key`).  LFU, SIZE,
-LRU-K and the Belady bound are queues without aging and sit directly on
-it.  :class:`GreedyDualPolicy` adds the paper's aging, the optional
-cost model and the engine's cost hint; LFU-DA, GDS, GDSF, GD*, typed
-GD* and Landlord sit on that.
+:class:`HeapPolicy` is the queue and the whole
+:class:`~repro.core.policy.ReplacementPolicy` protocol, so a member says
+only what its key is; LFU, SIZE, LRU-K and the Belady bound sit directly
+on it.  :class:`GreedyDualPolicy` adds L, the optional cost model and
+the engine's cost hint, for LFU-DA, GDS, GDSF, GD*, typed GD* and
+Landlord.
 """
 
 from __future__ import annotations
@@ -32,12 +26,9 @@ from repro.structures.addressable_heap import AddressableHeap
 
 
 class HeapPolicy(ReplacementPolicy):
-    """Evicts the minimum-key entry of one addressable min-heap.
-
-    Ties leave in the order their keys were set (the heap's sequence
-    number).  Members that keep per-entry state beside the key override
-    the hooks that maintain it.
-    """
+    """Evicts the minimum-key entry of one addressable min-heap; ties
+    leave in the order their keys were set.  Members that keep per-entry
+    state beside the key override the hooks that maintain it."""
 
     def __init__(self):
         self._heap: AddressableHeap = AddressableHeap()
@@ -75,13 +66,11 @@ class HeapPolicy(ReplacementPolicy):
 class GreedyDualPolicy(HeapPolicy):
     """A :class:`HeapPolicy` whose keys are ``inflation + u(p)``.
 
-    Conceptually Greedy-Dual reduces every H value by H_min at each
-    eviction; the standard O(log n) realization instead keeps
-    :attr:`inflation` (L) equal to the H value of the last victim and
-    adds it whenever a key is (re)set, so no mass update ever happens.
-    Keys only grow, so L is monotone non-decreasing.  ``remove`` leaves
-    it alone: invalidation is not an eviction decision, the document
-    was not the least valuable.
+    :attr:`inflation` (L) is the key of the last victim, added whenever
+    a key is (re)set: the O(log n) realization of reducing every H by
+    H_min at each eviction (:mod:`repro.core.gds`).  Keys only grow, so
+    L is monotone non-decreasing.  ``remove`` leaves it alone: an
+    invalidated document was not evicted for being the least valuable.
     """
 
     #: c(p) of the cost-aware members; None for LFU-DA, the paper's

@@ -3,12 +3,11 @@
 Frequency-based with a recency correction: every entry's heap key is
 ``frequency + L`` where the *cache age* L (``inflation``, as for the
 rest of the family) is the key value of the most recently evicted
-document.  Because L only grows, documents admitted or
-referenced later start ahead of long-dead former favourites, which
-prevents the cache pollution plain LFU suffers from.  Arlitt et al.
-showed LFU-DA achieves high byte hit rates; the paper uses it as the
-frequency-based representative under the fixed-cost/fixed-size
-assumption.
+document.  Because L only grows, documents admitted or referenced later
+start ahead of long-dead former favourites, which prevents the cache
+pollution plain LFU suffers from.  Arlitt et al. showed LFU-DA achieves
+high byte hit rates; the paper uses it as the frequency-based
+representative under the fixed-cost/fixed-size assumption.
 """
 
 from __future__ import annotations

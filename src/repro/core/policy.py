@@ -13,10 +13,8 @@ eviction order over the entries the cache hands it.  The contract:
 
 Policies may keep per-entry state in ``entry.policy_data``; the cache
 guarantees an entry is handed to exactly one policy.  A policy that is
-a priority queue on one key per entry derives from
-:class:`~repro.core.heap_policy.HeapPolicy` (or, with the paper's
-inflation L, :class:`~repro.core.heap_policy.GreedyDualPolicy`) and
-defines only ``_key``.
+a priority queue on one key per entry defines only ``_key`` on
+:class:`~repro.core.heap_policy.HeapPolicy`.
 
 Concurrency contract
 --------------------

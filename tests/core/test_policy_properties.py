@@ -181,8 +181,13 @@ def test_greedy_dual_family_is_the_registry_members_with_an_L():
         "gdsf(1)", "gdsf(p)", "landlord(1)", "landlord(p)", "lfu-da"]
 
 
+@pytest.fixture(scope="module")
+def references():
+    return golden_references()
+
+
 @pytest.mark.parametrize("policy_name", GREEDY_DUAL)
-def test_greedy_dual_family_contract(policy_name):
+def test_greedy_dual_family_contract(policy_name, references):
     """One family, one contract: the engine feeds key costs to exactly
     the members that have a cost model, L never decreases, and an
     invalidation (``remove``) never moves it."""
@@ -193,8 +198,7 @@ def test_greedy_dual_family_contract(policy_name):
         "hinted" if policy.cost_model is not None else None)
     level = policy.inflation
     assert level == 0.0
-    for url, size, doc_type in golden_references():
-        invalidations = cache.invalidations
+    for url, size, doc_type in references:
         evictions = cache.evictions
         cache.reference(url, size, doc_type)
         assert policy.inflation >= level
