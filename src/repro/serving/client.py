@@ -4,35 +4,38 @@
 connection, one outstanding request — which is what the protocol tests
 and simple drivers need.  :class:`AsyncCacheClient` speaks the same
 frames over asyncio streams for use inside the server's own loop.
+Both send a frame in one write and read replies through the server
+module's :class:`~repro.serving.server.FrameDecoder`, so a reply that
+breaks the framing (over :data:`~repro.serving.server.MAX_FRAME`, bad
+``payload_bytes``, not a JSON object) raises instead of being trusted.
 
-Both return the decoded response dict verbatim; a response with
-``ok: false`` raises :class:`ServingProtocolError` carrying the
-server's error string, so callers never have to remember to check.
+Both return the decoded response dict verbatim, a raw payload (the
+document body of a ``get``) attached as ``bytes`` under ``payload``; a
+response with ``ok: false`` raises :class:`ServingProtocolError`
+carrying the server's error string, so callers never have to remember
+to check.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import socket
-import struct
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.errors import ReproError
-from repro.serving.server import encode_frame, read_frame
+from repro.serving.server import (READ_BYTES, FrameDecoder,
+                                  ServingProtocolError, encode_frame)
 from repro.types import DocumentType
 
-_LEN = struct.Struct(">I")
+__all__ = ["AsyncCacheClient", "CacheClient", "ServingProtocolError"]
 
 
-class ServingProtocolError(ReproError):
-    """The server answered ``ok: false`` (its error string attached)."""
-
-
-def _check(response: dict) -> dict:
+def _reply(frame: Tuple[dict, Optional[bytes]]) -> dict:
+    response, payload = frame
     if not response.get("ok"):
         raise ServingProtocolError(
             response.get("error", "server reported failure"))
+    if payload is not None:
+        response["payload"] = payload
     return response
 
 
@@ -43,6 +46,7 @@ class CacheClient:
                  timeout: float = 10.0):
         self._sock = socket.create_connection((host, port),
                                               timeout=timeout)
+        self._decoder = FrameDecoder()
 
     def close(self) -> None:
         self._sock.close()
@@ -53,23 +57,19 @@ class CacheClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _roundtrip(self, message: dict) -> dict:
-        self._sock.sendall(encode_frame(message))
-        header = self._recv_exact(_LEN.size)
-        (length,) = _LEN.unpack(header)
-        body = self._recv_exact(length)
-        return _check(json.loads(body.decode("utf-8")))
-
-    def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        while n:
-            chunk = self._sock.recv(n)
+    def _roundtrip(self, message: dict,
+                   payload: Optional[bytes] = None) -> dict:
+        self._sock.sendall(encode_frame(message, payload))
+        recv, decoder = self._sock.recv, self._decoder
+        while True:
+            chunk = recv(READ_BYTES)
             if not chunk:
                 raise ServingProtocolError(
                     "connection closed mid-frame")
-            chunks.append(chunk)
-            n -= len(chunk)
-        return b"".join(chunks)
+            decoder.feed(chunk)
+            frame = decoder.next_frame()
+            if frame is not None:
+                return _reply(frame)
 
     # -- ops ---------------------------------------------------------------
 
@@ -84,20 +84,14 @@ class CacheClient:
 
     def get(self, url: str) -> Optional[dict]:
         response = self._roundtrip({"op": "get", "url": url})
-        if not response["found"]:
-            return None
-        if "payload" in response:
-            response["payload"] = response["payload"].encode("latin-1")
-        return response
+        return response if response["found"] else None
 
     def put(self, url: str, size: int,
             doc_type: DocumentType = DocumentType.OTHER,
             payload: Optional[bytes] = None) -> str:
-        message = {"op": "put", "url": url, "size": size,
-                   "doc_type": doc_type.value}
-        if payload is not None:
-            message["payload"] = payload.decode("latin-1")
-        return self._roundtrip(message)["outcome"]
+        return self._roundtrip({"op": "put", "url": url, "size": size,
+                                "doc_type": doc_type.value},
+                               payload)["outcome"]
 
     def delete(self, url: str) -> bool:
         return self._roundtrip({"op": "delete", "url": url})["deleted"]
@@ -112,6 +106,7 @@ class AsyncCacheClient:
     def __init__(self):
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
+        self._decoder = FrameDecoder()
 
     @classmethod
     async def connect(cls, host: str = "127.0.0.1",
@@ -127,14 +122,20 @@ class AsyncCacheClient:
             await self._writer.wait_closed()
             self._writer = None
 
-    async def call(self, message: dict) -> dict:
+    async def call(self, message: dict,
+                   payload: Optional[bytes] = None) -> dict:
         """One raw round trip (``ok`` checked)."""
-        self._writer.write(encode_frame(message))
+        self._writer.write(encode_frame(message, payload))
         await self._writer.drain()
-        response = await read_frame(self._reader)
-        if response is None:
-            raise ServingProtocolError("connection closed mid-frame")
-        return _check(response)
+        while True:
+            chunk = await self._reader.read(READ_BYTES)
+            if not chunk:
+                raise ServingProtocolError(
+                    "connection closed mid-frame")
+            self._decoder.feed(chunk)
+            frame = self._decoder.next_frame()
+            if frame is not None:
+                return _reply(frame)
 
     async def ping(self) -> bool:
         return bool((await self.call({"op": "ping"})).get("pong"))
@@ -149,20 +150,15 @@ class AsyncCacheClient:
 
     async def get(self, url: str) -> Optional[dict]:
         response = await self.call({"op": "get", "url": url})
-        if not response["found"]:
-            return None
-        if "payload" in response:
-            response["payload"] = response["payload"].encode("latin-1")
-        return response
+        return response if response["found"] else None
 
     async def put(self, url: str, size: int,
                   doc_type: DocumentType = DocumentType.OTHER,
                   payload: Optional[bytes] = None) -> str:
-        message = {"op": "put", "url": url, "size": size,
-                   "doc_type": doc_type.value}
-        if payload is not None:
-            message["payload"] = payload.decode("latin-1")
-        return (await self.call(message))["outcome"]
+        response = await self.call(
+            {"op": "put", "url": url, "size": size,
+             "doc_type": doc_type.value}, payload)
+        return response["outcome"]
 
     async def delete(self, url: str) -> bool:
         return (await self.call({"op": "delete", "url": url}))["deleted"]

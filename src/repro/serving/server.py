@@ -1,22 +1,31 @@
 """Asyncio TCP front end for a served (possibly sharded) cache.
 
-Wire protocol: each message is a 4-byte big-endian length prefix
-followed by that many bytes of UTF-8 JSON.  Requests carry an ``op``
-plus op-specific fields; responses always carry ``ok`` (bool) and
-either the result fields or an ``error`` string.  Binary payloads ride
-inside the JSON as latin-1-mapped strings (byte-transparent both
-ways), which keeps the protocol one codec deep — this is a measurement
-front end, not a production proxy.
+Wire protocol: a frame is a 4-byte big-endian header length, that many
+bytes of UTF-8 JSON (the header, always an object) and — iff the header
+carries an integer ``payload_bytes`` — exactly that many raw payload
+bytes.  Header and payload are each bounded by :data:`MAX_FRAME`.
+``payload_bytes`` belongs to the framing: :func:`encode_frame` sets it,
+:class:`FrameDecoder` strips it, no verb sees it.  Requests carry an
+``op`` plus op-specific fields; responses always carry ``ok`` (bool)
+and either the result fields or an ``error`` string.  A document body
+is the payload of a ``put`` request and of a ``get`` response and never
+enters the JSON — this is a measurement front end, not a production
+proxy, but it does not charge per payload byte.
 
 Ops::
 
     {"op": "ping"}                                   -> {"ok": true, "pong": true}
     {"op": "request", "url", "size", "doc_type"?}    -> {"ok": true, "outcome": "hit"|...}
-    {"op": "get", "url"}                             -> {"ok": true, "found": bool, ...}
-    {"op": "put", "url", "size", "doc_type"?,
-     "payload"?}                                     -> {"ok": true, "outcome": ...}
+    {"op": "get", "url"}                             -> {"ok": true, "found": bool, ...} [+ payload]
+    {"op": "put", "url", "size", "doc_type"?}
+     [+ payload]                                     -> {"ok": true, "outcome": ...}
     {"op": "delete", "url"}                          -> {"ok": true, "deleted": bool}
     {"op": "stats"}                                  -> {"ok": true, "stats": {...}}
+
+A malformed, truncated or over-bound frame is answered with one
+``{"ok": false, "error": "bad frame: ..."}`` and the connection is
+closed; an unknown op or a cache error is answered ``ok: false`` and
+the connection stays open.
 
 The event loop only frames and decodes; cache work happens in the
 handler coroutine directly because every :class:`ServedCache`
@@ -29,9 +38,9 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.observability.events import emit
 from repro.observability.logs import get_logger
 from repro.serving.cache import ServedCache
@@ -43,30 +52,87 @@ _logger = get_logger("serving.server")
 MAX_FRAME = 64 * 1024 * 1024  # refuse absurd frames instead of OOMing
 
 _LEN = struct.Struct(">I")
+READ_BYTES = 256 * 1024       # one read's worth, as the loop's transports use
 
 
-def encode_frame(message: dict) -> bytes:
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME:
+class ServingProtocolError(ReproError):
+    """The peer broke the framing, or answered ``ok: false`` (its error
+    string attached)."""
+
+
+def encode_frame(message: dict, payload: Optional[bytes] = None) -> bytes:
+    """One frame in one buffer, so header and payload leave in one
+    write (never write-write-read over Nagle)."""
+    if "payload_bytes" in message:
+        raise ConfigurationError("payload_bytes is set by the framing")
+    if payload is not None:
+        message = {**message, "payload_bytes": len(payload)}
+    header = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    if len(header) > MAX_FRAME or (payload is not None
+                                   and len(payload) > MAX_FRAME):
         raise ConfigurationError(
-            f"frame of {len(body)} bytes exceeds {MAX_FRAME}")
-    return _LEN.pack(len(body)) + body
+            f"frame header or payload exceeds {MAX_FRAME} bytes")
+    if payload is None:
+        return _LEN.pack(len(header)) + header
+    return b"".join((_LEN.pack(len(header)), header, payload))
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
-    """One decoded frame, or None on clean EOF at a frame boundary."""
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
+class FrameDecoder:
+    """Incremental decoder, the one reader of the wire format: ``feed``
+    whatever bytes arrived, then take frames until ``next_frame`` says
+    None.  Any violation raises :class:`ServingProtocolError` — as soon
+    as the announcement is readable, never after buffering toward it —
+    and the decoder is then spent."""
+
+    def __init__(self):
+        self._buffer = bytearray()
+        self._message: Optional[dict] = None    # header read, payload due
+        self._payload_bytes = 0
+
+    def feed(self, data: bytes) -> None:
+        self._buffer += data
+
+    def pending(self) -> bool:
+        """Whether part of a frame is held (EOF now would truncate it)."""
+        return bool(self._buffer) or self._message is not None
+
+    def next_frame(self) -> Optional[Tuple[dict, Optional[bytes]]]:
+        """The next complete ``(message, payload)``, or None."""
+        buffer = self._buffer
+        if self._message is None:
+            if len(buffer) < _LEN.size:
+                return None
+            (length,) = _LEN.unpack_from(buffer)
+            if length > MAX_FRAME:
+                raise ServingProtocolError(
+                    f"peer announced a {length}-byte header "
+                    f"(max {MAX_FRAME})")
+            end = _LEN.size + length
+            if len(buffer) < end:
+                return None
+            try:
+                message = json.loads(buffer[_LEN.size:end].decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
+                raise ServingProtocolError(
+                    f"header is not UTF-8 JSON: {exc}") from None
+            if not isinstance(message, dict):
+                raise ServingProtocolError("header is not a JSON object")
+            del buffer[:end]
+            if "payload_bytes" not in message:
+                return message, None
+            size = message.pop("payload_bytes")
+            if type(size) is not int or not 0 <= size <= MAX_FRAME:
+                raise ServingProtocolError(
+                    f"payload_bytes must be an integer in "
+                    f"[0, {MAX_FRAME}], got {size!r}")
+            self._message, self._payload_bytes = message, size
+        size = self._payload_bytes
+        if len(buffer) < size:
             return None
-        raise
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise ConfigurationError(
-            f"peer announced a {length}-byte frame (max {MAX_FRAME})")
-    body = await reader.readexactly(length)
-    return json.loads(body.decode("utf-8"))
+        payload = bytes(buffer[:size])
+        del buffer[:size]
+        message, self._message = self._message, None
+        return message, payload
 
 
 class CacheServer:
@@ -106,19 +172,26 @@ class CacheServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        decoder = FrameDecoder()
         try:
             while True:
                 try:
-                    message = await read_frame(reader)
-                except (ConfigurationError, ValueError,
-                        asyncio.IncompleteReadError) as exc:
+                    frame = decoder.next_frame()
+                    if frame is None:
+                        chunk = await reader.read(READ_BYTES)
+                        if chunk:
+                            decoder.feed(chunk)
+                            continue
+                        if not decoder.pending():
+                            break
+                        raise ServingProtocolError(
+                            "connection closed mid-frame")
+                except ServingProtocolError as exc:
                     writer.write(encode_frame(
                         {"ok": False, "error": f"bad frame: {exc}"}))
                     await writer.drain()
                     break
-                if message is None:
-                    break
-                writer.write(encode_frame(self._dispatch(message)))
+                writer.write(self._reply(*frame))
                 await writer.drain()
         except ConnectionResetError:
             pass
@@ -129,7 +202,15 @@ class CacheServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    def _dispatch(self, message: dict) -> dict:
+    def _reply(self, message: dict, payload: Optional[bytes]) -> bytes:
+        """The encoded response frame to one request frame."""
+        response = self._dispatch(message, payload)
+        return encode_frame(response, response.pop("payload", None))
+
+    def _dispatch(self, message: dict,
+                  payload: Optional[bytes] = None) -> dict:
+        """The response to one request; a document body to send back
+        rides under ``payload`` until :meth:`_reply` frames it."""
         try:
             op = message.get("op")
             if op == "ping":
@@ -143,7 +224,7 @@ class CacheServer:
                 return {"ok": True, "stats": stats}
             if op == "request":
                 outcome = self.cache.request(
-                    message["url"], int(message["size"]),
+                    message["url"], _size(message),
                     DocumentType(message.get("doc_type", "other")))
                 return {"ok": True, "outcome": outcome.value}
             if op == "get":
@@ -155,15 +236,11 @@ class CacheServer:
                             "doc_type": document.doc_type.value,
                             "frequency": document.frequency}
                 if document.payload is not None:
-                    response["payload"] = document.payload.decode(
-                        "latin-1")
+                    response["payload"] = document.payload
                 return response
             if op == "put":
-                payload = message.get("payload")
-                if payload is not None:
-                    payload = payload.encode("latin-1")
                 outcome = self.cache.put(
-                    message["url"], int(message["size"]),
+                    message["url"], _size(message),
                     DocumentType(message.get("doc_type", "other")),
                     payload)
                 return {"ok": True, "outcome": outcome.value}
@@ -174,6 +251,14 @@ class CacheServer:
         except Exception as exc:  # surface, don't kill the connection
             return {"ok": False,
                     "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _size(message: dict) -> int:
+    size = message["size"]
+    if type(size) is not int:     # 12.9, "12" and true are not sizes
+        raise ConfigurationError(
+            f"size must be a JSON integer, got {size!r}")
+    return size
 
 
 async def serve(cache: Union[ServedCache, ShardedCache],

@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import asyncio
+import json
+import random
+import socket
+import struct
 import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -13,7 +19,12 @@ from repro.serving.client import (
     CacheClient,
     ServingProtocolError,
 )
-from repro.serving.server import CacheServer, encode_frame
+from repro.serving.server import (
+    MAX_FRAME,
+    CacheServer,
+    FrameDecoder,
+    encode_frame,
+)
 from repro.serving.sharding import ShardedCache
 from repro.types import DocumentType
 
@@ -118,6 +129,274 @@ def test_async_client_roundtrip():
         asyncio.run(scenario())
 
 
+# ----- hostile and awkward peers ---------------------------------------------
+
+
+def _raw(header: bytes, payload: bytes = b"") -> bytes:
+    return struct.pack(">I", len(header)) + header + payload
+
+
+def _frames_until_close(sock) -> list:
+    """Every frame the peer sends before it closes the connection."""
+    decoder = FrameDecoder()
+    frames = []
+    while chunk := sock.recv(1 << 16):
+        decoder.feed(chunk)
+        frames.extend(iter(decoder.next_frame, None))
+    assert not decoder.pending()
+    return frames
+
+
+def _exchange(port, sends, half_close=True) -> list:
+    """Write each of ``sends`` as its own segment, optionally half-close,
+    and collect the replies up to the server's close."""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=10.0) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for data in sends:
+            sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        return _frames_until_close(sock)
+
+
+#: Frames no peer may send, as (id, bytes): an over-bound header or
+#: payload announcement, a ``payload_bytes`` that is not a natural
+#: number, a header that is JSON but not an object.
+BAD_FRAMES = [
+    ("header-over-bound", struct.pack(">I", MAX_FRAME + 1)),
+    ("header-2**32-1", struct.pack(">I", 2 ** 32 - 1)),
+    ("payload-over-bound",
+     _raw(b'{"ok":true,"payload_bytes":%d}' % (MAX_FRAME + 1))),
+    ("payload-negative", _raw(b'{"ok":true,"payload_bytes":-1}')),
+    ("payload-float", _raw(b'{"ok":true,"payload_bytes":2.0}', b"hi")),
+    ("payload-bool", _raw(b'{"ok":true,"payload_bytes":true}', b"h")),
+    ("not-an-object", _raw(b'[{"ok":true}]')),
+]
+_bad_frames = pytest.mark.parametrize(
+    "bad", [frame for _, frame in BAD_FRAMES],
+    ids=[name for name, _ in BAD_FRAMES])
+
+
+@contextmanager
+def _fake_peer(reply: bytes):
+    """A server that answers its first request with ``reply`` and
+    closes."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(1 << 16)
+                conn.sendall(reply)
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        yield listener.getsockname()[1]
+        thread.join(10.0)
+        assert not thread.is_alive()
+
+
+@_bad_frames
+def test_sync_client_refuses_a_bad_reply(bad):
+    with _fake_peer(bad) as port:
+        with CacheClient(port=port) as client:
+            with pytest.raises(ServingProtocolError):
+                client.ping()
+
+
+@_bad_frames
+def test_async_client_refuses_a_bad_reply(bad):
+    async def scenario(port):
+        client = await AsyncCacheClient.connect(port=port)
+        try:
+            with pytest.raises(ServingProtocolError):
+                await client.ping()
+        finally:
+            await client.close()
+
+    with _fake_peer(bad) as port:
+        asyncio.run(scenario(port))
+
+
+@pytest.mark.parametrize("cut", [
+    b"", b"\x00\x00", _raw(b'{"ok":true,"pong":true}')[:-1],
+    _raw(b'{"ok":true,"payload_bytes":9}', b"abc"),
+], ids=["no-reply", "mid-prefix", "mid-header", "mid-payload"])
+def test_sync_client_reports_a_reply_cut_short(cut):
+    with _fake_peer(cut) as port:
+        with CacheClient(port=port) as client:
+            with pytest.raises(ServingProtocolError,
+                               match="closed mid-frame"):
+                client.ping()
+
+
+@_bad_frames
+def test_server_answers_a_bad_frame_once_and_closes(bad):
+    with _ServerThread(ServedCache(1000, "lru")) as server:
+        with CacheClient(port=server.port) as bystander:
+            replies = _exchange(
+                server.port, [encode_frame({"op": "ping"}) + bad],
+                half_close=False)
+            assert [message["ok"] for message, _ in replies] == [
+                True, False]
+            assert replies[1][0]["error"].startswith("bad frame: ")
+            assert bystander.ping()
+
+
+@pytest.mark.parametrize("truncated", [
+    b"\x00\x00",
+    _raw(b'{"op":"put","url":"a","size":9,"payload_bytes":9}', b"abc"),
+    _raw(b'{"op":"put","url":"a","size":9,"payload_bytes":9}'),
+    _raw(b'{"op":"pi')[:-1],
+], ids=["2-header-bytes", "mid-payload", "before-payload", "mid-header"])
+def test_eof_mid_frame_is_a_bad_frame(truncated):
+    with _ServerThread(ServedCache(1000, "lru")) as server:
+        with CacheClient(port=server.port) as bystander:
+            replies = _exchange(server.port, [truncated])
+            assert len(replies) == 1
+            assert replies[0][0]["ok"] is False
+            assert replies[0][0]["error"].startswith("bad frame: ")
+            assert bystander.ping()
+            assert bystander.get("a") is None       # nothing half-put
+
+
+def test_eof_at_a_frame_boundary_is_a_clean_close():
+    with _ServerThread(ServedCache(1000, "lru")) as server:
+        assert _exchange(server.port, []) == []
+        assert _exchange(server.port, [encode_frame({"op": "ping"})]) \
+            == [({"ok": True, "pong": True}, None)]
+
+
+def _script(n: int) -> list:
+    """``n`` request frames whose replies tell their order apart."""
+    frames = []
+    for i in range(n // 2):
+        body = bytes([i]) * (i + 1)
+        frames.append(encode_frame(
+            {"op": "put", "url": f"u{i}", "size": i + 1}, body))
+        frames.append(encode_frame({"op": "get", "url": f"u{i}"}))
+    return frames
+
+
+def _expected(n: int) -> list:
+    replies = []
+    for i in range(n // 2):
+        replies.append(({"ok": True, "outcome": "miss"}, None))
+        replies.append(({"ok": True, "found": True, "url": f"u{i}",
+                         "size": i + 1, "doc_type": "other",
+                         "frequency": 2}, bytes([i]) * (i + 1)))
+    return replies
+
+
+@pytest.mark.parametrize("n", [2, 50])
+def test_frames_of_one_segment_are_answered_in_order(n):
+    with _ServerThread(ServedCache(100_000, "lru")) as server:
+        replies = _exchange(server.port, [b"".join(_script(n))])
+        assert replies == _expected(n)
+
+
+def test_byte_at_a_time_client_gets_the_same_replies():
+    with _ServerThread(ServedCache(100_000, "lru")) as server:
+        stream = b"".join(_script(6))
+        replies = _exchange(
+            server.port, [stream[i:i + 1] for i in range(len(stream))])
+        assert replies == _expected(6)
+
+
+def test_high_entropy_payload_round_trips_through_both_clients():
+    body = random.Random(0).randbytes(200_000)
+    assert set(body) == set(range(256))
+    with _ServerThread(ServedCache(1_000_000, "lru")) as server:
+        with CacheClient(port=server.port) as client:
+            assert client.put("sync", len(body), payload=body) == "miss"
+            assert client.get("sync")["payload"] == body
+
+        async def scenario():
+            client = await AsyncCacheClient.connect(port=server.port)
+            try:
+                assert await client.put("async", len(body),
+                                        payload=body[::-1]) == "miss"
+                assert (await client.get("async"))["payload"] \
+                    == body[::-1]
+                assert (await client.get("sync"))["payload"] == body
+            finally:
+                await client.close()
+
+        asyncio.run(scenario())
+
+
+def test_empty_payload_is_a_payload():
+    with _ServerThread(ServedCache(1000, "lru")) as server:
+        with CacheClient(port=server.port) as client:
+            assert client.put("empty", 0, payload=b"") == "miss"
+            assert client.get("empty")["payload"] == b""
+            assert client.put("bare", 5) == "miss"
+            assert "payload" not in client.get("bare")
+        frame = encode_frame({"op": "get", "url": "empty"})
+        (reply,) = _exchange(server.port, [frame])
+        assert reply[1] == b""
+
+
+def test_payload_must_be_size_bytes_long():
+    with _ServerThread(ServedCache(1000, "lru")) as server:
+        with CacheClient(port=server.port) as client:
+            with pytest.raises(ServingProtocolError,
+                               match="payload is 3 bytes but size=4"):
+                client.put("a", 4, payload=b"abc")
+            assert client.get("a") is None
+            assert client.ping()
+
+
+@pytest.mark.parametrize("op", ["request", "put"])
+@pytest.mark.parametrize("size", [12.9, 12.0, "12", True, None])
+def test_size_must_be_a_json_integer(op, size):
+    with _ServerThread(ServedCache(1000, "lru")) as server:
+        with CacheClient(port=server.port) as client:
+            with pytest.raises(ServingProtocolError,
+                               match="size must be a JSON integer"):
+                client._roundtrip({"op": op, "url": "a", "size": size})
+            assert client.get("a") is None      # not admitted at 12
+            assert client.request("a", 12) == "miss"
+
+
+def test_a_peer_that_does_not_read_cannot_grow_the_write_buffer():
+    """500 gets of a 100 000-byte document sent before reading a byte:
+    the server may get ahead only by what the socket buffers hold."""
+    body = random.Random(1).randbytes(100_000)
+    gets = 500
+    cache = ServedCache(1_000_000, "lru")
+    with _ServerThread(cache) as server:
+        with CacheClient(port=server.port) as client:
+            client.put("big", len(body), payload=body)
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30.0) as sock:
+            sock.sendall(encode_frame({"op": "get", "url": "big"}) * gets)
+            sock.shutdown(socket.SHUT_WR)
+            time.sleep(0.5)
+            answered_unread = cache.stats().hits
+            assert answered_unread < gets // 2
+            replies = _frames_until_close(sock)
+        assert len(replies) == gets
+        assert all(payload == body for _, payload in replies)
+        assert cache.stats().hits == gets
+
+
 def test_frame_encoding_is_length_prefixed():
-    frame = encode_frame({"op": "ping"})
+    """What ``benchmarks/perf/layers.py`` relies on: a payload-less
+    frame is a length prefix and the message as UTF-8 JSON, and a
+    payload is the frame's tail, verbatim."""
+    message = {"op": "request", "url": "http://h/\u00e9", "size": 12,
+               "doc_type": "html"}
+    frame = encode_frame(message)
     assert frame[:4] == len(frame[4:]).to_bytes(4, "big")
+    assert json.loads(frame[4:].decode("utf-8")) == message
+    body = bytes(range(256)) * 3
+    framed = encode_frame(message, body)
+    assert framed[-len(body):] == body
+    length = int.from_bytes(framed[:4], "big")
+    assert json.loads(framed[4:4 + length]) == {
+        **message, "payload_bytes": len(body)}
+    assert len(framed) == 4 + length + len(body)
+    assert "payload_bytes" not in message       # caller's dict untouched
+    # Empty is a payload; None is none.
+    assert b"payload_bytes" in encode_frame({"ok": True}, b"")
+    assert b"payload_bytes" not in encode_frame({"ok": True})
