@@ -30,6 +30,7 @@ __all__ = ["AsyncCacheClient", "CacheClient", "ServingProtocolError"]
 
 
 def _reply(frame: Tuple[dict, Optional[bytes]]) -> dict:
+    """A decoded frame as the response dict callers get."""
     response, payload = frame
     if not response.get("ok"):
         raise ServingProtocolError(

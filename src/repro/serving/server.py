@@ -22,13 +22,19 @@ Ops::
     {"op": "delete", "url"}                          -> {"ok": true, "deleted": bool}
     {"op": "stats"}                                  -> {"ok": true, "stats": {...}}
 
-A malformed, truncated or over-bound frame is answered with one
+Ordering and back-pressure: a connection's frames are answered in
+arrival order, one response per request, each response one write; all
+whole frames of a received chunk are answered before the loop reads
+again.  While the peer is not reading (the transport's write buffer is
+over its high-water mark) the connection neither reads nor dispatches,
+so a peer cannot grow the buffer by sending requests.  A malformed,
+truncated or over-bound frame is answered with one
 ``{"ok": false, "error": "bad frame: ..."}`` and the connection is
 closed; an unknown op or a cache error is answered ``ok: false`` and
 the connection stays open.
 
-The event loop only frames and decodes; cache work happens in the
-handler coroutine directly because every :class:`ServedCache`
+The event loop only frames and decodes; cache work happens in
+``data_received`` directly because every :class:`ServedCache`
 operation is a sub-microsecond lock-plus-dict affair — punting it to a
 thread pool would cost more than the lock ever blocks.
 """
@@ -38,7 +44,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, ReproError
 from repro.observability.events import emit
@@ -52,7 +58,7 @@ _logger = get_logger("serving.server")
 MAX_FRAME = 64 * 1024 * 1024  # refuse absurd frames instead of OOMing
 
 _LEN = struct.Struct(">I")
-READ_BYTES = 256 * 1024       # one read's worth, as the loop's transports use
+READ_BYTES = 64 * 1024        # what the clients ask of one read
 
 
 class ServingProtocolError(ReproError):
@@ -135,6 +141,61 @@ class FrameDecoder:
         return message, payload
 
 
+class CacheProtocol(asyncio.Protocol):
+    """One connection: request frames in, the frames of
+    ``dispatch(message, payload)`` out (a ``payload`` entry of the
+    response leaves as raw bytes), under the module's ordering and
+    back-pressure rules."""
+
+    def __init__(self, dispatch: Callable[[dict, Optional[bytes]], dict]):
+        self._dispatch = dispatch
+        self._decoder = FrameDecoder()
+        self._transport: Optional[asyncio.Transport] = None
+        self._paused = False
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._decoder.feed(data)
+        self._answer()
+
+    def eof_received(self) -> None:
+        # Whole frames wait unanswered only while reading is paused, and
+        # EOF is not seen then: what is held now, the peer cut short.
+        if self._decoder.pending():
+            self._refuse("connection closed mid-frame")
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if not self._transport.is_closing():
+            self._paused = False
+            self._transport.resume_reading()
+            self._answer()
+
+    def _answer(self) -> None:
+        """Answer buffered frames until none is whole or the peer has
+        stopped reading."""
+        write, next_frame = self._transport.write, self._decoder.next_frame
+        try:
+            while not self._paused:
+                frame = next_frame()
+                if frame is None:
+                    return
+                response = self._dispatch(*frame)
+                write(encode_frame(response, response.pop("payload", None)))
+        except ServingProtocolError as exc:
+            self._refuse(exc)
+
+    def _refuse(self, reason) -> None:
+        self._transport.write(encode_frame(
+            {"ok": False, "error": f"bad frame: {reason}"}))
+        self._transport.close()     # after the buffer is flushed
+
+
 class CacheServer:
     """Serve one :class:`ServedCache` / :class:`ShardedCache` over TCP."""
 
@@ -146,8 +207,8 @@ class CacheServer:
         self._server: Optional[asyncio.AbstractServer] = None
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: CacheProtocol(self._dispatch), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         shards = (len(self.cache.shard_names)
                   if isinstance(self.cache, ShardedCache) else 1)
@@ -170,47 +231,10 @@ class CacheServer:
             await self.start()
         await self._server.serve_forever()
 
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        decoder = FrameDecoder()
-        try:
-            while True:
-                try:
-                    frame = decoder.next_frame()
-                    if frame is None:
-                        chunk = await reader.read(READ_BYTES)
-                        if chunk:
-                            decoder.feed(chunk)
-                            continue
-                        if not decoder.pending():
-                            break
-                        raise ServingProtocolError(
-                            "connection closed mid-frame")
-                except ServingProtocolError as exc:
-                    writer.write(encode_frame(
-                        {"ok": False, "error": f"bad frame: {exc}"}))
-                    await writer.drain()
-                    break
-                writer.write(self._reply(*frame))
-                await writer.drain()
-        except ConnectionResetError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    def _reply(self, message: dict, payload: Optional[bytes]) -> bytes:
-        """The encoded response frame to one request frame."""
-        response = self._dispatch(message, payload)
-        return encode_frame(response, response.pop("payload", None))
-
     def _dispatch(self, message: dict,
                   payload: Optional[bytes] = None) -> dict:
-        """The response to one request; a document body to send back
-        rides under ``payload`` until :meth:`_reply` frames it."""
+        """The response to one request, a document body to send back
+        under ``payload``."""
         try:
             op = message.get("op")
             if op == "ping":

@@ -21,6 +21,7 @@ from repro.serving.client import (
 )
 from repro.serving.server import (
     MAX_FRAME,
+    CacheProtocol,
     CacheServer,
     FrameDecoder,
     encode_frame,
@@ -378,6 +379,94 @@ def test_a_peer_that_does_not_read_cannot_grow_the_write_buffer():
         assert len(replies) == gets
         assert all(payload == body for _, payload in replies)
         assert cache.stats().hits == gets
+
+
+class _FakeTransport:
+    """Records writes and reports a full write buffer (``pause_writing``)
+    on the ``pause_at``-th of them."""
+
+    def __init__(self, protocol, pause_at):
+        self.protocol = protocol
+        self.pause_at = pause_at
+        self.writes = []
+        self.reading = True
+        self.closing = False
+
+    def write(self, data):
+        self.writes.append(data)
+        if len(self.writes) == self.pause_at:
+            self.protocol.pause_writing()
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def is_closing(self):
+        return self.closing
+
+    def close(self):
+        self.closing = True
+
+    def replies(self) -> list:
+        decoder = FrameDecoder()
+        decoder.feed(b"".join(self.writes))
+        return list(iter(decoder.next_frame, None))
+
+
+def _connect(cache, pause_at=0):
+    protocol = CacheProtocol(CacheServer(cache)._dispatch)
+    transport = _FakeTransport(protocol, pause_at)
+    protocol.connection_made(transport)
+    return protocol, transport
+
+
+def test_a_paused_connection_dispatches_nothing_until_resumed():
+    cache = ServedCache(100_000, "lru")
+    protocol, transport = _connect(cache, pause_at=1)
+    protocol.data_received(b"".join(_script(10)))
+    assert len(transport.writes) == 1 and not transport.reading
+    assert cache.stats().misses == 1        # the first put, nothing after
+    protocol.resume_writing()
+    assert transport.reading and not transport.closing
+    assert transport.replies() == _expected(10)
+
+
+def test_one_chunk_per_byte_through_the_protocol():
+    protocol, transport = _connect(ServedCache(100_000, "lru"))
+    stream = b"".join(_script(6))
+    for i in range(len(stream)):
+        protocol.data_received(stream[i:i + 1])
+    assert transport.replies() == _expected(6)
+    assert len(transport.writes) == 6       # one write per response
+    assert not protocol.eof_received() and not transport.closing
+
+
+@pytest.mark.parametrize("pause_at", [0, 1, 2])
+def test_nothing_is_dispatched_after_a_bad_frame(pause_at):
+    cache = ServedCache(1000, "lru")
+    protocol, transport = _connect(cache, pause_at)
+    put = encode_frame({"op": "put", "url": "late", "size": 1}, b"x")
+    protocol.data_received(
+        encode_frame({"op": "ping"}) + _raw(b"[]") + put)
+    if pause_at == 1:
+        assert len(transport.writes) == 1 and not transport.closing
+    protocol.resume_writing()
+    protocol.resume_writing()               # after close: a no-op
+    oks = [message["ok"] for message, _ in transport.replies()]
+    assert oks == [True, False] and transport.closing
+    assert cache.stats().misses == 0
+
+
+def test_eof_mid_frame_through_the_protocol():
+    protocol, transport = _connect(ServedCache(1000, "lru"))
+    protocol.data_received(encode_frame({"op": "ping"}) + b"\x00")
+    assert not protocol.eof_received()      # falsy: the loop closes it
+    (pong, _), (refusal, _) = transport.replies()
+    assert pong["ok"] and refusal["error"] == \
+        "bad frame: connection closed mid-frame"
+    assert transport.closing
 
 
 def test_frame_encoding_is_length_prefixed():
