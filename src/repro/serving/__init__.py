@@ -11,8 +11,9 @@ the same policy objects as a live cache serving concurrent traffic:
   ring over N :class:`ServedCache` instances with per-shard capacity
   budgets and live add/remove of shards;
 * :mod:`repro.serving.server` / :mod:`repro.serving.client` — an
-  asyncio TCP front end speaking a tiny length-prefixed JSON protocol,
-  plus in-process sync/async clients;
+  asyncio TCP front end speaking a tiny protocol (length-prefixed JSON
+  header, document bodies as raw bytes after it, one incremental
+  decoder shared by server and clients), plus sync/async clients;
 * :mod:`repro.serving.replay` — a load-replay harness that fires a
   workload trace at a served cache from one thread per shard at line
   rate, then validates the replayed hit rates against (a) a

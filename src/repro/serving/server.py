@@ -78,9 +78,10 @@ def encode_frame(message: dict, payload: Optional[bytes] = None) -> bytes:
                                    and len(payload) > MAX_FRAME):
         raise ConfigurationError(
             f"frame header or payload exceeds {MAX_FRAME} bytes")
+    prefix = _LEN.pack(len(header))
     if payload is None:
-        return _LEN.pack(len(header)) + header
-    return b"".join((_LEN.pack(len(header)), header, payload))
+        return prefix + header
+    return b"".join((prefix, header, payload))
 
 
 class FrameDecoder:
