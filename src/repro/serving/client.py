@@ -6,31 +6,38 @@ and simple drivers need.  :class:`AsyncCacheClient` speaks the same
 frames over asyncio streams for use inside the server's own loop.
 Both send a frame in one write and read replies through the server
 module's :class:`~repro.serving.server.FrameDecoder`, so a reply that
-breaks the framing (over :data:`~repro.serving.server.MAX_FRAME`, bad
-``payload_bytes``, not a JSON object) raises instead of being trusted.
+breaks the framing raises instead of being trusted.
 
-Both return the decoded response dict verbatim, a raw payload (the
-document body of a ``get``) attached as ``bytes`` under ``payload``; a
-response with ``ok: false`` raises :class:`ServingProtocolError`
-carrying the server's error string, so callers never have to remember
-to check.
+Both return the decoded response dict verbatim, a document body
+attached as ``bytes`` under ``payload``; a response with ``ok: false``
+raises :class:`ServingProtocolError` carrying the server's error
+string, so callers never have to remember to check.
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.serving.server import (READ_BYTES, FrameDecoder,
-                                  ServingProtocolError, encode_frame)
+from repro.serving.server import (FrameDecoder, ServingProtocolError,
+                                  encode_frame)
 from repro.types import DocumentType
 
 __all__ = ["AsyncCacheClient", "CacheClient", "ServingProtocolError"]
 
+_READ_BYTES = 64 * 1024       # asked of one read; a reply may take several
 
-def _reply(frame: Tuple[dict, Optional[bytes]]) -> dict:
-    """A decoded frame as the response dict callers get."""
+
+def _reply(decoder: FrameDecoder, chunk: bytes) -> Optional[dict]:
+    """The response dict callers get, once ``chunk`` (empty: the peer
+    closed) completes the reply frame; None while it does not."""
+    if not chunk:
+        raise ServingProtocolError("connection closed mid-frame")
+    decoder.feed(chunk)
+    frame = decoder.next_frame()
+    if frame is None:
+        return None
     response, payload = frame
     if not response.get("ok"):
         raise ServingProtocolError(
@@ -61,16 +68,10 @@ class CacheClient:
     def _roundtrip(self, message: dict,
                    payload: Optional[bytes] = None) -> dict:
         self._sock.sendall(encode_frame(message, payload))
-        recv, decoder = self._sock.recv, self._decoder
         while True:
-            chunk = recv(READ_BYTES)
-            if not chunk:
-                raise ServingProtocolError(
-                    "connection closed mid-frame")
-            decoder.feed(chunk)
-            frame = decoder.next_frame()
-            if frame is not None:
-                return _reply(frame)
+            response = _reply(self._decoder, self._sock.recv(_READ_BYTES))
+            if response is not None:
+                return response
 
     # -- ops ---------------------------------------------------------------
 
@@ -129,14 +130,10 @@ class AsyncCacheClient:
         self._writer.write(encode_frame(message, payload))
         await self._writer.drain()
         while True:
-            chunk = await self._reader.read(READ_BYTES)
-            if not chunk:
-                raise ServingProtocolError(
-                    "connection closed mid-frame")
-            self._decoder.feed(chunk)
-            frame = self._decoder.next_frame()
-            if frame is not None:
-                return _reply(frame)
+            response = _reply(self._decoder,
+                              await self._reader.read(_READ_BYTES))
+            if response is not None:
+                return response
 
     async def ping(self) -> bool:
         return bool((await self.call({"op": "ping"})).get("pong"))

@@ -3,14 +3,13 @@
 Wire protocol: a frame is a 4-byte big-endian header length, that many
 bytes of UTF-8 JSON (the header, always an object) and — iff the header
 carries an integer ``payload_bytes`` — exactly that many raw payload
-bytes.  Header and payload are each bounded by :data:`MAX_FRAME`.
+bytes, header and payload each bounded by :data:`MAX_FRAME`.
 ``payload_bytes`` belongs to the framing: :func:`encode_frame` sets it,
 :class:`FrameDecoder` strips it, no verb sees it.  Requests carry an
 ``op`` plus op-specific fields; responses always carry ``ok`` (bool)
 and either the result fields or an ``error`` string.  A document body
-is the payload of a ``put`` request and of a ``get`` response and never
-enters the JSON — this is a measurement front end, not a production
-proxy, but it does not charge per payload byte.
+is the payload of a ``put`` request or a ``get`` response and never
+enters the JSON: the wire does not charge per payload byte.
 
 Ops::
 
@@ -58,7 +57,6 @@ _logger = get_logger("serving.server")
 MAX_FRAME = 64 * 1024 * 1024  # refuse absurd frames instead of OOMing
 
 _LEN = struct.Struct(">I")
-READ_BYTES = 64 * 1024        # what the clients ask of one read
 
 
 class ServingProtocolError(ReproError):
@@ -143,10 +141,9 @@ class FrameDecoder:
 
 
 class CacheProtocol(asyncio.Protocol):
-    """One connection: request frames in, the frames of
-    ``dispatch(message, payload)`` out (a ``payload`` entry of the
-    response leaves as raw bytes), under the module's ordering and
-    back-pressure rules."""
+    """One connection: each request frame answered by the frame of
+    ``dispatch(message, payload)`` (its ``payload`` entry as raw bytes)
+    under the module's ordering and back-pressure rules."""
 
     def __init__(self, dispatch: Callable[[dict, Optional[bytes]], dict]):
         self._dispatch = dispatch
