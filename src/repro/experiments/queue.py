@@ -43,13 +43,10 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.errors import ServiceError
 from repro.experiments.store import ResultKey, ResultsStore, canonical_json
 from repro.observability import events as _events
-from repro.observability.logs import get_logger
 from repro.resilience.checkpoint import config_hash
 from repro.resilience.lease import Lease, LeaseManager
 
 PathLike = Union[str, Path]
-
-_logger = get_logger("experiments.queue")
 
 #: Claim attempts allowed per trial before it is abandoned.
 DEFAULT_MAX_ATTEMPTS = 3
@@ -186,8 +183,6 @@ class TrialQueue:
             return trial_id, False
         self._atomic_write(path, {"trial_id": trial_id, "spec": spec})
         _events.emit("trial_enqueued", trial_id=trial_id)
-        _logger.debug("trial enqueued: %s", trial_id,
-                      extra={"trial_id": trial_id})
         return trial_id, True
 
     # -- introspection ----------------------------------------------------
@@ -223,9 +218,8 @@ class TrialQueue:
             except OSError:  # pragma: no cover
                 pass
             _events.emit("record_quarantined", source=path.name,
-                         reason=f"unreadable trial spec: {exc}")
-            _logger.warning("unreadable trial spec quarantined: %s",
-                            trial_id, extra={"trial_id": trial_id})
+                         reason=f"unreadable trial spec: {exc}",
+                         trial_id=trial_id)
             return None
 
     def status(self) -> QueueStatus:
@@ -277,17 +271,10 @@ class TrialQueue:
             attempt = self._bump_attempts(trial_id)
             if was_stale or lease.reclaimed_from is not None:
                 _events.emit("trial_requeued", trial_id=trial_id,
-                             reason="stale lease reclaimed")
-                _logger.warning(
-                    "trial %s re-queued (stale lease reclaimed from "
-                    "%s)", trial_id, lease.reclaimed_from,
-                    extra={"trial_id": trial_id,
-                           "previous_owner": lease.reclaimed_from})
+                             reason="stale lease reclaimed",
+                             previous_owner=lease.reclaimed_from)
             _events.emit("trial_claimed", trial_id=trial_id,
                          owner=self.owner, attempt=attempt)
-            _logger.debug("trial claimed: %s (attempt %d)", trial_id,
-                          attempt, extra={"trial_id": trial_id,
-                                          "attempt": attempt})
             return ClaimedTrial(trial_id=trial_id, spec=spec,
                                 lease=lease, attempt=attempt)
         return None
@@ -302,10 +289,6 @@ class TrialQueue:
                                   "reason": reason})
         _events.emit("trial_abandoned", trial_id=trial_id,
                      attempts=attempts, reason=reason)
-        _logger.error("trial %s abandoned after %d attempt(s): %s",
-                      trial_id, attempts, reason,
-                      extra={"trial_id": trial_id, "attempts": attempts,
-                             "reason": reason})
 
     def complete(self, claimed: ClaimedTrial,
                  result_key: Optional[ResultKey] = None,
@@ -324,15 +307,8 @@ class TrialQueue:
                            marker, durable=False)
         self.leases.release(claimed.lease)
         _events.emit("trial_completed", trial_id=claimed.trial_id,
-                     owner=self.owner,
+                     owner=self.owner, attempt=claimed.attempt,
                      duration_seconds=round(duration_seconds, 6))
-        _logger.info("trial completed: %s (attempt %d, %.2fs)",
-                     claimed.trial_id, claimed.attempt,
-                     duration_seconds,
-                     extra={"trial_id": claimed.trial_id,
-                            "attempt": claimed.attempt,
-                            "duration_seconds":
-                                round(duration_seconds, 6)})
 
     def release(self, claimed: ClaimedTrial, reason: str) -> None:
         """Give a claimed trial back (e.g. after an execution error)
@@ -340,10 +316,6 @@ class TrialQueue:
         self.leases.release(claimed.lease)
         _events.emit("trial_requeued", trial_id=claimed.trial_id,
                      reason=reason)
-        _logger.warning("trial %s released back to the queue: %s",
-                        claimed.trial_id, reason,
-                        extra={"trial_id": claimed.trial_id,
-                               "reason": reason})
 
     # -- reconcile --------------------------------------------------------
 
@@ -385,10 +357,6 @@ class TrialQueue:
                 pass
             _events.emit("trial_requeued", trial_id=trial_id,
                          reason="store record missing")
-            _logger.warning(
-                "trial %s re-opened: completion marker has no backing "
-                "store record", trial_id,
-                extra={"trial_id": trial_id})
             reopened.append(trial_id)
         return reopened
 

@@ -27,8 +27,7 @@ from repro.experiments.config import (
     ExperimentSettings,
     check_experiment_id,
 )
-from repro.observability import events as _events
-from repro.observability.logs import get_logger
+from repro.observability.events import emit
 from repro.observability.manifest import TelemetryRun
 from repro.observability.profiling import maybe_profile
 from repro.observability.progress import ProgressReporter
@@ -40,9 +39,7 @@ from repro.simulation.simulator import (
 from repro.simulation.sweep import cache_sizes_from_fractions, run_sweep
 from repro.types import DOCUMENT_TYPES, PLOTTED_TYPES, DocumentType, Trace
 from repro.workload.generator import generate_trace
-from repro.workload.profiles import dfn_like, rtp_like
-
-_logger = get_logger("experiments")
+from repro.workload.profiles import profile_by_name
 
 
 @dataclass
@@ -67,13 +64,8 @@ class _TraceCache:
             seed: Optional[int]) -> Trace:
         key = (profile_name, scale, seed)
         if key not in self._traces:
-            if profile_name == "dfn":
-                profile = (dfn_like(scale=scale) if seed is None
-                           else dfn_like(scale=scale, seed=seed))
-            else:
-                profile = (rtp_like(scale=scale) if seed is None
-                           else rtp_like(scale=scale, seed=seed))
-            self._traces[key] = generate_trace(profile)
+            self._traces[key] = generate_trace(
+                profile_by_name(profile_name, scale, seed))
         return self._traces[key]
 
 
@@ -86,6 +78,10 @@ def _dfn(settings: ExperimentSettings) -> Trace:
 
 def _rtp(settings: ExperimentSettings) -> Trace:
     return _TRACES.get("rtp", settings.scale, settings.seed)
+
+
+def _future(settings: ExperimentSettings) -> Trace:
+    return _TRACES.get("future", settings.scale, settings.seed)
 
 
 # --------------------------------------------------------------------------
@@ -503,13 +499,10 @@ def _run_ablation_irm(settings: ExperimentSettings) -> ExperimentReport:
     sizes but uniform reference placement, isolating how much of each
     scheme's performance comes from short-term temporal correlation.
     """
-    from repro.workload.generator import generate_trace as _generate
-    from repro.workload.profiles import dfn_like as _dfn_profile
-
-    profile = (_dfn_profile(scale=settings.scale) if settings.seed is None
-               else _dfn_profile(scale=settings.scale, seed=settings.seed))
     gaps_trace = _dfn(settings)
-    irm_trace = _generate(profile, temporal_model="irm")
+    irm_trace = generate_trace(
+        profile_by_name("dfn", settings.scale, settings.seed),
+        temporal_model="irm")
 
     rows = []
     data = {}
@@ -683,10 +676,7 @@ def _run_future_workload(settings: ExperimentSettings) -> ExperimentReport:
     DFN mix); this experiment reruns the paper's comparison on it and
     reports which recommendations survive.
     """
-    from repro.workload.generator import generate_trace as _generate
-    from repro.workload.profiles import future_like
-
-    future = _generate(future_like(scale=settings.scale))
+    future = _future(settings)
     dfn = _dfn(settings)
 
     sections = [
@@ -954,7 +944,6 @@ def run_suite(experiment_ids: Optional[Sequence[str]] = None,
                 "resume": resume,
             },
             install_sink=True)
-    emit = _events.emit
     reporter = (ProgressReporter(total=len(ids), label="suite")
                 if progress else None)
 
@@ -972,9 +961,6 @@ def run_suite(experiment_ids: Optional[Sequence[str]] = None,
                     suite.resumed.append(experiment_id)
                     emit("experiment_checkpoint_restored",
                          experiment_id=experiment_id)
-                    _logger.info("experiment %s restored from "
-                                 "checkpoint", experiment_id,
-                                 extra={"experiment_id": experiment_id})
                     if reporter is not None:
                         reporter.update(detail=f"{experiment_id} "
                                                "(checkpoint)")
@@ -983,20 +969,12 @@ def run_suite(experiment_ids: Optional[Sequence[str]] = None,
                     continue
             started = time.time()
             emit("experiment_started", experiment_id=experiment_id)
-            _logger.info("experiment %s started", experiment_id,
-                         extra={"experiment_id": experiment_id})
 
             def _on_retry(upcoming: int, exc: Exception,
                           eid: str = experiment_id) -> None:
                 emit("experiment_retried", experiment_id=eid,
                      attempt=upcoming - 1,
                      error_type=type(exc).__name__)
-                _logger.warning(
-                    "experiment %s attempt %d failed (%s); retrying",
-                    eid, upcoming - 1, type(exc).__name__,
-                    extra={"experiment_id": eid,
-                           "attempt": upcoming - 1,
-                           "error_type": type(exc).__name__})
 
             def _run_one(eid: str = experiment_id) -> ExperimentReport:
                 profile_path = (Path(profile_dir) / f"{eid}.prof"
@@ -1016,12 +994,7 @@ def run_suite(experiment_ids: Optional[Sequence[str]] = None,
                 )
                 emit("experiment_failed", experiment_id=experiment_id,
                      attempts=retry_policy.max_attempts,
-                     error_type=type(exc).__name__)
-                _logger.error(
-                    "experiment %s failed permanently: %s",
-                    experiment_id, exc,
-                    extra={"experiment_id": experiment_id,
-                           "error_type": type(exc).__name__})
+                     error_type=type(exc).__name__, message=str(exc))
                 if failure_policy == "raise":
                     raise
                 suite.failures.append(failure)
@@ -1035,10 +1008,6 @@ def run_suite(experiment_ids: Optional[Sequence[str]] = None,
             suite.executed.append(experiment_id)
             emit("experiment_finished", experiment_id=experiment_id,
                  duration_seconds=round(elapsed, 6))
-            _logger.info("experiment %s finished in %.2fs",
-                         experiment_id, elapsed,
-                         extra={"experiment_id": experiment_id,
-                                "duration_seconds": round(elapsed, 6)})
             if store is not None:
                 store.save(experiment_id, _report_to_payload(report),
                            digest)

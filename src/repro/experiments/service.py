@@ -59,7 +59,6 @@ from repro.experiments.store import (
 from repro.observability import events as _events
 from repro.observability.logs import LOG_LEVELS
 from repro.observability.logs import configure as configure_logs
-from repro.observability.logs import get_logger
 from repro.observability.trace import adopt, enable_tracing, inject
 from repro.observability.trace import span as _span
 from repro.resilience.checkpoint import config_hash
@@ -68,8 +67,6 @@ from repro.resilience.lease import Heartbeat
 from repro.types import DocumentType, Trace
 
 PathLike = Union[str, Path]
-
-_logger = get_logger("experiments.service")
 
 #: Trace profiles the service knows how to realize.
 TRACE_PROFILES = ("dfn", "rtp")
@@ -238,10 +235,9 @@ class _WorkerTraceCache:
     @staticmethod
     def _generate(trace: str, scale: float, seed: int) -> Trace:
         from repro.workload.generator import generate_trace
-        from repro.workload.profiles import dfn_like, rtp_like
+        from repro.workload.profiles import profile_by_name
 
-        factory = dfn_like if trace == "dfn" else rtp_like
-        return generate_trace(factory(scale=scale, seed=seed))
+        return generate_trace(profile_by_name(trace, scale, seed))
 
     def _columnar(self, trace: str, scale: float, seed: int,
                   spill_dir: Path):
@@ -482,8 +478,6 @@ def work(queue: TrialQueue, store: ResultsStore, *,
     """
     git_hash = git_hash or git_revision()
     _events.emit("service_worker_started", owner=queue.owner)
-    _logger.info("worker %s started", queue.owner,
-                 extra={"owner": queue.owner})
     # One scan up front, then tracked incrementally: rescanning the
     # whole store per trial would be quadratic, and a miss is harmless
     # anyway (a double execution deduplicates at compaction).
@@ -517,9 +511,6 @@ def work(queue: TrialQueue, store: ResultsStore, *,
         worker_span.set_attribute("executed", executed)
     _events.emit("service_worker_exited", owner=queue.owner,
                  executed=executed)
-    _logger.info("worker %s exited after %d trial(s)", queue.owner,
-                 executed, extra={"owner": queue.owner,
-                                  "executed": executed})
     return executed
 
 

@@ -200,8 +200,6 @@ class ResultsStore:
             raise StoreError(
                 f"cannot append record {key.as_str()!r}: {exc}") from exc
         _events.emit("record_appended", key=key.as_str())
-        _logger.debug("record appended: %s", key.as_str(),
-                      extra={"key": key.as_str()})
         return key
 
     def close(self) -> None:
@@ -241,12 +239,7 @@ class ResultsStore:
         except OSError as exc:  # pragma: no cover - disk full etc.
             _logger.error("cannot quarantine record: %s", exc)
         _events.emit("record_quarantined", source=source.name,
-                     reason=reason)
-        _logger.warning(
-            "corrupt record quarantined (%s line %d): %s",
-            source.name, line_number, reason,
-            extra={"source": source.name, "line_number": line_number,
-                   "reason": reason})
+                     reason=reason, line_number=line_number)
 
     def _atomic_rewrite(self, path: Path, lines: List[str]) -> None:
         tmp = path.with_name(
@@ -411,15 +404,8 @@ class ResultsStore:
         )
         _events.emit("store_compacted", records=stats.records,
                      segments=stats.segments_merged,
-                     quarantined=stats.quarantined)
-        _logger.info(
-            "store compacted: %d record(s) from %d segment(s), "
-            "%d quarantined, %d duplicate(s) dropped",
-            stats.records, stats.segments_merged, stats.quarantined,
-            stats.duplicates_dropped,
-            extra={"records": stats.records,
-                   "segments": stats.segments_merged,
-                   "quarantined": stats.quarantined})
+                     quarantined=stats.quarantined,
+                     duplicates_dropped=stats.duplicates_dropped)
         return stats
 
     def digest(self) -> str:

@@ -30,14 +30,11 @@ from repro.model.che import (HierarchyPrediction, ModelPrediction,
                              hierarchy_predict, hit_rate_curve)
 from repro.model.solver import normalize_policy
 from repro.observability.events import emit
-from repro.observability.logs import get_logger
 from repro.observability.metrics import get_registry
 from repro.simulation.engine import SimulationConfig, run_cells
 from repro.simulation.results import SimulationResult
 from repro.simulation.sweep import PAPER_SIZE_FRACTIONS
 from repro.types import DOCUMENT_TYPES, DocumentType, Trace
-
-_logger = get_logger("model")
 
 #: Default policy set: every policy the analytical model covers.
 DEFAULT_POLICIES = ("lru", "fifo", "random")
@@ -388,17 +385,10 @@ def validate_hierarchy(trace: Trace,
             registry.histogram(
                 "hierarchy_validation_abs_error",
                 policy=policy).observe(cell.combined_error)
-    emit("hierarchy_model_validated",
+    emit("hierarchy_model_validated", trace=report.trace_name,
          cells=len(report.cells),
          mean_absolute_error=round(report.mean_absolute_error, 6),
          max_absolute_error=round(report.max_absolute_error, 6))
-    _logger.info(
-        "hierarchy model validated on %r: %d cells, combined MAE "
-        "%.4f (max %.4f)", report.trace_name, len(report.cells),
-        report.mean_absolute_error, report.max_absolute_error,
-        extra={"trace": report.trace_name, "cells": len(report.cells),
-               "mean_absolute_error": report.mean_absolute_error,
-               "max_absolute_error": report.max_absolute_error})
     return report
 
 
@@ -494,15 +484,8 @@ def validate_model(trace: Trace,
                 registry.histogram(
                     "model_validation_abs_error",
                     policy=policy).observe(cell.hit_rate_error)
-    emit("model_validated",
+    emit("model_validated", trace=report.trace_name,
          cells=len(report.cells),
          mean_absolute_error=round(report.mean_absolute_error, 6),
          max_absolute_error=round(report.max_absolute_error, 6))
-    _logger.info(
-        "model validated on %r: %d cells, hit-rate MAE %.4f (max %.4f)",
-        report.trace_name, len(report.cells),
-        report.mean_absolute_error, report.max_absolute_error,
-        extra={"trace": report.trace_name, "cells": len(report.cells),
-               "mean_absolute_error": report.mean_absolute_error,
-               "max_absolute_error": report.max_absolute_error})
     return report

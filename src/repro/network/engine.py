@@ -30,7 +30,6 @@ batched after the loop, never per request.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -47,8 +46,6 @@ from repro.simulation.latency import LatencyMetrics, Link, path_latency
 from repro.simulation.metrics import TypeMetrics, measured_transfer
 from repro.structures.streaming import StreamingStats
 from repro.types import DOCUMENT_TYPES, DocumentType, Request, Trace
-
-_logger = logging.getLogger("repro.network")
 
 
 @dataclass
@@ -480,10 +477,6 @@ def publish_network_telemetry(result: NetworkResult) -> None:
          hit_rate=round(result.hit_rate, 6),
          byte_hit_rate=round(result.byte_hit_rate, 6),
          sibling_serves=result.sibling_serves, **labels)
-    _logger.debug(
-        "network %s/%s: %d requests, hit rate %.4f",
-        labels["topology"], labels["strategy"],
-        result.total_requests, result.hit_rate)
 
 
 def run_network(trace, config: NetworkConfig,

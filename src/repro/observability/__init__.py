@@ -13,6 +13,10 @@ Four orthogonal pieces, all zero-overhead until switched on:
   retries, timeouts, and checkpoint restores
   (:class:`TelemetryRun` bundles both; see also
   :mod:`repro.observability.validate` for offline checking).
+  :func:`emit` is the one call a lifecycle point makes: it writes the
+  event to the installed sink *and* logs it on ``repro.events`` at the
+  level :data:`~repro.observability.events.EVENT_TABLE` gives it, so
+  an event and its log line are the same datum.
 * :mod:`~repro.observability.progress` /
   :mod:`~repro.observability.profiling` — heartbeat/ETA reporting and
   per-phase timers plus opt-in cProfile dumps.

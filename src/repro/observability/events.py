@@ -1,152 +1,176 @@
-"""Append-only telemetry event streams (``events.jsonl``).
+"""Lifecycle events: one ``emit`` call per signal, one table of events.
 
-An :class:`EventLog` writes one JSON object per line: a wall-clock
-``ts``, a monotonically increasing ``seq`` (total order independent of
-clock resolution), the ``event`` name, and event-specific fields.  The
-schema of every event the library emits lives in :data:`EVENT_SCHEMAS`
-so telemetry files can be validated offline
+:func:`emit` is the only call a lifecycle point makes.  It appends the
+event to the process-wide sink — an :class:`EventLog` writing one JSON
+object per line to ``events.jsonl`` (a wall-clock ``ts``, a
+monotonically increasing ``seq``, the ``event`` name, the fields), or
+a no-op unless a :class:`~repro.observability.manifest.TelemetryRun`
+(or an explicit :func:`set_event_sink`) installed a real log — and
+then logs the same event on the ``repro.events`` logger: the message is
+the event name, the fields ride as ``extra``, so the formatters of
+:mod:`repro.observability.logs` print them as ``key=value`` pairs or
+top-level JSON keys.  No call site restates an event as a prose log
+line, so the two streams cannot drift.
+
+:data:`EVENT_TABLE` is the one place that knows an event: its log
+level and its required fields with the types downstream tooling relies
+on.  Telemetry files are validated against it offline
 (:mod:`repro.observability.validate`) and replayed to reconstruct a
 run's full history — which cells ran, retried, timed out, or were
 restored from checkpoints, and where the trace reader burned its
-error budget.
+error budget.  A new signal is one table row plus one ``emit``.
 
-Instrumented library code emits through the module-level :func:`emit`,
-which routes to the process-wide sink — a no-op unless a
-:class:`~repro.observability.manifest.TelemetryRun` (or an explicit
-:func:`set_event_sink`) installed a real log.  Emitting to the null
-sink costs one attribute call, so the library is free to emit from
-cold paths unconditionally.
+With the null sink and an unconfigured (or ``info``-level) logger a
+DEBUG event costs one no-op call and one level check, so the library
+is free to emit from cold paths unconditionally.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from logging import DEBUG, ERROR, INFO, WARNING
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.observability.logs import get_logger
+from repro.observability.logs import RESERVED_FIELDS, get_logger
 
 PathLike = Union[str, Path]
 
 _logger = get_logger("observability.events")
 
-#: event name -> required field names (beyond ``ts``/``seq``/``event``).
-EVENT_SCHEMAS: Dict[str, Set[str]] = {
-    # run lifecycle (manifest side)
-    "run_started": {"kind", "run_id"},
-    "run_finished": {"kind", "run_id", "status", "wall_clock_seconds"},
-    # parallel sweep cell lifecycle
-    "cell_scheduled": {"key", "attempt"},
-    "cell_finished": {"key", "attempt", "duration_seconds"},
-    "cell_retried": {"key", "attempt", "error_type", "delay_seconds"},
-    "cell_timed_out": {"key", "attempt", "timeout_seconds"},
-    "cell_failed": {"key", "attempts", "error_type"},
-    "cell_checkpoint_restored": {"key"},
-    "pool_rebuilt": {"reason"},
-    # shared-pass engine (one trace pass serving N cache cells)
-    "pass_started": {"cells", "requests"},
-    "pass_finished": {"cells", "requests", "duration_seconds",
-                      "lru_ladder_cells"},
-    # analytical model (repro.model): calibration and predictions
-    "model_calibrated": {"documents", "requests", "source"},
-    "model_predicted": {"policy", "capacity_bytes", "hit_rate"},
-    "model_curve_computed": {"policy", "points"},
-    "model_validated": {"cells", "mean_absolute_error",
-                        "max_absolute_error"},
-    "hierarchy_model_validated": {"cells", "mean_absolute_error",
-                                  "max_absolute_error"},
-    # cache-network engine (repro.network)
-    "network_simulated": {"trace", "requests", "hit_rate",
-                          "byte_hit_rate", "sibling_serves",
-                          "topology", "strategy"},
-    # suite experiment lifecycle
-    "experiment_started": {"experiment_id"},
-    "experiment_finished": {"experiment_id", "duration_seconds"},
-    "experiment_retried": {"experiment_id", "attempt", "error_type"},
-    "experiment_failed": {"experiment_id", "attempts", "error_type"},
-    "experiment_checkpoint_restored": {"experiment_id"},
-    # trace-reader error budget
-    "trace_line_quarantined": {"error"},
-    "trace_error_budget_exhausted": {"errors"},
-    # durable experiment service: leases
-    "lease_acquired": {"name", "owner"},
-    "lease_renewed": {"name", "owner"},
-    "lease_reclaimed": {"name", "owner", "previous_owner"},
-    "lease_lost": {"name", "owner"},
-    # durable experiment service: trial queue lifecycle
-    "trial_enqueued": {"trial_id"},
-    "trial_claimed": {"trial_id", "owner", "attempt"},
-    "trial_completed": {"trial_id", "owner", "duration_seconds"},
-    "trial_requeued": {"trial_id", "reason"},
-    "trial_abandoned": {"trial_id", "attempts", "reason"},
-    # durable experiment service: results store
-    "record_appended": {"key"},
-    "record_quarantined": {"source", "reason"},
-    "store_compacted": {"records", "segments", "quarantined"},
-    # durable experiment service: worker lifecycle
-    "service_worker_started": {"owner"},
-    "service_worker_exited": {"owner", "executed"},
-    "service_worker_restarted": {"worker", "exitcode", "restarts"},
-    # online serving subsystem (repro.serving)
-    "serving_started": {"host", "port", "shards", "policy",
-                        "capacity_bytes"},
-    "replay_finished": {"requests", "threads", "shards", "policy",
-                        "hit_rate", "duration_seconds",
-                        "requests_per_second"},
-    "shard_rebalanced": {"action", "shard", "shards"},
-    # hierarchical spans (repro.observability.trace): opened on start
-    # so live dashboards see in-flight work, closed with the timing
-    "span_started": {"name", "trace_id", "span_id", "parent_id"},
-    "span": {"name", "trace_id", "span_id", "parent_id", "started_at",
-             "duration_seconds", "status"},
-}
+#: Every emitted event is also one record on this logger.
+_event_logger = get_logger("events")
 
 _STR = (str,)
+_INT = (int,)
 _NUM = (int, float)
 _OPT_STR = (str, type(None))
 
-#: event name -> {field: allowed types}.  Presence alone is too weak
+#: event name -> (log level, {required field: allowed types}).  The
+#: fields are those beyond ``ts``/``seq``/``event``; a site may pass
+#: more.  ``None`` checks presence only.  Presence alone is too weak
 #: for the fields downstream tooling computes with — the regression
 #: detector and span waterfall would silently misrender a span whose
-#: duration is a string — so these are type-checked on validation.
-#: Only fields with a contract consumers rely on are listed.
-EVENT_FIELD_TYPES: Dict[str, Dict[str, tuple]] = {
-    "span_started": {"name": _STR, "trace_id": _STR, "span_id": _STR,
-                     "parent_id": _OPT_STR},
-    "span": {"name": _STR, "trace_id": _STR, "span_id": _STR,
-             "parent_id": _OPT_STR, "started_at": _NUM,
-             "duration_seconds": _NUM, "status": _STR},
-    # durable-service lifecycle: the live dashboard aggregates these
-    "service_worker_started": {"owner": _STR},
-    "service_worker_exited": {"owner": _STR, "executed": (int,)},
-    "service_worker_restarted": {"worker": (int,),
-                                 "restarts": (int,)},
-    "trial_claimed": {"trial_id": _STR, "owner": _STR,
-                      "attempt": (int,)},
-    "trial_completed": {"trial_id": _STR, "owner": _STR,
-                        "duration_seconds": _NUM},
-    "trial_abandoned": {"trial_id": _STR, "attempts": (int,),
-                        "reason": _STR},
-    "lease_acquired": {"name": _STR, "owner": _STR},
-    "lease_renewed": {"name": _STR, "owner": _STR},
-    "lease_reclaimed": {"name": _STR, "owner": _STR,
-                        "previous_owner": _STR},
-    "lease_lost": {"name": _STR, "owner": _STR},
-    "record_appended": {"key": _STR},
-    "store_compacted": {"records": (int,), "segments": (int,),
-                        "quarantined": (int,)},
-    # online serving: the replay gate and dashboards read these
-    "serving_started": {"host": _STR, "port": (int,),
-                        "shards": (int,), "policy": _STR,
-                        "capacity_bytes": (int,)},
-    "replay_finished": {"requests": (int,), "threads": (int,),
-                        "shards": (int,), "policy": _STR,
-                        "hit_rate": _NUM, "duration_seconds": _NUM,
-                        "requests_per_second": _NUM},
-    "shard_rebalanced": {"action": _STR, "shard": _STR,
-                         "shards": (int,)},
+#: duration is a string — so fields with a contract consumers rely on
+#: carry their types.  Levels: ERROR is work lost for good, WARNING a
+#: fault the run recovered from, INFO a milestone an operator follows
+#: at the default level, DEBUG everything per cell, per line or per
+#: span.
+EVENT_TABLE: Dict[str, Tuple[int, Dict[str, Optional[tuple]]]] = {
+    # run lifecycle (manifest side)
+    "run_started": (DEBUG, {"kind": None, "run_id": None}),
+    "run_finished": (DEBUG, {"kind": None, "run_id": None,
+                             "status": None,
+                             "wall_clock_seconds": None}),
+    # parallel sweep cell lifecycle
+    "cell_scheduled": (DEBUG, {"key": None, "attempt": None}),
+    "cell_finished": (DEBUG, {"key": None, "attempt": None,
+                              "duration_seconds": None}),
+    "cell_retried": (WARNING, {"key": None, "attempt": None,
+                               "error_type": None,
+                               "delay_seconds": None}),
+    "cell_timed_out": (DEBUG, {"key": None, "attempt": None,
+                               "timeout_seconds": None}),
+    "cell_failed": (ERROR, {"key": None, "attempts": None,
+                            "error_type": None}),
+    "cell_checkpoint_restored": (DEBUG, {"key": None}),
+    "pool_rebuilt": (WARNING, {"reason": None}),
+    # shared-pass engine (one trace pass serving N cache cells)
+    "pass_started": (DEBUG, {"cells": None, "requests": None}),
+    "pass_finished": (DEBUG, {"cells": None, "requests": None,
+                              "duration_seconds": None,
+                              "lru_ladder_cells": None}),
+    # analytical model (repro.model): calibration and predictions
+    "model_calibrated": (DEBUG, {"documents": None, "requests": None,
+                                 "source": None}),
+    "model_predicted": (DEBUG, {"policy": None, "capacity_bytes": None,
+                                "hit_rate": None}),
+    "model_curve_computed": (DEBUG, {"policy": None, "points": None}),
+    "model_validated": (INFO, {"cells": None,
+                               "mean_absolute_error": None,
+                               "max_absolute_error": None}),
+    "hierarchy_model_validated": (INFO, {"cells": None,
+                                         "mean_absolute_error": None,
+                                         "max_absolute_error": None}),
+    # cache-network engine (repro.network)
+    "network_simulated": (DEBUG, {"trace": None, "requests": None,
+                                  "hit_rate": None,
+                                  "byte_hit_rate": None,
+                                  "sibling_serves": None,
+                                  "topology": None, "strategy": None}),
+    # suite experiment lifecycle
+    "experiment_started": (INFO, {"experiment_id": None}),
+    "experiment_finished": (INFO, {"experiment_id": None,
+                                   "duration_seconds": None}),
+    "experiment_retried": (WARNING, {"experiment_id": None,
+                                     "attempt": None,
+                                     "error_type": None}),
+    "experiment_failed": (ERROR, {"experiment_id": None,
+                                  "attempts": None,
+                                  "error_type": None}),
+    "experiment_checkpoint_restored": (INFO, {"experiment_id": None}),
+    # trace-reader error budget
+    "trace_line_quarantined": (DEBUG, {"error": None}),
+    "trace_error_budget_exhausted": (ERROR, {"errors": None}),
+    # durable experiment service: leases
+    "lease_acquired": (DEBUG, {"name": _STR, "owner": _STR}),
+    "lease_renewed": (DEBUG, {"name": _STR, "owner": _STR}),
+    "lease_reclaimed": (WARNING, {"name": _STR, "owner": _STR,
+                                  "previous_owner": _STR}),
+    "lease_lost": (DEBUG, {"name": _STR, "owner": _STR}),
+    # durable experiment service: trial queue lifecycle (the live
+    # dashboard aggregates these)
+    "trial_enqueued": (DEBUG, {"trial_id": None}),
+    "trial_claimed": (DEBUG, {"trial_id": _STR, "owner": _STR,
+                              "attempt": _INT}),
+    "trial_completed": (INFO, {"trial_id": _STR, "owner": _STR,
+                               "duration_seconds": _NUM}),
+    "trial_requeued": (WARNING, {"trial_id": None, "reason": None}),
+    "trial_abandoned": (ERROR, {"trial_id": _STR, "attempts": _INT,
+                                "reason": _STR}),
+    # durable experiment service: results store
+    "record_appended": (DEBUG, {"key": _STR}),
+    "record_quarantined": (WARNING, {"source": None, "reason": None}),
+    "store_compacted": (INFO, {"records": _INT, "segments": _INT,
+                               "quarantined": _INT}),
+    # durable experiment service: worker lifecycle
+    "service_worker_started": (INFO, {"owner": _STR}),
+    "service_worker_exited": (INFO, {"owner": _STR, "executed": _INT}),
+    "service_worker_restarted": (WARNING, {"worker": _INT,
+                                           "exitcode": None,
+                                           "restarts": _INT}),
+    # online serving subsystem (repro.serving): the replay gate and
+    # dashboards read these
+    "serving_started": (INFO, {"host": _STR, "port": _INT,
+                               "shards": _INT, "policy": _STR,
+                               "capacity_bytes": _INT}),
+    "replay_finished": (DEBUG, {"requests": _INT, "threads": _INT,
+                                "shards": _INT, "policy": _STR,
+                                "hit_rate": _NUM,
+                                "duration_seconds": _NUM,
+                                "requests_per_second": _NUM}),
+    "shard_rebalanced": (DEBUG, {"action": _STR, "shard": _STR,
+                                 "shards": _INT}),
+    # hierarchical spans (repro.observability.trace): opened on start
+    # so live dashboards see in-flight work, closed with the timing
+    "span_started": (DEBUG, {"name": _STR, "trace_id": _STR,
+                             "span_id": _STR, "parent_id": _OPT_STR}),
+    "span": (DEBUG, {"name": _STR, "trace_id": _STR, "span_id": _STR,
+                     "parent_id": _OPT_STR, "started_at": _NUM,
+                     "duration_seconds": _NUM, "status": _STR}),
 }
+
+#: event name -> required field names; a view of :data:`EVENT_TABLE`.
+EVENT_SCHEMAS: Dict[str, Set[str]] = {
+    name: set(fields) for name, (_, fields) in EVENT_TABLE.items()}
+
+#: event name -> {field: allowed types} for the type-checked fields;
+#: a view of :data:`EVENT_TABLE`.
+EVENT_FIELD_TYPES: Dict[str, Dict[str, tuple]] = {
+    name: {field: allowed for field, allowed in fields.items()
+           if allowed is not None}
+    for name, (_, fields) in EVENT_TABLE.items()}
 
 
 def validate_event(event: dict) -> List[str]:
@@ -158,16 +182,17 @@ def validate_event(event: dict) -> List[str]:
     for required in ("ts", "seq", "event"):
         if required not in event:
             problems.append(f"missing {required!r} in {name or event!r}")
-    if name not in EVENT_SCHEMAS:
+    if name not in EVENT_TABLE:
         problems.append(f"unknown event type {name!r}")
         return problems
-    missing = EVENT_SCHEMAS[name] - set(event)
+    fields = EVENT_TABLE[name][1]
+    missing = fields.keys() - event.keys()
     if missing:
         problems.append(
             f"{name}: missing fields {sorted(missing)}")
-    for field, allowed in EVENT_FIELD_TYPES.get(name, {}).items():
-        if field not in event:
-            continue  # absence is already reported above
+    for field, allowed in fields.items():
+        if allowed is None or field not in event:
+            continue  # untyped, or absence already reported above
         value = event[field]
         # bool is an int subclass but never a legal count/duration
         if not isinstance(value, allowed) or (isinstance(value, bool)
@@ -243,8 +268,22 @@ def event_sink():
 
 
 def emit(event: str, **fields) -> dict:
-    """Emit through the process-wide sink (no-op by default)."""
-    return _sink.emit(event, **fields)
+    """Emit one event: to the process-wide sink (no-op by default) and
+    as one ``repro.events`` log record at the event's table level
+    (DEBUG for a name the table does not list).
+
+    The record's message is the event name and its ``extra`` the
+    fields; a field named like a ``LogRecord`` attribute (``name``,
+    ``message``, ...) cannot ride as ``extra`` and is logged as
+    ``event_<field>`` — the sink's record keeps the plain name.
+    """
+    record = _sink.emit(event, **fields)
+    level = EVENT_TABLE.get(event, (DEBUG,))[0]  # unlisted: DEBUG
+    if _event_logger.isEnabledFor(level):
+        _event_logger.log(level, event, extra={
+            f"event_{key}" if key in RESERVED_FIELDS else key: value
+            for key, value in fields.items()})
+    return record
 
 
 def iter_events(path: PathLike, strict: bool = False) -> Iterator[dict]:

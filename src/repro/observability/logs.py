@@ -13,7 +13,9 @@ lines on stderr::
 
 Extra fields passed via ``logger.info("...", extra={"cell": key})``
 survive into the JSON output as top-level keys, which is what makes
-``--log-json`` machine-parseable end to end.
+``--log-json`` machine-parseable end to end.  Lifecycle events reach
+the same handlers that way: :func:`repro.observability.events.emit`
+logs each event on ``repro.events`` with its fields as extras.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from typing import Callable, IO, Optional
 
 ROOT_LOGGER_NAME = "repro"
 
-#: ``LogRecord`` attributes that are bookkeeping, not user fields.
-_RESERVED = frozenset(
+#: ``LogRecord`` attributes that are bookkeeping, not user fields
+#: (``logging`` refuses them as ``extra`` keys).
+RESERVED_FIELDS = frozenset(
     ("name", "msg", "args", "levelname", "levelno", "pathname",
      "filename", "module", "exc_info", "exc_text", "stack_info",
      "lineno", "funcName", "created", "msecs", "relativeCreated",
@@ -47,7 +50,7 @@ LOG_LEVELS = tuple(_LEVELS)
 
 def _extra_fields(record: logging.LogRecord) -> dict:
     return {key: value for key, value in record.__dict__.items()
-            if key not in _RESERVED and not key.startswith("_")}
+            if key not in RESERVED_FIELDS and not key.startswith("_")}
 
 
 class JsonLinesFormatter(logging.Formatter):

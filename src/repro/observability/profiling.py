@@ -60,8 +60,7 @@ class PhaseTimings:
 
 @contextmanager
 def phase_timer(phase: str, timings: Optional[PhaseTimings] = None,
-                metric: Optional[str] = None,
-                log: bool = False) -> Iterator[None]:
+                metric: Optional[str] = None) -> Iterator[None]:
     """Time one phase into ``timings`` (and optionally a histogram).
 
     Args:
@@ -69,7 +68,6 @@ def phase_timer(phase: str, timings: Optional[PhaseTimings] = None,
         timings: Sink for the elapsed seconds; optional.
         metric: Histogram name to observe into when metrics are
             enabled; labeled with ``phase=<phase>``.
-        log: Also emit a DEBUG log line with the elapsed time.
 
     The timer costs two ``perf_counter`` calls per phase, so it is
     safe around hot loops (never *inside* them).
@@ -85,10 +83,6 @@ def phase_timer(phase: str, timings: Optional[PhaseTimings] = None,
             registry = get_registry()
             if registry.enabled:
                 registry.histogram(metric, phase=phase).observe(elapsed)
-        if log:
-            _logger.debug("phase %s took %.4fs", phase, elapsed,
-                          extra={"phase": phase,
-                                 "seconds": round(elapsed, 6)})
 
 
 @contextmanager

@@ -182,8 +182,6 @@ class LeaseManager:
             raise LeaseError(
                 f"cannot write lease {name!r}: {exc}") from exc
         _events.emit("lease_acquired", name=name, owner=self.owner)
-        _logger.debug("lease acquired: %s", name,
-                      extra={"lease": name, "owner": self.owner})
         return Lease(name=name, owner=self.owner, token=token, path=path,
                      ttl_seconds=self.ttl_seconds)
 
@@ -210,10 +208,6 @@ class LeaseManager:
             return None
         _events.emit("lease_reclaimed", name=name, owner=self.owner,
                      previous_owner=previous_owner)
-        _logger.warning("stale lease reclaimed: %s (was %s)",
-                        name, previous_owner,
-                        extra={"lease": name, "owner": self.owner,
-                               "previous_owner": previous_owner})
         return Lease(name=name, owner=self.owner, token=token, path=path,
                      ttl_seconds=self.ttl_seconds,
                      reclaimed_from=previous_owner)

@@ -47,12 +47,9 @@ from typing import Callable, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, ReproError
 from repro.observability.events import emit
-from repro.observability.logs import get_logger
 from repro.serving.cache import ServedCache
 from repro.serving.sharding import ShardedCache
 from repro.types import DocumentType
-
-_logger = get_logger("serving.server")
 
 MAX_FRAME = 64 * 1024 * 1024  # refuse absurd frames instead of OOMing
 
@@ -216,7 +213,6 @@ class CacheServer:
         emit("serving_started", host=self.host, port=self.port,
              shards=shards, policy=policy,
              capacity_bytes=self.cache.capacity_bytes)
-        _logger.info("serving %s on %s:%d", policy, self.host, self.port)
 
     async def stop(self) -> None:
         if self._server is not None:

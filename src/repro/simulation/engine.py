@@ -72,7 +72,6 @@ from repro.core.policy import AccessOutcome, ReplacementPolicy
 from repro.core.registry import make_policy
 from repro.errors import ConfigurationError, SimulationError
 from repro.observability.events import emit
-from repro.observability.logs import get_logger
 from repro.observability.metrics import get_registry
 from repro.observability.profiling import PhaseTimings, phase_timer
 from repro.observability.trace import span as _span
@@ -81,8 +80,6 @@ from repro.simulation.metrics import TypeMetrics
 from repro.simulation.occupancy import OccupancyTracker
 from repro.simulation.results import SimulationResult
 from repro.types import DOCUMENT_TYPES, DocumentType, Request, Trace
-
-_logger = get_logger("simulation")
 
 #: Requests resolved per chunk of the shared pass.  Chunks amortize the
 #: per-slice overhead while keeping the resolved tuples cache-warm for
@@ -410,8 +407,6 @@ def fast_path(cell: CacheCell) -> Optional[str]:
 def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
               configs: Sequence[Union[SimulationConfig, CacheCell]],
               trace_name: Optional[str] = None,
-              chunk_size: int = DEFAULT_CHUNK_SIZE,
-              timings: Optional[PhaseTimings] = None,
               ) -> List[SimulationResult]:
     """Run every cell over the trace in **one shared pass**.
 
@@ -428,9 +423,6 @@ def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
         configs: One :class:`SimulationConfig` (or prebuilt
             :class:`CacheCell`) per cell.
         trace_name: Overrides the trace's name in the results.
-        chunk_size: References decoded per chunk.
-        timings: Optional :class:`PhaseTimings` to record pass phases
-            into ("resolve", "pass", "lru_ladder", "aggregate").
 
     Returns results in input order, bit-identical to running each
     config through :class:`~repro.simulation.simulator.CacheSimulator`.
@@ -439,8 +431,7 @@ def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
     from repro.simulation import vectorized
     from repro.trace.columnar import columns_of
 
-    if timings is None:
-        timings = PhaseTimings()
+    timings = PhaseTimings()
     with phase_timer("resolve", timings):
         columns = columns_of(trace)
     total = len(columns)
@@ -462,7 +453,7 @@ def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
                                                                cells)
         pass_span.set_attribute("lru_ladder_cells", len(ladder))
         n_fifo = vectorized.drive_columnar(columns, rest, boundaries,
-                                           chunk_size, timings)
+                                           timings)
         pass_span.set_attribute("fifo_queue_cells", n_fifo)
         if ladder:
             with _span("lru_ladder", cells=len(ladder)), \
@@ -495,12 +486,6 @@ def _publish_pass_telemetry(timings: PhaseTimings, n_cells: int,
                                phase=phase).observe(seconds)
     emit("pass_finished", cells=n_cells, requests=total_requests,
          duration_seconds=round(timings.total, 6),
-         lru_ladder_cells=n_ladder, fifo_queue_cells=n_fifo)
-    _logger.debug(
-        "shared pass: %d cells (%d via LRU ladder, %d via FIFO queue) "
-        "over %d requests in %.3fs", n_cells, n_ladder, n_fifo,
-        total_requests, timings.total,
-        extra={"cells": n_cells, "lru_ladder_cells": n_ladder,
-               "fifo_queue_cells": n_fifo, "requests": total_requests,
-               "phase_seconds": {k: round(v, 6)
-                                 for k, v in timings.as_dict().items()}})
+         lru_ladder_cells=n_ladder, fifo_queue_cells=n_fifo,
+         phase_seconds={k: round(v, 6)
+                        for k, v in timings.as_dict().items()})

@@ -4,7 +4,10 @@ A full figure regeneration at paper scale is ~30 independent
 (policy, capacity) simulations over millions of requests; they share
 nothing but the read-only trace, so a process pool gives near-linear
 speedup.  The trace is shipped to each worker once (pool initializer),
-not once per cell.
+not once per cell.  The calling process only schedules: every grid,
+one worker included, runs its passes in pool workers, so there is one
+execution path and the caller's own state (its event sink above all)
+is never rearmed as a worker's.
 
 The unit of scheduling is a **batch** of cells: the grid is
 partitioned into ``cells_per_pass``-sized batches (by default an even
@@ -23,8 +26,9 @@ it — resubmitting only the unfinished batches.  Isolation stays **per
 cell**: a failed batch of several cells cannot say which cell is to
 blame, so its cells are requeued as singleton batches, uncharged, and
 only a cell that fails while running alone spends retry budget or is
-recorded as lost.  Telemetry events, checkpoints, and
-``failure_policy="partial"``
+recorded as lost.  Telemetry events (the scheduler's
+:func:`repro.observability.events.emit` calls, which are also its log
+lines), checkpoints, and ``failure_policy="partial"``
 :class:`~repro.simulation.results.FailureRecord`\\ s are per cell
 too, so a resumed or partially failed grid has the same cell-by-cell
 lifecycle whatever the batch size.
@@ -248,7 +252,6 @@ def run_sweep_parallel(trace,
                        fault_injector: Optional[FaultInjector] = None,
                        checkpoint_store: Optional[CheckpointStore] = None,
                        telemetry_dir=None,
-                       events=None,
                        profile_dir=None,
                        sleep=time.sleep) -> SweepResult:
     """Run the (policy × capacity) grid across worker processes.
@@ -256,7 +259,8 @@ def run_sweep_parallel(trace,
     Positional args match :func:`~repro.simulation.sweep.run_sweep`
     (minus the per-cell callbacks, which cannot cross process
     boundaries); ``n_workers`` defaults to the CPU count capped by the
-    cell count.  ``trace`` may be a :class:`~repro.types.Trace`, a
+    cell count, and even one worker is a pool process — the caller
+    never runs a pass itself.  ``trace`` may be a :class:`~repro.types.Trace`, a
     :class:`~repro.trace.columnar.ColumnarTrace`, or a columnar file
     path: columnar sweeps ship only the *path* to workers, which mmap
     the file themselves — one kernel page-cache copy serves the whole
@@ -301,12 +305,10 @@ def run_sweep_parallel(trace,
             from where it stopped.
         telemetry_dir: When set, the sweep writes its own
             ``manifest.json`` + ``events.jsonl`` telemetry directory
-            (see :mod:`repro.observability.manifest`).
-        events: An :class:`~repro.observability.events.EventLog` to
-            emit cell lifecycle events into, for callers (like
-            ``run_suite``) that already own a telemetry run.  Without
-            it (and without ``telemetry_dir``) events go to the
-            process-wide sink, a no-op by default.
+            (see :mod:`repro.observability.manifest`) and installs it
+            as the process-wide event sink until it returns.  Without
+            it, cell lifecycle events go to whatever sink the caller
+            (``run_suite``, say) installed — a no-op by default.
         profile_dir: When set, each cell attempt is run under cProfile
             in its worker and dumps ``<cell>.attempt<n>.prof`` here.
         sleep: Injectable sleep used for retry backoff.
@@ -351,7 +353,7 @@ def run_sweep_parallel(trace,
     sweep = SweepResult(trace_name=trace.name)
 
     telemetry: Optional[TelemetryRun] = None
-    if telemetry_dir is not None and events is None:
+    if telemetry_dir is not None:
         telemetry = TelemetryRun(
             telemetry_dir, kind="sweep",
             settings={
@@ -365,10 +367,7 @@ def run_sweep_parallel(trace,
                 "max_retries": max_retries,
                 "cell_timeout": cell_timeout,
                 "failure_policy": failure_policy,
-            },
-            install_sink=False)
-        events = telemetry.events
-    emit = events.emit if events is not None else _events.emit
+            })
 
     sweep_span = _span("sweep", trace=trace.name, cells=len(cells),
                        workers=n_workers)
@@ -404,7 +403,7 @@ def run_sweep_parallel(trace,
                     except WorkerCrashError:
                         pass  # unreadable checkpoint: rerun the cell
                     else:
-                        emit("cell_checkpoint_restored", key=key)
+                        _events.emit("cell_checkpoint_restored", key=key)
                         continue
                 remaining.append((policy_name, capacity))
             cells = remaining
@@ -419,38 +418,6 @@ def run_sweep_parallel(trace,
 
         batches = partition_cells(cells, n_workers, cells_per_pass)
 
-        if (n_workers == 1 and cell_timeout is None
-                and fault_injector is None):
-            # No pool overhead for the degenerate case (and nothing to
-            # time out or inject into).
-            _init_worker(columnar_path if columnar_path is not None
-                         else trace.requests, trace.name)
-            try:
-                for batch_cells in batches:
-                    keys = [cell_key(policy_name, capacity)
-                            for policy_name, capacity in batch_cells]
-                    for key in keys:
-                        emit("cell_scheduled", key=key, attempt=1)
-                    started = time.monotonic()
-                    payloads = _run_batch(
-                        (batch_cells, warmup_fraction,
-                         size_interpretation.value, 1,
-                         _profile_path(profile_dir,
-                                       batch_key(batch_cells), 1)))
-                    elapsed = time.monotonic() - started
-                    for (policy_name, capacity), key, payload in zip(
-                            batch_cells, keys, payloads):
-                        result = SimulationResult.from_dict(payload)
-                        result.duration_seconds = elapsed
-                        result.attempts = 1
-                        sweep.add(result)
-                        _checkpoint_cell(policy_name, capacity, payload)
-                        emit("cell_finished", key=key, attempt=1,
-                             duration_seconds=round(elapsed, 6))
-            finally:
-                _reset_worker()
-            return _finish()
-
         _Scheduler(
             trace_source=(columnar_path if columnar_path is not None
                           else trace.requests),
@@ -464,7 +431,6 @@ def run_sweep_parallel(trace,
             failure_policy=failure_policy,
             fault_injector=fault_injector,
             on_cell_done=_checkpoint_cell,
-            emit=emit,
             profile_dir=profile_dir,
             sleep=sleep,
         ).run(sweep)
@@ -520,13 +486,8 @@ def supervise_workers(target, args: tuple = (), n_workers: int = 2, *,
             restarts[slot] += 1
             _events.emit("service_worker_restarted", worker=slot,
                          exitcode=process.exitcode,
-                         restarts=restarts[slot])
-            _logger.warning(
-                "worker %d died with exit code %s; restarting "
-                "(%d/%d)", slot, process.exitcode, restarts[slot],
-                max_restarts,
-                extra={"worker": slot, "exitcode": process.exitcode,
-                       "restarts": restarts[slot]})
+                         restarts=restarts[slot],
+                         max_restarts=max_restarts)
             processes[slot] = _spawn()
         time.sleep(poll_seconds)
     return [{"worker": slot, "exitcode": exitcodes[slot],
@@ -546,8 +507,7 @@ class _Scheduler:
     def __init__(self, trace_source, trace_name, batches,
                  warmup_fraction, size_interpretation, n_workers,
                  retry_policy, cell_timeout, failure_policy,
-                 fault_injector, on_cell_done, emit, profile_dir,
-                 sleep):
+                 fault_injector, on_cell_done, profile_dir, sleep):
         self.trace_source = trace_source
         self.trace_name = trace_name
         self.warmup_fraction = warmup_fraction
@@ -558,7 +518,6 @@ class _Scheduler:
         self.failure_policy = failure_policy
         self.fault_injector = fault_injector
         self.on_cell_done = on_cell_done
-        self.emit = emit
         self.profile_dir = profile_dir
         self.sleep = sleep
         #: Wall-clock seconds burned per batch key across attempts,
@@ -595,9 +554,7 @@ class _Scheduler:
         if self.pool is not None:
             _terminate_pool(self.pool)
         self.pool = self._new_pool()
-        self.emit("pool_rebuilt", reason=reason)
-        _logger.warning("process pool rebuilt (%s)", reason,
-                        extra={"reason": reason})
+        _events.emit("pool_rebuilt", reason=reason)
 
     def _charge_elapsed(self, run: _BatchRun) -> float:
         """Accumulate the wall clock a leaving in-flight run burned."""
@@ -657,24 +614,17 @@ class _Scheduler:
         if transient and run.attempt < self.retry_policy.max_attempts:
             delay = self.retry_policy.delay(run.attempt)
             for key in run.cell_keys:
-                self.emit("cell_retried", key=key, attempt=run.attempt,
-                          error_type=type(exc).__name__,
-                          delay_seconds=delay)
-            _logger.warning(
-                "batch %s attempt %d failed (%s); retrying",
-                run.key, run.attempt, type(exc).__name__,
-                extra={"key": run.key, "attempt": run.attempt,
-                       "error_type": type(exc).__name__})
+                _events.emit("cell_retried", key=key,
+                             attempt=run.attempt,
+                             error_type=type(exc).__name__,
+                             delay_seconds=delay)
             self.sleep(delay)
             target.append((run.cells, run.attempt + 1))
             return
         for key in run.cell_keys:
-            self.emit("cell_failed", key=key, attempts=run.attempt,
-                      error_type=type(exc).__name__, message=str(exc))
-        _logger.error("batch %s failed permanently after %d attempt(s): "
-                      "%s", run.key, run.attempt, exc,
-                      extra={"key": run.key, "attempts": run.attempt,
-                             "error_type": type(exc).__name__})
+            _events.emit("cell_failed", key=key, attempts=run.attempt,
+                         error_type=type(exc).__name__,
+                         message=str(exc))
         if self.failure_policy == "raise":
             raise exc
         batch_elapsed = round(self.elapsed.get(run.key, 0.0), 6)
@@ -738,9 +688,9 @@ class _Scheduler:
                 result.attempts = run.attempt
                 sweep.add(result)
                 self.on_cell_done(policy, capacity, payload)
-                self.emit("cell_finished", key=key,
-                          attempt=run.attempt,
-                          duration_seconds=round(batch_elapsed, 6))
+                _events.emit("cell_finished", key=key,
+                             attempt=run.attempt,
+                             duration_seconds=round(batch_elapsed, 6))
         return False
 
     def _batch_timeout(self, run: _BatchRun) -> float:
@@ -768,9 +718,9 @@ class _Scheduler:
         for _, run in hung:
             self._charge_elapsed(run)
             if len(run.cells) == 1:  # else unattributable: split below
-                self.emit("cell_timed_out", key=run.key,
-                          attempt=run.attempt,
-                          timeout_seconds=self._batch_timeout(run))
+                _events.emit("cell_timed_out", key=run.key,
+                             attempt=run.attempt,
+                             timeout_seconds=self._batch_timeout(run))
         self._requeue_in_flight()
         self._rebuild_pool(reason="cell timeout")
         for _, run in hung:
@@ -818,8 +768,8 @@ class _Scheduler:
                 cell = cell_key(policy, capacity)
                 if (cell, attempt) not in self.announced:
                     self.announced.add((cell, attempt))
-                    self.emit("cell_scheduled", key=cell,
-                              attempt=attempt)
+                    _events.emit("cell_scheduled", key=cell,
+                                 attempt=attempt)
             run = _BatchRun(cells, attempt, time.monotonic())
             self.in_flight[future] = run
             if isolate:

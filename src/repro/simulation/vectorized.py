@@ -47,6 +47,7 @@ from repro.core.cost import ByteCost, ConstantCost, LatencyCost, PacketCost
 from repro.observability.profiling import PhaseTimings, phase_timer
 from repro.observability.trace import span as _span
 from repro.simulation.engine import (
+    DEFAULT_CHUNK_SIZE,
     CacheCell,
     SizeInterpretation,
     fast_path,
@@ -396,8 +397,7 @@ def _cost_model_key(model) -> tuple:
 
 def _drive_chunks(trace, stream: ColumnarReferenceStream,
                   plain: Dict[tuple, List[CacheCell]],
-                  hinted: Dict[tuple, List[tuple]],
-                  chunk_size: int) -> None:
+                  hinted: Dict[tuple, List[tuple]]) -> None:
     """Decode resolved-tuple chunks once and feed every consumer."""
     n = len(trace)
     keys = set(plain) | set(hinted)
@@ -411,8 +411,8 @@ def _drive_chunks(trace, stream: ColumnarReferenceStream,
     raw_sizes = trace.sizes
     timestamps = trace.timestamps
     resolved = {key: stream.resolved_sizes(key) for key in keys}
-    for start in range(0, n, chunk_size):
-        end = min(start + chunk_size, n)
+    for start in range(0, n, DEFAULT_CHUNK_SIZE):
+        end = min(start + DEFAULT_CHUNK_SIZE, n)
         doc_list = doc[start:end].tolist()
         code_list = codes[start:end].tolist()
         transfer_list = transfers[start:end].tolist()
@@ -446,7 +446,7 @@ def _drive_chunks(trace, stream: ColumnarReferenceStream,
 
 def drive_columnar(trace, cells: Sequence[CacheCell],
                    boundaries: Dict[int, Dict[DocumentType, list]],
-                   chunk_size: int, timings: PhaseTimings) -> int:
+                   timings: PhaseTimings) -> int:
     """Drive ``cells`` over a trace's columns and tally ``boundaries``.
 
     The body of :func:`repro.simulation.engine.run_cells` (which has
@@ -476,7 +476,7 @@ def drive_columnar(trace, cells: Sequence[CacheCell],
         if boundaries:
             _tally_boundaries(trace, stream, boundaries)
     with _span("drive"), phase_timer("pass", timings):
-        _drive_chunks(trace, stream, plain, hinted, chunk_size)
+        _drive_chunks(trace, stream, plain, hinted)
         if fifo:
             doc_list = trace.doc_ids.tolist()
             code_list = trace.type_codes.tolist()

@@ -15,10 +15,7 @@ from typing import Callable, Optional
 
 from repro.errors import TraceFormatError
 from repro.observability import events as _events
-from repro.observability.logs import get_logger
 from repro.observability.metrics import get_registry
-
-_logger = get_logger("trace.budget")
 
 
 class ErrorBudget:
@@ -60,19 +57,13 @@ class ErrorBudget:
         registry = get_registry()
         if registry.enabled:
             registry.counter("trace_malformed_lines_total").inc()
-        _events.emit("trace_line_quarantined", error=str(error))
-        _logger.debug("malformed trace line quarantined: %s", error,
-                      extra={"errors": self.errors})
+        _events.emit("trace_line_quarantined", error=str(error),
+                     errors=self.errors)
         if self.on_error is not None:
             self.on_error(error)
         if self.max_errors is not None and self.errors > self.max_errors:
             _events.emit("trace_error_budget_exhausted",
-                         errors=self.errors)
-            _logger.error(
-                "trace error budget exhausted after %d malformed "
-                "lines (max_errors=%d)", self.errors, self.max_errors,
-                extra={"errors": self.errors,
-                       "max_errors": self.max_errors})
+                         errors=self.errors, max_errors=self.max_errors)
             raise TraceFormatError(
                 f"error budget exhausted: {self.errors} malformed "
                 f"lines (max_errors={self.max_errors}); last: {error}"

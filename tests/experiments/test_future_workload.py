@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.config import ExperimentSettings
 from repro.experiments.runner import run_experiment
 from repro.types import DocumentType
 from repro.workload.profiles import dfn_like, future_like, profile_by_name
@@ -51,3 +52,12 @@ class TestExperiment:
     def test_headline_deltas_recorded(self, report):
         assert "gdstar_lead_dfn" in report.data
         assert "gdstar_lead_future" in report.data
+
+    def test_seed_override_reaches_the_future_trace(self, report):
+        """``--seed`` used to reseed only the DFN side of the
+        comparison; the future trace was always drawn from seed 44."""
+        seeded = run_experiment(
+            "future-workload",
+            settings=ExperimentSettings.for_scale("tiny", seed=7))
+        assert seeded.data["dfn"] != report.data["dfn"]
+        assert seeded.data["future"] != report.data["future"]

@@ -28,6 +28,7 @@ from repro.core.cost import PacketCost
 from repro.core.registry import POLICY_NAMES, make_policy
 from repro.errors import SimulationError
 from repro.observability.events import read_events, set_event_sink
+from repro.observability.profiling import phase_timer
 from repro.simulation.engine import run_cells
 from repro.simulation.freshness import TTLModel
 from repro.simulation.latency import LatencyModel
@@ -367,6 +368,13 @@ class TestRemovedKnobs:
             run_cells(mixed_trace(100),
                       [SimulationConfig(capacity_bytes=5_000)],
                       lru_fast_path=False)
+
+    @pytest.mark.parametrize("function, option", [
+        (run_cells, "chunk_size"), (run_cells, "timings"),
+        (run_sweep_parallel, "events"), (phase_timer, "log")])
+    def test_options_nobody_set_are_refused(self, function, option):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            function(**{option: None})
 
 
 class TestStreamingPass:

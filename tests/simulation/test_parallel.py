@@ -3,6 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.observability.events import (
+    EventLog,
+    event_sink,
+    read_events,
+    set_event_sink,
+)
 from repro.simulation.parallel import run_sweep_parallel
 from repro.simulation.sweep import cache_sizes_from_fractions, run_sweep
 from repro.types import DocumentType, Request, Trace
@@ -33,6 +39,22 @@ def test_single_worker_matches_serial():
         assert single.series(policy) == serial.series(policy)
         assert single.series(policy, byte_rate=True) == \
             serial.series(policy, byte_rate=True)
+
+
+def test_single_worker_sweep_leaves_the_callers_sink_installed(tmp_path):
+    """The caller only schedules; it used to arm itself as a worker
+    for one-worker grids, which reset its event sink to the null log
+    and lost every event emitted afterwards."""
+    log = EventLog(tmp_path / "events.jsonl")
+    previous = set_event_sink(log)
+    try:
+        run_sweep_parallel(small_trace(), ["lru"], [5000], n_workers=1)
+        assert event_sink() is log
+    finally:
+        set_event_sink(previous)
+        log.close()
+    names = [r["event"] for r in read_events(tmp_path / "events.jsonl")]
+    assert names == ["cell_scheduled", "cell_finished"]
 
 
 def test_two_workers_match_serial():
