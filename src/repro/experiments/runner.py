@@ -2,17 +2,23 @@
 
 Each experiment returns an :class:`ExperimentReport` carrying rendered
 text (tables / ASCII charts), machine-readable data (dict), and named
-CSV artifacts for the figure experiments.
+CSV artifacts for the figure experiments.  One that simulates declares
+:class:`Arm`\\ s plus a column spec (:func:`_arm_table`: one shared
+pass per trace) or asks :func:`_grid` for a policy × cache-size sweep
+(each distinct grid computed once per process).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from itertools import groupby
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
-from repro.analysis.characterize import characterize
+from repro.analysis.characterize import characterize, type_breakdown
 from repro.analysis.plotting import ascii_chart, series_to_csv
 from repro.analysis.tables import (
     render_breakdown_table,
@@ -21,6 +27,7 @@ from repro.analysis.tables import (
     render_sweep_table,
     render_table,
 )
+from repro.core.registry import make_policy
 from repro.experiments.config import (
     EXPERIMENT_IDS,
     FIG1_SIZE_FRACTION,
@@ -31,11 +38,13 @@ from repro.observability.events import emit
 from repro.observability.manifest import TelemetryRun
 from repro.observability.profiling import maybe_profile
 from repro.observability.progress import ProgressReporter
-from repro.simulation.simulator import (
+from repro.simulation.engine import (
+    CacheCell,
     SimulationConfig,
-    CacheSimulator,
     SizeInterpretation,
+    run_cells,
 )
+from repro.simulation.results import SimulationResult, SweepResult
 from repro.simulation.sweep import cache_sizes_from_fractions, run_sweep
 from repro.types import DOCUMENT_TYPES, PLOTTED_TYPES, DocumentType, Trace
 from repro.workload.generator import generate_trace
@@ -54,34 +63,112 @@ class ExperimentReport:
     artifacts: Dict[str, str] = field(default_factory=dict)
 
 
-class _TraceCache:
-    """Memoizes generated traces within one Python process."""
-
-    def __init__(self):
-        self._traces: Dict[tuple, Trace] = {}
-
-    def get(self, profile_name: str, scale: float,
-            seed: Optional[int]) -> Trace:
-        key = (profile_name, scale, seed)
-        if key not in self._traces:
-            self._traces[key] = generate_trace(
-                profile_by_name(profile_name, scale, seed))
-        return self._traces[key]
+#: Every trace generated in this process, by (profile, scale, seed),
+#: and every sweep grid, by (profile, scale, seed, size fractions,
+#: policies) — result-bearing settings only, as in
+#: :func:`_suite_digest`.  Experiments share the entries: read-only.
+_TRACES: Dict[tuple, Trace] = {}
+_GRIDS: Dict[tuple, SweepResult] = {}
 
 
-_TRACES = _TraceCache()
+def _trace(profile_name: str, settings: ExperimentSettings) -> Trace:
+    key = (profile_name, settings.scale, settings.seed)
+    if key not in _TRACES:
+        _TRACES[key] = generate_trace(profile_by_name(*key))
+    return _TRACES[key]
 
 
-def _dfn(settings: ExperimentSettings) -> Trace:
-    return _TRACES.get("dfn", settings.scale, settings.seed)
+def _sized(profile_name: str, fraction: float,
+           settings: ExperimentSettings) -> Tuple[Trace, int]:
+    """A profile's trace and the capacity that is ``fraction`` of it."""
+    trace = _trace(profile_name, settings)
+    return trace, cache_sizes_from_fractions(trace, [fraction])[0]
 
 
-def _rtp(settings: ExperimentSettings) -> Trace:
-    return _TRACES.get("rtp", settings.scale, settings.seed)
+def _grid(profile_name: str, policies: Sequence[str],
+          settings: ExperimentSettings) -> SweepResult:
+    """The ``policies`` × ``settings.size_fractions`` sweep of a
+    profile's trace, computed once per process: in one in-process
+    pass, or across fault-tolerant worker processes when
+    ``settings.extra`` carries ``sweep_workers`` (the CLI's
+    ``--sweep-workers``, with ``--cell-timeout`` / ``--max-retries``
+    riding along).  Both are bit-identical, so the key ignores which.
+    """
+    key = (profile_name, settings.scale, settings.seed,
+           tuple(settings.size_fractions), tuple(policies))
+    if key in _GRIDS:
+        return _GRIDS[key]
+    trace = _trace(profile_name, settings)
+    capacities = cache_sizes_from_fractions(trace, settings.size_fractions)
+    workers = int(settings.extra.get("sweep_workers") or 0)
+    if workers > 1:
+        from repro.simulation.parallel import run_sweep_parallel
+
+        sweep = run_sweep_parallel(
+            trace, policies, capacities, n_workers=workers,
+            max_retries=int(settings.extra.get("max_retries", 2)),
+            cell_timeout=settings.extra.get("cell_timeout"))
+    else:
+        sweep = run_sweep(trace, policies, capacities)
+    _GRIDS[key] = sweep
+    return sweep
 
 
-def _future(settings: ExperimentSettings) -> Trace:
-    return _TRACES.get("future", settings.scale, settings.seed)
+class Arm(NamedTuple):
+    """One simulation of an experiment.  ``cell`` is a config, or a
+    prebuilt :class:`CacheCell` when the arm needs what a config cannot
+    say (a cache that is not a plain ``Cache``) or the experiment reads
+    the cell's ``.policy`` after the run."""
+
+    label: str  # table row label
+    trace: Trace
+    cell: Union[SimulationConfig, CacheCell]
+    key: Optional[str] = None  # data-dict key, when not the label
+
+
+#: (table header, data key, value of a result)
+Column = Tuple[str, str, Callable[[SimulationResult], object]]
+
+_HIT_RATE: Column = ("Hit rate", "hit_rate", lambda r: r.hit_rate())
+_BYTE_HIT_RATE: Column = ("Byte hit rate", "byte_hit_rate",
+                          lambda r: r.byte_hit_rate())
+_MM_HIT_RATE: Column = ("MM hit rate", "mm_hit_rate",
+                        lambda r: r.hit_rate(DocumentType.MULTIMEDIA))
+
+
+def _mm_byte_hit_rate(result: SimulationResult) -> float:
+    return result.byte_hit_rate(DocumentType.MULTIMEDIA)
+
+
+def _run_arms(arms: Sequence[Arm]) -> List[SimulationResult]:
+    """One result per arm, in order.  Each run of consecutive arms on
+    the same trace rides one shared pass, so an experiment declares a
+    trace's arms together."""
+    results: List[SimulationResult] = []
+    for _, group in groupby(arms, key=lambda arm: id(arm.trace)):
+        cells = list(group)
+        results += run_cells(cells[0].trace, [arm.cell for arm in cells])
+    return results
+
+
+def _arm_table(arms: Sequence[Arm], columns: Sequence[Column]):
+    """Run the arms: the column headers, one table row per arm and one
+    ``data`` entry per arm."""
+    headers, keys, values = zip(*columns)
+    rows = []
+    data = {}
+    for arm, result in zip(arms, _run_arms(arms)):
+        row = [value(result) for value in values]
+        rows.append([arm.label] + row)
+        data[arm.key or arm.label] = dict(zip(keys, row))
+    return list(headers), rows, data
+
+
+def _table_report(experiment_id: str, settings: ExperimentSettings,
+                  title: str, headers, rows, data,
+                  head: str = "Arm") -> ExperimentReport:
+    text = render_table([head] + headers, rows, title=title, digits=3)
+    return ExperimentReport(experiment_id, settings.scale_name, text, data)
 
 
 # --------------------------------------------------------------------------
@@ -89,62 +176,47 @@ def _future(settings: ExperimentSettings) -> Trace:
 # --------------------------------------------------------------------------
 
 def _run_table1(settings: ExperimentSettings) -> ExperimentReport:
-    chars = {
-        "DFN-like": characterize(_dfn(settings), estimate_locality=False),
-        "RTP-like": characterize(_rtp(settings), estimate_locality=False),
-    }
+    chars = {f"{name.upper()}-like": characterize(
+                 _trace(name, settings), estimate_locality=False)
+             for name in ("dfn", "rtp")}
     text = render_properties_table(
         chars, title=f"Table 1 (scale={settings.scale_name}). "
                      "Properties of DFN-like and RTP-like traces")
     data = {
-        name: {
-            "distinct_documents": c.metadata.distinct_documents,
-            "total_requests": c.metadata.total_requests,
-            "total_size_gb": c.metadata.total_size_gb,
-            "requested_gb": c.metadata.requested_gb,
-        }
+        name: {prop: getattr(c.metadata, prop)
+               for prop in ("distinct_documents", "total_requests",
+                            "total_size_gb", "requested_gb")}
         for name, c in chars.items()
     }
     return ExperimentReport("table1", settings.scale_name, text, data)
 
 
-def _breakdown_report(experiment_id: str, trace: Trace, label: str,
+def _breakdown_report(number: int, profile_name: str,
                       settings: ExperimentSettings) -> ExperimentReport:
-    char = characterize(trace, estimate_locality=False)
+    char = characterize(_trace(profile_name, settings),
+                        estimate_locality=False)
     text = render_breakdown_table(
-        char, title=f"{label} (scale={settings.scale_name})")
+        char, title=f"Table {number}. {profile_name.upper()}-like trace: "
+                    f"workload characteristics by type "
+                    f"(scale={settings.scale_name})")
     data = {
-        "distinct_documents": {t.value: char.breakdown.distinct_documents[t]
-                               for t in DOCUMENT_TYPES},
-        "overall_size": {t.value: char.breakdown.overall_size[t]
-                         for t in DOCUMENT_TYPES},
-        "total_requests": {t.value: char.breakdown.total_requests[t]
-                           for t in DOCUMENT_TYPES},
-        "requested_data": {t.value: char.breakdown.requested_data[t]
-                           for t in DOCUMENT_TYPES},
+        metric: {t.value: getattr(char.breakdown, metric)[t]
+                 for t in DOCUMENT_TYPES}
+        for metric in ("distinct_documents", "overall_size",
+                       "total_requests", "requested_data")
     }
-    return ExperimentReport(experiment_id, settings.scale_name, text, data)
+    return ExperimentReport(f"table{number}", settings.scale_name, text,
+                            data)
 
 
-def _run_table2(settings: ExperimentSettings) -> ExperimentReport:
-    return _breakdown_report(
-        "table2", _dfn(settings),
-        "Table 2. DFN-like trace: workload characteristics by type",
-        settings)
-
-
-def _run_table3(settings: ExperimentSettings) -> ExperimentReport:
-    return _breakdown_report(
-        "table3", _rtp(settings),
-        "Table 3. RTP-like trace: workload characteristics by type",
-        settings)
-
-
-def _statistics_report(experiment_id: str, trace: Trace, label: str,
+def _statistics_report(number: int, profile_name: str,
                        settings: ExperimentSettings) -> ExperimentReport:
-    char = characterize(trace, estimate_locality=True)
+    char = characterize(_trace(profile_name, settings),
+                        estimate_locality=True)
     text = render_statistics_table(
-        char, title=f"{label} (scale={settings.scale_name})")
+        char, title=f"Table {number}. {profile_name.upper()}-like trace: "
+                    f"sizes and temporal locality by type "
+                    f"(scale={settings.scale_name})")
     data = {
         t.value: {
             "doc_mean_kb": char.by_type[t].sizes.document.mean_kb,
@@ -158,21 +230,8 @@ def _statistics_report(experiment_id: str, trace: Trace, label: str,
         }
         for t in DOCUMENT_TYPES
     }
-    return ExperimentReport(experiment_id, settings.scale_name, text, data)
-
-
-def _run_table4(settings: ExperimentSettings) -> ExperimentReport:
-    return _statistics_report(
-        "table4", _dfn(settings),
-        "Table 4. DFN-like trace: sizes and temporal locality by type",
-        settings)
-
-
-def _run_table5(settings: ExperimentSettings) -> ExperimentReport:
-    return _statistics_report(
-        "table5", _rtp(settings),
-        "Table 5. RTP-like trace: sizes and temporal locality by type",
-        settings)
+    return ExperimentReport(f"table{number}", settings.scale_name, text,
+                            data)
 
 
 # --------------------------------------------------------------------------
@@ -180,26 +239,21 @@ def _run_table5(settings: ExperimentSettings) -> ExperimentReport:
 # --------------------------------------------------------------------------
 
 def _run_fig1(settings: ExperimentSettings) -> ExperimentReport:
-    trace = _dfn(settings)
-    capacity = cache_sizes_from_fractions(trace, [FIG1_SIZE_FRACTION])[0]
+    trace, capacity = _sized("dfn", FIG1_SIZE_FRACTION, settings)
     interval = settings.occupancy_interval or max(len(trace) // 200, 1)
 
-    runs = {}
     # The OCR of the paper drops the two policy names in Figure 1's
     # caption; the surrounding prose ("achieves high hit rates [by]
     # not wasting space on large documents" vs "keeps per-class shares
     # near the request mix, delivering even large documents") contrasts
     # the constant-cost and packet-cost behaviours, so we plot the
     # whole Greedy-Dual family under both cost models.
-    for policy_name in ("gds(1)", "gd*(1)", "gds(p)", "gd*(p)"):
-        config = SimulationConfig(
-            capacity_bytes=capacity, policy=policy_name,
-            occupancy_interval=interval)
-        runs[policy_name] = CacheSimulator(config).run(trace)
+    arms = [Arm(policy_name, trace, SimulationConfig(
+                capacity, policy_name, occupancy_interval=interval))
+            for policy_name in ("gds(1)", "gd*(1)", "gds(p)", "gd*(p)")]
 
     # Reference mixes the occupancy should adapt toward.
-    char = characterize(trace, estimate_locality=False)
-    request_mix = char.breakdown.total_requests
+    request_mix = type_breakdown(trace).total_requests
 
     sections: List[str] = [
         f"Figure 1 (scale={settings.scale_name}). Occupancy of the web "
@@ -208,22 +262,22 @@ def _run_fig1(settings: ExperimentSettings) -> ExperimentReport:
     ]
     artifacts: Dict[str, str] = {}
     data: dict = {"capacity_bytes": capacity, "policies": {}}
-    for policy_name, result in runs.items():
-        tracker = result.occupancy
-        rows = []
-        for doc_type in PLOTTED_TYPES:
-            rows.append([
-                doc_type.label,
-                request_mix[doc_type],
-                100.0 * tracker.mean_fraction(doc_type, False),
-                100.0 * tracker.variability(doc_type, False),
-                100.0 * tracker.mean_fraction(doc_type, True),
-                100.0 * tracker.variability(doc_type, True),
-            ])
+    for arm, result in zip(arms, _run_arms(arms)):
+        policy_name, tracker = arm.label, result.occupancy
+        shares = {
+            t: {"mean_doc_fraction": tracker.mean_fraction(t, False),
+                "doc_spread": tracker.variability(t, False),
+                "mean_byte_fraction": tracker.mean_fraction(t, True),
+                "byte_spread": tracker.variability(t, True)}
+            for t in PLOTTED_TYPES
+        }
         sections.append(render_table(
             ["Type", "% of requests", "mean % cached docs",
              "spread docs", "mean % cached bytes", "spread bytes"],
-            rows, title=f"-- {policy_name} --"))
+            [[t.label, request_mix[t]]
+             + [100.0 * share for share in shares[t].values()]
+             for t in PLOTTED_TYPES],
+            title=f"-- {policy_name} --"))
         doc_series = {t.label: tracker.series(t, False)
                       for t in PLOTTED_TYPES}
         byte_series = {t.label: tracker.series(t, True)
@@ -237,13 +291,7 @@ def _run_fig1(settings: ExperimentSettings) -> ExperimentReport:
             byte_series, title=f"{policy_name}: fraction of cached bytes",
             x_label="requests", y_label="fraction"))
         data["policies"][policy_name] = {
-            t.value: {
-                "request_share_pct": request_mix[t],
-                "mean_doc_fraction": tracker.mean_fraction(t, False),
-                "doc_spread": tracker.variability(t, False),
-                "mean_byte_fraction": tracker.mean_fraction(t, True),
-                "byte_spread": tracker.variability(t, True),
-            }
+            t.value: {"request_share_pct": request_mix[t], **shares[t]}
             for t in PLOTTED_TYPES
         }
     return ExperimentReport("fig1", settings.scale_name,
@@ -258,39 +306,17 @@ _CONSTANT_POLICIES = ("lru", "lfu-da", "gds(1)", "gd*(1)")
 _PACKET_POLICIES = ("lru", "lfu-da", "gds(p)", "gd*(p)")
 
 
-def _run_grid(trace: Trace, policies, capacities,
-              settings: ExperimentSettings):
-    """Run a sweep grid in one in-process pass, or across worker
-    processes with fault tolerance when ``settings.extra`` carries
-    ``sweep_workers`` (the CLI's ``--sweep-workers``, with
-    ``--cell-timeout`` / ``--max-retries`` riding along).  Both are
-    bit-identical."""
-    workers = int(settings.extra.get("sweep_workers") or 0)
-    if workers > 1:
-        from repro.simulation.parallel import run_sweep_parallel
-
-        return run_sweep_parallel(
-            trace, policies, capacities,
-            n_workers=workers,
-            max_retries=int(settings.extra.get("max_retries", 2)),
-            cell_timeout=settings.extra.get("cell_timeout"))
-    return run_sweep(trace, policies, capacities)
-
-
-def _sweep_report(experiment_id: str, trace: Trace, policies, label: str,
+def _sweep_report(experiment_id: str, profile_name: str, policies, label: str,
                   settings: ExperimentSettings) -> ExperimentReport:
-    capacities = cache_sizes_from_fractions(trace, settings.size_fractions)
-    sweep = _run_grid(trace, policies, capacities, settings)
+    sweep = _grid(profile_name, policies, settings)
 
     sections = [f"{label} (scale={settings.scale_name})"]
     artifacts: Dict[str, str] = {}
-    data: dict = {"capacities": capacities, "hit_rate": {},
+    data: dict = {"capacities": sweep.capacities, "hit_rate": {},
                   "byte_hit_rate": {}}
     panels = [None] + list(PLOTTED_TYPES)  # None = overall
     for doc_type in panels:
         key = doc_type.value if doc_type else "overall"
-        data["hit_rate"][key] = {}
-        data["byte_hit_rate"][key] = {}
         for byte_rate in (False, True):
             sections.append(render_sweep_table(
                 sweep, doc_type=doc_type, byte_rate=byte_rate))
@@ -314,87 +340,39 @@ def _sweep_report(experiment_id: str, trace: Trace, policies, label: str,
                             "\n\n".join(sections), data, artifacts)
 
 
-def _run_fig2(settings: ExperimentSettings) -> ExperimentReport:
-    return _sweep_report(
-        "fig2", _dfn(settings), _CONSTANT_POLICIES,
-        "Figure 2. DFN-like trace, constant cost model: hit rate and "
-        "byte hit rate by document type", settings)
-
-
-def _run_fig3(settings: ExperimentSettings) -> ExperimentReport:
-    return _sweep_report(
-        "fig3", _dfn(settings), _PACKET_POLICIES,
-        "Figure 3. DFN-like trace, packet cost model: hit rate and "
-        "byte hit rate by document type", settings)
-
-
-def _run_rtp_const(settings: ExperimentSettings) -> ExperimentReport:
-    return _sweep_report(
-        "rtp-const", _rtp(settings), _CONSTANT_POLICIES,
-        "Section 4.4. RTP-like trace, constant cost model", settings)
-
-
-def _run_rtp_packet(settings: ExperimentSettings) -> ExperimentReport:
-    return _sweep_report(
-        "rtp-packet", _rtp(settings), _PACKET_POLICIES,
-        "Section 4.4. RTP-like trace, packet cost model", settings)
-
-
 # --------------------------------------------------------------------------
 # Ablations
 # --------------------------------------------------------------------------
 
 def _run_ablation_beta(settings: ExperimentSettings) -> ExperimentReport:
     """GD*(1) with online β vs pinned β values."""
-    trace = _dfn(settings)
-    capacity = cache_sizes_from_fractions(trace, [0.01])[0]
-    rows = []
-    data = {}
-    arms = [("online", None), ("beta=1.0", 1.0), ("beta=0.5", 0.5),
-            ("beta=0.1", 0.1)]
-    for arm_name, fixed in arms:
-        from repro.core.registry import make_policy
-        policy = make_policy("gd*(1)", fixed_beta=fixed)
-        config = SimulationConfig(capacity_bytes=capacity, policy=policy)
-        result = CacheSimulator(config).run(trace)
-        rows.append([arm_name, result.hit_rate(), result.byte_hit_rate(),
-                     result.final_beta])
-        data[arm_name] = {"hit_rate": result.hit_rate(),
-                          "byte_hit_rate": result.byte_hit_rate(),
-                          "final_beta": result.final_beta}
-    text = render_table(
-        ["Arm", "Hit rate", "Byte hit rate", "Final beta"], rows,
-        title=f"Ablation: GD*(1) beta estimation "
-              f"(DFN-like, cache=1% of bytes, scale={settings.scale_name})",
-        digits=3)
-    return ExperimentReport("ablation-beta", settings.scale_name, text,
-                            data)
+    trace, capacity = _sized("dfn", 0.01, settings)
+    arms = [Arm(label, trace, SimulationConfig(
+                capacity, make_policy("gd*(1)", fixed_beta=fixed)))
+            for label, fixed in (("online", None), ("beta=1.0", 1.0),
+                                 ("beta=0.5", 0.5), ("beta=0.1", 0.1))]
+    columns = [_HIT_RATE, _BYTE_HIT_RATE,
+               ("Final beta", "final_beta", lambda r: r.final_beta)]
+    return _table_report(
+        "ablation-beta", settings,
+        f"Ablation: GD*(1) beta estimation "
+        f"(DFN-like, cache=1% of bytes, scale={settings.scale_name})",
+        *_arm_table(arms, columns))
 
 
 def _run_ablation_warmup(settings: ExperimentSettings) -> ExperimentReport:
     """Sensitivity of reported rates to the warm-up fraction."""
-    trace = _dfn(settings)
-    capacity = cache_sizes_from_fractions(trace, [0.01])[0]
-    rows = []
-    data = {}
-    for warmup in (0.0, 0.05, 0.10, 0.30):
-        for policy_name in ("lru", "gd*(1)"):
-            config = SimulationConfig(
-                capacity_bytes=capacity, policy=policy_name,
-                warmup_fraction=warmup)
-            result = CacheSimulator(config).run(trace)
-            rows.append([f"{policy_name} @ {warmup:.0%}",
-                         result.hit_rate(), result.byte_hit_rate()])
-            data[f"{policy_name}@{warmup}"] = {
-                "hit_rate": result.hit_rate(),
-                "byte_hit_rate": result.byte_hit_rate()}
-    text = render_table(
-        ["Arm", "Hit rate", "Byte hit rate"], rows,
-        title=f"Ablation: warm-up fraction "
-              f"(DFN-like, cache=1% of bytes, scale={settings.scale_name})",
-        digits=3)
-    return ExperimentReport("ablation-warmup", settings.scale_name, text,
-                            data)
+    trace, capacity = _sized("dfn", 0.01, settings)
+    arms = [Arm(f"{policy_name} @ {warmup:.0%}", trace,
+                SimulationConfig(capacity, policy_name, warmup),
+                key=f"{policy_name}@{warmup}")
+            for warmup in (0.0, 0.05, 0.10, 0.30)
+            for policy_name in ("lru", "gd*(1)")]
+    return _table_report(
+        "ablation-warmup", settings,
+        f"Ablation: warm-up fraction "
+        f"(DFN-like, cache=1% of bytes, scale={settings.scale_name})",
+        *_arm_table(arms, [_HIT_RATE, _BYTE_HIT_RATE]))
 
 
 def _run_ablation_modification(settings: ExperimentSettings
@@ -406,37 +384,23 @@ def _run_ablation_modification(settings: ExperimentSettings
     interrupted multimedia transfers masquerade as modifications,
     inflating miss rates for exactly the large documents.
     """
-    trace = _dfn(settings)
-    capacity = cache_sizes_from_fractions(trace, [0.01])[0]
-    rows = []
-    data = {}
-    for interp in (SizeInterpretation.TRUSTED,
-                   SizeInterpretation.PAPER_RULE,
-                   SizeInterpretation.ANY_CHANGE):
-        for policy_name in ("gds(1)", "gd*(1)"):
-            config = SimulationConfig(
-                capacity_bytes=capacity, policy=policy_name,
-                size_interpretation=interp)
-            result = CacheSimulator(config).run(trace)
-            mm = DocumentType.MULTIMEDIA
-            rows.append([
-                f"{policy_name} / {interp.value}",
-                result.hit_rate(), result.byte_hit_rate(),
-                result.byte_hit_rate(mm), result.invalidations])
-            data[f"{policy_name}/{interp.value}"] = {
-                "hit_rate": result.hit_rate(),
-                "byte_hit_rate": result.byte_hit_rate(),
-                "mm_byte_hit_rate": result.byte_hit_rate(mm),
-                "invalidations": result.invalidations,
-            }
-    text = render_table(
-        ["Arm", "Hit rate", "Byte hit rate", "MM byte hit rate",
-         "Invalidations"], rows,
-        title=f"Ablation: modification rule "
-              f"(DFN-like, cache=1% of bytes, scale={settings.scale_name})",
-        digits=3)
-    return ExperimentReport("ablation-modification", settings.scale_name,
-                            text, data)
+    trace, capacity = _sized("dfn", 0.01, settings)
+    arms = [Arm(f"{policy_name} / {interp.value}", trace,
+                SimulationConfig(capacity, policy_name,
+                                 size_interpretation=interp),
+                key=f"{policy_name}/{interp.value}")
+            for interp in (SizeInterpretation.TRUSTED,
+                           SizeInterpretation.PAPER_RULE,
+                           SizeInterpretation.ANY_CHANGE)
+            for policy_name in ("gds(1)", "gd*(1)")]
+    columns = [_HIT_RATE, _BYTE_HIT_RATE,
+               ("MM byte hit rate", "mm_byte_hit_rate", _mm_byte_hit_rate),
+               ("Invalidations", "invalidations", lambda r: r.invalidations)]
+    return _table_report(
+        "ablation-modification", settings,
+        f"Ablation: modification rule "
+        f"(DFN-like, cache=1% of bytes, scale={settings.scale_name})",
+        *_arm_table(arms, columns))
 
 
 def _run_ablation_partition(settings: ExperimentSettings
@@ -449,47 +413,26 @@ def _run_ablation_partition(settings: ExperimentSettings
     against monolithic LRU and GD*(1) (whose utility function
     partitions *implicitly* and adaptively).
     """
-    from repro.analysis.characterize import type_breakdown
     from repro.core.partitioned import (
         PartitionedCache, make_policy_factory, request_share_partitioning)
-    from repro.simulation.simulator import CacheSimulator
 
-    trace = _dfn(settings)
-    capacity = cache_sizes_from_fractions(trace, [0.02])[0]
+    trace, capacity = _sized("dfn", 0.02, settings)
     shares = request_share_partitioning(
         type_breakdown(trace).total_requests)
-
-    rows = []
-    data = {}
-
-    def record(label, result):
-        mm = DocumentType.MULTIMEDIA
-        rows.append([label, result.hit_rate(), result.byte_hit_rate(),
-                     result.hit_rate(mm)])
-        data[label] = {"hit_rate": result.hit_rate(),
-                       "byte_hit_rate": result.byte_hit_rate(),
-                       "mm_hit_rate": result.hit_rate(mm)}
-
-    for policy_name in ("lru", "gd*(1)"):
-        config = SimulationConfig(capacity_bytes=capacity,
-                                  policy=policy_name)
-        record(policy_name, CacheSimulator(config).run(trace))
-    for arm, factory_name in (("partitioned-lru", "lru"),
-                              ("partitioned-gds(1)", "gds(1)")):
-        cache = PartitionedCache(
-            capacity, shares=shares,
-            policy_factory=make_policy_factory(factory_name))
-        config = SimulationConfig(capacity_bytes=capacity, policy="lru")
-        result = CacheSimulator(config, cache=cache).run(trace)
-        record(arm, result)
-
-    text = render_table(
-        ["Arm", "Hit rate", "Byte hit rate", "MM hit rate"], rows,
-        title=f"Ablation: static type partitioning "
-              f"(DFN-like, cache=2% of bytes, scale={settings.scale_name})",
-        digits=3)
-    return ExperimentReport("ablation-partition", settings.scale_name,
-                            text, data)
+    arms = [Arm(policy_name, trace, SimulationConfig(capacity, policy_name))
+            for policy_name in ("lru", "gd*(1)")]
+    # A cache that is not a plain Cache rides the pass as a prebuilt
+    # cell; the config's policy is then unused.
+    arms += [Arm(f"partitioned-{policy_name}", trace, CacheCell(
+                 SimulationConfig(capacity), cache=PartitionedCache(
+                     capacity, shares=shares,
+                     policy_factory=make_policy_factory(policy_name))))
+             for policy_name in ("lru", "gds(1)")]
+    return _table_report(
+        "ablation-partition", settings,
+        f"Ablation: static type partitioning "
+        f"(DFN-like, cache=2% of bytes, scale={settings.scale_name})",
+        *_arm_table(arms, [_HIT_RATE, _BYTE_HIT_RATE, _MM_HIT_RATE]))
 
 
 def _run_ablation_irm(settings: ExperimentSettings) -> ExperimentReport:
@@ -499,32 +442,20 @@ def _run_ablation_irm(settings: ExperimentSettings) -> ExperimentReport:
     sizes but uniform reference placement, isolating how much of each
     scheme's performance comes from short-term temporal correlation.
     """
-    gaps_trace = _dfn(settings)
+    gaps_trace, capacity = _sized("dfn", 0.02, settings)
     irm_trace = generate_trace(
         profile_by_name("dfn", settings.scale, settings.seed),
         temporal_model="irm")
-
-    rows = []
-    data = {}
-    capacity = cache_sizes_from_fractions(gaps_trace, [0.02])[0]
-    for arm, trace in (("power-law gaps", gaps_trace),
-                       ("irm", irm_trace)):
-        for policy_name in ("lru", "gd*(1)"):
-            config = SimulationConfig(capacity_bytes=capacity,
-                                      policy=policy_name)
-            result = CacheSimulator(config).run(trace)
-            label = f"{policy_name} / {arm}"
-            rows.append([label, result.hit_rate(),
-                         result.byte_hit_rate()])
-            data[label] = {"hit_rate": result.hit_rate(),
-                           "byte_hit_rate": result.byte_hit_rate()}
-    text = render_table(
-        ["Arm", "Hit rate", "Byte hit rate"], rows,
-        title=f"Ablation: temporal correlation vs IRM "
-              f"(DFN-like, cache=2% of bytes, scale={settings.scale_name})",
-        digits=3)
-    return ExperimentReport("ablation-irm", settings.scale_name, text,
-                            data)
+    arms = [Arm(f"{policy_name} / {label}", trace,
+                SimulationConfig(capacity, policy_name))
+            for label, trace in (("power-law gaps", gaps_trace),
+                                 ("irm", irm_trace))
+            for policy_name in ("lru", "gd*(1)")]
+    return _table_report(
+        "ablation-irm", settings,
+        f"Ablation: temporal correlation vs IRM "
+        f"(DFN-like, cache=2% of bytes, scale={settings.scale_name})",
+        *_arm_table(arms, [_HIT_RATE, _BYTE_HIT_RATE]))
 
 
 def _run_ablation_typed_beta(settings: ExperimentSettings
@@ -539,39 +470,27 @@ def _run_ablation_typed_beta(settings: ExperimentSettings
     """
     from repro.core.gdstar_typed import GDStarTypedPolicy
 
-    rows = []
-    data = {}
-    for trace_label, trace in (("dfn", _dfn(settings)),
-                               ("rtp", _rtp(settings))):
-        capacity = cache_sizes_from_fractions(trace, [0.02])[0]
-        for policy_name in ("gd*(1)", "gd*t(1)", "gd*(p)", "gd*t(p)"):
-            config = SimulationConfig(capacity_bytes=capacity,
-                                      policy=policy_name)
-            simulator = CacheSimulator(config)
-            result = simulator.run(trace)
-            label = f"{policy_name} / {trace_label}"
-            mm = DocumentType.MULTIMEDIA
-            betas = None
-            if isinstance(simulator.policy, GDStarTypedPolicy):
-                betas = {t.value: round(simulator.policy.beta(t), 3)
-                         for t in PLOTTED_TYPES}
-            rows.append([label, result.hit_rate(),
-                         result.byte_hit_rate(),
-                         result.hit_rate(mm),
-                         result.byte_hit_rate(mm)])
-            data[label] = {"hit_rate": result.hit_rate(),
-                           "byte_hit_rate": result.byte_hit_rate(),
-                           "mm_hit_rate": result.hit_rate(mm),
-                           "mm_byte_hit_rate": result.byte_hit_rate(mm),
-                           "final_betas": betas}
-    text = render_table(
-        ["Arm", "Hit rate", "Byte hit rate", "MM hit rate", "MM BHR"],
-        rows,
-        title=f"Ablation: aggregate vs per-type beta in GD* "
-              f"(cache=2% of bytes, scale={settings.scale_name})",
-        digits=3)
-    return ExperimentReport("ablation-typed-beta", settings.scale_name,
-                            text, data)
+    arms = []
+    for profile_name in ("dfn", "rtp"):
+        trace, capacity = _sized(profile_name, 0.02, settings)
+        # Prebuilt cells: the per-type betas are read off their
+        # policies after the run.
+        arms += [Arm(f"{policy_name} / {profile_name}", trace,
+                     CacheCell(SimulationConfig(capacity, policy_name)))
+                 for policy_name in ("gd*(1)", "gd*t(1)", "gd*(p)", "gd*t(p)")]
+    columns = [_HIT_RATE, _BYTE_HIT_RATE, _MM_HIT_RATE,
+               ("MM BHR", "mm_byte_hit_rate", _mm_byte_hit_rate)]
+    headers, rows, data = _arm_table(arms, columns)
+    for arm in arms:
+        policy = arm.cell.policy
+        data[arm.label]["final_betas"] = (
+            {t.value: round(policy.beta(t), 3) for t in PLOTTED_TYPES}
+            if isinstance(policy, GDStarTypedPolicy) else None)
+    return _table_report(
+        "ablation-typed-beta", settings,
+        f"Ablation: aggregate vs per-type beta in GD* "
+        f"(cache=2% of bytes, scale={settings.scale_name})",
+        headers, rows, data)
 
 
 def _run_ablation_seeds(settings: ExperimentSettings) -> ExperimentReport:
@@ -585,41 +504,32 @@ def _run_ablation_seeds(settings: ExperimentSettings) -> ExperimentReport:
     from repro.analysis.confidence import hit_rate_interval
 
     seeds = (42, 1042, 2042)
-    rows = []
-    data = {}
+    arms = []
+    for seed in seeds:
+        trace, capacity = _sized("dfn", 0.02, replace(settings, seed=seed))
+        arms += [Arm(f"seed {seed} / {policy_name}", trace,
+                     SimulationConfig(capacity, policy_name),
+                     key=f"{seed}/{policy_name}")
+                 for policy_name in _CONSTANT_POLICIES]
+    columns = [_HIT_RATE,
+               ("95% lower", "ci_lower", lambda r: hit_rate_interval(r).lower),
+               ("95% upper", "ci_upper", lambda r: hit_rate_interval(r).upper)]
+    headers, rows, data = _arm_table(arms, columns)
     orderings_held = 0
     for seed in seeds:
-        trace = _TRACES.get("dfn", settings.scale, seed)
-        capacity = cache_sizes_from_fractions(trace, [0.02])[0]
-        rates = {}
-        for policy_name in _CONSTANT_POLICIES:
-            config = SimulationConfig(capacity_bytes=capacity,
-                                      policy=policy_name)
-            result = CacheSimulator(config).run(trace)
-            interval = hit_rate_interval(result)
-            rates[policy_name] = result.hit_rate()
-            rows.append([f"seed {seed} / {policy_name}",
-                         result.hit_rate(), interval.lower,
-                         interval.upper])
-            data[f"{seed}/{policy_name}"] = {
-                "hit_rate": result.hit_rate(),
-                "ci_lower": interval.lower,
-                "ci_upper": interval.upper,
-            }
-        ordered = (rates["gd*(1)"] > rates["gds(1)"]
-                   > rates["lfu-da"] > rates["lru"])
-        orderings_held += ordered
+        gdstar, gds, lfu_da, lru = (
+            data[f"{seed}/{policy_name}"]["hit_rate"]
+            for policy_name in ("gd*(1)", "gds(1)", "lfu-da", "lru"))
+        orderings_held += gdstar > gds > lfu_da > lru
     data["orderings_held"] = orderings_held
     data["seeds"] = len(seeds)
     rows.append([f"ordering held on {orderings_held}/{len(seeds)} seeds",
                  None, None, None])
-    text = render_table(
-        ["Arm", "Hit rate", "95% lower", "95% upper"], rows,
-        title=f"Ablation: seed sensitivity (DFN-like, cache=2% of "
-              f"bytes, scale={settings.scale_name})",
-        digits=3)
-    return ExperimentReport("ablation-seeds", settings.scale_name, text,
-                            data)
+    return _table_report(
+        "ablation-seeds", settings,
+        f"Ablation: seed sensitivity (DFN-like, cache=2% of "
+        f"bytes, scale={settings.scale_name})",
+        headers, rows, data)
 
 
 def _run_policy_zoo(settings: ExperimentSettings) -> ExperimentReport:
@@ -632,39 +542,25 @@ def _run_policy_zoo(settings: ExperimentSettings) -> ExperimentReport:
     """
     from repro.core.admission import SecondHitAdmission
     from repro.core.belady import BeladyPolicy, compute_next_uses
-    from repro.core.registry import make_policy
 
-    trace = _dfn(settings)
-    capacity = cache_sizes_from_fractions(trace, [0.02])[0]
-    contenders = [
+    trace, capacity = _sized("dfn", 0.02, settings)
+    contenders = [(name, name) for name in (
         "rand", "fifo", "lru", "lru-2", "slru", "lru-threshold",
         "size", "lfu", "lfu-da", "gds(1)", "gdsf(1)", "gd*(1)",
         "gd*t(1)", "landlord(1)", "hyperbolic(1)",
-        "gds(p)", "gd*(p)",
-    ]
-    rows = []
-    data = {}
-
-    def run_one(label, policy):
-        config = SimulationConfig(capacity_bytes=capacity, policy=policy)
-        result = CacheSimulator(config).run(trace)
-        rows.append([label, result.hit_rate(), result.byte_hit_rate()])
-        data[label] = {"hit_rate": result.hit_rate(),
-                       "byte_hit_rate": result.byte_hit_rate()}
-
-    for name in contenders:
-        run_one(name, make_policy(name))
-    run_one("2hit+lru", SecondHitAdmission(make_policy("lru")))
-    run_one("belady", BeladyPolicy(compute_next_uses(trace.requests)))
-
+        "gds(p)", "gd*(p)")]
+    contenders += [
+        ("2hit+lru", SecondHitAdmission(make_policy("lru"))),
+        ("belady", BeladyPolicy(compute_next_uses(trace.requests)))]
+    arms = [Arm(label, trace, SimulationConfig(capacity, policy))
+            for label, policy in contenders]
+    headers, rows, data = _arm_table(arms, [_HIT_RATE, _BYTE_HIT_RATE])
     rows.sort(key=lambda row: row[1], reverse=True)
-    text = render_table(
-        ["Policy", "Hit rate", "Byte hit rate"], rows,
-        title=f"Policy zoo (DFN-like, cache=2% of bytes, "
-              f"scale={settings.scale_name}), sorted by hit rate",
-        digits=3)
-    return ExperimentReport("policy-zoo", settings.scale_name, text,
-                            data)
+    return _table_report(
+        "policy-zoo", settings,
+        f"Policy zoo (DFN-like, cache=2% of bytes, "
+        f"scale={settings.scale_name}), sorted by hit rate",
+        headers, rows, data, head="Policy")
 
 
 def _run_future_workload(settings: ExperimentSettings) -> ExperimentReport:
@@ -676,28 +572,21 @@ def _run_future_workload(settings: ExperimentSettings) -> ExperimentReport:
     DFN mix); this experiment reruns the paper's comparison on it and
     reports which recommendations survive.
     """
-    future = _future(settings)
-    dfn = _dfn(settings)
-
     sections = [
         f"Future workload (the paper's introduction conjecture) vs "
         f"DFN baseline (scale={settings.scale_name})."
     ]
     data: dict = {}
-    for trace_label, trace in (("dfn", dfn), ("future", future)):
-        capacities = cache_sizes_from_fractions(
-            trace, settings.size_fractions)
-        const = _run_grid(trace, _CONSTANT_POLICIES, capacities,
-                          settings)
-        packet = _run_grid(trace, _PACKET_POLICIES, capacities,
-                           settings)
+    for profile_name in ("dfn", "future"):
+        const = _grid(profile_name, _CONSTANT_POLICIES, settings)
+        packet = _grid(profile_name, _PACKET_POLICIES, settings)
         sections.append(render_sweep_table(
-            const, title=f"{trace_label}: overall hit rate "
+            const, title=f"{profile_name}: overall hit rate "
                          f"(constant cost)"))
         sections.append(render_sweep_table(
             packet, byte_rate=True,
-            title=f"{trace_label}: overall byte hit rate (packet cost)"))
-        data[trace_label] = {
+            title=f"{profile_name}: overall byte hit rate (packet cost)"))
+        data[profile_name] = {
             "hit_rate": {p: const.series(p)[-1][1]
                          for p in const.policies},
             "byte_hit_rate_packet": {p: packet.series(
@@ -708,15 +597,13 @@ def _run_future_workload(settings: ExperimentSettings) -> ExperimentReport:
         }
 
     # Headline deltas.
-    dfn_gap = (data["dfn"]["hit_rate"]["gd*(1)"]
-               - data["dfn"]["hit_rate"]["lru"])
-    future_gap = (data["future"]["hit_rate"]["gd*(1)"]
-                  - data["future"]["hit_rate"]["lru"])
-    data["gdstar_lead_dfn"] = dfn_gap
-    data["gdstar_lead_future"] = future_gap
+    for profile_name in ("dfn", "future"):
+        rates = data[profile_name]["hit_rate"]
+        data[f"gdstar_lead_{profile_name}"] = rates["gd*(1)"] - rates["lru"]
     sections.append(
-        f"GD*(1) hit-rate lead over LRU: DFN {dfn_gap:.3f} -> "
-        f"future {future_gap:.3f}")
+        f"GD*(1) hit-rate lead over LRU: DFN "
+        f"{data['gdstar_lead_dfn']:.3f} -> "
+        f"future {data['gdstar_lead_future']:.3f}")
     return ExperimentReport("future-workload", settings.scale_name,
                             "\n\n".join(sections), data)
 
@@ -725,19 +612,11 @@ def _run_verify_claims(settings: ExperimentSettings) -> ExperimentReport:
     """Run every encoded paper claim and report PASS/FAIL."""
     from repro.experiments.claims import ClaimChecker, render_claim_table
 
-    dfn = _dfn(settings)
-    rtp = _rtp(settings)
-    dfn_caps = cache_sizes_from_fractions(dfn, settings.size_fractions)
-    rtp_caps = cache_sizes_from_fractions(rtp, settings.size_fractions)
     sweeps = {
-        "dfn-const": _run_grid(dfn, _CONSTANT_POLICIES, dfn_caps,
-                               settings),
-        "dfn-packet": _run_grid(dfn, _PACKET_POLICIES, dfn_caps,
-                                settings),
-        "rtp-const": _run_grid(rtp, _CONSTANT_POLICIES, rtp_caps,
-                               settings),
-        "rtp-packet": _run_grid(rtp, _PACKET_POLICIES, rtp_caps,
-                                settings),
+        f"{profile_name}-{cost}": _grid(profile_name, policies, settings)
+        for profile_name in ("dfn", "rtp")
+        for cost, policies in (("const", _CONSTANT_POLICIES),
+                               ("packet", _PACKET_POLICIES))
     }
     results = ClaimChecker(sweeps).run_all()
     text = render_claim_table(
@@ -751,15 +630,25 @@ def _run_verify_claims(settings: ExperimentSettings) -> ExperimentReport:
 
 _RUNNERS: Dict[str, Callable[[ExperimentSettings], ExperimentReport]] = {
     "table1": _run_table1,
-    "table2": _run_table2,
-    "table3": _run_table3,
-    "table4": _run_table4,
-    "table5": _run_table5,
+    "table2": partial(_breakdown_report, 2, "dfn"),
+    "table3": partial(_breakdown_report, 3, "rtp"),
+    "table4": partial(_statistics_report, 4, "dfn"),
+    "table5": partial(_statistics_report, 5, "rtp"),
     "fig1": _run_fig1,
-    "fig2": _run_fig2,
-    "fig3": _run_fig3,
-    "rtp-const": _run_rtp_const,
-    "rtp-packet": _run_rtp_packet,
+    "fig2": partial(
+        _sweep_report, "fig2", "dfn", _CONSTANT_POLICIES,
+        "Figure 2. DFN-like trace, constant cost model: hit rate and "
+        "byte hit rate by document type"),
+    "fig3": partial(
+        _sweep_report, "fig3", "dfn", _PACKET_POLICIES,
+        "Figure 3. DFN-like trace, packet cost model: hit rate and "
+        "byte hit rate by document type"),
+    "rtp-const": partial(
+        _sweep_report, "rtp-const", "rtp", _CONSTANT_POLICIES,
+        "Section 4.4. RTP-like trace, constant cost model"),
+    "rtp-packet": partial(
+        _sweep_report, "rtp-packet", "rtp", _PACKET_POLICIES,
+        "Section 4.4. RTP-like trace, packet cost model"),
     "ablation-beta": _run_ablation_beta,
     "ablation-warmup": _run_ablation_warmup,
     "ablation-modification": _run_ablation_modification,
@@ -820,12 +709,14 @@ class SuiteResult:
 
 
 def _suite_digest(settings: ExperimentSettings) -> str:
-    """Hash of every setting that changes experiment *results*.
+    """Hash of everything that changes experiment *results*: these
+    settings and the code revision (a pre-fix report is never adopted).
 
     ``extra`` is deliberately excluded: execution knobs (worker
     counts, timeouts) alter how results are computed, not what they
     are, and must not invalidate checkpoints.
     """
+    from repro.experiments.store import git_revision
     from repro.resilience.checkpoint import config_hash
 
     return config_hash({
@@ -833,27 +724,16 @@ def _suite_digest(settings: ExperimentSettings) -> str:
         "seed": settings.seed,
         "size_fractions": list(settings.size_fractions),
         "occupancy_interval": settings.occupancy_interval,
+        "revision": git_revision(),
     })
 
 
 def _report_to_payload(report: ExperimentReport) -> dict:
-    return {
-        "experiment_id": report.experiment_id,
-        "scale_name": report.scale_name,
-        "text": report.text,
-        "data": report.data,
-        "artifacts": report.artifacts,
-    }
+    return asdict(report)
 
 
 def _report_from_payload(payload: dict) -> ExperimentReport:
-    return ExperimentReport(
-        experiment_id=payload["experiment_id"],
-        scale_name=payload["scale_name"],
-        text=payload["text"],
-        data=payload.get("data", {}),
-        artifacts=payload.get("artifacts", {}),
-    )
+    return ExperimentReport(**payload)
 
 
 def run_suite(experiment_ids: Optional[Sequence[str]] = None,
@@ -882,8 +762,9 @@ def run_suite(experiment_ids: Optional[Sequence[str]] = None,
     missing ones.
 
     Checkpoints are keyed by the experiment id and validated against a
-    hash of the result-bearing settings (scale, seed, size fractions);
-    checkpoints from other configurations are ignored, never adopted.
+    hash of the result-bearing settings (scale, seed, size fractions)
+    and the code revision; checkpoints from other configurations or
+    revisions are ignored, never adopted.
 
     Args:
         experiment_ids: Ids to run (default: all, in DESIGN.md order).
@@ -992,9 +873,7 @@ def run_suite(experiment_ids: Optional[Sequence[str]] = None,
                     error_type=type(exc).__name__,
                     message=str(exc),
                 )
-                emit("experiment_failed", experiment_id=experiment_id,
-                     attempts=retry_policy.max_attempts,
-                     error_type=type(exc).__name__, message=str(exc))
+                emit("experiment_failed", **asdict(failure))
                 if failure_policy == "raise":
                     raise
                 suite.failures.append(failure)

@@ -132,6 +132,28 @@ class TestCheckpointResume:
         assert suite.executed == ["table1"]
         assert fake_runners["table1"].calls == 2
 
+    def test_other_revision_reruns_instead_of_adopting(self, fake_runners,
+                                                       tmp_path,
+                                                       monkeypatch):
+        """A report checkpointed by other code (say, before a policy
+        fix) is not this code's report: same settings, another
+        revision, so it is re-run."""
+        monkeypatch.setattr("repro.experiments.store.git_revision",
+                            lambda: "before-fix")
+        run_suite(["table1"], scale="tiny", checkpoint_dir=tmp_path)
+        monkeypatch.setattr("repro.experiments.store.git_revision",
+                            lambda: "after-fix")
+        suite = run_suite(["table1"], scale="tiny",
+                          checkpoint_dir=tmp_path, resume=True)
+        assert suite.resumed == []
+        assert suite.executed == ["table1"]
+        assert fake_runners["table1"].calls == 2
+        # ... and the re-run's checkpoint is what the new code adopts.
+        suite = run_suite(["table1"], scale="tiny",
+                          checkpoint_dir=tmp_path, resume=True)
+        assert suite.resumed == ["table1"]
+        assert fake_runners["table1"].calls == 2
+
     def test_on_report_distinguishes_checkpointed(self, fake_runners,
                                                   tmp_path):
         seen = []
