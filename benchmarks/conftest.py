@@ -1,17 +1,14 @@
 """Shared fixtures for the benchmark harness.
 
-Two kinds of benchmarks live here:
+What lives here are micro-benchmarks of the hot paths
+(``bench_policies.py`` / ``bench_components.py`` /
+``bench_scaling.py``: policy ops/second, parser and generator
+throughput) and the per-subsystem script benches.  Regenerating a
+paper artifact is not a benchmark: ``python -m repro.experiments <id>``
+does it, and ``tests/experiments/test_runner.py`` checks its shape.
 
-* ``bench_table*.py`` / ``bench_fig*.py`` / ``bench_rtp.py`` — the
-  paper-artifact regeneration benches: each times one experiment from
-  :mod:`repro.experiments` end to end (single round; the point is the
-  artifact plus a wall-clock number, not statistics).
-* ``bench_policies.py`` / ``bench_components.py`` — micro-benchmarks of
-  the hot paths (policy ops/second, parser and generator throughput).
-
-Scale: benches default to the "tiny" experiment scale so the whole
-suite completes in minutes; set ``REPRO_BENCH_SCALE=small`` (or
-``medium``/``paper``) to rerun at larger scales.
+Scale: ``bench_scale`` defaults to the "tiny" experiment scale; set
+``REPRO_BENCH_SCALE=small`` (or ``medium``/``paper``) for larger runs.
 """
 
 import os
@@ -21,7 +18,7 @@ import pytest
 from repro.workload.generator import generate_trace
 from repro.workload.profiles import dfn_like, rtp_like
 
-#: Experiment scale for the artifact benches.
+#: Experiment scale name the script benches record.
 BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "tiny")
 
 
@@ -40,14 +37,3 @@ def dfn_trace():
 def rtp_trace():
     return generate_trace(rtp_like(scale=1.0 / 256.0))
 
-
-def run_and_report(benchmark, experiment_id, scale):
-    """Time one experiment once and attach its data to the benchmark."""
-    from repro.experiments.runner import run_experiment
-
-    result = benchmark.pedantic(
-        run_experiment, args=(experiment_id,),
-        kwargs={"scale": scale}, rounds=1, iterations=1)
-    benchmark.extra_info["experiment"] = experiment_id
-    benchmark.extra_info["scale"] = scale
-    return result

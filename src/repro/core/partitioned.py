@@ -7,7 +7,8 @@ capacity slice and (possibly different) replacement policy, so large
 multimedia documents compete only with each other instead of flushing
 thousands of images.  :class:`PartitionedCache` implements that design
 and is drop-in compatible with the simulator (pass it as ``cache=``),
-enabling the partitioning ablation in ``benchmarks/bench_extensions.py``.
+enabling the ``ablation-partition`` experiment
+(``tests/experiments/test_runner.py`` checks its shape).
 
 Capacity shares are static; a byte budgeted for one type is never lent
 to another (that rigidity is exactly the trade-off the ablation
