@@ -42,6 +42,7 @@ import importlib
 import sys
 from typing import List, Optional
 
+from repro.experiments.cliopts import add_observability_options
 from repro.experiments.config import (
     EXPERIMENT_IDS,
     SCALES,
@@ -49,7 +50,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.report import write_report
 from repro.experiments.runner import run_suite
-from repro.observability.logs import LOG_LEVELS, configure, get_logger
+from repro.observability.logs import configure, get_logger
 
 _logger = get_logger("experiments.cli")
 
@@ -114,18 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep-workers", type=int, default=0,
         help="run figure sweep grids across this many worker processes "
              "with crash recovery (default: 0 = in-process)")
-    obs = parser.add_argument_group("observability")
-    obs.add_argument(
-        "--log-level", choices=list(LOG_LEVELS), default="info",
-        help="diagnostic verbosity on stderr (default: info)")
-    obs.add_argument(
-        "--log-json", action="store_true",
-        help="emit diagnostics as JSON lines instead of text")
-    obs.add_argument(
-        "--telemetry-dir", default=None,
-        help="write manifest.json + events.jsonl (run config, cell and "
-             "experiment lifecycle, retries, timeouts) to this "
-             "directory")
+    obs = add_observability_options(parser)
     obs.add_argument(
         "--trace-spans", action="store_true",
         help="emit hierarchical span events (simulate/pass phases, "

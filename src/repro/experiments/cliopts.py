@@ -47,7 +47,9 @@ def add_workload_options(parser: argparse.ArgumentParser) -> None:
              "approximations assume)")
 
 
-def add_observability_options(parser: argparse.ArgumentParser) -> None:
+def add_observability_options(parser: argparse.ArgumentParser):
+    """Add the shared flags; returns their group so a CLI can put its
+    own observability flags beside them."""
     obs = parser.add_argument_group("observability")
     obs.add_argument(
         "--log-level", choices=list(LOG_LEVELS), default="info",
@@ -58,6 +60,7 @@ def add_observability_options(parser: argparse.ArgumentParser) -> None:
     obs.add_argument(
         "--telemetry-dir", default=None,
         help="write manifest.json + events.jsonl here")
+    return obs
 
 
 def from_trace_file(args) -> bool:
