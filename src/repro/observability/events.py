@@ -75,7 +75,6 @@ EVENT_TABLE: Dict[str, Tuple[int, Dict[str, Optional[tuple]]]] = {
     "cell_failed": (ERROR, {"key": None, "attempts": None,
                             "error_type": None}),
     "cell_checkpoint_restored": (DEBUG, {"key": None}),
-    "pool_rebuilt": (WARNING, {"reason": None}),
     # shared-pass engine (one trace pass serving N cache cells)
     "pass_started": (DEBUG, {"cells": None, "requests": None}),
     "pass_finished": (DEBUG, {"cells": None, "requests": None,

@@ -49,7 +49,7 @@ class FaultSpec:
         key: Work-unit key the fault targets (the sweep runner uses
             ``"<policy>@<capacity>"``).
         kind: ``"crash"`` kills the worker process outright (the
-            parent sees a broken pool), ``"hang"`` sleeps past any
+            parent sees its pipe close), ``"hang"`` sleeps past any
             sane cell timeout, ``"raise"`` raises a transient
             :class:`InjectedFaultError` (worker survives), and
             ``"corrupt"`` returns a mangled result payload.

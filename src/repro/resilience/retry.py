@@ -1,8 +1,8 @@
 """Deterministic retry with capped exponential backoff.
 
-The sweep and suite runners retry *transient* failures — worker
-crashes, cell timeouts, corrupt payloads — whose reruns are safe
-because every cell is a pure function of its config and the trace.
+The suite runner retries *transient* failures — worker crashes, cell
+timeouts, corrupt payloads — whose reruns are safe because every cell
+is a pure function of its config and the trace.
 Backoff is deterministic (no jitter): delays are reproducible, and the
 sleep/clock are injectable so tests run instantly.
 """

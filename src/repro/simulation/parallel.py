@@ -2,31 +2,42 @@
 
 A full figure regeneration at paper scale is ~30 independent
 (policy, capacity) simulations over millions of requests; they share
-nothing but the read-only trace, so a process pool gives near-linear
-speedup.  The trace is shipped to each worker once (pool initializer),
-not once per cell.  The calling process only schedules: every grid,
-one worker included, runs its passes in pool workers, so there is one
-execution path and the caller's own state (its event sink above all)
-is never rearmed as a worker's.
+nothing but the read-only trace, so running them in several processes
+gives near-linear speedup.  The calling process only schedules: every
+grid, one worker included, runs its passes in child processes, so
+there is one execution path and the caller's own state (its event sink
+above all) is never rearmed as a worker's.
 
 The unit of scheduling is a **batch** of cells: the grid is
 partitioned into ``cells_per_pass``-sized batches (by default an even
-split across the workers) and each worker runs its whole batch over
-**one** shared trace pass via
-:func:`repro.simulation.engine.run_cells`, so a worker pays the trace
-tax once per batch instead of once per cell.  The results are
+split across the workers) and each batch runs over **one** shared
+trace pass via :func:`repro.simulation.engine.run_cells`, paying the
+trace tax once per batch instead of once per cell.  The results are
 bit-identical whatever the batch size.
 
-Because every cell is a pure function of its config and the trace, a
-failed batch can simply be rerun: the scheduler submits batches as
-individual futures, retries transient failures (worker crashes, hangs
-past the batch's timeout budget, corrupt payloads) with a bounded
-deterministic backoff, and rebuilds the pool when a dead worker breaks
-it — resubmitting only the unfinished batches.  Isolation stays **per
-cell**: a failed batch of several cells cannot say which cell is to
-blame, so its cells are requeued as singleton batches, uncharged, and
-only a cell that fails while running alone spends retry budget or is
-recorded as lost.  Telemetry events (the scheduler's
+A batch is its own **process**: the scheduler starts one
+``multiprocessing.Process`` per batch, at most ``n_workers`` at a
+time, and reads one answer from the batch's pipe — the per-cell
+payload list, or the exception the cells raised.  The trace object is
+the process argument: a fork-started child inherits it (request list
+or file mapping, nothing copied), a spawn-started child unpickles it,
+which for a :class:`~repro.trace.columnar.ColumnarTrace` means
+reopening the file by path, so the kernel page cache backs every
+child with one copy.
+
+That makes the process the unit of blame.  A pipe that closes without
+an answer is that batch's :class:`~repro.errors.WorkerCrashError`, and
+a batch past its timeout budget is killed alone (``SIGKILL``: a hang
+may ignore anything gentler) and is that batch's
+:class:`~repro.errors.CellTimeoutError`; batches running beside it
+are never touched.  Because every cell is a pure function of its
+config and the trace, a failed batch can simply be rerun, and
+transient failures (crashes, hangs, corrupt payloads) are, immediately
+and up to ``max_retries`` times.  Isolation stays **per cell**: a
+failed batch of several cells cannot say which cell is to blame, so
+its cells are requeued as singleton batches, uncharged, and only a
+cell that fails while running alone spends retry budget or is recorded
+as lost.  Telemetry events (the scheduler's
 :func:`repro.observability.events.emit` calls, which are also its log
 lines), checkpoints, and ``failure_policy="partial"``
 :class:`~repro.simulation.results.FailureRecord`\\ s are per cell
@@ -41,14 +52,15 @@ computation — which the tests assert, fault injection included.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import re
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait as _wait
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from repro.errors import (
     CellTimeoutError,
@@ -63,7 +75,6 @@ from repro.observability.profiling import maybe_profile
 from repro.observability.trace import span as _span
 from repro.resilience.checkpoint import CheckpointStore, config_hash
 from repro.resilience.faults import FaultInjector
-from repro.resilience.retry import RetryPolicy
 from repro.simulation.engine import run_cells
 from repro.simulation.results import (
     FailureRecord,
@@ -71,19 +82,11 @@ from repro.simulation.results import (
     SweepResult,
 )
 from repro.simulation.simulator import SimulationConfig, SizeInterpretation
-from repro.types import Trace
-
-#: How long the scheduler sleeps in ``wait()`` before re-checking
-#: deadlines; kept short so cell timeouts are detected promptly.
-_POLL_SECONDS = 0.1
 
 #: Accepted values for ``failure_policy``.
 FAILURE_POLICIES = ("raise", "partial")
 
-# Per-worker state, populated by the pool initializer.  The trace is
-# either a materialized Trace (request list shipped by pickle) or a
-# ColumnarTrace each worker mmaps itself from a shipped path string —
-# the kernel page cache then backs every worker with one copy.
+# Per-process state of a batch's child, set by _init_worker.
 _worker_trace = None
 _worker_injector: Optional[FaultInjector] = None
 
@@ -125,29 +128,17 @@ def _profile_path(profile_dir: Optional[str], key: str,
     return str(Path(profile_dir) / f"{safe}.attempt{attempt}.prof")
 
 
-def _init_worker(trace_source, name: str,
-                 injector: Optional[FaultInjector] = None) -> None:
-    """Arm a worker with the sweep's trace.
-
-    ``trace_source`` is either a request sequence (shipped via pickle)
-    or a path string to a columnar trace, which the worker mmaps
-    itself — no per-worker decode, no per-worker copy.
-    """
+def _init_worker(trace, injector: Optional[FaultInjector] = None) -> None:
+    """Arm this process with the sweep's trace and fault plan."""
     global _worker_trace, _worker_injector
-    if isinstance(trace_source, (str, Path)):
-        from repro.trace.columnar import open_columnar
-
-        _worker_trace = open_columnar(trace_source, verify=False)
-        _worker_trace.name = name
-    else:
-        _worker_trace = Trace(trace_source, name=name)
+    _worker_trace = trace
     _worker_injector = injector
-    # Fork-started workers inherit the parent's process-wide event
+    # A fork-started child inherits the parent's process-wide event
     # sink, including its open events.jsonl handle and a stale copy of
-    # its seq counter; anything the worker emitted (e.g. the shared
+    # its seq counter; anything the child emitted (e.g. the shared
     # pass lifecycle from run_cells) would interleave out-of-sequence
     # records into the parent's telemetry.  Cell lifecycle events are
-    # the parent's job, so workers write nowhere.
+    # the parent's job, so children write nowhere.
     _events.set_event_sink(None)
 
 
@@ -167,8 +158,7 @@ def _run_batch(batch: tuple) -> List[dict]:
     if _worker_trace is None:
         raise SimulationError(
             f"worker has no trace for batch {batch_key(cells)!r}: the "
-            "process pool was created without the _init_worker "
-            "initializer")
+            "process was started without the _init_worker initializer")
     configs = [
         SimulationConfig(
             capacity_bytes=capacity,
@@ -203,28 +193,27 @@ def _deserialize(payload: object, key: str) -> SimulationResult:
             f"{type(exc).__name__}: {exc}") from exc
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down even if its workers are hung or dead.
+def _batch_main(connection, trace, injector: Optional[FaultInjector],
+                batch: tuple) -> None:
+    """Entry point of a batch's process: one answer down the pipe, the
+    payload list or the exception the cells raised.  A process that
+    dies instead closes the pipe unanswered."""
+    _init_worker(trace, injector)
+    try:
+        answer = _run_batch(batch)
+    except Exception as exc:
+        answer = exc
+    connection.send(answer)
+    connection.close()
 
-    A graceful ``shutdown(wait=True)`` would block behind a hung cell,
-    so kill the worker processes first.
-    """
-    for process in list(getattr(pool, "_processes", {}).values()):
-        if process.is_alive():
-            process.terminate()
-    pool.shutdown(wait=True, cancel_futures=True)
 
+class _BatchRun(NamedTuple):
+    """Bookkeeping for one in-flight (batch, attempt) process."""
 
-class _BatchRun:
-    """Bookkeeping for one in-flight (batch, attempt) submission."""
-
-    __slots__ = ("cells", "attempt", "started")
-
-    def __init__(self, cells: Tuple[Tuple[str, int], ...], attempt: int,
-                 started: float):
-        self.cells = cells
-        self.attempt = attempt
-        self.started = started
+    cells: Tuple[Tuple[str, int], ...]
+    attempt: int
+    started: float
+    process: multiprocessing.process.BaseProcess
 
     @property
     def key(self) -> str:
@@ -248,53 +237,57 @@ def run_sweep_parallel(trace,
                        max_retries: int = 2,
                        cell_timeout: Optional[float] = None,
                        failure_policy: str = "raise",
-                       retry_policy: Optional[RetryPolicy] = None,
                        fault_injector: Optional[FaultInjector] = None,
                        checkpoint_store: Optional[CheckpointStore] = None,
                        telemetry_dir=None,
-                       profile_dir=None,
-                       sleep=time.sleep) -> SweepResult:
+                       profile_dir=None) -> SweepResult:
     """Run the (policy × capacity) grid across worker processes.
 
     Positional args match :func:`~repro.simulation.sweep.run_sweep`
     (minus the per-cell callbacks, which cannot cross process
-    boundaries); ``n_workers`` defaults to the CPU count capped by the
-    cell count, and even one worker is a pool process — the caller
-    never runs a pass itself.  ``trace`` may be a :class:`~repro.types.Trace`, a
-    :class:`~repro.trace.columnar.ColumnarTrace`, or a columnar file
-    path: columnar sweeps ship only the *path* to workers, which mmap
-    the file themselves — one kernel page-cache copy serves the whole
-    pool, and the passes consume the columns directly.
+    boundaries); ``n_workers`` — how many batch processes run at once —
+    defaults to the CPU count capped by the cell count, and even one
+    worker is a child process: the caller never runs a pass itself.
+    ``trace`` may be a :class:`~repro.types.Trace`, a
+    :class:`~repro.trace.columnar.ColumnarTrace`, or a trace file
+    path.  Each batch's process gets the trace object itself: a forked
+    child inherits it, a spawned child unpickles it — a request list
+    travels whole, a columnar trace as its path, which the child mmaps
+    itself (one kernel page-cache copy serves every process, and the
+    passes consume the columns directly).
+
+    The process is the unit of blame: a death
+    (:class:`~repro.errors.WorkerCrashError`) or a timeout (``kill()``,
+    :class:`~repro.errors.CellTimeoutError`) fails that batch alone,
+    and the batches running beside it carry on.
 
     Keyword-only knobs:
 
     Args:
-        cells_per_pass: How many cells each task carries; they ride
-            **one** shared trace pass in their worker
+        cells_per_pass: How many cells each batch carries; they ride
+            **one** shared trace pass in their process
             (:func:`repro.simulation.engine.run_cells`).  Defaults to
             an even split of the grid across the workers; ``1`` gives
-            every cell its own task and pass.  Results are
+            every cell its own process and pass.  Results are
             bit-identical whatever the value; telemetry events,
             checkpoints, and failure records stay per cell.
-        max_retries: Reruns allowed per cell for *transient* failures
-            (worker crash, timeout, corrupt payload).  Deterministic
-            errors from the cells themselves are never retried.  A
+        max_retries: Immediate reruns allowed per cell for *transient*
+            failures (worker crash, timeout, corrupt payload); cells
+            are CPU-bound and deterministic, so waiting between
+            attempts would buy nothing.  Deterministic errors from the
+            cells themselves are never retried.  A
             failed batch of several cells is first split into
             singleton batches at no charge, so only the guilty cell
             spends its budget.
         cell_timeout: Per-cell wall-clock budget in seconds; a batch
-            past ``cell_timeout × len(batch)`` has its worker killed
+            past ``cell_timeout × len(batch)`` has its process killed
             and counts as a transient failure.  ``None`` disables
             timeouts.
         failure_policy: ``"raise"`` (default) re-raises the first
             permanently failed cell; ``"partial"`` returns whatever
             completed, with a :class:`FailureRecord` per lost cell on
             ``SweepResult.failures``.
-        retry_policy: Full backoff schedule; defaults to
-            ``RetryPolicy(max_retries=max_retries, base_delay=0)``
-            (immediate resubmission — cells are CPU-bound and
-            deterministic, so waiting buys nothing by default).
-        fault_injector: Deterministic chaos plan shipped to workers
+        fault_injector: Deterministic chaos plan handed to every batch
             (see :mod:`repro.resilience.faults`); used by the tests to
             prove the machinery above works.
         checkpoint_store: Optional
@@ -310,8 +303,7 @@ def run_sweep_parallel(trace,
             it, cell lifecycle events go to whatever sink the caller
             (``run_suite``, say) installed — a no-op by default.
         profile_dir: When set, each cell attempt is run under cProfile
-            in its worker and dumps ``<cell>.attempt<n>.prof`` here.
-        sleep: Injectable sleep used for retry backoff.
+            in its process and dumps ``<cell>.attempt<n>.prof`` here.
     """
     if isinstance(trace, (str, Path)):
         from repro.trace.columnar import is_columnar_file, open_columnar
@@ -323,11 +315,6 @@ def run_sweep_parallel(trace,
             from repro.trace.pipeline import load_trace
 
             trace = load_trace(path)
-    columnar_path: Optional[str] = None
-    if getattr(trace, "is_columnar", False):
-        columnar_path = str(trace.path)
-    total_requests = (len(trace.requests) if isinstance(trace, Trace)
-                      else len(trace))
     cells: List[Tuple[str, int]] = [
         (policy_name, capacity)
         for policy_name in policies
@@ -343,9 +330,8 @@ def run_sweep_parallel(trace,
             f"got {failure_policy!r}")
     if cell_timeout is not None and cell_timeout <= 0:
         raise ConfigurationError("cell_timeout must be positive")
-    if retry_policy is None:
-        retry_policy = RetryPolicy(max_retries=max_retries,
-                                   base_delay=0.0)
+    if max_retries < 0:
+        raise ConfigurationError("max_retries must be >= 0")
     if n_workers is None:
         n_workers = min(os.cpu_count() or 1, len(cells))
     n_workers = max(min(n_workers, len(cells)), 1)
@@ -388,7 +374,7 @@ def run_sweep_parallel(trace,
         if checkpoint_store is not None:
             sweep_digest = config_hash({
                 "trace": trace.name,
-                "requests": total_requests,
+                "requests": len(trace),
                 "warmup_fraction": warmup_fraction,
                 "size_interpretation": size_interpretation.value,
             })
@@ -419,20 +405,17 @@ def run_sweep_parallel(trace,
         batches = partition_cells(cells, n_workers, cells_per_pass)
 
         _Scheduler(
-            trace_source=(columnar_path if columnar_path is not None
-                          else trace.requests),
-            trace_name=trace.name,
+            trace=trace,
             batches=batches,
             warmup_fraction=warmup_fraction,
             size_interpretation=size_interpretation,
             n_workers=max(min(n_workers, len(batches)), 1),
-            retry_policy=retry_policy,
+            max_retries=max_retries,
             cell_timeout=cell_timeout,
             failure_policy=failure_policy,
             fault_injector=fault_injector,
             on_cell_done=_checkpoint_cell,
             profile_dir=profile_dir,
-            sleep=sleep,
         ).run(sweep)
         return _finish()
     except BaseException:
@@ -443,8 +426,7 @@ def run_sweep_parallel(trace,
 
 
 def supervise_workers(target, args: tuple = (), n_workers: int = 2, *,
-                      max_restarts: int = 2,
-                      poll_seconds: float = 0.05) -> List[dict]:
+                      max_restarts: int = 2) -> List[dict]:
     """Run ``target(*args)`` in ``n_workers`` processes, restarting
     casualties.
 
@@ -459,8 +441,6 @@ def supervise_workers(target, args: tuple = (), n_workers: int = 2, *,
     Returns one summary dict per worker slot:
     ``{"worker": i, "exitcode": last, "restarts": n}``.
     """
-    import multiprocessing
-
     if n_workers < 1:
         raise ConfigurationError("n_workers must be >= 1")
     context = multiprocessing.get_context()
@@ -474,8 +454,10 @@ def supervise_workers(target, args: tuple = (), n_workers: int = 2, *,
     restarts = [0] * n_workers
     exitcodes: List[Optional[int]] = [None] * n_workers
     while any(process is not None for process in processes):
+        exited = _wait([process.sentinel for process in processes
+                        if process is not None])
         for slot, process in enumerate(processes):
-            if process is None or process.is_alive():
+            if process is None or process.sentinel not in exited:
                 continue
             process.join()
             exitcodes[slot] = process.exitcode
@@ -489,117 +471,97 @@ def supervise_workers(target, args: tuple = (), n_workers: int = 2, *,
                          restarts=restarts[slot],
                          max_restarts=max_restarts)
             processes[slot] = _spawn()
-        time.sleep(poll_seconds)
     return [{"worker": slot, "exitcode": exitcodes[slot],
              "restarts": restarts[slot]}
             for slot in range(n_workers)]
 
 
 class _Scheduler:
-    """Submits batches as futures, retries transient failures, and
-    rebuilds the pool when workers die or hang.
+    """Runs each batch in a process of its own, at most ``n_workers``
+    at a time, and retries transient failures.
 
     Scheduling is per batch; events, checkpoints, and failure records
     are per cell, and so is blame: only a singleton batch is ever
     charged an attempt (see :meth:`_retry_or_fail`).
     """
 
-    def __init__(self, trace_source, trace_name, batches,
-                 warmup_fraction, size_interpretation, n_workers,
-                 retry_policy, cell_timeout, failure_policy,
-                 fault_injector, on_cell_done, profile_dir, sleep):
-        self.trace_source = trace_source
-        self.trace_name = trace_name
+    def __init__(self, trace, batches, warmup_fraction,
+                 size_interpretation, n_workers, max_retries,
+                 cell_timeout, failure_policy, fault_injector,
+                 on_cell_done, profile_dir):
+        self.trace = trace
         self.warmup_fraction = warmup_fraction
         self.size_interpretation = size_interpretation
         self.n_workers = n_workers
-        self.retry_policy = retry_policy
+        self.max_retries = max_retries
         self.cell_timeout = cell_timeout
         self.failure_policy = failure_policy
         self.fault_injector = fault_injector
         self.on_cell_done = on_cell_done
         self.profile_dir = profile_dir
-        self.sleep = sleep
+        self.context = multiprocessing.get_context()
         #: Wall-clock seconds burned per batch key across attempts,
         #: including attempts that crashed or timed out.
         self.elapsed: Dict[str, float] = {}
         #: (batch_cells, attempt) runnable now.
         self.queue = deque((batch, 1) for batch in batches)
-        #: Batches suspected of crashing a worker.  When a pool breaks
-        #: with several batches in flight there is no way to tell which
-        #: one killed it, so none is charged; instead they all land
-        #: here and rerun one at a time — a batch that breaks the pool
-        #: while running alone is provably the crasher.
-        self.isolation = deque()
-        self.isolated: Optional[_BatchRun] = None
         #: (cell key, attempt) pairs already announced with
-        #: ``cell_scheduled``: an uncharged rerun (a split batch's
-        #: cells, a pool break's suspects) is the same attempt, not a
-        #: new one, and is not announced again.
+        #: ``cell_scheduled``: a split batch's cells rerun uncharged,
+        #: which is the same attempt, not a new one, and is not
+        #: announced again.
         self.announced = set()
+        #: Receiving pipe end -> the batch whose answer it carries.
         self.in_flight: Dict[object, _BatchRun] = {}
         self.failures: List[FailureRecord] = []
-        self.pool: Optional[ProcessPoolExecutor] = None
 
-    # -- pool lifecycle ---------------------------------------------------
+    # -- process lifecycle ------------------------------------------------
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.n_workers,
-            initializer=_init_worker,
-            initargs=(self.trace_source, self.trace_name,
-                      self.fault_injector))
+    def _start(self, cells, attempt: int) -> None:
+        """Start one batch's process and announce its cells."""
+        receiver, sender = self.context.Pipe(duplex=False)
+        process = self.context.Process(
+            target=_batch_main,
+            args=(sender, self.trace, self.fault_injector,
+                  (cells, self.warmup_fraction,
+                   self.size_interpretation.value, attempt,
+                   _profile_path(self.profile_dir, batch_key(cells),
+                                 attempt))))
+        process.start()
+        # The child holds the only sending end now, so its death reads
+        # as EOF here.
+        sender.close()
+        for policy, capacity in cells:
+            cell = cell_key(policy, capacity)
+            if (cell, attempt) not in self.announced:
+                self.announced.add((cell, attempt))
+                _events.emit("cell_scheduled", key=cell, attempt=attempt)
+        self.in_flight[receiver] = _BatchRun(
+            cells, attempt, time.monotonic(), process)
 
-    def _rebuild_pool(self, reason: str = "worker crash") -> None:
-        if self.pool is not None:
-            _terminate_pool(self.pool)
-        self.pool = self._new_pool()
-        _events.emit("pool_rebuilt", reason=reason)
-
-    def _charge_elapsed(self, run: _BatchRun) -> float:
-        """Accumulate the wall clock a leaving in-flight run burned."""
+    def _reap(self, connection, kill: bool = False) -> _BatchRun:
+        """Take a batch out of flight: charge the wall clock it burned
+        and collect its process, killing it first if asked."""
+        run = self.in_flight.pop(connection)
         spent = time.monotonic() - run.started
         self.elapsed[run.key] = self.elapsed.get(run.key, 0.0) + spent
-        return spent
-
-    def _requeue_in_flight(self) -> None:
-        """Return in-flight batches to the queue after a deliberate
-        teardown (timeout) whose cause is known.  The requeued batches
-        never ran to completion, so their retry budget is untouched.
-        """
-        for run in self.in_flight.values():
-            self._charge_elapsed(run)
-            self.queue.append((run.cells, run.attempt))
-        self.in_flight.clear()
-
-    def _suspect_in_flight(self) -> None:
-        """Move every in-flight batch to the isolation queue, uncharged.
-
-        Used when the pool breaks and blame is ambiguous: the suspects
-        rerun one at a time so the actual crasher convicts itself.
-        """
-        for run in self.in_flight.values():
-            self._charge_elapsed(run)
-            self.isolation.append((run.cells, run.attempt))
-        self.in_flight.clear()
-        self.isolated = None
+        if kill:
+            # SIGKILL, not terminate(): a hung cell may ignore SIGTERM.
+            run.process.kill()
+        connection.close()
+        run.process.join()
+        return run
 
     # -- outcome handling -------------------------------------------------
 
-    def _retry_or_fail(self, run: _BatchRun, exc: Exception,
-                       isolate: bool = False) -> None:
+    def _retry_or_fail(self, run: _BatchRun, exc: Exception) -> None:
         """Charge a failed attempt; requeue the batch or record losses.
 
-        ``isolate`` requeues into the isolation queue so a known
-        crasher keeps running alone instead of taking fresh neighbours
-        down with it.  A batch of several cells cannot say which cell
-        failed, so — the rule pool breaks already follow — its cells
-        rerun as singleton batches, uncharged and under the attempt
-        already announced; the guilty one then fails alone, and per-cell
-        events, failure records and the attempts they report read
-        exactly as if every cell had been scheduled on its own.
+        A batch of several cells cannot say which cell failed, so its
+        cells rerun as singleton batches, uncharged and under the
+        attempt already announced; the guilty one then fails alone, and
+        per-cell events, failure records and the attempts they report
+        read exactly as if every cell had been scheduled on its own.
         """
-        target = self.isolation if isolate else self.queue
         if len(run.cells) > 1:
             _logger.warning(
                 "batch %s attempt %d failed (%s); rerunning its %d "
@@ -607,19 +569,19 @@ class _Scheduler:
                 type(exc).__name__, len(run.cells),
                 extra={"key": run.key, "attempt": run.attempt,
                        "error_type": type(exc).__name__})
-            target.extend(((cell,), run.attempt) for cell in run.cells)
+            self.queue.extend(((cell,), run.attempt) for cell in run.cells)
             return
-        transient = isinstance(exc, (WorkerCrashError, CellTimeoutError,
-                                     BrokenProcessPool))
-        if transient and run.attempt < self.retry_policy.max_attempts:
-            delay = self.retry_policy.delay(run.attempt)
+        # Anything but these is a deterministic error from the cells
+        # themselves (bad config, a policy bug, an injected
+        # non-transient failure): retrying would fail identically.
+        transient = isinstance(exc, (WorkerCrashError, CellTimeoutError))
+        if transient and run.attempt <= self.max_retries:
             for key in run.cell_keys:
                 _events.emit("cell_retried", key=key,
                              attempt=run.attempt,
                              error_type=type(exc).__name__,
-                             delay_seconds=delay)
-            self.sleep(delay)
-            target.append((run.cells, run.attempt + 1))
+                             delay_seconds=0.0)
+            self.queue.append((run.cells, run.attempt + 1))
             return
         for key in run.cell_keys:
             _events.emit("cell_failed", key=key, attempts=run.attempt,
@@ -638,38 +600,21 @@ class _Scheduler:
                 duration_seconds=batch_elapsed,
             ))
 
-    def _handle_done(self, future, sweep: SweepResult) -> bool:
-        """Process one finished future; True if the pool broke."""
-        run = self.in_flight.pop(future)
-        self._charge_elapsed(run)
-        was_isolated = run is self.isolated
-        if was_isolated:
-            self.isolated = None
+    def _handle_answer(self, connection, sweep: SweepResult) -> None:
+        """Process one batch whose pipe has an answer, or has closed."""
         try:
-            payloads = future.result()
-        except BrokenProcessPool as exc:
-            # The pool is gone; every other in-flight future is doomed
-            # too.  A batch that was running alone is provably the
-            # crasher and gets charged; otherwise blame is ambiguous,
-            # so the batch joins the isolation queue uncharged.
-            if was_isolated:
-                self._retry_or_fail(run, WorkerCrashError(
+            payloads = connection.recv()
+        except EOFError:
+            payloads = None
+        run = self._reap(connection)
+        try:
+            if payloads is None:
+                raise WorkerCrashError(
                     f"worker process died while running batch "
-                    f"{run.key!r} (attempt {run.attempt}): {exc}"),
-                    isolate=True)
-            else:
-                self.isolation.append((run.cells, run.attempt))
-            return True
-        except (WorkerCrashError, CellTimeoutError) as exc:
-            self._retry_or_fail(run, exc)
-            return False
-        except Exception as exc:
-            # Deterministic error from the cells themselves (bad
-            # config, a policy bug, injected non-transient failure):
-            # retrying would fail identically.
-            self._retry_or_fail(run, exc)
-            return False
-        try:
+                    f"{run.key!r} (attempt {run.attempt}): exit code "
+                    f"{run.process.exitcode}")
+            if isinstance(payloads, Exception):
+                raise payloads
             if (not isinstance(payloads, (list, tuple))
                     or len(payloads) != len(run.cells)):
                 raise WorkerCrashError(
@@ -678,123 +623,61 @@ class _Scheduler:
                     f"payload(s), got {type(payloads).__name__}")
             results = [_deserialize(payload, key)
                        for key, payload in zip(run.cell_keys, payloads)]
-        except WorkerCrashError as exc:
+        except Exception as exc:
             self._retry_or_fail(run, exc)
-        else:
-            batch_elapsed = self.elapsed.get(run.key, 0.0)
-            for (policy, capacity), key, result, payload in zip(
-                    run.cells, run.cell_keys, results, payloads):
-                result.duration_seconds = batch_elapsed
-                result.attempts = run.attempt
-                sweep.add(result)
-                self.on_cell_done(policy, capacity, payload)
-                _events.emit("cell_finished", key=key,
-                             attempt=run.attempt,
-                             duration_seconds=round(batch_elapsed, 6))
-        return False
+            return
+        batch_elapsed = self.elapsed.get(run.key, 0.0)
+        for (policy, capacity), key, result, payload in zip(
+                run.cells, run.cell_keys, results, payloads):
+            result.duration_seconds = batch_elapsed
+            result.attempts = run.attempt
+            sweep.add(result)
+            self.on_cell_done(policy, capacity, payload)
+            _events.emit("cell_finished", key=key, attempt=run.attempt,
+                         duration_seconds=round(batch_elapsed, 6))
 
-    def _batch_timeout(self, run: _BatchRun) -> float:
+    def _budget(self, run: _BatchRun) -> float:
         """A batch's wall-clock budget scales with its cell count."""
         return self.cell_timeout * len(run.cells)
 
-    def _check_timeouts(self) -> bool:
-        """Kill the pool if any batch is past its budget; True if so."""
+    def _wait_seconds(self) -> Optional[float]:
+        """How long the loop may block: until the nearest batch
+        deadline, or indefinitely when there are no timeouts."""
         if self.cell_timeout is None:
-            return False
+            return None
         now = time.monotonic()
-        hung = [(future, run) for future, run in self.in_flight.items()
-                if not future.done()
-                and now - run.started > self._batch_timeout(run)]
-        if not hung:
-            return False
-        # Tear down once, then charge every hung batch.  Non-hung
-        # neighbours are requeued without losing budget.
-        hung_runs = {run for _, run in hung}
-        for future, run in list(self.in_flight.items()):
-            if run in hung_runs:
-                del self.in_flight[future]
-        if self.isolated in hung_runs:
-            self.isolated = None
-        for _, run in hung:
-            self._charge_elapsed(run)
+        return max(0.0, min(run.started + self._budget(run) - now
+                            for run in self.in_flight.values()))
+
+    def _kill_overdue(self) -> None:
+        """Kill each batch past its budget, and only that batch."""
+        if self.cell_timeout is None:
+            return
+        now = time.monotonic()
+        for connection, run in list(self.in_flight.items()):
+            budget = self._budget(run)
+            if now - run.started <= budget or connection.poll():
+                continue
+            self._reap(connection, kill=True)
             if len(run.cells) == 1:  # else unattributable: split below
                 _events.emit("cell_timed_out", key=run.key,
-                             attempt=run.attempt,
-                             timeout_seconds=self._batch_timeout(run))
-        self._requeue_in_flight()
-        self._rebuild_pool(reason="cell timeout")
-        for _, run in hung:
+                             attempt=run.attempt, timeout_seconds=budget)
             self._retry_or_fail(run, CellTimeoutError(
-                f"batch {run.key!r} exceeded "
-                f"{self._batch_timeout(run):g}s on attempt "
-                f"{run.attempt}",
-                timeout_seconds=self._batch_timeout(run)))
-        return True
+                f"batch {run.key!r} exceeded {budget:g}s on attempt "
+                f"{run.attempt}", timeout_seconds=budget))
 
     # -- main loop --------------------------------------------------------
 
-    def _submit_next(self) -> None:
-        """Top up the pool: isolation suspects run strictly alone, the
-        normal queue fills up to ``n_workers`` in-flight batches."""
-        while len(self.in_flight) < self.n_workers:
-            if self.isolated is not None:
-                return  # an isolated batch is running; nothing else may
-            if self.isolation:
-                if self.in_flight:
-                    return  # drain neighbours before isolating
-                cells, attempt = self.isolation.popleft()
-                isolate = True
-            elif self.queue:
-                cells, attempt = self.queue.popleft()
-                isolate = False
-            else:
-                return
-            key = batch_key(cells)
-            try:
-                future = self.pool.submit(
-                    _run_batch,
-                    (cells, self.warmup_fraction,
-                     self.size_interpretation.value, attempt,
-                     _profile_path(self.profile_dir, key, attempt)))
-            except BrokenProcessPool:
-                # Worker died between polls; nothing was submitted, so
-                # no attempt is charged.
-                target = self.isolation if isolate else self.queue
-                target.appendleft((cells, attempt))
-                self._suspect_in_flight()
-                self._rebuild_pool()
-                continue
-            for policy, capacity in cells:
-                cell = cell_key(policy, capacity)
-                if (cell, attempt) not in self.announced:
-                    self.announced.add((cell, attempt))
-                    _events.emit("cell_scheduled", key=cell,
-                                 attempt=attempt)
-            run = _BatchRun(cells, attempt, time.monotonic())
-            self.in_flight[future] = run
-            if isolate:
-                self.isolated = run
-
     def run(self, sweep: SweepResult) -> None:
-        self.pool = self._new_pool()
         try:
-            while self.queue or self.isolation or self.in_flight:
-                self._submit_next()
-                if not self.in_flight:
-                    continue
-                done, _ = wait(set(self.in_flight),
-                               timeout=_POLL_SECONDS,
-                               return_when=FIRST_COMPLETED)
-                broke = False
-                for future in done:
-                    if future in self.in_flight:
-                        broke = self._handle_done(future, sweep) or broke
-                if broke:
-                    self._suspect_in_flight()
-                    self._rebuild_pool()
-                    continue
-                self._check_timeouts()
+            while self.queue or self.in_flight:
+                while self.queue and len(self.in_flight) < self.n_workers:
+                    self._start(*self.queue.popleft())
+                for connection in _wait(list(self.in_flight),
+                                        self._wait_seconds()):
+                    self._handle_answer(connection, sweep)
+                self._kill_overdue()
         finally:
-            if self.pool is not None:
-                _terminate_pool(self.pool)
+            for connection in list(self.in_flight):
+                self._reap(connection, kill=True)
         sweep.failures.extend(self.failures)

@@ -484,8 +484,6 @@ class ColumnarTrace:
     header without touching the record section.
     """
 
-    is_columnar = True
-
     def __init__(self, path: PathLike, verify: bool = True):
         import mmap
 
@@ -502,6 +500,13 @@ class ColumnarTrace:
         self._ctype_list: Optional[List[str]] = None
         if verify:
             self._verify_data_crc()
+
+    def __reduce__(self):
+        # A mapping does not pickle, so a copy (a spawn-started sweep
+        # child's, say) reopens the file by path and takes the name.
+        # Whoever opened this object chose whether to CRC the file;
+        # the copy does not pay for that again.
+        return type(self), (self.path, False), {"name": self.name}
 
     def _verify_data_crc(self) -> None:
         crc = 0

@@ -42,20 +42,20 @@ class TestEventLog:
 
     def test_lines_survive_without_close(self, tmp_path):
         log = EventLog(tmp_path / "events.jsonl")
-        log.emit("pool_rebuilt", reason="worker crash")
+        log.emit("cell_checkpoint_restored", key="lru@1")
         # Flushed per line: readable while the log is still open.
         assert read_events(tmp_path / "events.jsonl")
         log.close()
 
     def test_creates_parent_directories(self, tmp_path):
         log = EventLog(tmp_path / "deep" / "dir" / "events.jsonl")
-        log.emit("pool_rebuilt", reason="test")
+        log.emit("cell_checkpoint_restored", key="lru@1")
         log.close()
         assert (tmp_path / "deep" / "dir" / "events.jsonl").exists()
 
     def test_context_manager_closes(self, tmp_path):
         with EventLog(tmp_path / "e.jsonl") as log:
-            log.emit("pool_rebuilt", reason="x")
+            log.emit("cell_checkpoint_restored", key="x")
         assert log._stream.closed
         log.close()  # idempotent
 
@@ -102,8 +102,8 @@ class TestValidateEvent:
         assert any("unknown event type" in p for p in problems)
 
     def test_missing_envelope_keys(self):
-        problems = validate_event({"event": "pool_rebuilt",
-                                   "reason": "x"})
+        problems = validate_event({"event": "cell_checkpoint_restored",
+                                   "key": "x"})
         assert any("'ts'" in p for p in problems)
         assert any("'seq'" in p for p in problems)
 
@@ -164,13 +164,13 @@ class TestTornTrailingLine:
     def test_torn_line_is_skipped_with_tolerance(self, tmp_path):
         path = tmp_path / "e.jsonl"
         with EventLog(path) as log:
-            log.emit("pool_rebuilt", reason="a")
-            log.emit("pool_rebuilt", reason="b")
+            log.emit("cell_checkpoint_restored", key="a")
+            log.emit("cell_checkpoint_restored", key="b")
         # simulate a SIGKILL mid-append: half a JSON object, no newline
         with open(path, "a", encoding="utf-8") as stream:
-            stream.write('{"ts": 3, "seq": 3, "event": "pool_re')
+            stream.write('{"ts": 3, "seq": 3, "event": "cell_ch')
         events = list(iter_events(path))
-        assert [e["reason"] for e in events] == ["a", "b"]
+        assert [e["key"] for e in events] == ["a", "b"]
 
     def test_torn_middle_line_does_not_poison_later_events(
             self, tmp_path):

@@ -78,16 +78,13 @@ class TestSweepTelemetry:
 
     def test_retry_events_in_order(self, trace, tmp_path):
         """A corrupted cell leaves scheduled -> retried -> scheduled ->
-        finished, with the attempt numbers telling the story.  (A
-        corrupt payload retries without a pool rebuild, so the event
-        order is deterministic; a crash additionally requeues innocent
-        in-flight cells.)"""
+        finished, with the attempt numbers telling the story."""
         key = cell_key("lru", 4000)
         injector = FaultInjector.corrupt_once(key)
         sweep = run_sweep_parallel(
             trace, POLICIES, CAPACITIES, n_workers=2,
             fault_injector=injector, max_retries=2,
-            telemetry_dir=tmp_path / "tel", sleep=lambda _: None)
+            telemetry_dir=tmp_path / "tel")
         assert sweep.complete
         assert validate_telemetry_dir(tmp_path / "tel") == []
 
@@ -111,8 +108,7 @@ class TestSweepTelemetry:
         sweep = run_sweep_parallel(
             trace, ["lru"], [4000], n_workers=2,
             fault_injector=injector, cell_timeout=1.0, max_retries=1,
-            failure_policy="partial", telemetry_dir=tmp_path / "tel",
-            sleep=lambda _: None)
+            failure_policy="partial", telemetry_dir=tmp_path / "tel")
         assert not sweep.complete
         records = read_events(tmp_path / "tel" / "events.jsonl")
         history = [r["event"] for r in records if r.get("key") == key]

@@ -144,8 +144,10 @@ class TestValidation:
     def test_events_seq_must_increase(self, tmp_path):
         path = tmp_path / "e.jsonl"
         path.write_text(
-            '{"ts": 1, "seq": 2, "event": "pool_rebuilt", "reason": "x"}\n'
-            '{"ts": 2, "seq": 1, "event": "pool_rebuilt", "reason": "y"}\n')
+            '{"ts": 1, "seq": 2, "event": "cell_checkpoint_restored", '
+            '"key": "x"}\n'
+            '{"ts": 2, "seq": 1, "event": "cell_checkpoint_restored", '
+            '"key": "y"}\n')
         problems = validate_events_file(path)
         assert any("not increasing" in p for p in problems)
 

@@ -103,7 +103,7 @@ class TestSourceShape:
 
     def test_table_is_exactly_what_the_source_emits(self):
         assert emitted_names(SRC) == set(EVENT_TABLE)
-        assert len(EVENT_TABLE) == 44
+        assert len(EVENT_TABLE) == 43
 
     def test_every_row_has_a_level_and_the_views_agree(self):
         for name, (level, fields) in EVENT_TABLE.items():

@@ -32,7 +32,11 @@ from repro.observability.profiling import phase_timer
 from repro.simulation.engine import run_cells
 from repro.simulation.freshness import TTLModel
 from repro.simulation.latency import LatencyModel
-from repro.simulation.parallel import cell_key, run_sweep_parallel
+from repro.simulation.parallel import (
+    cell_key,
+    run_sweep_parallel,
+    supervise_workers,
+)
 from repro.simulation.simulator import (
     CacheSimulator,
     SimulationConfig,
@@ -371,7 +375,10 @@ class TestRemovedKnobs:
 
     @pytest.mark.parametrize("function, option", [
         (run_cells, "chunk_size"), (run_cells, "timings"),
-        (run_sweep_parallel, "events"), (phase_timer, "log")])
+        (run_sweep_parallel, "events"), (phase_timer, "log"),
+        (run_sweep_parallel, "retry_policy"),
+        (run_sweep_parallel, "sleep"),
+        (supervise_workers, "poll_seconds")])
     def test_options_nobody_set_are_refused(self, function, option):
         with pytest.raises(TypeError, match="unexpected keyword"):
             function(**{option: None})

@@ -6,6 +6,10 @@ crashes, hangs, and corrupt payloads are injected deterministically
 results bit-identical to the serial :func:`run_sweep`.
 """
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.errors import (
@@ -165,6 +169,65 @@ class TestHang:
         (failure,) = sweep.failures
         assert failure.error_type == "CellTimeoutError"
         assert failure.attempts == 2
+
+
+class DeafHang:
+    """Duck-typed injector: every cell ignores SIGTERM, then hangs."""
+
+    def on_start(self, key, attempt):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        time.sleep(20.0)
+
+    def on_result(self, key, attempt, payload):
+        return payload
+
+
+class StartLog:
+    """Duck-typed injector: logs every start to a file, crashes
+    ``crasher`` late on its first attempt, and keeps ``sleeper``
+    running past that crash."""
+
+    def __init__(self, path, crasher, sleeper):
+        self.path, self.crasher, self.sleeper = path, crasher, sleeper
+
+    def on_start(self, key, attempt):
+        with open(self.path, "a") as log:
+            log.write(f"{key} {attempt}\n")
+        if key == self.crasher and attempt == 1:
+            time.sleep(0.2)
+            os._exit(113)
+        if key == self.sleeper:
+            time.sleep(1.0)
+
+    def on_result(self, key, attempt, payload):
+        return payload
+
+
+class TestProcessIsTheUnitOfBlame:
+    def test_hang_deaf_to_sigterm_is_killed(self, trace):
+        """The batch's process gets SIGKILL: a cell that ignores
+        SIGTERM cannot stall the sweep for the length of its hang."""
+        started = time.monotonic()
+        with pytest.raises(CellTimeoutError):
+            run_sweep_parallel(trace, ["lru"], [4000], n_workers=1,
+                               fault_injector=DeafHang(),
+                               cell_timeout=0.5, max_retries=0)
+        assert time.monotonic() - started < 5.0
+
+    def test_crash_never_reruns_the_neighbour(self, trace, serial,
+                                              tmp_path):
+        """A dies while B is mid-pass beside it: A is retried, B is
+        not disturbed — three process starts, not five."""
+        a, b = cell_key("lru", 4000), cell_key("gds(1)", 4000)
+        log = tmp_path / "starts.log"
+        sweep = run_sweep_parallel(
+            trace, ["lru", "gds(1)"], [4000], n_workers=2,
+            cells_per_pass=1, fault_injector=StartLog(log, a, b))
+        assert sorted(log.read_text().splitlines()) == \
+            [f"{b} 1", f"{a} 1", f"{a} 2"]
+        for policy in ("lru", "gds(1)"):
+            assert sweep.grid[policy][4000].as_dict() == \
+                serial.grid[policy][4000].as_dict()
 
 
 class TestPermanentErrors:

@@ -5,6 +5,7 @@ string tables, O(1) metadata, append mode, and the conversion helper.
 """
 
 import json
+import pickle
 import struct
 import zlib
 
@@ -158,6 +159,23 @@ def test_columns_of_refuses_sizes_beyond_63_bits():
                    transfer_size=1, doc_type=DocumentType.OTHER)
     with pytest.raises(ColumnarFormatError):
         columns_of([huge])
+
+
+def test_pickle_round_trip_reopens_by_path(tmp_path):
+    """What a spawn-started sweep child receives: the mapping itself
+    cannot travel, so the copy reopens the file and keeps the name the
+    caller set."""
+    path = write_sample(tmp_path)
+    with open_columnar(path) as trace:
+        trace.name = "renamed"
+        with pickle.loads(pickle.dumps(trace)) as copy:
+            assert copy is not trace
+            assert (copy.name, len(copy)) == ("renamed", len(trace))
+            assert copy.urls() == trace.urls()
+            for column in ("doc_ids", "sizes", "transfers",
+                           "type_codes", "timestamps", "epochs"):
+                assert getattr(copy, column).tolist() == \
+                    getattr(trace, column).tolist(), column
 
 
 def test_writer_name_lands_in_header(tmp_path):
