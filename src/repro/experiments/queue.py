@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
@@ -43,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.errors import ServiceError
 from repro.experiments.store import ResultKey, ResultsStore, canonical_json
 from repro.observability import events as _events
+from repro.resilience.atomic import atomic_write
 from repro.resilience.checkpoint import config_hash
 from repro.resilience.lease import Lease, LeaseManager
 
@@ -122,37 +122,6 @@ class TrialQueue:
 
     # -- low-level helpers ------------------------------------------------
 
-    def _atomic_write(self, path: Path, payload: dict,
-                      durable: bool = True) -> None:
-        """Atomic (and, by default, power-loss durable) JSON write.
-
-        ``durable=False`` skips the fsyncs for state that is cheap to
-        reconstruct: a done marker lost to power loss just means the
-        trial is re-claimed, sees its record already in the store, and
-        rewrites the marker without re-executing.
-        """
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-        with open(tmp, "w", encoding="utf-8") as stream:
-            stream.write(canonical_json(payload))
-            stream.flush()
-            if durable:
-                os.fsync(stream.fileno())
-        os.replace(tmp, path)
-        if durable:
-            self._fsync_dir(path.parent)
-
-    @staticmethod
-    def _fsync_dir(directory: Path) -> None:
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
     def attempts(self, trial_id: str) -> int:
         """Claims burned on ``trial_id`` so far (0 if never claimed)."""
         try:
@@ -162,11 +131,10 @@ class TrialQueue:
 
     def _bump_attempts(self, trial_id: str) -> int:
         attempt = self.attempts(trial_id) + 1
-        path = self.attempts_dir / trial_id
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-        tmp.write_text(str(attempt))
-        os.replace(tmp, path)
+        # Not durable: a bump lost to power loss costs one extra claim
+        # of a trial, never a result.
+        atomic_write(self.attempts_dir / trial_id, str(attempt),
+                     durable=False)
         return attempt
 
     # -- enqueue ----------------------------------------------------------
@@ -181,7 +149,8 @@ class TrialQueue:
         path = self.trials_dir / f"{trial_id}.json"
         if path.exists():
             return trial_id, False
-        self._atomic_write(path, {"trial_id": trial_id, "spec": spec})
+        atomic_write(path, canonical_json(
+            {"trial_id": trial_id, "spec": spec}), durable=True)
         _events.emit("trial_enqueued", trial_id=trial_id)
         return trial_id, True
 
@@ -284,9 +253,9 @@ class TrialQueue:
         path = self.failed_dir / f"{trial_id}.json"
         if path.exists():
             return
-        self._atomic_write(path, {"trial_id": trial_id,
-                                  "attempts": attempts,
-                                  "reason": reason})
+        atomic_write(path, canonical_json(
+            {"trial_id": trial_id, "attempts": attempts,
+             "reason": reason}), durable=True)
         _events.emit("trial_abandoned", trial_id=trial_id,
                      attempts=attempts, reason=reason)
 
@@ -303,8 +272,12 @@ class TrialQueue:
                 "git_hash": result_key.git_hash,
                 "seed": result_key.seed,
             }
-        self._atomic_write(self.done_dir / f"{claimed.trial_id}.json",
-                           marker, durable=False)
+        # No fsyncs for state that is cheap to reconstruct: a done
+        # marker lost to power loss just means the trial is re-claimed,
+        # sees its record already in the store, and rewrites the marker
+        # without re-executing.
+        atomic_write(self.done_dir / f"{claimed.trial_id}.json",
+                     canonical_json(marker), durable=False)
         self.leases.release(claimed.lease)
         _events.emit("trial_completed", trial_id=claimed.trial_id,
                      owner=self.owner, attempt=claimed.attempt,

@@ -46,6 +46,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 from repro.errors import StoreError
 from repro.observability import events as _events
 from repro.observability.logs import get_logger
+from repro.resilience.atomic import atomic_write, fsync_dir
 
 PathLike = Union[str, Path]
 
@@ -242,30 +243,12 @@ class ResultsStore:
                      reason=reason, line_number=line_number)
 
     def _atomic_rewrite(self, path: Path, lines: List[str]) -> None:
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
         try:
-            with open(tmp, "w", encoding="utf-8") as stream:
-                for line in lines:
-                    stream.write(line + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp, path)
-            self._fsync_dir(path.parent)
+            atomic_write(path, "".join(line + "\n" for line in lines),
+                         durable=True)
         except OSError as exc:
             raise StoreError(
                 f"cannot rewrite {path.name}: {exc}") from exc
-
-    @staticmethod
-    def _fsync_dir(directory: Path) -> None:
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     def _scan_file(self, path: Path) -> Tuple[List[Tuple[str, dict]],
                                               int]:
@@ -394,7 +377,7 @@ class ResultsStore:
                 path.unlink()
             except FileNotFoundError:
                 pass
-        self._fsync_dir(self.segments_dir)
+        fsync_dir(self.segments_dir)
         stats = CompactionStats(
             records=len(merged),
             segments_merged=len(segments),

@@ -28,6 +28,7 @@ from typing import Optional, Union
 
 from repro.observability.events import EventLog, set_event_sink
 from repro.observability.logs import get_logger
+from repro.resilience.atomic import atomic_write
 from repro.resilience.checkpoint import config_hash
 
 PathLike = Union[str, Path]
@@ -125,9 +126,10 @@ class RunManifest:
     def write(self, path: PathLike) -> Path:
         """Atomic write (temp file + rename), like the checkpoints."""
         target = Path(path)
-        tmp = target.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(self.as_dict(), indent=2))
-        os.replace(tmp, target)
+        # Not durable: a manifest describes a run, it does not hold
+        # results, and it is rewritten when the run finishes.
+        atomic_write(target, json.dumps(self.as_dict(), indent=2),
+                     durable=False)
         return target
 
     @classmethod

@@ -17,8 +17,12 @@ experiment service (:mod:`repro.experiments.service`):
   harness (crash / hang / raise / corrupt on chosen attempts, plus
   on-disk truncate / bit-flip / torn-write damage) that the tests use
   to prove the other three actually work.
+
+Every file they and the experiment service replace goes through one
+temp-write-then-rename, :func:`~repro.resilience.atomic.atomic_write`.
 """
 
+from repro.resilience.atomic import atomic_write, fsync_dir
 from repro.resilience.checkpoint import CheckpointStore, config_hash
 from repro.resilience.faults import (
     CORRUPT_MARKER,
@@ -38,6 +42,8 @@ from repro.resilience.lease import (
 from repro.resilience.retry import RetryPolicy, retry_call
 
 __all__ = [
+    "atomic_write",
+    "fsync_dir",
     "CheckpointStore",
     "config_hash",
     "RetryPolicy",

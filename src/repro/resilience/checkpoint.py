@@ -11,9 +11,7 @@ silently mixing stale results into a fresh run.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import os
 import re
 import time
 import zlib
@@ -22,6 +20,7 @@ from typing import Dict, Iterator, List, Optional, Union
 
 from repro.errors import CheckpointError
 from repro.observability.logs import get_logger
+from repro.resilience.atomic import atomic_write
 
 PathLike = Union[str, Path]
 
@@ -33,22 +32,6 @@ _FORMAT_VERSION = 1
 #: Temp files older than this are leftovers of a crashed writer and are
 #: swept when a store opens; younger ones may belong to a live writer.
 _TMP_SWEEP_AGE_SECONDS = 60.0
-
-#: Per-process counter making concurrent same-key writers collide-free.
-_tmp_counter = itertools.count()
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Flush a directory entry so a completed rename survives power
-    loss (fsync of the file alone only pins its *contents*)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def config_hash(config: object) -> str:
@@ -127,11 +110,11 @@ class CheckpointStore:
              config_digest: Optional[str] = None) -> Path:
         """Atomically and durably persist ``payload`` under ``key``.
 
-        The temp name embeds the pid and a per-process counter so two
-        processes (or threads) saving the same key never stomp each
-        other's half-written temp file; the file and its directory are
-        fsync'd around the rename so a checkpoint reported saved
-        survives power loss.
+        Two processes (or threads) saving the same key never stomp
+        each other's half-written temp file, and the file and its
+        directory are fsync'd around the rename, so a checkpoint
+        reported saved survives power loss
+        (:func:`repro.resilience.atomic.atomic_write`).
         """
         envelope = {
             "version": _FORMAT_VERSION,
@@ -141,20 +124,10 @@ class CheckpointStore:
             "crc": _content_crc(key, config_digest, payload),
         }
         target = self.path_for(key)
-        tmp = target.with_name(
-            f"{target.name}.{os.getpid()}.{next(_tmp_counter)}.tmp")
         try:
-            with open(tmp, "w", encoding="utf-8") as stream:
-                stream.write(json.dumps(envelope, indent=2))
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp, target)
-            _fsync_dir(self.directory)
+            atomic_write(target, json.dumps(envelope, indent=2),
+                         durable=True)
         except OSError as exc:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
             raise CheckpointError(
                 f"cannot write checkpoint {key!r}: {exc}") from exc
         _logger.debug("checkpoint saved: %s", key,

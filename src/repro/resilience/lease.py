@@ -39,6 +39,7 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.errors import LeaseError, LeaseLostError
 from repro.observability import events as _events
 from repro.observability.logs import get_logger
+from repro.resilience.atomic import atomic_write
 
 PathLike = Union[str, Path]
 
@@ -147,12 +148,7 @@ class LeaseManager:
         # through the (coherent) page cache.  After a power loss every
         # lease is stale by definition, so durability buys nothing and
         # the fsyncs would tax every claim in the worker hot path.
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-        with open(tmp, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream)
-            stream.flush()
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(payload), durable=False)
 
     def _owns(self, path: Path, token: str) -> bool:
         """Read back the lease file and check our token survived."""
