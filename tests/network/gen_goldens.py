@@ -9,9 +9,12 @@ every counter, every per-type accumulator — of ``two_level`` and
 ``sibling_mesh`` topologies under leave-copy-everywhere across the
 full policy registry.  They were first produced by the hand-written
 hierarchy and mesh loops that predate ``repro.network`` and have been
-byte-identical ever since; ``tests/network/test_equivalence.py``
-replays the cells below, and CI reruns this script and fails on any
-diff.
+byte-identical ever since.  ``golden_walk.json`` pins the walk the
+other two never take: ``tree`` / ``path`` / ``sibling_mesh`` under
+``lcd`` and ``probcache`` (probe with ``get``, admit where the
+strategy says), sibling serves with and without replication, and
+end-to-end latency.  ``tests/network/test_equivalence.py`` replays the
+cells below, and CI reruns this script and fails on any diff.
 
 A diff is only legitimate when the *workload generator* changes (the
 goldens would then pin a trace nobody can produce anymore), never to
@@ -24,8 +27,8 @@ import json
 from pathlib import Path
 
 from repro.core.registry import POLICY_NAMES
-from repro.network import (NetworkConfig, run_network, sibling_mesh,
-                           two_level)
+from repro.network import (NetworkConfig, path, run_network,
+                           sibling_mesh, tree, two_level)
 from repro.workload.generator import generate_trace
 from repro.workload.profiles import dfn_like
 
@@ -41,6 +44,15 @@ PROXY_FRACTION = 0.005
 
 #: Extra mixed-policy hierarchy cells (child policy != parent policy).
 MIXED_LEVELS = (("gd*(1)", "gds(p)"), ("lru", "lfu-da"))
+
+#: The non-LCE walk: shape x strategy x policy, a mesh both ways round
+#: ``replicate_on_sibling_hit``, and one latency cell per shape that
+#: prices a different link path (a tree's depths, a mesh's peer link).
+WALK_SHAPES = ("tree", "path", "mesh")
+WALK_STRATEGIES = ("lcd", "probcache")
+WALK_POLICIES = ("lru", "gds(1)", "gd*(1)")
+WALK_LATENCY = (("tree", "lcd", "gds(1)", True),
+                ("mesh", "probcache", "gd*(1)", False))
 
 
 def golden_trace():
@@ -90,6 +102,42 @@ def mesh_cell(trace, proxy_cap, policy, replicate, n_proxies):
     }
 
 
+def walk_key(shape, strategy, policy, replicate, latency=False):
+    return f"{shape}|{strategy}|{policy}" \
+           f"|{'replicate' if replicate else 'single-owner'}" \
+           f"{'|latency' if latency else ''}"
+
+
+def walk_keys():
+    keys = [walk_key(shape, strategy, policy, replicate)
+            for shape in WALK_SHAPES for strategy in WALK_STRATEGIES
+            for policy in WALK_POLICIES
+            for replicate in ((True, False) if shape == "mesh"
+                              else (True,))]
+    return keys + [walk_key(*cell, latency=True)
+                   for cell in WALK_LATENCY]
+
+
+def walk_cell(trace, child_cap, parent_cap, proxy_cap, key):
+    shape, strategy, policy, mode = key.split("|")[:4]
+    levels = [child_cap, 2 * child_cap, parent_cap]
+    topology = {"tree": lambda: tree(levels, branching=2, policy=policy),
+                "path": lambda: path(levels, policy),
+                "mesh": lambda: sibling_mesh(proxy_cap, n_proxies=3,
+                                             policy=policy)}[shape]()
+    result = run_network(trace, NetworkConfig(
+        topology=topology, strategy=strategy,
+        replicate_on_sibling_hit=mode == "replicate",
+        measure_latency=key.endswith("|latency")))
+    cell = result.as_dict()
+    if result.latency is not None:
+        cell["edge_latency"] = {
+            name: [result.nodes[name].latency.count,
+                   result.nodes[name].latency.mean]
+            for name in topology.edges}
+    return cell
+
+
 def generate():
     trace = golden_trace()
     child_cap, parent_cap, proxy_cap = capacities(trace)
@@ -109,6 +157,9 @@ def generate():
             mesh[mesh_key(policy, replicate, 3)] = mesh_cell(
                 trace, proxy_cap, policy, replicate, 3)
 
+    walk = {key: walk_cell(trace, child_cap, parent_cap, proxy_cap, key)
+            for key in walk_keys()}
+
     meta = {
         "trace_scale": TRACE_SCALE,
         "trace_requests": len(trace),
@@ -123,8 +174,11 @@ def generate():
     (DATA_DIR / "golden_mesh.json").write_text(
         json.dumps({"meta": meta, "cells": mesh}, indent=1,
                    sort_keys=True) + "\n")
-    print(f"hierarchy: {len(hierarchy)} cells, mesh: {len(mesh)} cells "
-          f"({len(trace)} requests each)")
+    (DATA_DIR / "golden_walk.json").write_text(
+        json.dumps({"meta": meta, "cells": walk}, indent=1,
+                   sort_keys=True) + "\n")
+    print(f"hierarchy: {len(hierarchy)} cells, mesh: {len(mesh)} cells, "
+          f"walk: {len(walk)} cells ({len(trace)} requests each)")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,10 @@ Four families of guarantees, all byte-for-byte:
 
 * the goldens under ``data/`` — ``two_level`` and ``sibling_mesh``
   under LCE across the whole policy registry, first produced by the
-  hand-written loops that predate the engine — replayed through the
-  same cell builders ``gen_goldens.py`` regenerates them with;
+  hand-written loops that predate the engine, and the non-LCE walk
+  (``tree`` / ``path`` / ``sibling_mesh`` under ``lcd`` and
+  ``probcache``, sibling serves both ways, latency) — replayed through
+  the same cell builders ``gen_goldens.py`` regenerates them with;
 * a ``single`` topology under LCE equals the single-cache
   :class:`~repro.simulation.simulator.CacheSimulator`;
 * the vectorized fast path equals the object walk on every eligible
@@ -27,13 +29,15 @@ from repro.network.topology import path, single, tree, two_level
 from repro.simulation.simulator import simulate
 from repro.trace.columnar import ColumnarTrace, write_columnar
 from repro.types import Request, Trace
-from tests.network.gen_goldens import hierarchy_cell, mesh_cell
+from tests.network.gen_goldens import (hierarchy_cell, mesh_cell,
+                                       walk_cell, walk_keys)
 
 DATA_DIR = Path(__file__).parent / "data"
 
 GOLDEN_HIERARCHY = json.loads(
     (DATA_DIR / "golden_hierarchy.json").read_text())
 GOLDEN_MESH = json.loads((DATA_DIR / "golden_mesh.json").read_text())
+GOLDEN_WALK = json.loads((DATA_DIR / "golden_walk.json").read_text())
 
 
 @pytest.fixture(scope="session")
@@ -67,6 +71,23 @@ class TestMeshGoldens:
             golden_trace, meta["proxy_capacity_bytes"], policy,
             mode == "replicate", int(n_proxies)
         ) == GOLDEN_MESH["cells"][key]
+
+
+class TestWalkGoldens:
+    """The walk no LCE golden takes: ``get`` probes, strategy-chosen
+    copies, sibling serves with and without replication, latency."""
+
+    def test_every_cell_is_pinned(self):
+        assert sorted(GOLDEN_WALK["cells"]) == sorted(walk_keys())
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_WALK["cells"]))
+    def test_cell(self, key, golden_trace):
+        meta = GOLDEN_WALK["meta"]
+        assert walk_cell(
+            golden_trace, meta["child_capacity_bytes"],
+            meta["parent_capacity_bytes"],
+            meta["proxy_capacity_bytes"], key
+        ) == GOLDEN_WALK["cells"][key]
 
 
 class TestSingleNodeEquivalence:
