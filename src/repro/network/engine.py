@@ -12,9 +12,15 @@ One request's life, regardless of topology shape:
    sibling ring, the siblings are probed in ring order (ICP);
 4. the placement strategy (:mod:`repro.network.strategies`) decides
    which of the missed caches admit a copy of the fetched document;
-5. post-warmup, the reference is accounted at every cache it probed
-   vertically, at the network level, and (optionally) as end-to-end
-   latency over the :class:`~repro.simulation.latency.Link` path.
+5. the walk notes one small int — the depth that served, −1 for an
+   origin fetch, −2 for a sibling serve.  A request reaches its path
+   down to that depth and hits only there, so after the walk the
+   per-node and network tallies are masked sums over the trace's
+   columns, counted past the warm-up by the same
+   :class:`~repro.simulation.vectorized.Tally` the single-cache pass
+   uses; only the (optional) end-to-end latency over the
+   :class:`~repro.simulation.latency.Link` path, whose running means
+   depend on order, is accumulated per request.
 
 Under leave-copy-everywhere the walk probes with
 ``Cache.reference()`` — probe and admit in one call; the goldens under
@@ -33,6 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.cache import Cache
 from repro.core.policy import AccessOutcome, ReplacementPolicy
 from repro.core.registry import make_policy
@@ -44,7 +52,9 @@ from repro.observability.metrics import get_registry
 from repro.observability.trace import span as _span
 from repro.simulation.latency import LatencyMetrics, Link, path_latency
 from repro.simulation.metrics import TypeMetrics, measured_transfer
+from repro.simulation.vectorized import Tally
 from repro.structures.streaming import StreamingStats
+from repro.trace.columnar import columns_of
 from repro.types import DOCUMENT_TYPES, DocumentType, Request, Trace
 
 
@@ -300,9 +310,15 @@ class NetworkSimulator:
         requests = trace.requests if isinstance(trace, Trace) else trace
         if not hasattr(requests, "__len__"):
             requests = list(requests)
+        return self._run(requests, columns_of(requests),
+                         trace_name or getattr(trace, "name", "trace"))
+
+    def _run(self, requests: Sequence[Request], columns,
+             name: str) -> NetworkResult:
+        """Walk ``requests``, then count the walk's outcome over
+        ``columns`` — the same trace, as :func:`columns_of` gives it."""
         total = len(requests)
         warmup = int(total * self.config.warmup_fraction)
-        name = trace_name or getattr(trace, "name", "trace")
         topology = self.config.topology
         result = NetworkResult(
             config=self.config, trace_name=name,
@@ -319,13 +335,16 @@ class NetworkSimulator:
                    strategy=self.config.strategy_name,
                    nodes=topology.n_caches,
                    trace=name, requests=total):
-            self._drive(requests, warmup, result)
+            served = self._drive(requests, warmup, result)
+            self._account(served, Tally.of(columns), result)
             self._snapshot(result)
         publish_network_telemetry(result)
         return result
 
     def _drive(self, requests: Sequence[Request], warmup: int,
-               result: NetworkResult) -> None:
+               result: NetworkResult) -> List[int]:
+        """Walk every request; returns, per request, the path depth
+        that served it, −1 for an origin fetch, −2 for a sibling."""
         caches = self.caches
         edges = self.config.topology.edges
         n_edges = len(edges)
@@ -336,13 +355,11 @@ class NetworkSimulator:
         ring_pos = self._ring_pos
         n_ring = len(ring)
         latency = result.latency
-        node_metrics = {name: node.metrics
-                        for name, node in result.nodes.items()}
         node_latency = {name: node.latency
                         for name, node in result.nodes.items()}
-        network = result.network
         hit_outcome = AccessOutcome.HIT
-        reached: List[bool] = []
+        served: List[int] = []
+        note = served.append
 
         for index, request in enumerate(requests):
             edge = edges[index % n_edges]
@@ -351,15 +368,12 @@ class NetworkSimulator:
             size = request.size
             doc_type = request.doc_type
             served_level = -1
-            del reached[:]
             if admit_on_probe:
                 # LCE: probe and admit are one reference() — the
                 # legacy hierarchy/mesh cache-call sequence exactly.
                 for k, node in enumerate(path):
-                    hit = caches[node].reference(
-                        url, size, doc_type) is hit_outcome
-                    reached.append(hit)
-                    if hit:
+                    if caches[node].reference(
+                            url, size, doc_type) is hit_outcome:
                         served_level = k
                         break
             else:
@@ -370,14 +384,12 @@ class NetworkSimulator:
                         if entry.size == size:
                             # Serving refreshes the entry (a HIT).
                             cache.reference(url, size, doc_type)
-                            reached.append(True)
                             served_level = k
                             break
                         # Stale copy: drop it where it sits; whether
                         # the new version lands here again is the
                         # strategy's call below.
                         cache.invalidate(url)
-                    reached.append(False)
 
             sibling_served = False
             if served_level < 0 and n_ring and edge in ring_pos:
@@ -414,29 +426,49 @@ class NetworkSimulator:
                 for node in strategy.copies(visited, full):
                     caches[node].reference(url, size, doc_type)
 
-            if index < warmup:
+            note(-2 if sibling_served else served_level)
+            if latency is None or index < warmup:
                 continue
             transfer = measured_transfer(request)
-            for k, hit in enumerate(reached):
-                node_metrics[path[k]].record(doc_type, hit, transfer)
-            served = served_level >= 0 or sibling_served
-            network.record(doc_type, served, transfer)
+            links = self._links[edge]
             if sibling_served:
-                result.sibling_serves += 1
-            if latency is not None:
-                links = self._links[edge]
-                if sibling_served:
-                    seconds = path_latency(self._sibling_links,
-                                           transfer)
-                elif served_level >= 0:
-                    seconds = path_latency(links[served_level],
-                                           transfer)
-                else:
-                    seconds = path_latency(links[len(path)], transfer)
-                latency.add(doc_type, seconds)
-                latency.baseline.add(
-                    path_latency(links[len(path)], transfer))
-                node_latency[edge].add(seconds)
+                seconds = path_latency(self._sibling_links, transfer)
+            elif served_level >= 0:
+                seconds = path_latency(links[served_level], transfer)
+            else:
+                seconds = path_latency(links[len(path)], transfer)
+            latency.add(doc_type, seconds)
+            latency.baseline.add(
+                path_latency(links[len(path)], transfer))
+            node_latency[edge].add(seconds)
+        return served
+
+    def _account(self, served: Sequence[int], tally: Tally,
+                 result: NetworkResult) -> None:
+        """Per-node and network tallies from the walk's ``served``
+        column: a request reaches its path down to the depth that
+        served it (all of it when none did) and hits only there."""
+        depth = np.array(served, dtype=np.int64)
+        n = len(depth)
+        warmup = result.warmup_requests
+        edges = self.config.topology.edges
+        n_edges = len(edges)
+        for name, node in result.nodes.items():
+            reached = np.zeros(n, dtype=bool)
+            hit = np.zeros(n, dtype=bool)
+            for j, edge in enumerate(edges):
+                path = self._paths[edge]
+                if name in path:
+                    k = path.index(name)
+                    arrived = depth[j::n_edges]
+                    reached[j::n_edges] = (arrived < 0) | (arrived >= k)
+                    hit[j::n_edges] = arrived == k
+            node.metrics.add(tally.totals(warmup, reached),
+                             tally.totals(warmup, hit))
+        result.network.add(tally.totals(warmup),
+                           tally.totals(warmup, depth != -1))
+        result.sibling_serves = int(
+            np.count_nonzero(depth[warmup:] == -2))
 
     def _snapshot(self, result: NetworkResult) -> None:
         """Copy end-of-run cache state into the node results."""
@@ -490,22 +522,23 @@ def run_network_cells(trace, configs: Sequence[NetworkConfig],
                       ) -> List[NetworkResult]:
     """Run network cells over one trace — the one dispatch point.
 
-    Validates every config, then splits the cells: those the
-    vectorized cascade is lossless for (LRU everywhere, LCE, no ring,
-    latency off — :mod:`repro.network.fastpath` proves bit-identity
-    with the walk) are served from the trace's columns, mmap'd or
-    gathered once; the rest share a single materialization of the
-    request stream instead of re-decoding the trace per cell.
+    Validates every config, gathers the trace's columns once (an
+    ``.rcol`` is mmap'd), then splits the cells: those the vectorized
+    cascade is lossless for (LRU everywhere, LCE, no ring, latency off
+    — :mod:`repro.network.fastpath` proves bit-identity with the walk)
+    are served from the columns alone; the rest share a single
+    materialization of the request stream for the walk and count its
+    outcome over the same columns.
     """
     from repro.network.fastpath import eligible_cells, run_fastpath
     for config in configs:
         config.validate()
     name = trace_name or getattr(trace, "name", "trace")
     if not hasattr(trace, "__len__"):
-        # An iterator may have to feed both the cascade and the walk.
+        # An iterator may have to feed both the columns and the walk.
         trace = list(trace)
-    columns, fast = eligible_cells(trace, configs)
-    fast_ids = set(map(id, fast))
+    columns = columns_of(trace)
+    fast_ids = set(map(id, eligible_cells(columns, configs)))
     with _span("network_cells", cells=len(configs),
                fastpath=len(fast_ids)):
         requests = None
@@ -517,5 +550,6 @@ def run_network_cells(trace, configs: Sequence[NetworkConfig],
             if requests is None:
                 requests = (trace.requests if isinstance(trace, Trace)
                             else list(trace))
-            results.append(NetworkSimulator(config).run(requests, name))
+            results.append(
+                NetworkSimulator(config)._run(requests, columns, name))
     return results

@@ -17,9 +17,8 @@ lossless, and ``tests/network/test_equivalence.py`` pins the results
 bit-identical (every counter, every per-type tally) against the
 object walk in :mod:`repro.network.engine`.
 
-On this container (single core) the object walk moves ~250k
-references/s; the cascade clears the benchmark's ≥1M aggregate
-node-visits/s floor (``benchmarks/bench_network.py``).
+The cascade clears the benchmark's ≥1M aggregate node-visits/s floor
+(``benchmarks/bench_network.py``).
 """
 
 from __future__ import annotations
@@ -32,25 +31,24 @@ from repro.network.engine import (NetworkConfig, NetworkResult,
                                   NodeResult, publish_network_telemetry)
 from repro.network.strategies import LeaveCopyEverywhere
 from repro.observability.trace import span as _span
-from repro.simulation.metrics import RateAccumulator, TypeMetrics
-from repro.simulation.vectorized import _exact_sum, stable_max_size
+from repro.simulation.vectorized import (Tally, _exact_sum,
+                                         stable_max_size)
 from repro.trace.columnar import columns_of
 from repro.types import DOCUMENT_TYPES
 
 
-def eligible_cells(trace, configs: Sequence[NetworkConfig],
-                   ) -> Tuple[object, List[NetworkConfig]]:
-    """The configs the cascade is provably lossless for, after the
-    trace's columns they are to be run from (:func:`run_fastpath`).
+def eligible_cells(columns, configs: Sequence[NetworkConfig],
+                   ) -> List[NetworkConfig]:
+    """The configs the cascade is provably lossless for over a trace's
+    ``columns`` (:func:`~repro.trace.columnar.columns_of`).
 
-    ``trace`` is anything :func:`~repro.trace.columnar.columns_of`
-    accepts.  Requires: LCE placement; no sibling ring; no latency
+    Requires: LCE placement; no sibling ring; no latency
     accounting; every node running the registry ``"lru"`` policy;
     per-document stable sizes (no modification misses — a stale drop
     at one node would change its miss stream); and every document
     fitting every node (no bypasses).  The trace-side condition is
     evaluated once for all configs, and only when some config passes
-    the config-side ones — an ineligible grid never gathers columns.
+    the config-side ones — an ineligible grid never sorts the trace.
     """
     candidates = []
     for config in configs:
@@ -65,19 +63,18 @@ def eligible_cells(trace, configs: Sequence[NetworkConfig],
                for spec in topology.nodes.values()):
             candidates.append(config)
     if not candidates:
-        return None, []
-    columns = columns_of(trace)
+        return []
     max_size = stable_max_size(columns.doc_ids, columns.sizes)
     if max_size is None:
-        return columns, []
-    return columns, [config for config in candidates
-                     if all(spec.capacity_bytes >= max_size
-                            for spec in config.topology.nodes.values())]
+        return []
+    return [config for config in candidates
+            if all(spec.capacity_bytes >= max_size
+                   for spec in config.topology.nodes.values())]
 
 
 def fastpath_eligible(trace, config: NetworkConfig) -> bool:
     """True when :func:`eligible_cells` keeps this one cell."""
-    return bool(eligible_cells(trace, [config])[1])
+    return bool(eligible_cells(columns_of(trace), [config]))
 
 
 def _lru_pass(doc_ids: np.ndarray, sizes: np.ndarray,
@@ -117,25 +114,6 @@ def _lru_pass(doc_ids: np.ndarray, sizes: np.ndarray,
     return hit, evictions, used, cache
 
 
-def _tally(metrics: TypeMetrics, hit: np.ndarray, measured: np.ndarray,
-           transfers: np.ndarray, codes: np.ndarray) -> None:
-    """Fold one node's boolean columns into a TypeMetrics (int exact)."""
-    measured_hit = hit & measured
-
-    def fill(acc: RateAccumulator, select: np.ndarray,
-             select_hit: np.ndarray) -> None:
-        acc.requests += int(np.count_nonzero(select))
-        acc.hits += int(np.count_nonzero(select_hit))
-        acc.requested_bytes += _exact_sum(transfers[select])
-        acc.hit_bytes += _exact_sum(transfers[select_hit])
-
-    fill(metrics.overall, measured, measured_hit)
-    for code, doc_type in enumerate(DOCUMENT_TYPES):
-        typed = codes == code
-        fill(metrics.by_type[doc_type], measured & typed,
-             measured_hit & typed)
-
-
 def run_fastpath(trace, config: NetworkConfig,
                  trace_name: Optional[str] = None) -> NetworkResult:
     """Run one eligible cell as a cascade of per-node LRU passes."""
@@ -151,12 +129,13 @@ def run_fastpath(trace, config: NetworkConfig,
             name=node_name, level=topology.level_of(node_name),
             capacity_bytes=spec.capacity_bytes, policy="lru")
     if n == 0:
+        publish_network_telemetry(result)
         return result
 
     doc_ids = trace.doc_ids
     sizes = trace.sizes
     codes = trace.type_codes
-    transfers = np.minimum(trace.transfers, sizes)
+    tally = Tally.of(trace)
     # Per-document type, for the end-of-run placement snapshot
     # (eligibility guarantees one stable (size, type) per document).
     code_of = np.zeros(int(doc_ids.max()) + 1, dtype=codes.dtype)
@@ -191,8 +170,12 @@ def run_fastpath(trace, config: NetworkConfig,
             else:
                 origin_misses.append(miss_idx)
 
-            _tally(node.metrics, hit, idx >= warmup,
-                   transfers[idx], codes[idx])
+            reached = np.zeros(n, dtype=bool)
+            reached[idx] = True
+            served_here = np.zeros(n, dtype=bool)
+            served_here[idx[hit]] = True
+            node.metrics.add(tally.totals(warmup, reached),
+                             tally.totals(warmup, served_here))
             node.hits = int(np.count_nonzero(hit))
             node.misses = len(idx) - node.hits
             node.evictions = evictions
@@ -213,8 +196,7 @@ def run_fastpath(trace, config: NetworkConfig,
         served = np.ones(n, dtype=bool)
         for miss_idx in origin_misses:
             served[miss_idx] = False
-        measured = np.zeros(n, dtype=bool)
-        measured[warmup:] = True
-        _tally(result.network, served, measured, transfers, codes)
+        result.network.add(tally.totals(warmup),
+                           tally.totals(warmup, served))
     publish_network_telemetry(result)
     return result

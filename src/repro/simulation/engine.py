@@ -23,10 +23,12 @@ once per pass:
 order, **bit-identical** to running each cell through the per-request
 reference, :class:`~repro.simulation.simulator.CacheSimulator`, alone.
 Identity holds because (a) each cell still sees every reference in
-trace order, (b) requested-side tallies are integers (order-independent
-sums), and (c) cost accumulation — the one float — only happens in
+trace order, (b) a deferred cell only says which references hit — the
+warm-up-gated per-type counting is one masked integer column sum
+(:class:`repro.simulation.vectorized.Tally`), order-independent — and
+(c) cost accumulation, the one float, only happens in
 :meth:`CacheCell.process_one`, the same per-request step the reference
-runs.
+runs and the only caller of :meth:`TypeMetrics.record`.
 
 LRU inclusion fast path
 -----------------------
@@ -55,7 +57,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import (
-    Dict,
     Iterable,
     List,
     Optional,
@@ -70,7 +71,7 @@ from repro.core.heap_policy import GreedyDualPolicy
 from repro.core.lru import LRUPolicy
 from repro.core.policy import AccessOutcome, ReplacementPolicy
 from repro.core.registry import make_policy
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.observability.events import emit
 from repro.observability.metrics import get_registry
 from repro.observability.profiling import PhaseTimings, phase_timer
@@ -79,7 +80,7 @@ from repro.simulation.freshness import FreshnessTracker, TTLModel
 from repro.simulation.metrics import TypeMetrics
 from repro.simulation.occupancy import OccupancyTracker
 from repro.simulation.results import SimulationResult
-from repro.types import DOCUMENT_TYPES, DocumentType, Request, Trace
+from repro.types import Request, Trace
 
 #: Requests resolved per chunk of the shared pass.  Chunks amortize the
 #: per-slice overhead while keeping the resolved tuples cache-warm for
@@ -167,10 +168,9 @@ class CacheCell:
 
     Cells with no per-request extras (cost model, latency model,
     occupancy sampling, TTL freshness) run in *deferred* mode: the hot
-    loop counts hits only, and the requested-side totals — identical
-    for every cell sharing a warmup boundary — are merged in at
-    :meth:`finalize`.  Integer totals make the merge exact, so deferred
-    results equal the per-request accounting bit for bit.
+    loop only reports which references hit, and the pass counts that
+    column into :attr:`metrics` (integer totals, so the result equals
+    the per-request accounting bit for bit).
     """
 
     def __init__(self, config: SimulationConfig, cache=None):
@@ -202,8 +202,6 @@ class CacheCell:
         self._cost_model = config.report_cost_model
         self._warmup = 0
         self._deferred = False
-        self._hit_overall = [0, 0]
-        self._hit_by_type: Dict[DocumentType, list] = {}
         self._evictions_override: Optional[int] = None
 
     # -- pass protocol ----------------------------------------------------
@@ -224,45 +222,26 @@ class CacheCell:
         self._warmup = warmup_requests
         self._deferred = deferred and self.fast
         self._evictions_override = None
-        if self._deferred:
-            self._hit_overall = [0, 0]
-            self._hit_by_type = {t: [0, 0] for t in DOCUMENT_TYPES}
 
-    def process_chunk(self, chunk: Sequence[tuple], start: int) -> None:
+    def process_chunk(self, chunk: Sequence[tuple],
+                      start: int) -> Optional[List[bool]]:
         """Consume resolved references for positions ``start+1 ..
-        start+len(chunk)`` (positions are 1-based)."""
+        start+len(chunk)`` (positions are 1-based).  A deferred cell
+        returns the chunk's hit column and accounts nothing."""
         if not self._deferred:
             position = start
             process_one = self.process_one
             for ref in chunk:
                 position += 1
                 process_one(ref, position)
-            return
+            return None
         reference = self.cache.reference
-        w_end = self._warmup - start
-        if w_end > 0:
-            if w_end >= len(chunk):
-                for url, size, doc_type, _t, _raw, _ts in chunk:
-                    reference(url, size, doc_type)
-                return
-            for url, size, doc_type, _t, _raw, _ts in chunk[:w_end]:
-                reference(url, size, doc_type)
-            tail = chunk[w_end:]
-        else:
-            tail = chunk
         hit_outcome = AccessOutcome.HIT
-        overall = self._hit_overall
-        by_type = self._hit_by_type
-        for url, size, doc_type, transfer, _raw, _ts in tail:
-            if reference(url, size, doc_type) is hit_outcome:
-                overall[0] += 1
-                overall[1] += transfer
-                bucket = by_type[doc_type]
-                bucket[0] += 1
-                bucket[1] += transfer
+        return [reference(url, size, doc_type) is hit_outcome
+                for url, size, doc_type, _t, _raw, _ts in chunk]
 
-    def process_chunk_hinted(self, chunk: Sequence[tuple], start: int,
-                             costs: Sequence[float]) -> None:
+    def process_chunk_hinted(self, chunk: Sequence[tuple],
+                             costs: Sequence[float]) -> List[bool]:
         """Deferred hot loop with per-reference Greedy-Dual key costs.
 
         ``costs[j]`` is the policy cost model's cost of ``chunk[j]``'s
@@ -274,24 +253,17 @@ class CacheCell:
         """
         reference = self.cache.reference
         policy = self.policy
-        w_end = self._warmup - start
         hit_outcome = AccessOutcome.HIT
-        overall = self._hit_overall
-        by_type = self._hit_by_type
-        j = 0
+        hits: List[bool] = []
+        append = hits.append
         try:
-            for url, size, doc_type, transfer, _raw, _ts in chunk:
-                policy._hint_cost = costs[j]
-                outcome = reference(url, size, doc_type)
-                if j >= w_end and outcome is hit_outcome:
-                    overall[0] += 1
-                    overall[1] += transfer
-                    bucket = by_type[doc_type]
-                    bucket[0] += 1
-                    bucket[1] += transfer
-                j += 1
+            for (url, size, doc_type, _t, _raw, _ts), cost in zip(chunk,
+                                                                  costs):
+                policy._hint_cost = cost
+                append(reference(url, size, doc_type) is hit_outcome)
         finally:
             policy._hint_cost = None
+        return hits
 
     def process_one(self, ref: tuple, position: int) -> AccessOutcome:
         """Full per-request path: freshness, reference, accounting."""
@@ -317,35 +289,8 @@ class CacheCell:
         return outcome
 
     def finalize(self, trace_name: str, total_requests: int,
-                 requested: Optional[Dict[DocumentType, list]] = None,
                  warmup: Optional[int] = None) -> SimulationResult:
-        """Fold deferred tallies into the metrics and build the result.
-
-        ``requested`` carries the shared requested-side totals for this
-        cell's warmup boundary (deferred mode only).
-        """
-        if self._deferred:
-            if requested is None:
-                raise SimulationError(
-                    "deferred cell finalized without requested totals")
-            requests_total = 0
-            bytes_total = 0
-            by_type = self.metrics.by_type
-            for doc_type, (count, nbytes) in requested.items():
-                acc = by_type[doc_type]
-                acc.requests += count
-                acc.requested_bytes += nbytes
-                hits = self._hit_by_type[doc_type]
-                acc.hits += hits[0]
-                acc.hit_bytes += hits[1]
-                requests_total += count
-                bytes_total += nbytes
-            overall = self.metrics.overall
-            overall.requests += requests_total
-            overall.requested_bytes += bytes_total
-            overall.hits += self._hit_overall[0]
-            overall.hit_bytes += self._hit_overall[1]
-            self._deferred = False
+        """Build the result from the cell's metrics and counters."""
         final_beta = None
         if isinstance(self.policy, GDStarPolicy):
             final_beta = self.policy.beta
@@ -444,25 +389,18 @@ def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
     emit("pass_started", cells=len(cells), requests=total)
     pass_span = _span("pass", cells=len(cells), requests=total, trace=name)
     with pass_span:
-        boundaries: Dict[int, Dict[DocumentType, list]] = {}
-        for cell in cells:
-            if cell.deferred and cell._warmup not in boundaries:
-                boundaries[cell._warmup] = {t: [0, 0]
-                                            for t in DOCUMENT_TYPES}
-        ladder, rest, ladder_columns = vectorized.split_ladder(columns,
-                                                               cells)
+        tally = vectorized.Tally.of(columns)
+        ladder, rest = vectorized.split_ladder(columns, cells)
         pass_span.set_attribute("lru_ladder_cells", len(ladder))
-        n_fifo = vectorized.drive_columnar(columns, rest, boundaries,
-                                           timings)
+        n_fifo = vectorized.drive_columnar(columns, rest, tally, timings)
         pass_span.set_attribute("fifo_queue_cells", n_fifo)
         if ladder:
             with _span("lru_ladder", cells=len(ladder)), \
                     phase_timer("lru_ladder", timings):
-                vectorized.run_lru_ladder(*ladder_columns, ladder)
+                vectorized.run_lru_ladder(columns.doc_ids, columns.sizes,
+                                          tally, ladder)
         with _span("aggregate"), phase_timer("aggregate", timings):
-            results = [cell.finalize(name, total,
-                                     boundaries.get(cell._warmup))
-                       for cell in cells]
+            results = [cell.finalize(name, total) for cell in cells]
     _publish_pass_telemetry(timings, len(cells), len(ladder), n_fifo, total)
     return results
 

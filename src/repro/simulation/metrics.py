@@ -126,6 +126,20 @@ class TypeMetrics:
         self.overall.record(hit, transfer_bytes, cost)
         self.by_type[doc_type].record(hit, transfer_bytes, cost)
 
+    def add(self, requested: Dict[DocumentType, list],
+            hits: Dict[DocumentType, list]) -> None:
+        """Fold in column totals: ``[requests, bytes]`` per type for
+        one population's requested side and its hit side, as
+        :meth:`repro.simulation.vectorized.Tally.totals` counts them.
+        Integer sums, so this equals :meth:`record` once per request."""
+        for doc_type, (count, nbytes) in requested.items():
+            hit_count, hit_bytes = hits[doc_type]
+            for acc in (self.overall, self.by_type[doc_type]):
+                acc.requests += count
+                acc.requested_bytes += nbytes
+                acc.hits += hit_count
+                acc.hit_bytes += hit_bytes
+
     def hit_rate(self, doc_type: DocumentType = None) -> float:
         if doc_type is None:
             return self.overall.hit_rate

@@ -13,11 +13,14 @@ to the per-request reference
   the size column itself, ``ANY_CHANGE`` the transfer column, and the
   paper rule falls back to the scalar recurrence only for the (rare)
   documents whose logged sizes actually vary;
-* **requested-side tallies** — the per-warmup-boundary totals deferred
-  cells merge at finalize are masked integer column sums;
+* **tallies** — the warm-up-gated per-type counting of every deferred
+  cell, both sides: each kernel below only yields a hit column, and
+  one :class:`Tally` per pass turns a column into ``[requests, bytes]``
+  per document type as masked integer sums (the network engines count
+  their per-node columns through the same class);
 * **the LRU ladder** — byte-weighted stack distances feed vectorized
-  per-capacity hit counting, per-type tallies, and final-resident
-  counting (:func:`split_ladder`, :func:`run_lru_ladder`);
+  per-capacity hit tests and final-resident counting
+  (:func:`split_ladder`, :func:`run_lru_ladder`);
 * **FIFO** — a shadow recency-free queue replays
   :meth:`~repro.core.cache.Cache.reference` exactly, without entry or
   heap machinery;
@@ -133,15 +136,6 @@ class ColumnarReferenceStream:
     def __init__(self, trace):
         self.trace = trace
         self._resolved: Dict[tuple, np.ndarray] = {}
-        self._transfers: Optional[np.ndarray] = None
-
-    @property
-    def transfers_clamped(self) -> np.ndarray:
-        """``min(transfer, raw size)`` — the tuple transfer column."""
-        if self._transfers is None:
-            self._transfers = np.minimum(self.trace.transfers,
-                                         self.trace.sizes)
-        return self._transfers
 
     def resolved_sizes(self, key: tuple) -> np.ndarray:
         column = self._resolved.get(key)
@@ -161,27 +155,59 @@ class ColumnarReferenceStream:
         return _resolve_paper(self.trace, tolerance)
 
 
-# ----- requested-side boundary tallies --------------------------------------
+# ----- the one tally ---------------------------------------------------------
 
 
-def _tally_boundaries(trace, stream: ColumnarReferenceStream,
-                      boundaries: Dict[int, Dict[DocumentType, list]],
-                      ) -> None:
-    """Measured requests/bytes per type for each warmup boundary.
+class Tally:
+    """Warm-up-gated per-type counting over one set of columns.
 
-    Integer masked column sums: order-independent, so exactly the
-    totals per-request accounting accumulates.
+    Built once per set of columns, so the five per-type masks and the
+    per-boundary "measured" masks are shared by every cell of a pass
+    (or node of a network).  Integer masked column sums: order-
+    independent, so exactly the totals
+    :meth:`~repro.simulation.metrics.TypeMetrics.record` accumulates
+    request by request.
     """
-    codes = trace.type_codes
-    transfers = stream.transfers_clamped
-    for boundary, totals in boundaries.items():
-        tail_codes = codes[boundary:]
-        tail_transfers = transfers[boundary:]
-        for code, doc_type in enumerate(DOCUMENT_TYPES):
-            mask = tail_codes == code
-            bucket = totals[doc_type]
-            bucket[0] += int(np.count_nonzero(mask))
-            bucket[1] += _exact_sum(tail_transfers[mask])
+
+    def __init__(self, transfers: np.ndarray, codes: np.ndarray):
+        """``transfers`` are the measured ones, already clamped to the
+        document size as
+        :func:`~repro.simulation.metrics.measured_transfer` clamps."""
+        self.transfers = transfers
+        self._typed = [codes == code for code in range(len(DOCUMENT_TYPES))]
+        #: warm-up boundary -> (its "measured" mask, its requested side)
+        self._boundaries: Dict[int, tuple] = {}
+
+    @classmethod
+    def of(cls, columns) -> "Tally":
+        """The tally of a trace's columns."""
+        return cls(np.minimum(columns.transfers, columns.sizes),
+                   columns.type_codes)
+
+    def totals(self, warmup: int, select: Optional[np.ndarray] = None,
+               ) -> Dict[DocumentType, list]:
+        """``[requests, bytes]`` per document type over the rows past
+        ``warmup`` — of the boolean column ``select``, or all of them
+        (the requested side, computed once per boundary)."""
+        boundary = self._boundaries.get(warmup)
+        if boundary is None:
+            measured = np.zeros(len(self.transfers), dtype=bool)
+            measured[warmup:] = True
+            boundary = self._boundaries[warmup] = (measured,
+                                                   self._count(measured))
+        measured, requested = boundary
+        if select is None:
+            return requested
+        return self._count(measured & select)
+
+    def _count(self, rows: np.ndarray) -> Dict[DocumentType, list]:
+        transfers = self.transfers
+        totals = {}
+        for doc_type, typed in zip(DOCUMENT_TYPES, self._typed):
+            chosen = rows & typed
+            totals[doc_type] = [int(np.count_nonzero(chosen)),
+                                _exact_sum(transfers[chosen])]
+        return totals
 
 
 # ----- the exact all-capacities LRU ladder ----------------------------------
@@ -210,11 +236,10 @@ def stable_max_size(doc_ids: np.ndarray,
 
 
 def split_ladder(source, cells: Sequence[CacheCell]) -> tuple:
-    """Partition ``cells`` into ``(ladder, rest, columns)``.
+    """Partition ``cells`` into ``(ladder, rest)``.
 
-    ``ladder`` cells are served by :func:`run_lru_ladder` from
-    ``columns`` — ``(doc_ids, sizes, clamped transfers, type codes)``
-    of ``source``.  Config side they are
+    ``ladder`` cells are served by :func:`run_lru_ladder`.  Config
+    side they are
     :func:`~repro.simulation.engine.fast_path`'s ``"ladder"`` cells;
     trace side every document keeps one size across the trace and none
     exceeds the cell's capacity (so no bypasses, no invalidations — the
@@ -222,23 +247,18 @@ def split_ladder(source, cells: Sequence[CacheCell]) -> tuple:
     """
     candidates = [cell for cell in cells if fast_path(cell) == "ladder"]
     if not candidates:
-        return [], cells, None
-    sizes = source.sizes
-    max_size = stable_max_size(source.doc_ids, sizes)
+        return [], cells
+    max_size = stable_max_size(source.doc_ids, source.sizes)
     if max_size is None:
-        return [], cells, None
+        return [], cells
     ladder = [cell for cell in candidates
               if cell.config.capacity_bytes >= max_size]
     excluded = set(map(id, ladder))
-    rest = [cell for cell in cells if id(cell) not in excluded]
-    return ladder, rest, (source.doc_ids, sizes,
-                          np.minimum(source.transfers, sizes),
-                          source.type_codes)
+    return ladder, [cell for cell in cells if id(cell) not in excluded]
 
 
 def run_lru_ladder(doc_ids: np.ndarray, sizes: np.ndarray,
-                   transfers: np.ndarray, codes: np.ndarray,
-                   cells: Sequence[CacheCell]) -> None:
+                   tally: Tally, cells: Sequence[CacheCell]) -> None:
     """Serve eligible LRU cells from one vectorized stack-distance pass.
 
     Hits: a reference hits capacity ``C`` iff byte-weighted stack
@@ -249,10 +269,10 @@ def run_lru_ladder(doc_ids: np.ndarray, sizes: np.ndarray,
     out of the last-reference recency order.
 
     The stack-distance Fenwick loop stays scalar (python-int exact);
-    everything downstream — per-capacity hit tests, warmup masking,
-    per-type hit/byte tallies, final-resident counting — runs as
-    column ops.  All tallies are integers, so the results match
-    per-request simulation exactly.
+    everything downstream — per-capacity hit tests, ``tally``'s
+    per-type counting, final-resident counting — runs as column ops.
+    All tallies are integers, so the results match per-request
+    simulation exactly.
     """
     # Lazy: repro.analysis imports repro.simulation (tables -> results).
     from repro.analysis.stack_distance import weighted_stack_distances
@@ -265,27 +285,12 @@ def run_lru_ladder(doc_ids: np.ndarray, sizes: np.ndarray,
     distances = np.array(weighted_stack_distances(doc_ids.tolist(),
                                                   sizes.tolist()))
     needed = distances + sizes
-    type_masks = [codes == code for code in range(len(DOCUMENT_TYPES))]
-    measured_by_warmup: Dict[int, np.ndarray] = {}
     total_hits: List[int] = []
     for cell in cells:
         hit = needed <= cell.config.capacity_bytes
         total_hits.append(int(np.count_nonzero(hit)))
-        warmup = cell._warmup
-        measured = measured_by_warmup.get(warmup)
-        if measured is None:
-            measured = np.zeros(n, dtype=bool)
-            measured[warmup:] = True
-            measured_by_warmup[warmup] = measured
-        measured_hit = hit & measured
-        overall = cell._hit_overall
-        overall[0] += int(np.count_nonzero(measured_hit))
-        overall[1] += _exact_sum(transfers[measured_hit])
-        for code, doc_type in enumerate(DOCUMENT_TYPES):
-            typed = measured_hit & type_masks[code]
-            bucket = cell._hit_by_type[doc_type]
-            bucket[0] += int(np.count_nonzero(typed))
-            bucket[1] += _exact_sum(transfers[typed])
+        cell.metrics.add(tally.totals(cell._warmup),
+                         tally.totals(cell._warmup, hit))
 
     # Final residents: walk last references in recency order and count
     # how many fit each capacity (prefix bytes + own size <= C).
@@ -321,9 +326,10 @@ def run_lru_ladder(doc_ids: np.ndarray, sizes: np.ndarray,
 # ----- the FIFO shadow queue ------------------------------------------------
 
 
-def _run_fifo_cell(cell: CacheCell, doc_list: list, size_list: list,
-                   code_list: list, transfer_list: list) -> None:
-    """Replay :meth:`Cache.reference` for a deferred FIFO cell.
+def _run_fifo_cell(cell: CacheCell, doc_list: list,
+                   size_list: list) -> bytearray:
+    """Replay :meth:`Cache.reference` for a deferred FIFO cell and
+    return its hit column.
 
     FIFO never reorders on hits, so residency is just an insertion-
     ordered ``doc id -> size`` dict: hit iff resident at the same size,
@@ -334,27 +340,17 @@ def _run_fifo_cell(cell: CacheCell, doc_list: list, size_list: list,
     """
     cache = cell.cache
     capacity = cache.capacity_bytes
-    warmup = cell._warmup
     resident: "OrderedDict[int, int]" = OrderedDict()
     used = 0
-    hits = misses = evictions = bypasses = invalidations = 0
-    overall = cell._hit_overall
-    by_type = cell._hit_by_type
-    types = DOCUMENT_TYPES
+    misses = evictions = bypasses = invalidations = 0
+    hit = bytearray(len(doc_list))
     get = resident.get
     pop_front = resident.popitem
     index = 0
-    for doc, size, code, transfer in zip(doc_list, size_list,
-                                         code_list, transfer_list):
+    for doc, size in zip(doc_list, size_list):
         current = get(doc)
         if current is not None and current == size:
-            hits += 1
-            if index >= warmup:
-                overall[0] += 1
-                overall[1] += transfer
-                bucket = by_type[types[code]]
-                bucket[0] += 1
-                bucket[1] += transfer
+            hit[index] = 1
         else:
             if current is not None:
                 del resident[doc]
@@ -371,11 +367,12 @@ def _run_fifo_cell(cell: CacheCell, doc_list: list, size_list: list,
                 resident[doc] = size
                 used += size
         index += 1
-    cache.hits += hits
+    cache.hits += len(hit) - misses
     cache.misses += misses
     cache.evictions += evictions
     cache.bypasses += bypasses
     cache.invalidations += invalidations
+    return hit
 
 
 # ----- chunked tuple dispatch for everything else ---------------------------
@@ -396,9 +393,12 @@ def _cost_model_key(model) -> tuple:
 
 
 def _drive_chunks(trace, stream: ColumnarReferenceStream,
+                  transfers: np.ndarray,
                   plain: Dict[tuple, List[CacheCell]],
-                  hinted: Dict[tuple, List[tuple]]) -> None:
-    """Decode resolved-tuple chunks once and feed every consumer."""
+                  hinted: Dict[tuple, List[tuple]],
+                  hit_of: Dict[CacheCell, np.ndarray]) -> None:
+    """Decode resolved-tuple chunks once and feed every consumer; a
+    deferred cell's chunk of hits lands in its ``hit_of`` column."""
     n = len(trace)
     keys = set(plain) | set(hinted)
     if not keys or n == 0:
@@ -407,7 +407,6 @@ def _drive_chunks(trace, stream: ColumnarReferenceStream,
     types = DOCUMENT_TYPES
     doc = trace.doc_ids
     codes = trace.type_codes
-    transfers = stream.transfers_clamped
     raw_sizes = trace.sizes
     timestamps = trace.timestamps
     resolved = {key: stream.resolved_sizes(key) for key in keys}
@@ -427,7 +426,9 @@ def _drive_chunks(trace, stream: ColumnarReferenceStream,
                              type_chunk, transfer_list, raw_list,
                              time_list))
             for cell in plain.get(key, ()):
-                cell.process_chunk(chunk, start)
+                hits = cell.process_chunk(chunk, start)
+                if hits is not None:
+                    hit_of[cell][start:end] = hits
             pairs = hinted.get(key)
             if pairs:
                 clamped = None
@@ -438,16 +439,17 @@ def _drive_chunks(trace, stream: ColumnarReferenceStream,
                             clamped = np.maximum(resolved_slice, 1)
                         costs = model.cost_array(clamped).tolist()
                         cost_cache[(key, model_key)] = costs
-                    cell.process_chunk_hinted(chunk, start, costs)
+                    hit_of[cell][start:end] = \
+                        cell.process_chunk_hinted(chunk, costs)
 
 
 # ----- the columnar pass ----------------------------------------------------
 
 
-def drive_columnar(trace, cells: Sequence[CacheCell],
-                   boundaries: Dict[int, Dict[DocumentType, list]],
+def drive_columnar(trace, cells: Sequence[CacheCell], tally: Tally,
                    timings: PhaseTimings) -> int:
-    """Drive ``cells`` over a trace's columns and tally ``boundaries``.
+    """Drive ``cells`` over a trace's columns; every deferred cell's
+    hit column is counted into its metrics by ``tally``.
 
     The body of :func:`repro.simulation.engine.run_cells` (which has
     already taken the LRU-ladder cells out of ``cells``).  Returns how
@@ -458,13 +460,17 @@ def drive_columnar(trace, cells: Sequence[CacheCell],
     fifo: List[Tuple[CacheCell, tuple]] = []
     plain: Dict[tuple, List[CacheCell]] = {}
     hinted: Dict[tuple, List[tuple]] = {}
+    hit_of: Dict[CacheCell, np.ndarray] = {}
     for cell in cells:
         key = resolver_key(cell.config)
         keys.add(key)
         path = fast_path(cell)
         if path == "fifo":
             fifo.append((cell, key))
-        elif path == "hinted":
+            continue
+        if cell.deferred:
+            hit_of[cell] = np.zeros(len(trace), dtype=bool)
+        if path == "hinted":
             model = cell.policy.cost_model
             hinted.setdefault(key, []).append(
                 (cell, model, _cost_model_key(model)))
@@ -473,16 +479,17 @@ def drive_columnar(trace, cells: Sequence[CacheCell],
     with _span("resolve"), phase_timer("resolve", timings):
         for key in keys:
             stream.resolved_sizes(key)
-        if boundaries:
-            _tally_boundaries(trace, stream, boundaries)
     with _span("drive"), phase_timer("pass", timings):
-        _drive_chunks(trace, stream, plain, hinted)
+        _drive_chunks(trace, stream, tally.transfers, plain, hinted,
+                      hit_of)
         if fifo:
             doc_list = trace.doc_ids.tolist()
-            code_list = trace.type_codes.tolist()
-            transfer_list = stream.transfers_clamped.tolist()
             for cell, key in fifo:
-                size_list = stream.resolved_sizes(key).tolist()
-                _run_fifo_cell(cell, doc_list, size_list,
-                               code_list, transfer_list)
+                hit_of[cell] = np.frombuffer(
+                    _run_fifo_cell(cell, doc_list,
+                                   stream.resolved_sizes(key).tolist()),
+                    dtype=bool)
+        for cell, hits in hit_of.items():
+            cell.metrics.add(tally.totals(cell._warmup),
+                             tally.totals(cell._warmup, hits))
     return len(fifo)

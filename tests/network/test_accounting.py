@@ -1,0 +1,104 @@
+"""The walk's column accounting against a per-request accountant.
+
+``NetworkSimulator._drive`` notes one small int per request (the depth
+that served, −1 origin, −2 sibling) and ``_account`` turns that column
+into every per-node and network tally as masked sums.  The reference
+below is the accounting the walk used to do inline — a ``reached``
+prefix of the path and one ``TypeMetrics.record`` per reached node —
+run over random small meshes, trees and paths.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.network.engine import NetworkConfig, NetworkSimulator
+from repro.network.topology import path, sibling_mesh, tree
+from repro.simulation.metrics import TypeMetrics, measured_transfer
+from repro.types import DOCUMENT_TYPES, Request, Trace
+
+
+def account_per_request(topology, requests, served, warmup):
+    nodes = {name: TypeMetrics() for name in topology.nodes}
+    network = TypeMetrics()
+    sibling_serves = 0
+    for index, (request, depth) in enumerate(zip(requests, served)):
+        if index < warmup:
+            continue
+        edge = topology.edges[index % len(topology.edges)]
+        route = topology.path_to_origin(edge)
+        reached = route if depth < 0 else route[:depth + 1]
+        transfer = measured_transfer(request)
+        for k, name in enumerate(reached):
+            nodes[name].record(request.doc_type, k == depth, transfer)
+        network.record(request.doc_type, depth != -1, transfer)
+        sibling_serves += depth == -2
+    return nodes, network, sibling_serves
+
+
+def run_and_check(config, requests):
+    """Run the real walk, capture its depth column, and hold every
+    tally of the result to the per-request accountant."""
+    columns = []
+    drive = NetworkSimulator._drive
+
+    def spy(self, *args):
+        columns.append(drive(self, *args))
+        return columns[-1]
+
+    with mock.patch.object(NetworkSimulator, "_drive", spy):
+        result = NetworkSimulator(config).run(Trace(requests))
+    (served,) = columns
+    nodes, network, sibling_serves = account_per_request(
+        config.topology, requests, served, result.warmup_requests)
+    assert result.network.as_dict() == network.as_dict()
+    assert result.sibling_serves == sibling_serves
+    for name, metrics in nodes.items():
+        assert result.nodes[name].metrics.as_dict() == \
+            metrics.as_dict(), name
+    return served, result.warmup_requests
+
+
+POLICY = st.sampled_from(["lru", "gds(1)"])
+TOPOLOGY = st.one_of(
+    st.builds(sibling_mesh, st.just(1500), st.integers(2, 4), POLICY),
+    st.builds(lambda levels, branching, policy:
+              tree([900, 1500, 2500][:levels], branching, policy),
+              st.integers(1, 3), st.integers(1, 3), POLICY),
+    st.builds(lambda levels, policy:
+              path([900, 1500, 2500][:levels], policy),
+              st.integers(1, 3), POLICY))
+#: Few documents, sizes that sometimes change (stale copies) and
+#: transfers on both sides of the size (the clamp).
+REQUESTS = st.lists(
+    st.builds(lambda doc, size, transfer, code: Request(
+        0.0, f"u{doc}", size, transfer, DOCUMENT_TYPES[code]),
+        st.integers(0, 7), st.sampled_from([300, 300, 300, 700]),
+        st.sampled_from([100, 300, 900]),
+        st.integers(0, len(DOCUMENT_TYPES) - 1)),
+    max_size=60)
+
+
+@settings(deadline=None)
+@given(TOPOLOGY, st.sampled_from(["lce", "lcd", "probcache"]),
+       st.booleans(), st.sampled_from([0.0, 0.1, 0.5, 0.9]), REQUESTS)
+def test_depth_column_tallies_equal_per_request_accounting(
+        topology, strategy, replicate, warmup_fraction, requests):
+    run_and_check(NetworkConfig(
+        topology=topology, strategy=strategy,
+        warmup_fraction=warmup_fraction,
+        replicate_on_sibling_hit=replicate), requests)
+
+
+def test_sibling_serves_on_both_sides_of_the_boundary():
+    """Each document is asked for at proxy0 then at proxy1, so every
+    second request is a sibling serve, warm-up included."""
+    requests = [Request(0.0, f"u{i // 2}", 100, 100, DOCUMENT_TYPES[i % 5])
+                for i in range(40)]
+    for strategy in ("lce", "lcd"):
+        served, warmup = run_and_check(NetworkConfig(
+            topology=sibling_mesh(10_000, n_proxies=2),
+            strategy=strategy, warmup_fraction=0.5), requests)
+        assert warmup == 20
+        assert served[:warmup].count(-2) == served[warmup:].count(-2) == 10

@@ -17,6 +17,7 @@ Four families of guarantees, all byte-for-byte:
 """
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,25 @@ class TestFastpath:
             for name in topology.nodes:
                 assert fast.nodes[name].as_dict() == \
                     slow.nodes[name].as_dict(), name
+
+    def test_empty_trace(self, caplog):
+        """Nothing to cascade is still a run: same result, and the one
+        ``network_simulated`` event, from either engine."""
+        config = NetworkConfig(topology=topologies()[3], strategy="lce")
+        empty = Trace([], name="empty")
+        assert fastpath_eligible(empty, config)
+        results = []
+        for engine in (run_fastpath,
+                       lambda trace, config:
+                       NetworkSimulator(config).run(trace)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="repro.events"):
+                results.append(engine(empty, config).as_dict())
+            assert [record.message for record in caplog.records
+                    if record.name == "repro.events"] == \
+                ["network_simulated"]
+        assert results[0] == results[1]
+        assert results[0]["total_requests"] == 0
 
     def test_run_network_dispatches_to_fastpath(self, columnar_trace,
                                                 capped_trace,
