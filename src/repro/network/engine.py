@@ -310,13 +310,13 @@ class NetworkSimulator:
         requests = trace.requests if isinstance(trace, Trace) else trace
         if not hasattr(requests, "__len__"):
             requests = list(requests)
-        return self._run(requests, columns_of(requests),
+        return self._run(requests, Tally.of(columns_of(requests)),
                          trace_name or getattr(trace, "name", "trace"))
 
-    def _run(self, requests: Sequence[Request], columns,
+    def _run(self, requests: Sequence[Request], tally: Tally,
              name: str) -> NetworkResult:
-        """Walk ``requests``, then count the walk's outcome over
-        ``columns`` — the same trace, as :func:`columns_of` gives it."""
+        """Walk ``requests``, then count the walk's outcome with
+        ``tally`` — the one of the same trace's columns."""
         total = len(requests)
         warmup = int(total * self.config.warmup_fraction)
         topology = self.config.topology
@@ -336,7 +336,7 @@ class NetworkSimulator:
                    nodes=topology.n_caches,
                    trace=name, requests=total):
             served = self._drive(requests, warmup, result)
-            self._account(served, Tally.of(columns), result)
+            self._account(served, tally, result)
             self._snapshot(result)
         publish_network_telemetry(result)
         return result
@@ -527,8 +527,9 @@ def run_network_cells(trace, configs: Sequence[NetworkConfig],
     cascade is lossless for (LRU everywhere, LCE, no ring, latency off
     — :mod:`repro.network.fastpath` proves bit-identity with the walk)
     are served from the columns alone; the rest share a single
-    materialization of the request stream for the walk and count its
-    outcome over the same columns.
+    materialization of the request stream for the walk and one
+    :class:`~repro.simulation.vectorized.Tally` of the same columns to
+    count its outcome.
     """
     from repro.network.fastpath import eligible_cells, run_fastpath
     for config in configs:
@@ -550,6 +551,7 @@ def run_network_cells(trace, configs: Sequence[NetworkConfig],
             if requests is None:
                 requests = (trace.requests if isinstance(trace, Trace)
                             else list(trace))
+                tally = Tally.of(columns)
             results.append(
-                NetworkSimulator(config)._run(requests, columns, name))
+                NetworkSimulator(config)._run(requests, tally, name))
     return results

@@ -128,17 +128,14 @@ def run_fastpath(trace, config: NetworkConfig,
         result.nodes[node_name] = NodeResult(
             name=node_name, level=topology.level_of(node_name),
             capacity_bytes=spec.capacity_bytes, policy="lru")
-    if n == 0:
-        publish_network_telemetry(result)
-        return result
-
     doc_ids = trace.doc_ids
     sizes = trace.sizes
     codes = trace.type_codes
     tally = Tally.of(trace)
     # Per-document type, for the end-of-run placement snapshot
     # (eligibility guarantees one stable (size, type) per document).
-    code_of = np.zeros(int(doc_ids.max()) + 1, dtype=codes.dtype)
+    code_of = np.zeros(int(doc_ids.max(initial=0)) + 1,
+                       dtype=codes.dtype)
     code_of[doc_ids] = codes
 
     edges = topology.edges

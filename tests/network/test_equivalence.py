@@ -17,7 +17,6 @@ Four families of guarantees, all byte-for-byte:
 """
 
 import json
-import logging
 from pathlib import Path
 
 import pytest
@@ -27,6 +26,7 @@ from repro.network.engine import (NetworkConfig, NetworkSimulator,
                                   run_network, run_network_cells)
 from repro.network.fastpath import fastpath_eligible, run_fastpath
 from repro.network.topology import path, single, tree, two_level
+from repro.observability.events import set_event_sink
 from repro.simulation.simulator import simulate
 from repro.trace.columnar import ColumnarTrace, write_columnar
 from repro.types import Request, Trace
@@ -166,9 +166,13 @@ class TestFastpath:
                 assert fast.nodes[name].as_dict() == \
                     slow.nodes[name].as_dict(), name
 
-    def test_empty_trace(self, caplog):
+    def test_empty_trace(self):
         """Nothing to cascade is still a run: same result, and the one
         ``network_simulated`` event, from either engine."""
+        class Sink:
+            def emit(self, event, **fields):
+                events.append(event)
+
         config = NetworkConfig(topology=topologies()[3], strategy="lce")
         empty = Trace([], name="empty")
         assert fastpath_eligible(empty, config)
@@ -176,12 +180,13 @@ class TestFastpath:
         for engine in (run_fastpath,
                        lambda trace, config:
                        NetworkSimulator(config).run(trace)):
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="repro.events"):
+            events = []
+            previous = set_event_sink(Sink())
+            try:
                 results.append(engine(empty, config).as_dict())
-            assert [record.message for record in caplog.records
-                    if record.name == "repro.events"] == \
-                ["network_simulated"]
+            finally:
+                set_event_sink(previous)
+            assert events == ["network_simulated"]
         assert results[0] == results[1]
         assert results[0]["total_requests"] == 0
 
