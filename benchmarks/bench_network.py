@@ -5,10 +5,11 @@ a columnar trace runs as a cascade of per-node LRU passes — no cache
 objects, no per-request python dispatch — bit-identical to the
 engine's object walk and fast enough to sweep topology grids: the
 7-cache binary tree (plus the origin: 8 network nodes) must clear
-≥1M aggregate node-visits per second on a single core, several times
-the object walk's pace.  This bench builds the tree, drives the
-DFN-like workload through both paths, asserts equality always, and
-writes the comparison to ``BENCH_network.json``.
+≥1M aggregate node-visits per second on a single core, about three
+times the pace of the walk (which reads the same columns chunk by
+chunk).  This bench builds the tree, drives the DFN-like workload
+through both paths, asserts equality always, and writes the comparison
+to ``BENCH_network.json``.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) runs single-round
 and skips the absolute-throughput floor (shared runners); the
@@ -35,8 +36,13 @@ ROUNDS = 1 if SMOKE else 3
 #: 8-node tree (measured ~1.5M on this single-core container).
 #: Relative floor below guards smoke runs on noisy shared runners.
 VISITS_PER_SECOND_FLOOR = 1_000_000
-#: Cascade vs object walk on the same cell (measured ~7x).
-SPEEDUP_FLOOR = 1.5 if SMOKE else 3.0
+#: Cascade vs the walk on the same cell (measured 3.1-3.3x).  The
+#: ratio is walk time over cascade time, so it falls whenever the
+#: walk gets faster: 4.8x while the walk iterated ``Request`` objects,
+#: 3.2x now that it reads columns, the cascade unchanged.  The floor
+#: only says the cascade is still worth dispatching to; its own pace
+#: is held by the absolute floor above.
+SPEEDUP_FLOOR = 1.5 if SMOKE else 2.0
 #: Largest cacheable object (squid's ``maximum_object_size`` idiom);
 #: also guarantees every node admits every document — the no-bypass
 #: precondition of the fast path.

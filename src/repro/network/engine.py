@@ -7,7 +7,8 @@ One request's life, regardless of topology shape:
    populations that share interests);
 2. the engine walks the cache path toward the origin until some cache
    holds the document at its current size — a stale copy (size
-   changed) is dropped where it is found;
+   changed) is dropped where it is found; url, size and type come a
+   chunk at a time from the trace's columns, never a request object;
 3. if the whole vertical path misses and the edge belongs to the
    sibling ring, the siblings are probed in ring order (ICP);
 4. the placement strategy (:mod:`repro.network.strategies`) decides
@@ -36,7 +37,9 @@ batched after the loop, never per request.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,11 +54,11 @@ from repro.observability.events import emit
 from repro.observability.metrics import get_registry
 from repro.observability.trace import span as _span
 from repro.simulation.latency import LatencyMetrics, Link, path_latency
-from repro.simulation.metrics import TypeMetrics, measured_transfer
-from repro.simulation.vectorized import Tally
+from repro.simulation.metrics import TypeMetrics
+from repro.simulation.vectorized import Tally, decode_chunks
 from repro.structures.streaming import StreamingStats
 from repro.trace.columnar import columns_of
-from repro.types import DOCUMENT_TYPES, DocumentType, Request, Trace
+from repro.types import DOCUMENT_TYPES, DocumentType
 
 
 @dataclass
@@ -264,32 +267,40 @@ class NetworkSimulator:
         config.validate()
         self.config = config
         topology = config.topology
+        # A strategy instance is walked as a copy: its draws (ProbCache)
+        # never advance the config's, so a config reruns identically.
         self.strategy: PlacementStrategy = (
             make_strategy(config.strategy)
-            if isinstance(config.strategy, str) else config.strategy)
+            if isinstance(config.strategy, str)
+            else copy.deepcopy(config.strategy))
         self.caches: Dict[str, Cache] = {}
         for index, (name, spec) in enumerate(topology.nodes.items()):
             self.caches[name] = Cache(spec.capacity_bytes,
                                       self._build_policy(spec, index))
-        # Per-edge routing state, precomputed once.
-        self._paths: Dict[str, List[str]] = {
-            edge: topology.path_to_origin(edge)
-            for edge in topology.edges}
-        self._spec_paths: Dict[str, List[NodeSpec]] = {
-            edge: [topology.nodes[name] for name in names]
-            for edge, names in self._paths.items()}
-        # _links[edge][k] is the link path when the vertical walk is
+        # Per-edge routing state, resolved once; every list below is
+        # indexed like ``topology.edges``.
+        self._paths: List[List[str]] = [
+            topology.path_to_origin(edge) for edge in topology.edges]
+        self._cache_paths: List[List[Cache]] = [
+            [self.caches[name] for name in names]
+            for names in self._paths]
+        self._spec_paths: List[List[NodeSpec]] = [
+            [topology.nodes[name] for name in names]
+            for names in self._paths]
+        # _links[j][k] is the link path when edge j's vertical walk is
         # served at depth k; index len(path) is the origin path.
-        self._links: Dict[str, List[Tuple[Link, ...]]] = {}
-        for edge, names in self._paths.items():
-            uplinks = [topology.nodes[name].uplink for name in names]
-            self._links[edge] = [
-                tuple([topology.client_link] + uplinks[:k])
-                for k in range(len(names) + 1)]
+        self._links: List[List[Tuple[Link, ...]]] = [
+            [(topology.client_link, *(spec.uplink for spec in specs[:k]))
+             for k in range(len(specs) + 1)]
+            for specs in self._spec_paths]
         self._sibling_links = (topology.client_link, topology.peer_link)
-        self._ring = topology.sibling_ring
-        self._ring_pos = {name: i
-                          for i, name in enumerate(self._ring)}
+        # Each edge's siblings in probe order: the ring from its own
+        # position on (none for an edge outside the ring).
+        ring = topology.sibling_ring
+        self._siblings: List[List[Cache]] = [
+            [self.caches[ring[(ring.index(edge) + offset) % len(ring)]]
+             for offset in range(1, len(ring))] if edge in ring else []
+            for edge in topology.edges]
 
     def _build_policy(self, spec: NodeSpec,
                       index: int) -> ReplacementPolicy:
@@ -307,17 +318,14 @@ class NetworkSimulator:
 
     def run(self, trace, trace_name: Optional[str] = None,
             ) -> NetworkResult:
-        requests = trace.requests if isinstance(trace, Trace) else trace
-        if not hasattr(requests, "__len__"):
-            requests = list(requests)
-        return self._run(requests, Tally.of(columns_of(requests)),
-                         trace_name or getattr(trace, "name", "trace"))
+        columns = columns_of(trace)
+        return self._run(columns, Tally.of(columns),
+                         trace_name or columns.name)
 
-    def _run(self, requests: Sequence[Request], tally: Tally,
-             name: str) -> NetworkResult:
-        """Walk ``requests``, then count the walk's outcome with
-        ``tally`` — the one of the same trace's columns."""
-        total = len(requests)
+    def _run(self, columns, tally: Tally, name: str) -> NetworkResult:
+        """Walk a trace's ``columns``, then count the walk's outcome
+        with ``tally`` — the one of the same columns."""
+        total = len(columns)
         warmup = int(total * self.config.warmup_fraction)
         topology = self.config.topology
         result = NetworkResult(
@@ -335,50 +343,52 @@ class NetworkSimulator:
                    strategy=self.config.strategy_name,
                    nodes=topology.n_caches,
                    trace=name, requests=total):
-            served = self._drive(requests, warmup, result)
+            served = self._drive(columns, tally.transfers, result)
             self._account(served, tally, result)
             self._snapshot(result)
         publish_network_telemetry(result)
         return result
 
-    def _drive(self, requests: Sequence[Request], warmup: int,
+    def _drive(self, columns, transfers: np.ndarray,
                result: NetworkResult) -> List[int]:
-        """Walk every request; returns, per request, the path depth
-        that served it, −1 for an origin fetch, −2 for a sibling."""
+        """Walk every request of ``columns`` (``transfers``: the
+        measured ones); returns, per request, the path depth that
+        served it, −1 for an origin fetch, −2 for a sibling."""
         caches = self.caches
-        edges = self.config.topology.edges
-        n_edges = len(edges)
+        n_edges = len(self._paths)
+        cache_paths = self._cache_paths
+        siblings = self._siblings
         strategy = self.strategy
         admit_on_probe = strategy.admit_on_probe
         replicate = self.config.replicate_on_sibling_hit
-        ring = self._ring
-        ring_pos = self._ring_pos
-        n_ring = len(ring)
         latency = result.latency
-        node_latency = {name: node.latency
-                        for name, node in result.nodes.items()}
+        warmup = result.warmup_requests
+        edge_latency = [result.nodes[edge].latency
+                        for edge in self.config.topology.edges]
         hit_outcome = AccessOutcome.HIT
+        sizes = columns.sizes
         served: List[int] = []
         note = served.append
 
-        for index, request in enumerate(requests):
-            edge = edges[index % n_edges]
-            path = self._paths[edge]
-            url = request.url
-            size = request.size
-            doc_type = request.doc_type
+        # One decoded chunk of the columns is alive at a time.
+        rows = chain.from_iterable(
+            zip(urls, sizes[start:end].tolist(), types,
+                transfers[start:end].tolist())
+            for start, end, urls, types in decode_chunks(columns))
+        for index, (url, size, doc_type, transfer) in enumerate(rows):
+            j = index % n_edges
+            path = cache_paths[j]
             served_level = -1
             if admit_on_probe:
                 # LCE: probe and admit are one reference() — the
                 # legacy hierarchy/mesh cache-call sequence exactly.
-                for k, node in enumerate(path):
-                    if caches[node].reference(
+                for k, cache in enumerate(path):
+                    if cache.reference(
                             url, size, doc_type) is hit_outcome:
                         served_level = k
                         break
             else:
-                for k, node in enumerate(path):
-                    cache = caches[node]
+                for k, cache in enumerate(path):
                     entry = cache.get(url)
                     if entry is not None:
                         if entry.size == size:
@@ -392,10 +402,8 @@ class NetworkSimulator:
                         cache.invalidate(url)
 
             sibling_served = False
-            if served_level < 0 and n_ring and edge in ring_pos:
-                pos = ring_pos[edge]
-                for offset in range(1, n_ring):
-                    sibling = caches[ring[(pos + offset) % n_ring]]
+            if served_level < 0:
+                for sibling in siblings[j]:
                     entry = sibling.get(url)
                     if entry is not None and entry.size == size:
                         # Serving refreshes the sibling's entry; a
@@ -411,13 +419,13 @@ class NetworkSimulator:
                             # LCE admitted at the home cache during
                             # the walk; a non-replicating mesh drops
                             # that copy again (the sibling owns it).
-                            caches[edge].invalidate(url)
+                            path[0].invalidate(url)
                     elif replicate:
-                        caches[edge].reference(url, size, doc_type)
+                        path[0].reference(url, size, doc_type)
 
             if (not admit_on_probe and not sibling_served
                     and served_level != 0):
-                specs = self._spec_paths[edge]
+                specs = self._spec_paths[j]
                 if served_level > 0:
                     visited = specs[:served_level]
                     full = specs[:served_level + 1]
@@ -429,8 +437,7 @@ class NetworkSimulator:
             note(-2 if sibling_served else served_level)
             if latency is None or index < warmup:
                 continue
-            transfer = measured_transfer(request)
-            links = self._links[edge]
+            links = self._links[j]
             if sibling_served:
                 seconds = path_latency(self._sibling_links, transfer)
             elif served_level >= 0:
@@ -440,7 +447,7 @@ class NetworkSimulator:
             latency.add(doc_type, seconds)
             latency.baseline.add(
                 path_latency(links[len(path)], transfer))
-            node_latency[edge].add(seconds)
+            edge_latency[j].add(seconds)
         return served
 
     def _account(self, served: Sequence[int], tally: Tally,
@@ -451,13 +458,11 @@ class NetworkSimulator:
         depth = np.array(served, dtype=np.int64)
         n = len(depth)
         warmup = result.warmup_requests
-        edges = self.config.topology.edges
-        n_edges = len(edges)
+        n_edges = len(self._paths)
         for name, node in result.nodes.items():
             reached = np.zeros(n, dtype=bool)
             hit = np.zeros(n, dtype=bool)
-            for j, edge in enumerate(edges):
-                path = self._paths[edge]
+            for j, path in enumerate(self._paths):
                 if name in path:
                     k = path.index(name)
                     arrived = depth[j::n_edges]
@@ -523,35 +528,30 @@ def run_network_cells(trace, configs: Sequence[NetworkConfig],
     """Run network cells over one trace — the one dispatch point.
 
     Validates every config, gathers the trace's columns once (an
-    ``.rcol`` is mmap'd), then splits the cells: those the vectorized
-    cascade is lossless for (LRU everywhere, LCE, no ring, latency off
-    — :mod:`repro.network.fastpath` proves bit-identity with the walk)
-    are served from the columns alone; the rest share a single
-    materialization of the request stream for the walk and one
-    :class:`~repro.simulation.vectorized.Tally` of the same columns to
-    count its outcome.
+    ``.rcol`` is mmap'd, an iterator consumed here and nowhere else),
+    then splits the cells: those the vectorized cascade is lossless
+    for (LRU everywhere, LCE, no ring, latency off —
+    :mod:`repro.network.fastpath` proves bit-identity with the walk)
+    are served by it; the walk decodes the same columns chunk by chunk
+    for each of the rest, and they share one
+    :class:`~repro.simulation.vectorized.Tally` to count its outcome.
     """
     from repro.network.fastpath import eligible_cells, run_fastpath
     for config in configs:
         config.validate()
-    name = trace_name or getattr(trace, "name", "trace")
-    if not hasattr(trace, "__len__"):
-        # An iterator may have to feed both the columns and the walk.
-        trace = list(trace)
     columns = columns_of(trace)
+    name = trace_name or columns.name
     fast_ids = set(map(id, eligible_cells(columns, configs)))
     with _span("network_cells", cells=len(configs),
                fastpath=len(fast_ids)):
-        requests = None
+        tally = None
         results = []
         for config in configs:
             if id(config) in fast_ids:
                 results.append(run_fastpath(columns, config, name))
                 continue
-            if requests is None:
-                requests = (trace.requests if isinstance(trace, Trace)
-                            else list(trace))
+            if tally is None:
                 tally = Tally.of(columns)
             results.append(
-                NetworkSimulator(config)._run(requests, tally, name))
+                NetworkSimulator(config)._run(columns, tally, name))
     return results

@@ -18,9 +18,10 @@ through should admit the document:
   the server, biasing copies toward the edge without LCD's one-level-
   per-request crawl.
 
-Strategies are stateless apart from ProbCache's RNG; one instance can
-serve a whole sweep cell but not two cells that must be independently
-deterministic — :func:`make_strategy` is cheap, build one per run.
+Strategies are stateless apart from ProbCache's RNG, and a
+:class:`~repro.network.engine.NetworkSimulator` walks with its own copy
+of the instance its config names: one instance may sit in any number
+of configs, and every run starts from the seed.
 """
 
 from __future__ import annotations

@@ -392,6 +392,20 @@ def _cost_model_key(model) -> tuple:
     return ("instance", id(model))
 
 
+def decode_chunks(trace):
+    """``(start, end, urls, document types)`` per ``DEFAULT_CHUNK_SIZE``
+    rows of a trace's columns: the one place a doc id becomes its url
+    string and a type code its :class:`~repro.types.DocumentType`."""
+    n = len(trace)
+    urls = trace.urls()
+    doc = trace.doc_ids
+    codes = trace.type_codes
+    for start in range(0, n, DEFAULT_CHUNK_SIZE):
+        end = min(start + DEFAULT_CHUNK_SIZE, n)
+        yield (start, end, [urls[d] for d in doc[start:end].tolist()],
+               [DOCUMENT_TYPES[c] for c in codes[start:end].tolist()])
+
+
 def _drive_chunks(trace, stream: ColumnarReferenceStream,
                   transfers: np.ndarray,
                   plain: Dict[tuple, List[CacheCell]],
@@ -399,26 +413,16 @@ def _drive_chunks(trace, stream: ColumnarReferenceStream,
                   hit_of: Dict[CacheCell, np.ndarray]) -> None:
     """Decode resolved-tuple chunks once and feed every consumer; a
     deferred cell's chunk of hits lands in its ``hit_of`` column."""
-    n = len(trace)
     keys = set(plain) | set(hinted)
-    if not keys or n == 0:
+    if not keys:
         return
-    urls = trace.urls()
-    types = DOCUMENT_TYPES
-    doc = trace.doc_ids
-    codes = trace.type_codes
     raw_sizes = trace.sizes
     timestamps = trace.timestamps
     resolved = {key: stream.resolved_sizes(key) for key in keys}
-    for start in range(0, n, DEFAULT_CHUNK_SIZE):
-        end = min(start + DEFAULT_CHUNK_SIZE, n)
-        doc_list = doc[start:end].tolist()
-        code_list = codes[start:end].tolist()
+    for start, end, url_chunk, type_chunk in decode_chunks(trace):
         transfer_list = transfers[start:end].tolist()
         raw_list = raw_sizes[start:end].tolist()
         time_list = timestamps[start:end].tolist()
-        url_chunk = [urls[d] for d in doc_list]
-        type_chunk = [types[c] for c in code_list]
         cost_cache: Dict[tuple, list] = {}
         for key in keys:
             resolved_slice = resolved[key][start:end]

@@ -5,7 +5,10 @@ that served, −1 origin, −2 sibling) and ``_account`` turns that column
 into every per-node and network tally as masked sums.  The reference
 below is the accounting the walk used to do inline — a ``reached``
 prefix of the path and one ``TypeMetrics.record`` per reached node —
-run over random small meshes, trees and paths.
+run over random small meshes, trees and paths.  The end-to-end service
+times the walk accumulates per request (their running means depend on
+order) are held to the same accountant: ``measured_transfer(request)``
+through ``path_latency`` over the topology's links.
 """
 
 from unittest import mock
@@ -15,7 +18,9 @@ from hypothesis import strategies as st
 
 from repro.network.engine import NetworkConfig, NetworkSimulator
 from repro.network.topology import path, sibling_mesh, tree
+from repro.simulation.latency import LatencyMetrics, path_latency
 from repro.simulation.metrics import TypeMetrics, measured_transfer
+from repro.structures.streaming import StreamingStats
 from repro.types import DOCUMENT_TYPES, Request, Trace
 
 
@@ -23,6 +28,8 @@ def account_per_request(topology, requests, served, warmup):
     nodes = {name: TypeMetrics() for name in topology.nodes}
     network = TypeMetrics()
     sibling_serves = 0
+    latency = LatencyMetrics()
+    edge_latency = {edge: StreamingStats() for edge in topology.edges}
     for index, (request, depth) in enumerate(zip(requests, served)):
         if index < warmup:
             continue
@@ -34,7 +41,23 @@ def account_per_request(topology, requests, served, warmup):
             nodes[name].record(request.doc_type, k == depth, transfer)
         network.record(request.doc_type, depth != -1, transfer)
         sibling_serves += depth == -2
-    return nodes, network, sibling_serves
+        # The client link, then one uplink per cache the fetch climbed
+        # past; a sibling answers over the peer link instead.
+        to_origin = [topology.client_link] + [
+            topology.nodes[name].uplink for name in route]
+        if depth == -2:
+            crossed = [topology.client_link, topology.peer_link]
+        else:
+            crossed = to_origin[:depth + 1] if depth >= 0 else to_origin
+        seconds = path_latency(crossed, transfer)
+        latency.add(request.doc_type, seconds)
+        latency.baseline.add(path_latency(to_origin, transfer))
+        edge_latency[edge].add(seconds)
+    return nodes, network, sibling_serves, latency, edge_latency
+
+
+def moments(stats):
+    return stats.count, stats.mean
 
 
 def run_and_check(config, requests):
@@ -50,13 +73,26 @@ def run_and_check(config, requests):
     with mock.patch.object(NetworkSimulator, "_drive", spy):
         result = NetworkSimulator(config).run(Trace(requests))
     (served,) = columns
-    nodes, network, sibling_serves = account_per_request(
-        config.topology, requests, served, result.warmup_requests)
+    nodes, network, sibling_serves, latency, edge_latency = \
+        account_per_request(config.topology, requests, served,
+                            result.warmup_requests)
     assert result.network.as_dict() == network.as_dict()
     assert result.sibling_serves == sibling_serves
     for name, metrics in nodes.items():
         assert result.nodes[name].metrics.as_dict() == \
             metrics.as_dict(), name
+    if config.measure_latency:
+        assert moments(result.latency.overall) == moments(latency.overall)
+        assert moments(result.latency.baseline) == \
+            moments(latency.baseline)
+        for doc_type, stats in latency.by_type.items():
+            assert moments(result.latency.by_type[doc_type]) == \
+                moments(stats), doc_type
+        for edge, stats in edge_latency.items():
+            assert moments(result.nodes[edge].latency) == \
+                moments(stats), edge
+    else:
+        assert result.latency is None
     return served, result.warmup_requests
 
 
@@ -82,12 +118,15 @@ REQUESTS = st.lists(
 
 @settings(deadline=None)
 @given(TOPOLOGY, st.sampled_from(["lce", "lcd", "probcache"]),
-       st.booleans(), st.sampled_from([0.0, 0.1, 0.5, 0.9]), REQUESTS)
+       st.booleans(), st.booleans(),
+       st.sampled_from([0.0, 0.1, 0.5, 0.9]), REQUESTS)
 def test_depth_column_tallies_equal_per_request_accounting(
-        topology, strategy, replicate, warmup_fraction, requests):
+        topology, strategy, replicate, measure_latency, warmup_fraction,
+        requests):
     run_and_check(NetworkConfig(
         topology=topology, strategy=strategy,
         warmup_fraction=warmup_fraction,
+        measure_latency=measure_latency,
         replicate_on_sibling_hit=replicate), requests)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.simulation.vectorized as vectorized
 from repro.errors import ConfigurationError
 from repro.network.engine import (
     NetworkConfig,
@@ -9,6 +10,7 @@ from repro.network.engine import (
     run_network,
     run_network_cells,
 )
+from repro.network.strategies import ProbCache
 from repro.network.topology import (
     path,
     sibling_mesh,
@@ -175,3 +177,63 @@ class TestPolicySeed:
         plain = run_network(tiny_dfn_trace, NetworkConfig(
             topology=two_level(300_000, 1_200_000)))
         assert seeded.network.as_dict() == plain.network.as_dict()
+
+
+class TestStrategyInstance:
+    """A strategy instance in a config is walked as a copy, so its
+    draws never carry from one run (or cell) into the next."""
+
+    def config(self, strategy):
+        return NetworkConfig(topology=tree([200_000, 400_000, 800_000]),
+                             strategy=strategy)
+
+    def test_same_config_twice(self, tiny_dfn_trace):
+        config = self.config(ProbCache(seed=3))
+        first = run_network(tiny_dfn_trace, config)
+        assert run_network(tiny_dfn_trace, config).as_dict() == \
+            first.as_dict()
+        assert first.as_dict() == run_network(
+            tiny_dfn_trace, self.config(ProbCache(seed=3))).as_dict()
+
+    def test_cells_sharing_an_instance(self, tiny_dfn_trace):
+        shared = ProbCache(seed=3)
+        together = run_network_cells(
+            tiny_dfn_trace, [self.config(shared), self.config(shared)])
+        apart = run_network_cells(
+            tiny_dfn_trace, [self.config(ProbCache(seed=3)),
+                             self.config(ProbCache(seed=3))])
+        assert [r.as_dict() for r in together] == \
+            [r.as_dict() for r in apart]
+
+
+class TestChunking:
+    """The walk decodes ``DEFAULT_CHUNK_SIZE`` requests at a time; the
+    edge round-robin, the warm-up boundary and the latency means run
+    on across chunk ends."""
+
+    @staticmethod
+    def outcome(trace, config):
+        result = run_network(trace, config)
+        return result.as_dict(), [
+            (node.latency.count, node.latency.mean)
+            for node in result.nodes.values()]
+
+    @pytest.mark.parametrize("measure_latency", [False, True])
+    @pytest.mark.parametrize("topology, strategy", [
+        (sibling_mesh(300_000, n_proxies=3), "lce"),   # 3 ∤ 7
+        (sibling_mesh(300_000, n_proxies=3), "probcache"),
+        (tree([100_000, 200_000, 400_000]), "lcd"),
+        (tree([100_000, 200_000, 400_000]), "probcache"),
+    ], ids=lambda value: getattr(value, "name", value))
+    def test_chunk_size_does_not_show(self, topology, strategy,
+                                      measure_latency, tiny_dfn_trace,
+                                      monkeypatch):
+        trace = Trace(tiny_dfn_trace.requests[:3000], name="head")
+        config = NetworkConfig(topology=topology, strategy=strategy,
+                               measure_latency=measure_latency)
+        whole = self.outcome(trace, config)
+        assert len(trace) < vectorized.DEFAULT_CHUNK_SIZE
+        for chunk_size in (7, 1):
+            monkeypatch.setattr(vectorized, "DEFAULT_CHUNK_SIZE",
+                                chunk_size)
+            assert self.outcome(trace, config) == whole, chunk_size

@@ -7,7 +7,9 @@ Four families of guarantees, all byte-for-byte:
   hand-written loops that predate the engine, and the non-LCE walk
   (``tree`` / ``path`` / ``sibling_mesh`` under ``lcd`` and
   ``probcache``, sibling serves both ways, latency) — replayed through
-  the same cell builders ``gen_goldens.py`` regenerates them with;
+  the same cell builders ``gen_goldens.py`` regenerates them with, the
+  walk from every trace *source* (a ``Trace``, a request iterator, an
+  ``.rcol``: it reads columns, never ``Request`` objects);
 * a ``single`` topology under LCE equals the single-cache
   :class:`~repro.simulation.simulator.CacheSimulator`;
 * the vectorized fast path equals the object walk on every eligible
@@ -74,21 +76,35 @@ class TestMeshGoldens:
         ) == GOLDEN_MESH["cells"][key]
 
 
+@pytest.fixture(scope="session")
+def golden_rcol(golden_trace, tmp_path_factory):
+    target = tmp_path_factory.mktemp("rcol") / "golden.rcol"
+    write_columnar(target, golden_trace.requests, name=golden_trace.name)
+    return ColumnarTrace(target)
+
+
 class TestWalkGoldens:
     """The walk no LCE golden takes: ``get`` probes, strategy-chosen
-    copies, sibling serves with and without replication, latency."""
+    copies, sibling serves with and without replication, latency —
+    the same pinned cell whichever source the columns come from."""
 
     def test_every_cell_is_pinned(self):
         assert sorted(GOLDEN_WALK["cells"]) == sorted(walk_keys())
 
     @pytest.mark.parametrize("key", sorted(GOLDEN_WALK["cells"]))
-    def test_cell(self, key, golden_trace):
+    def test_cell(self, key, golden_trace, golden_rcol):
         meta = GOLDEN_WALK["meta"]
-        assert walk_cell(
-            golden_trace, meta["child_capacity_bytes"],
-            meta["parent_capacity_bytes"],
-            meta["proxy_capacity_bytes"], key
-        ) == GOLDEN_WALK["cells"][key]
+        feeds = {"trace": golden_trace, "rcol": golden_rcol,
+                 "iterator": iter(golden_trace.requests)}
+        for source, feed in feeds.items():
+            cell = walk_cell(
+                feed, meta["child_capacity_bytes"],
+                meta["parent_capacity_bytes"],
+                meta["proxy_capacity_bytes"], key)
+            if source == "iterator":      # carries no name of its own
+                assert cell.pop("trace_name") == "trace"
+                cell["trace_name"] = golden_trace.name
+            assert cell == GOLDEN_WALK["cells"][key], source
 
 
 class TestSingleNodeEquivalence:
@@ -284,3 +300,51 @@ class TestOneDispatchPoint:
         run_network_cells(columnar_trace, [
             NetworkConfig(topology=topologies()[0], strategy="lcd")])
         assert calls == []
+
+
+class TestWalkReadsColumns:
+    """The walk is a column driver: no ``Request`` is built from an
+    ``.rcol``, and an iterator is gathered once for the whole batch."""
+
+    def walk_configs(self):
+        return [NetworkConfig(topology=topologies()[3], strategy="lcd"),
+                NetworkConfig(topology=topologies()[1],
+                              strategy="probcache",
+                              measure_latency=True)]
+
+    def test_rcol_walk_builds_no_request(self, columnar_trace,
+                                         capped_trace, monkeypatch):
+        expected = [result.as_dict() for result in run_network_cells(
+            capped_trace, self.walk_configs())]
+
+        def refuse(self, *args):
+            raise AssertionError("the walk decoded a Request")
+
+        monkeypatch.setattr(ColumnarTrace, "iter_requests", refuse)
+        monkeypatch.setattr(ColumnarTrace, "__getitem__", refuse)
+        results = run_network_cells(columnar_trace, self.walk_configs())
+        assert [result.as_dict() for result in results] == expected
+        assert NetworkSimulator(self.walk_configs()[0]).run(
+            columnar_trace).as_dict() == expected[0]
+
+    def test_iterator_is_consumed_exactly_once(self, capped_trace):
+        """One gather feeds the cascade cell and both walk cells."""
+        pulled = []
+
+        def stream():
+            for request in capped_trace.requests:
+                pulled.append(request)
+                yield request
+            pulled.append("exhausted")
+
+        def configs():
+            return [NetworkConfig(topology=topologies()[1])] \
+                + self.walk_configs()
+
+        assert fastpath_eligible(capped_trace, configs()[0])
+        results = run_network_cells(stream(), configs(),
+                                    trace_name=capped_trace.name)
+        assert pulled == capped_trace.requests + ["exhausted"]
+        assert [result.as_dict() for result in results] == [
+            result.as_dict() for result
+            in run_network_cells(capped_trace, configs())]
