@@ -21,6 +21,15 @@ Ops::
     {"op": "delete", "url"}                          -> {"ok": true, "deleted": bool}
     {"op": "stats"}                                  -> {"ok": true, "stats": {...}}
 
+The codec is built once: one ``JSONEncoder`` and one ``JSONDecoder``
+serve every frame (``json.dumps`` with ``separators`` constructs a new
+encoder per call; the bytes are the same).  :meth:`CacheServer._dispatch`
+answers with the response *frame*, not a dict.  The replies that
+depend only on their outcome — ``request`` and ``put`` per
+:class:`AccessOutcome`, the ``get`` miss, ``ping``, ``delete`` either
+way — are encoded once at import, through :func:`encode_frame`; a
+``get`` hit, ``stats`` and errors are encoded per call.
+
 Ordering and back-pressure: a connection's frames are answered in
 arrival order, one response per request, each response one write; all
 whole frames of a received chunk are answered before the loop reads
@@ -43,8 +52,9 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Set, Tuple, Union
 
+from repro.core.policy import AccessOutcome
 from repro.errors import ConfigurationError, ReproError
 from repro.observability.events import emit
 from repro.serving.cache import ServedCache
@@ -54,6 +64,10 @@ from repro.types import DocumentType
 MAX_FRAME = 64 * 1024 * 1024  # refuse absurd frames instead of OOMing
 
 _LEN = struct.Struct(">I")
+
+# Built once: json.dumps with separators builds a new encoder per call.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+_decode_json = json.JSONDecoder().decode
 
 
 class ServingProtocolError(ReproError):
@@ -68,7 +82,7 @@ def encode_frame(message: dict, payload: Optional[bytes] = None) -> bytes:
         raise ConfigurationError("payload_bytes is set by the framing")
     if payload is not None:
         message = {**message, "payload_bytes": len(payload)}
-    header = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    header = _encode_json(message).encode("utf-8")
     if len(header) > MAX_FRAME or (payload is not None
                                    and len(payload) > MAX_FRAME):
         raise ConfigurationError(
@@ -77,6 +91,16 @@ def encode_frame(message: dict, payload: Optional[bytes] = None) -> bytes:
     if payload is None:
         return prefix + header
     return b"".join((prefix, header, payload))
+
+
+#: The replies that depend only on their outcome, encoded once.
+_OUTCOME_FRAMES: Dict[AccessOutcome, bytes] = {
+    outcome: encode_frame({"ok": True, "outcome": outcome.value})
+    for outcome in AccessOutcome}
+_NOT_FOUND = encode_frame({"ok": True, "found": False})
+_PONG = encode_frame({"ok": True, "pong": True})
+_DELETED = encode_frame({"ok": True, "deleted": True})
+_NOT_DELETED = encode_frame({"ok": True, "deleted": False})
 
 
 class FrameDecoder:
@@ -113,7 +137,8 @@ class FrameDecoder:
             if len(buffer) < end:
                 return None
             try:
-                message = json.loads(buffer[_LEN.size:end].decode("utf-8"))
+                message = _decode_json(
+                    buffer[_LEN.size:end].decode("utf-8"))
             except (ValueError, RecursionError) as exc:
                 raise ServingProtocolError(
                     f"header is not UTF-8 JSON: {exc}") from None
@@ -131,25 +156,35 @@ class FrameDecoder:
         size = self._payload_bytes
         if len(buffer) < size:
             return None
-        payload = bytes(buffer[:size])
+        # One copy: a bytearray slice would be a copy of its own.  The
+        # view is released before the buffer is resized.
+        with memoryview(buffer) as view:
+            payload = bytes(view[:size])
         del buffer[:size]
         message, self._message = self._message, None
         return message, payload
 
 
 class CacheProtocol(asyncio.Protocol):
-    """One connection: each request frame answered by the frame of
-    ``dispatch(message, payload)`` (its ``payload`` entry as raw bytes)
-    under the module's ordering and back-pressure rules."""
+    """One connection: each request frame answered by the frame
+    ``dispatch(message, payload)`` returns, under the module's ordering
+    and back-pressure rules.  The transport is a member of
+    ``connections`` from ``connection_made`` to ``connection_lost``."""
 
-    def __init__(self, dispatch: Callable[[dict, Optional[bytes]], dict]):
+    def __init__(self, dispatch: Callable[[dict, Optional[bytes]], bytes],
+                 connections: Set[asyncio.BaseTransport]):
         self._dispatch = dispatch
+        self._connections = connections
         self._decoder = FrameDecoder()
         self._transport: Optional[asyncio.Transport] = None
         self._paused = False
 
     def connection_made(self, transport) -> None:
         self._transport = transport
+        self._connections.add(transport)
+
+    def connection_lost(self, exc) -> None:
+        self._connections.discard(self._transport)
 
     def data_received(self, data: bytes) -> None:
         self._decoder.feed(data)
@@ -180,8 +215,7 @@ class CacheProtocol(asyncio.Protocol):
                 frame = next_frame()
                 if frame is None:
                     return
-                response = self._dispatch(*frame)
-                write(encode_frame(response, response.pop("payload", None)))
+                write(self._dispatch(*frame))
         except ServingProtocolError as exc:
             self._refuse(exc)
 
@@ -200,10 +234,12 @@ class CacheServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set[asyncio.BaseTransport] = set()
 
     async def start(self) -> None:
         self._server = await asyncio.get_running_loop().create_server(
-            lambda: CacheProtocol(self._dispatch), self.host, self.port)
+            lambda: CacheProtocol(self._dispatch, self._connections),
+            self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         shards = (len(self.cache.shard_names)
                   if isinstance(self.cache, ShardedCache) else 1)
@@ -215,8 +251,12 @@ class CacheServer:
              capacity_bytes=self.cache.capacity_bytes)
 
     async def stop(self) -> None:
+        """Stop listening and close every open connection, each once
+        the replies already written to it are flushed."""
         if self._server is not None:
             self._server.close()
+            for transport in tuple(self._connections):
+                transport.close()
             await self._server.wait_closed()
             self._server = None
 
@@ -226,49 +266,45 @@ class CacheServer:
         await self._server.serve_forever()
 
     def _dispatch(self, message: dict,
-                  payload: Optional[bytes] = None) -> dict:
-        """The response to one request, a document body to send back
-        under ``payload``."""
+                  payload: Optional[bytes] = None) -> bytes:
+        """The response frame to one request."""
         try:
             op = message.get("op")
+            if op == "request":
+                return _OUTCOME_FRAMES[self.cache.request(
+                    message["url"], _size(message),
+                    DocumentType(message.get("doc_type", "other")))]
+            if op == "get":
+                document = self.cache.get(message["url"])
+                if document is None:
+                    return _NOT_FOUND
+                return encode_frame(
+                    {"ok": True, "found": True, "url": document.url,
+                     "size": document.size,
+                     "doc_type": document.doc_type.value,
+                     "frequency": document.frequency}, document.payload)
+            if op == "put":
+                return _OUTCOME_FRAMES[self.cache.put(
+                    message["url"], _size(message),
+                    DocumentType(message.get("doc_type", "other")),
+                    payload)]
             if op == "ping":
-                return {"ok": True, "pong": True}
+                return _PONG
+            if op == "delete":
+                return (_DELETED if self.cache.delete(message["url"])
+                        else _NOT_DELETED)
             if op == "stats":
                 stats = self.cache.stats()
                 if not isinstance(stats, dict):
                     stats = stats.as_dict()
                 if isinstance(self.cache, ShardedCache):
                     self.cache.publish_metrics()
-                return {"ok": True, "stats": stats}
-            if op == "request":
-                outcome = self.cache.request(
-                    message["url"], _size(message),
-                    DocumentType(message.get("doc_type", "other")))
-                return {"ok": True, "outcome": outcome.value}
-            if op == "get":
-                document = self.cache.get(message["url"])
-                if document is None:
-                    return {"ok": True, "found": False}
-                response = {"ok": True, "found": True,
-                            "url": document.url, "size": document.size,
-                            "doc_type": document.doc_type.value,
-                            "frequency": document.frequency}
-                if document.payload is not None:
-                    response["payload"] = document.payload
-                return response
-            if op == "put":
-                outcome = self.cache.put(
-                    message["url"], _size(message),
-                    DocumentType(message.get("doc_type", "other")),
-                    payload)
-                return {"ok": True, "outcome": outcome.value}
-            if op == "delete":
-                return {"ok": True,
-                        "deleted": self.cache.delete(message["url"])}
-            return {"ok": False, "error": f"unknown op {op!r}"}
+                return encode_frame({"ok": True, "stats": stats})
+            return encode_frame(
+                {"ok": False, "error": f"unknown op {op!r}"})
         except Exception as exc:  # surface, don't kill the connection
-            return {"ok": False,
-                    "error": f"{type(exc).__name__}: {exc}"}
+            return encode_frame({"ok": False,
+                                 "error": f"{type(exc).__name__}: {exc}"})
 
 
 def _size(message: dict) -> int:

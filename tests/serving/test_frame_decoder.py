@@ -4,7 +4,9 @@ else."""
 
 from __future__ import annotations
 
+import json
 import struct
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -77,6 +79,37 @@ def test_byte_at_a_time_holds_back_until_the_frame_is_whole():
     assert not decoder.pending()
 
 
+def _reference_frame(message: dict, payload=None) -> bytes:
+    """The frame as ``json.dumps`` with compact separators spells it."""
+    if payload is not None:
+        message = {**message, "payload_bytes": len(payload)}
+    header = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    return _raw(header, payload or b"")
+
+
+@settings(max_examples=300, deadline=None)
+@given(message=_messages, payload=st.none() | st.binary(max_size=300))
+def test_encoding_is_byte_identical_to_json_dumps(message, payload):
+    assert encode_frame(message, payload) == _reference_frame(message,
+                                                              payload)
+
+
+def test_a_payload_is_copied_once():
+    """Taking a 4 MiB payload out of the buffer allocates the payload
+    and not a second copy of it."""
+    size = 4 << 20
+    decoder = FrameDecoder()
+    decoder.feed(encode_frame({"op": "put"}, bytes(size)))
+    tracemalloc.start()
+    try:
+        message, payload = decoder.next_frame()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (message, len(payload)) == ({"op": "put"}, size)
+    assert peak < 1.5 * size
+
+
 @st.composite
 def _hostile(draw) -> bytes:
     """Arbitrary bytes, or a valid stream with one slice overwritten."""
@@ -119,10 +152,12 @@ def test_hostile_bytes_raise_only_the_frame_error(stream, bound, data):
     b'[1,2]', b'"ok"', b'7', b'null',
     b'{"ok":', b'\xff\xfe{}', b'',
     b'[' * 100_000,
+    b'\xef\xbb\xbf{}', b'{}x',
 ], ids=["payload-over-bound", "payload-negative", "payload-float",
         "payload-string", "payload-bool", "payload-null", "array",
         "string", "number", "null", "truncated-json", "not-utf8",
-        "empty", "nested-past-the-recursion-limit"])
+        "empty", "nested-past-the-recursion-limit", "utf8-bom",
+        "trailing-data"])
 def test_bad_headers_are_frame_errors(header):
     decoder = FrameDecoder()
     decoder.feed(_raw(header))

@@ -13,6 +13,8 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.core.policy import AccessOutcome
+from repro.serving import server as wire
 from repro.serving.cache import ServedCache
 from repro.serving.client import (
     AsyncCacheClient,
@@ -35,6 +37,7 @@ class _ServerThread:
 
     def __init__(self, cache):
         self.cache = cache
+        self.server = CacheServer(cache, port=0)
         self.port = None
         self._loop = None
         self._started = threading.Event()
@@ -52,15 +55,19 @@ class _ServerThread:
     def _run(self):
         self._loop = asyncio.new_event_loop()
         asyncio.set_event_loop(self._loop)
-        server = CacheServer(self.cache, port=0)
-        self._loop.run_until_complete(server.start())
-        self.port = server.port
+        self._loop.run_until_complete(self.server.start())
+        self.port = self.server.port
         self._started.set()
         try:
             self._loop.run_forever()
         finally:
-            self._loop.run_until_complete(server.stop())
+            self._loop.run_until_complete(self.server.stop())
             self._loop.close()
+
+    def stop_server(self):
+        """``CacheServer.stop()`` on the running loop."""
+        asyncio.run_coroutine_threadsafe(
+            self.server.stop(), self._loop).result(10.0)
 
 
 def test_sync_client_roundtrip():
@@ -108,6 +115,16 @@ def test_server_surfaces_cache_errors():
             with pytest.raises(ServingProtocolError):
                 client.request("a", -5)  # negative size
             assert client.ping()
+
+
+def test_stop_closes_open_connections():
+    with _ServerThread(ServedCache(1000, "lru")) as server:
+        with CacheClient(port=server.port) as client:
+            assert client.ping()
+            server.stop_server()
+            with pytest.raises(ServingProtocolError,
+                               match="closed mid-frame"):
+                client.ping()
 
 
 def test_async_client_roundtrip():
@@ -416,7 +433,7 @@ class _FakeTransport:
 
 
 def _connect(cache, pause_at=0):
-    protocol = CacheProtocol(CacheServer(cache)._dispatch)
+    protocol = CacheProtocol(CacheServer(cache)._dispatch, set())
     transport = _FakeTransport(protocol, pause_at)
     protocol.connection_made(transport)
     return protocol, transport
@@ -489,3 +506,41 @@ def test_frame_encoding_is_length_prefixed():
     # Empty is a payload; None is none.
     assert b"payload_bytes" in encode_frame({"ok": True}, b"")
     assert b"payload_bytes" not in encode_frame({"ok": True})
+
+
+def _decoded(frame: bytes) -> tuple:
+    decoder = FrameDecoder()
+    decoder.feed(frame)
+    decoded = decoder.next_frame()
+    assert not decoder.pending()
+    return decoded
+
+
+#: Requests whose replies are encoded once, in order against one
+#: 1000-byte cache, each with the reply dict its verb builds.
+FIXED_REPLIES = [
+    ({"op": "ping"}, {"ok": True, "pong": True}),
+    ({"op": "request", "url": "a", "size": 3},
+     {"ok": True, "outcome": "miss"}),
+    ({"op": "request", "url": "a", "size": 3},
+     {"ok": True, "outcome": "hit"}),
+    ({"op": "request", "url": "a", "size": 4},
+     {"ok": True, "outcome": "miss-modified"}),
+    ({"op": "request", "url": "big", "size": 1001},
+     {"ok": True, "outcome": "miss-too-big"}),
+    ({"op": "put", "url": "b", "size": 2, "doc_type": "html"},
+     {"ok": True, "outcome": "miss"}),
+    ({"op": "put", "url": "b", "size": 2}, {"ok": True, "outcome": "hit"}),
+    ({"op": "get", "url": "nowhere"}, {"ok": True, "found": False}),
+    ({"op": "delete", "url": "a"}, {"ok": True, "deleted": True}),
+    ({"op": "delete", "url": "a"}, {"ok": True, "deleted": False}),
+]
+
+
+def test_fixed_replies_decode_to_the_verbs_reply():
+    dispatch = CacheServer(ServedCache(1000, "lru"))._dispatch
+    for request, reply in FIXED_REPLIES:
+        assert _decoded(dispatch(request)) == (reply, None), request
+    for outcome in AccessOutcome:
+        assert _decoded(wire._OUTCOME_FRAMES[outcome]) == (
+            {"ok": True, "outcome": outcome.value}, None)
