@@ -11,7 +11,9 @@ Regenerate with ``python tests/core/test_victim_order.py`` (the first
 ten entries in the repo were computed from the sift-based heap, before
 ``AddressableHeap`` moved onto ``heapq``; ``gd*t(1)``, ``gd*(p)``,
 ``landlord(p)`` and ``belady`` from the per-policy heaps, before the
-ten policies moved onto ``core/heap_policy.py``).
+ten policies moved onto ``core/heap_policy.py``; the two online-β
+cells from the heap policies before their per-entry bookkeeping moved
+into ``_key``).
 """
 
 import hashlib
@@ -21,9 +23,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.belady import BeladyPolicy, compute_next_uses
+from repro.core.beta_estimator import OnlineBetaEstimator
 from repro.core.cache import Cache
+from repro.core.cost import ConstantCost
+from repro.core.gdstar import GDStarPolicy
+from repro.core.gdstar_typed import GDStarTypedPolicy
 from repro.core.registry import make_policy
-from repro.types import Request
+from repro.types import DOCUMENT_TYPES, Request
 from repro.workload.generator import generate_trace
 from repro.workload.profiles import dfn_like
 
@@ -39,6 +45,24 @@ POLICIES = {name: (name, {}) for name in (
     "lfu-da", "lfu", "size", "lru-2", "landlord(1)", "landlord(p)",
     "belady")}
 POLICIES["gd*(1) beta=0.5"] = ("gd*(1)", {"fixed_beta": 0.5})
+
+
+def online_estimator():
+    """Refits every 200 reuse gaps from 100 samples: short enough for
+    β to leave 1 on the golden trace."""
+    return OnlineBetaEstimator(refresh_interval=200, min_samples=100)
+
+
+#: Online-β cells, which also pin each estimator's final β, refresh
+#: count and observation count (one estimator per document type for
+#: ``gd*t``).
+ONLINE = {
+    "gd*(1) online": lambda: GDStarPolicy(ConstantCost(),
+                                          online_estimator()),
+    "gd*t(1) online": lambda: GDStarTypedPolicy(ConstantCost(),
+                                                online_estimator),
+}
+POLICIES.update({key: (key, {}) for key in ONLINE})
 
 CAPACITY_BYTES = 1_000_000   # ~2 % of the trace's distinct bytes
 
@@ -67,6 +91,8 @@ def victim_order(key, references):
         policy = BeladyPolicy(compute_next_uses(
             [Request(0.0, url, size, size, doc_type)
              for url, size, doc_type in references]))
+    elif key in ONLINE:
+        policy = ONLINE[key]()
     else:
         policy = make_policy(name, **kwargs)
     cache = Cache(CAPACITY_BYTES, policy)
@@ -76,7 +102,7 @@ def victim_order(key, references):
     for url, size, doc_type in references:
         cache.reference(url, size, doc_type)
     cache.check_invariants()
-    return {
+    observed = {
         "sha256": hashlib.sha256(
             json.dumps(departures).encode("utf-8")).hexdigest(),
         "head": [f"{url} @{clock}" for url, clock in departures[:HEAD]],
@@ -87,6 +113,14 @@ def victim_order(key, references):
         # The Greedy-Dual members' final L; None for a queue without aging.
         "level": getattr(policy, "inflation", None),
     }
+    if key in ONLINE:
+        estimators = getattr(policy, "estimators", None)
+        estimators = ([estimators[t] for t in DOCUMENT_TYPES]
+                      if estimators is not None else [policy.estimator])
+        observed["estimators"] = [
+            {"beta": e.beta, "refreshes": e.refreshes,
+             "observations": e.observations} for e in estimators]
+    return observed
 
 
 @pytest.fixture(scope="module")
