@@ -48,15 +48,11 @@ class OnlineBetaEstimator:
         self.decay = decay
         self._histogram = LogHistogram(max_value=max_distance,
                                        bins_per_decade=bins_per_decade)
-        self._beta = initial_beta
+        #: Current (clamped) estimate.
+        self.beta = initial_beta
         self._since_refresh = 0
         self.refreshes = 0
         self.observations = 0
-
-    @property
-    def beta(self) -> float:
-        """Current (clamped) estimate."""
-        return self._beta
 
     def observe(self, reuse_distance: float) -> None:
         """Feed one reuse distance (in requests, >= 1)."""
@@ -80,7 +76,7 @@ class OnlineBetaEstimator:
         except ValueError:
             return
         estimate = -slope
-        self._beta = min(max(estimate, self.min_beta), self.max_beta)
+        self.beta = min(max(estimate, self.min_beta), self.max_beta)
         self.refreshes += 1
         if self.decay < 1.0:
             self._histogram.decay(self.decay)
@@ -88,7 +84,7 @@ class OnlineBetaEstimator:
     def force_refresh(self) -> float:
         """Refit immediately (tests and diagnostics); returns beta."""
         self._refresh()
-        return self._beta
+        return self.beta
 
 
 class FixedBetaEstimator:

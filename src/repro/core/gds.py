@@ -32,8 +32,9 @@ class GDSPolicy(GreedyDualPolicy):
     def _key(self, entry: CacheEntry) -> float:
         # On a hit this restores the document's full (inflated) value.
         # Clamp zero-size documents consistently: the same floored
-        # size feeds both the cost model and the denominator.
-        size = max(entry.size, 1)
+        # size feeds both the cost model and the denominator (sizes
+        # are never negative, so ``or 1`` is ``max(size, 1)``).
+        size = entry.size or 1
         cost = self._hint_cost
         if cost is None:
             cost = self.cost_model.cost(size)

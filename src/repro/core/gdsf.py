@@ -23,7 +23,7 @@ class GDSFPolicy(GreedyDualPolicy):
         self.name = f"gdsf({self.cost_model.tag.lower()})"
 
     def _key(self, entry: CacheEntry) -> float:
-        size = max(entry.size, 1)
+        size = entry.size or 1
         cost = self._hint_cost
         if cost is None:
             cost = self.cost_model.cost(size)

@@ -52,42 +52,26 @@ class GDStarTypedPolicy(GreedyDualPolicy):
         return self.estimators[doc_type].beta
 
     def _key(self, entry: CacheEntry) -> float:
-        size = max(entry.size, 1)
+        # As GDStarPolicy._key, with the entry's own type's estimator.
+        self._clock = clock = self._clock + 1
+        estimator = self.estimators[entry.doc_type]
+        last = entry.policy_data
+        if last is not None:
+            estimator.observe(clock - last)
+        entry.policy_data = clock
+        size = entry.size or 1
         cost = self._hint_cost
         if cost is None:
             cost = self.cost_model.cost(size)
         utility = entry.frequency * cost / size
         if utility > _MAX_UTILITY:
             utility = _MAX_UTILITY
-        exponent = 1.0 / self.estimators[entry.doc_type].beta
+        exponent = 1.0 / estimator.beta
         try:
             powered = utility ** exponent
         except OverflowError:
             powered = _MAX_UTILITY ** 2
         return self.inflation + powered
-
-    def on_admit(self, entry: CacheEntry) -> None:
-        self._clock += 1
-        entry.policy_data = self._clock
-        self._heap.push(entry, self._key(entry))
-
-    def on_hit(self, entry: CacheEntry) -> None:
-        self._clock += 1
-        last = entry.policy_data
-        if last is not None:
-            self.estimators[entry.doc_type].observe(self._clock - last)
-        entry.policy_data = self._clock
-        self._heap.update_key(entry, self._key(entry))
-
-    def pop_victim(self) -> CacheEntry:
-        entry, h_min = self._heap.pop()
-        self.inflation = h_min
-        entry.policy_data = None
-        return entry
-
-    def remove(self, entry: CacheEntry) -> None:
-        self._heap.remove(entry)
-        entry.policy_data = None
 
     def clear(self) -> None:
         super().clear()

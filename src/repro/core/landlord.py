@@ -40,24 +40,23 @@ class LandlordPolicy(GreedyDualPolicy):
         self.name = f"landlord({self.cost_model.tag.lower()})"
 
     def _key(self, entry: CacheEntry) -> float:
-        # Expiry level at full credit c(p).
-        size = max(entry.size, 1)
+        # Expiry level at full credit c(p): an admission's key.
+        size = entry.size or 1
         cost = self._hint_cost
         if cost is None:
             cost = self.cost_model.cost(size)
-        return self.inflation + cost / size
-
-    def on_hit(self, entry: CacheEntry) -> None:
-        # Refresh credit toward full: new expiry interpolates between
-        # the current one and the full-credit level.
-        current = self._heap.key_of(entry)
+        target = self.inflation + cost / size
+        live = self._live.get(entry)
+        if live is None:
+            return target
+        # A hit refreshes credit toward full: the new expiry
+        # interpolates between the current one and the full-credit level.
+        current = live[0]
         if current < self.inflation:
             current = self.inflation
-        target = self._key(entry)
-        refreshed = current + (target - current) * self.refresh
-        self._heap.update_key(entry, refreshed)
+        return current + (target - current) * self.refresh
 
     def credit_of(self, entry: CacheEntry) -> float:
         """Remaining credit of a resident entry (diagnostics)."""
-        expiry = self._heap.key_of(entry)
+        expiry = self.key_of(entry)
         return max(expiry - self.inflation, 0.0) * max(entry.size, 1)

@@ -181,7 +181,7 @@ class ServedCache:
         with self._lock:
             self._cache.check_invariants()
             if isinstance(self.policy, HeapPolicy):
-                self.policy._heap.check_invariants()
+                self.policy.check_invariants()
             for url in self._payloads:
                 assert url in self._cache, (
                     f"payload for non-resident {url!r}")
