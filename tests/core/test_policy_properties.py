@@ -211,3 +211,23 @@ def test_greedy_dual_family_contract(policy_name, references):
     while len(cache):
         cache.invalidate(next(cache.entries()).url)
     assert policy.inflation == level
+
+
+HEAP_BACKED = [name for name in POLICY_NAMES
+               if isinstance(make_policy(name), HeapPolicy)]
+
+
+@pytest.mark.parametrize("policy_name", HEAP_BACKED)
+def test_departed_entries_carry_no_policy_data(policy_name, references):
+    """Members keep per-entry state in ``policy_data`` from ``_key``;
+    whichever way an entry leaves — eviction or invalidation — the
+    shared ``pop_victim`` / ``remove`` clear it."""
+    policy = make_policy(policy_name)
+    cache = Cache(CAPACITY_BYTES, policy)
+    departed = []
+    cache.on_evict = departed.append
+    for url, size, doc_type in references[:3000]:
+        cache.reference(url, size, doc_type)
+    assert cache.evictions > 100 and cache.invalidations > 5
+    assert len(departed) == cache.evictions + cache.invalidations
+    assert all(entry.policy_data is None for entry in departed)
