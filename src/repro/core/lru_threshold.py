@@ -10,7 +10,6 @@ shipped (Squid's ``maximum_object_size``).
 from __future__ import annotations
 
 from repro.core.lru import LRUPolicy
-from repro.core.policy import CacheEntry
 from repro.errors import ConfigurationError
 
 
@@ -32,6 +31,3 @@ class LRUThresholdPolicy(LRUPolicy):
     def admits(self, size: int) -> bool:
         """Admission filter: False for documents above the threshold."""
         return size <= self.threshold_bytes
-
-    def on_admit(self, entry: CacheEntry) -> None:
-        super().on_admit(entry)

@@ -20,12 +20,13 @@ Concurrency contract
 --------------------
 
 Policies are **single-threaded**.  Every mutation point — the dlist
-relinks of :meth:`ReplacementPolicy.on_hit`, the heap pushes and pops
-of ``update_key``/``pop_victim``, the aging-state update of the
-Greedy-Dual family (:mod:`repro.core.heap_policy`) — leaves the backing
+relinks of :meth:`ReplacementPolicy.on_hit`, the heap pushes and pops a
+heap policy (its own heap) writes out in its hooks, the bookkeeping its
+``_key`` updates (:mod:`repro.core.heap_policy`) — leaves the backing
 structure transiently inconsistent (a node unlinked but not relinked, a
-re-keyed tuple pushed onto the heap list but not yet recorded as the
-item's live one, ``inflation`` read before the pop that advances it).
+re-keyed tuple pushed but not yet recorded as the item's live one, a
+reuse clock ticked before its key is pushed, ``inflation`` read before
+the pop that advances it).
 Nothing in :mod:`repro.core` locks, because the simulator drives each
 cache from exactly one thread.
 
