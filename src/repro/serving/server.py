@@ -42,9 +42,14 @@ closed; an unknown op or a cache error is answered ``ok: false`` and
 the connection stays open.
 
 The event loop only frames and decodes; cache work happens in
-``data_received`` directly because every :class:`ServedCache`
-operation is a sub-microsecond lock-plus-dict affair — punting it to a
-thread pool would cost more than the lock ever blocks.
+``data_received`` directly because a :class:`ServedCache` operation is
+a few microseconds of lock plus policy work (a ``gdsf(1)`` ``request``
+on the DFN-like perf-ledger trace is 2–3 µs on a 2-vCPU Xeon, most of
+it ``Cache.reference``) and holds no I/O.  Handing it to a thread pool
+would cost more than the operation: one ``run_in_executor`` round trip
+of a no-op is ~45 µs on the same host, and the GIL keeps pool threads
+from running the policy's Python in parallel anyway, so the lock never
+blocks long enough to win that back.
 """
 
 from __future__ import annotations
