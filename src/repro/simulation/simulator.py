@@ -25,12 +25,14 @@ Size interpretations:
   TRUSTED/PAPER_RULE vs ANY_CHANGE a designed-in ablation.
 
 ``CacheSimulator`` is the independent **per-request reference**: one
-loop, request by request, that resolves the size (:func:`make_resolver`)
-and takes the full request step of a single
+loop, request by request, that resolves the size (:func:`make_resolver`),
+takes one reference through a single
 :class:`~repro.simulation.engine.CacheCell`
-(:meth:`~repro.simulation.engine.CacheCell.process_one`), with none of
-the shared pass's machinery — no columns, no deferred tallies, no fast
-paths.  Every equivalence test and the perf ledger's ``verify()``
+(:meth:`~repro.simulation.engine.CacheCell.step`, the TTL hook the
+plain loop shares) and accounts it on the spot — the only caller of
+:meth:`~repro.simulation.metrics.TypeMetrics.record` — with none of the
+shared pass's machinery: no columns, no hit-column tallies or folds, no
+fast paths.  Every equivalence test and the perf ledger's ``verify()``
 compare :func:`repro.simulation.engine.run_cells` against it; sweeps
 that want N cells per trace pass use ``run_cells`` directly.
 """
@@ -65,9 +67,9 @@ _logger = get_logger("simulation")
 
 def make_resolver(config: SimulationConfig):
     """``resolve(request)`` → the reference tuple ``(url, size,
-    doc_type, transfer, raw_size, timestamp)`` that
-    :meth:`CacheCell.process_one` consumes, with ``size`` read under
-    the config's size interpretation."""
+    doc_type, transfer, raw_size, timestamp)`` the request loop
+    consumes, with ``size`` read under the config's size
+    interpretation."""
     interp = config.size_interpretation
     if interp is SizeInterpretation.TRUSTED:
         def resolve(r: Request) -> tuple:
@@ -146,21 +148,35 @@ class CacheSimulator:
                    trace_name: str = "stream") -> SimulationResult:
         """Simulate an unbounded stream with an absolute warm-up count.
 
-        Every request takes the cell's full per-request step
-        (:meth:`~repro.simulation.engine.CacheCell.process_one`), so
-        cost, latency, TTL and occupancy accounting match :meth:`run`.
+        Every request takes the cell's
+        :meth:`~repro.simulation.engine.CacheCell.step` and is accounted
+        here, so cost, latency, TTL and occupancy accounting match
+        :meth:`run`.
         """
         timings = self.phase_timings = PhaseTimings()
         cell = self._cell
-        cell.begin_run(warmup_requests, deferred=False)
+        cell.begin_run(warmup_requests)
         resolve = self._resolve
-        process_one = cell.process_one
+        step = cell.step
+        metrics = cell.metrics
+        report = self.config.report_cost_model
+        latency = cell.latency
+        occupancy = cell.occupancy
         total = 0
         with _span("stream", policy=str(self.config.policy)), \
                 phase_timer("stream", timings):
             for request in requests:
                 total += 1
-                process_one(resolve(request), total)
+                url, size, doc_type, transfer, raw, stamp = resolve(request)
+                hit = step(url, size, doc_type, stamp)
+                if total > warmup_requests:
+                    cost = report.cost(raw) if report is not None else 0.0
+                    metrics.record(doc_type, hit, transfer, cost)
+                    if latency is not None:
+                        latency.record(doc_type, hit, transfer)
+                        latency.record_baseline(transfer)
+                if occupancy is not None:
+                    occupancy.maybe_sample(cell.cache, total)
         with phase_timer("aggregate", timings):
             result = cell.finalize(trace_name, total,
                                    warmup=min(warmup_requests, total))

@@ -9,15 +9,16 @@ to the per-request reference
 (:class:`~repro.simulation.simulator.CacheSimulator`):
 
 * **resolution** — size-interpretation reconstruction
-  (:class:`ColumnarReferenceStream`) runs as array ops: ``TRUSTED`` is
-  the size column itself, ``ANY_CHANGE`` the transfer column, and the
-  paper rule falls back to the scalar recurrence only for the (rare)
-  documents whose logged sizes actually vary;
-* **tallies** — the warm-up-gated per-type counting of every deferred
-  cell, both sides: each kernel below only yields a hit column, and
-  one :class:`Tally` per pass turns a column into ``[requests, bytes]``
+  (:func:`resolve_sizes`, once per resolver key) runs as array ops:
+  ``TRUSTED`` is the size column itself, ``ANY_CHANGE`` the transfer
+  column, and the paper rule falls back to the scalar recurrence only
+  for the (rare) documents whose logged sizes actually vary;
+* **tallies** — the warm-up-gated per-type counting of every cell,
+  both sides: each kernel below only yields a hit column, and one
+  :class:`Tally` per pass turns a column into ``[requests, bytes]``
   per document type as masked integer sums (the network engines count
-  their per-node columns through the same class);
+  their per-node columns through the same class), while
+  :meth:`CacheCell.account` folds any cost and latency over it;
 * **the LRU ladder** — byte-weighted stack distances feed vectorized
   per-capacity hit tests and final-resident counting
   (:func:`split_ladder`, :func:`run_lru_ladder`);
@@ -29,8 +30,8 @@ to the per-request reference
   and consumed through the policies' ``_hint_cost`` slot.
 
 Which cell takes which kernel is decided in one place,
-:func:`repro.simulation.engine.fast_path`.  Cells that fit none consume
-ordinary resolved-tuple chunks via :meth:`CacheCell.process_chunk`,
+:func:`repro.simulation.engine.fast_path`.  Cells that fit none run the
+plain loop, :meth:`CacheCell.process_chunk`, over the same lists,
 decoded once per chunk from the columns.
 
 Bit-identity caveat: array float ops round ``int64 → float64`` before
@@ -41,6 +42,7 @@ real trace.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -84,8 +86,7 @@ def _resolve_paper(trace, tolerance: float) -> np.ndarray:
     size (first/unchanged/within-tolerance all emit the logged value);
     only documents with varying logged sizes replay the
     :class:`~repro.trace.modification.ModificationDetector` recurrence,
-    scalar per group, preserving its arithmetic — including the
-    ``ZeroDivisionError`` a zero previous size raises.
+    scalar per group, preserving its arithmetic.
     """
     doc = trace.doc_ids
     logged = trace.transfers
@@ -117,7 +118,10 @@ def _resolve_paper(trace, tolerance: float) -> np.ndarray:
             if previous is None:
                 previous = size
             elif size != previous:
-                delta = abs(size - previous) / previous
+                # A zero previous size is the rule's limit, as in the
+                # detector: an infinite delta.
+                delta = (abs(size - previous) / previous if previous
+                         else math.inf)
                 if delta < tolerance or size > previous:
                     previous = size
                 # else: interrupted transfer; the belief stays put.
@@ -125,34 +129,17 @@ def _resolve_paper(trace, tolerance: float) -> np.ndarray:
     return out
 
 
-class ColumnarReferenceStream:
-    """Resolves size-interpretation columns once per pass.
-
-    Resolution state is keyed by
-    :func:`~repro.simulation.engine.resolver_key` and memoized, so
-    every cell sharing those knobs reads the same resolved column.
-    """
-
-    def __init__(self, trace):
-        self.trace = trace
-        self._resolved: Dict[tuple, np.ndarray] = {}
-
-    def resolved_sizes(self, key: tuple) -> np.ndarray:
-        column = self._resolved.get(key)
-        if column is None:
-            column = self._resolve(key)
-            self._resolved[key] = column
-        return column
-
-    def _resolve(self, key: tuple) -> np.ndarray:
-        if key == ("trusted",):
-            return self.trace.sizes
-        interpretation, tolerance = key
-        if interpretation == SizeInterpretation.ANY_CHANGE.value:
-            # The detector's belief after any change is the logged
-            # size itself, so the column resolves to the transfers.
-            return self.trace.transfers
-        return _resolve_paper(self.trace, tolerance)
+def resolve_sizes(trace, key: tuple) -> np.ndarray:
+    """The document-size column of a trace's columns under one
+    :func:`~repro.simulation.engine.resolver_key`."""
+    if key == ("trusted",):
+        return trace.sizes
+    interpretation, tolerance = key
+    if interpretation == SizeInterpretation.ANY_CHANGE.value:
+        # The detector's belief after any change is the logged
+        # size itself, so the column resolves to the transfers.
+        return trace.transfers
+    return _resolve_paper(trace, tolerance)
 
 
 # ----- the one tally ---------------------------------------------------------
@@ -257,8 +244,8 @@ def split_ladder(source, cells: Sequence[CacheCell]) -> tuple:
     return ladder, [cell for cell in cells if id(cell) not in excluded]
 
 
-def run_lru_ladder(doc_ids: np.ndarray, sizes: np.ndarray,
-                   tally: Tally, cells: Sequence[CacheCell]) -> None:
+def run_lru_ladder(columns, tally: Tally,
+                   cells: Sequence[CacheCell]) -> None:
     """Serve eligible LRU cells from one vectorized stack-distance pass.
 
     Hits: a reference hits capacity ``C`` iff byte-weighted stack
@@ -269,14 +256,14 @@ def run_lru_ladder(doc_ids: np.ndarray, sizes: np.ndarray,
     out of the last-reference recency order.
 
     The stack-distance Fenwick loop stays scalar (python-int exact);
-    everything downstream — per-capacity hit tests, ``tally``'s
-    per-type counting, final-resident counting — runs as column ops.
-    All tallies are integers, so the results match per-request
-    simulation exactly.
+    everything downstream — per-capacity hit tests, final-resident
+    counting — runs as column ops, and each cell's hit column is
+    counted by :meth:`CacheCell.account`.
     """
     # Lazy: repro.analysis imports repro.simulation (tables -> results).
     from repro.analysis.stack_distance import weighted_stack_distances
 
+    doc_ids, sizes = columns.doc_ids, columns.sizes
     n = len(doc_ids)
     if n == 0:
         for cell in cells:
@@ -289,8 +276,7 @@ def run_lru_ladder(doc_ids: np.ndarray, sizes: np.ndarray,
     for cell in cells:
         hit = needed <= cell.config.capacity_bytes
         total_hits.append(int(np.count_nonzero(hit)))
-        cell.metrics.add(tally.totals(cell._warmup),
-                         tally.totals(cell._warmup, hit))
+        cell.account(tally, hit, columns)
 
     # Final residents: walk last references in recency order and count
     # how many fit each capacity (prefix bytes + own size <= C).
@@ -328,8 +314,8 @@ def run_lru_ladder(doc_ids: np.ndarray, sizes: np.ndarray,
 
 def _run_fifo_cell(cell: CacheCell, doc_list: list,
                    size_list: list) -> bytearray:
-    """Replay :meth:`Cache.reference` for a deferred FIFO cell and
-    return its hit column.
+    """Replay :meth:`Cache.reference` for a FIFO cell and return its
+    hit column.
 
     FIFO never reorders on hits, so residency is just an insertion-
     ordered ``doc id -> size`` dict: hit iff resident at the same size,
@@ -375,7 +361,7 @@ def _run_fifo_cell(cell: CacheCell, doc_list: list,
     return hit
 
 
-# ----- chunked tuple dispatch for everything else ---------------------------
+# ----- chunked dispatch for everything else --------------------------------
 
 
 def _cost_model_key(model) -> tuple:
@@ -406,48 +392,37 @@ def decode_chunks(trace):
                [DOCUMENT_TYPES[c] for c in codes[start:end].tolist()])
 
 
-def _drive_chunks(trace, stream: ColumnarReferenceStream,
-                  transfers: np.ndarray,
+def _drive_chunks(trace, resolved: Dict[tuple, np.ndarray],
                   plain: Dict[tuple, List[CacheCell]],
                   hinted: Dict[tuple, List[tuple]],
                   hit_of: Dict[CacheCell, np.ndarray]) -> None:
-    """Decode each chunk's columns once and feed every consumer (plain
-    cells a resolved 6-tuple chunk, built only for their resolver keys;
-    hinted cells the column lists); a deferred cell's chunk of hits
-    lands in its ``hit_of`` column."""
+    """Decode each chunk's columns once and feed every consumer its
+    lists (plain cells the timestamps too, hinted cells their key
+    costs); each cell's chunk of hits lands in its ``hit_of`` column."""
     keys = set(plain) | set(hinted)
     if not keys:
         return
-    raw_sizes = trace.sizes
-    timestamps = trace.timestamps
-    resolved = {key: stream.resolved_sizes(key) for key in keys}
     for start, end, url_chunk, type_chunk in decode_chunks(trace):
         cost_cache: Dict[tuple, list] = {}
+        stamps = trace.timestamps[start:end].tolist() if plain else None
         for key in keys:
             resolved_slice = resolved[key][start:end]
             size_list = resolved_slice.tolist()
-            cells = plain.get(key)
-            if cells:
-                chunk = list(zip(url_chunk, size_list, type_chunk,
-                                 transfers[start:end].tolist(),
-                                 raw_sizes[start:end].tolist(),
-                                 timestamps[start:end].tolist()))
-                for cell in cells:
-                    hits = cell.process_chunk(chunk, start)
-                    if hits is not None:
-                        hit_of[cell][start:end] = hits
-            pairs = hinted.get(key)
-            if pairs:
-                clamped = None
-                for cell, model, model_key in pairs:
-                    costs = cost_cache.get((key, model_key))
-                    if costs is None:
-                        if clamped is None:
-                            clamped = np.maximum(resolved_slice, 1)
-                        costs = model.cost_array(clamped).tolist()
-                        cost_cache[(key, model_key)] = costs
-                    hit_of[cell][start:end] = cell.process_chunk_hinted(
-                        url_chunk, size_list, type_chunk, costs)
+            for cell in plain.get(key, ()):
+                hit_of[cell][start:end] = cell.run_chunk(
+                    cell.process_chunk, start, url_chunk, size_list,
+                    type_chunk, stamps)
+            clamped = None
+            for cell, model, model_key in hinted.get(key, ()):
+                costs = cost_cache.get((key, model_key))
+                if costs is None:
+                    if clamped is None:
+                        clamped = np.maximum(resolved_slice, 1)
+                    costs = model.cost_array(clamped).tolist()
+                    cost_cache[(key, model_key)] = costs
+                hit_of[cell][start:end] = cell.run_chunk(
+                    cell.process_chunk_hinted, start, url_chunk,
+                    size_list, type_chunk, costs)
 
 
 # ----- the columnar pass ----------------------------------------------------
@@ -455,28 +430,24 @@ def _drive_chunks(trace, stream: ColumnarReferenceStream,
 
 def drive_columnar(trace, cells: Sequence[CacheCell], tally: Tally,
                    timings: PhaseTimings) -> int:
-    """Drive ``cells`` over a trace's columns; every deferred cell's
-    hit column is counted into its metrics by ``tally``.
+    """Drive ``cells`` over a trace's columns; each cell's hit column is
+    counted by :meth:`CacheCell.account`.
 
     The body of :func:`repro.simulation.engine.run_cells` (which has
     already taken the LRU-ladder cells out of ``cells``).  Returns how
     many cells the FIFO shadow queue served.
     """
-    stream = ColumnarReferenceStream(trace)
-    keys = set()
     fifo: List[Tuple[CacheCell, tuple]] = []
     plain: Dict[tuple, List[CacheCell]] = {}
     hinted: Dict[tuple, List[tuple]] = {}
     hit_of: Dict[CacheCell, np.ndarray] = {}
     for cell in cells:
         key = resolver_key(cell.config)
-        keys.add(key)
         path = fast_path(cell)
         if path == "fifo":
             fifo.append((cell, key))
             continue
-        if cell.deferred:
-            hit_of[cell] = np.zeros(len(trace), dtype=bool)
+        hit_of[cell] = np.zeros(len(trace), dtype=bool)
         if path == "hinted":
             model = cell.policy.cost_model
             hinted.setdefault(key, []).append(
@@ -484,19 +455,17 @@ def drive_columnar(trace, cells: Sequence[CacheCell], tally: Tally,
         else:
             plain.setdefault(key, []).append(cell)
     with _span("resolve"), phase_timer("resolve", timings):
-        for key in keys:
-            stream.resolved_sizes(key)
+        resolved = {key: resolve_sizes(trace, key) for key in
+                    {resolver_key(cell.config) for cell in cells}}
     with _span("drive"), phase_timer("pass", timings):
-        _drive_chunks(trace, stream, tally.transfers, plain, hinted,
-                      hit_of)
+        _drive_chunks(trace, resolved, plain, hinted, hit_of)
         if fifo:
             doc_list = trace.doc_ids.tolist()
             for cell, key in fifo:
                 hit_of[cell] = np.frombuffer(
                     _run_fifo_cell(cell, doc_list,
-                                   stream.resolved_sizes(key).tolist()),
+                                   resolved[key].tolist()),
                     dtype=bool)
         for cell, hits in hit_of.items():
-            cell.metrics.add(tally.totals(cell._warmup),
-                             tally.totals(cell._warmup, hits))
+            cell.account(tally, hits, trace)
     return len(fifo)

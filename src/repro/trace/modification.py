@@ -29,6 +29,7 @@ the simulator treats it like an invalidation as well.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -103,7 +104,9 @@ class ModificationDetector:
             self._sizes[url] = logged_size
             return self._emit(SizeEvent.MODIFIED, logged_size, True)
 
-        delta = abs(logged_size - previous) / previous
+        # A zero previous size is the rule's limit: an infinite delta.
+        delta = (abs(logged_size - previous) / previous if previous
+                 else math.inf)
         if delta < self.tolerance:
             self._sizes[url] = logged_size
             return self._emit(SizeEvent.MODIFIED, logged_size, True)

@@ -192,7 +192,7 @@ def test_greedy_dual_family_contract(policy_name, references):
     the members that have a cost model, L never decreases, and an
     invalidation (``remove``) never moves it."""
     cell = CacheCell(SimulationConfig(CAPACITY_BYTES, policy_name))
-    cell.begin_run(0, deferred=True)
+    cell.begin_run(0)
     policy, cache = cell.policy, cell.cache
     assert fast_path(cell) == (
         "hinted" if policy.cost_model is not None else None)

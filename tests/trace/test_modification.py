@@ -125,3 +125,15 @@ def test_urls_tracked_independently():
     assert detector.canonical_size("b") == 50
     with pytest.raises(KeyError):
         detector.canonical_size("c")
+
+
+def test_zero_previous_size_is_an_infinite_delta():
+    """A URL first logged with 0 bytes: any positive size afterwards is
+    past every tolerance, so it grows the belief and invalidates."""
+    detector = ModificationDetector()
+    detector.observe("u", 0)
+    obs = detector.observe("u", 100)
+    assert obs.event is SizeEvent.GREW
+    assert obs.document_size == 100
+    assert obs.invalidates
+    assert detector.observe("u", 100).event is SizeEvent.UNCHANGED

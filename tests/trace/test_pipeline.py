@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.trace.pipeline import TracePipeline, load_trace
+from repro.trace.pipeline import TracePipeline, iter_trace, load_trace
+from repro.trace.preprocess import CacheabilityFilter
 from repro.trace.record import LogRecord
 from repro.trace.writer import write_trace
 from repro.types import DocumentType, Request, Trace
@@ -93,6 +94,19 @@ class TestLoadTrace:
         trace = load_trace(path)
         assert len(trace) == 1  # query URL and 404 dropped
         assert trace[0].url == "http://a/x.gif"
+
+    def test_zero_byte_record_then_full_size(self, tmp_path):
+        """Kept zero-byte records: the next positive size grows the
+        reconstruction past the zero belief instead of dividing by it."""
+        path = tmp_path / "access.log"
+        path.write_text(
+            "1.0 10 c TCP_MISS/200 0 GET http://a/x.gif - D/- image/gif\n"
+            "2.0 10 c TCP_MISS/200 100 GET http://a/x.gif - D/- image/gif\n")
+        pipeline = TracePipeline(
+            cacheability=CacheabilityFilter(drop_zero_size=False))
+        out = list(iter_trace(path, pipeline=pipeline))
+        assert [(r.size, r.transfer_size) for r in out] == \
+            [(0, 0), (100, 100)]
 
     def test_load_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
