@@ -160,8 +160,9 @@ def sweep_grid(sweep):
             for capacity, cell in per_capacity.items()}
 
 
-#: The accounting a cell may carry; anything but "plain" keeps it off
-#: the deferred hot loop and every fast path.
+#: The accounting a cell may carry: cost and latency ride every kernel,
+#: occupancy keeps a cell off the ladder and the FIFO queue, and a TTL
+#: keeps it on the plain loop.
 CELL_KINDS = {
     "plain": {},
     "cost": {"report_cost_model": PacketCost()},
@@ -238,8 +239,8 @@ class TestInterpretationAndWarmupEquivalence:
                                        configs)
 
     def test_accounting_cells_share_pass_with_deferred(self, feed):
-        """Occupancy-sampling cells (general mode) coexist with
-        deferred cells in the same pass."""
+        """Occupancy-sampling cells coexist with plain cells in the
+        same pass."""
         trace = mixed_trace()
         configs = [
             SimulationConfig(capacity_bytes=9_000, policy="lru"),

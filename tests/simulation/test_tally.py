@@ -1,7 +1,7 @@
 """The column tally against the per-request reference.
 
-:class:`~repro.simulation.vectorized.Tally` is the one place deferred
-cells, the ladder and both network engines count a hit column into
+:class:`~repro.simulation.vectorized.Tally` is the one place every
+cell of a shared pass and both network engines count a hit column into
 per-type totals; :meth:`TypeMetrics.record`, request by request, is
 what it must equal — for any columns, any warm-up, and sums past the
 int64 guard.
