@@ -363,10 +363,6 @@ def _serving_payload(spec: TrialSpec, trace, capacity: int) -> dict:
     """
     from repro.serving.replay import ReplayConfig, validate_replay
 
-    # Replay drives Request objects through shard threads; a spilled
-    # mmap serves the simulators, not the serving layer.
-    if not isinstance(trace, Trace):
-        trace = Trace(trace, name=trace.name)
     validation = validate_replay(
         trace, ReplayConfig(capacity_bytes=capacity,
                             n_shards=spec.shards,

@@ -125,6 +125,23 @@ class Catalog:
     def type_mask(self, doc_type: DocumentType) -> np.ndarray:
         return self.type_codes == TYPE_CODES[doc_type]
 
+    def restrict(self, documents: np.ndarray,
+                 name: str = "catalog") -> "Catalog":
+        """An empirical catalog's ``documents`` (indices, in order)
+        alone.
+
+        Every array but the probabilities is per document, and those
+        are the restricted counts renormalised, so the catalog
+        restricted to the documents of a request subset equals
+        :func:`catalog_from_trace` of that subset whenever each
+        document's requests all lie in it (the subset's first-seen
+        order being ``documents``' order).
+        """
+        counts = self.counts[documents]
+        return Catalog(counts / counts.sum(), self.sizes[documents],
+                       self.type_codes[documents], counts,
+                       self.mean_transfers[documents], name)
+
     def as_dict(self) -> dict:
         """Summary (not the arrays) for manifests and telemetry."""
         summary = {

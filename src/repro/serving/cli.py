@@ -42,6 +42,7 @@ from repro.serving.replay import (
     validate_replay,
 )
 from repro.serving.sharding import ShardedCache
+from repro.simulation.sweep import cache_sizes_from_fractions
 
 _logger = get_logger("serving.cli")
 
@@ -120,9 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _capacity_for(args, trace) -> int:
     if args.capacity is not None:
         return args.capacity
-    unique_bytes = sum({r.url: r.size
-                        for r in trace.requests}.values())
-    return max(int(unique_bytes * args.size_fraction), args.shards)
+    [capacity] = cache_sizes_from_fractions(trace, [args.size_fraction])
+    return max(capacity, args.shards)
 
 
 def _run_serve(args) -> int:

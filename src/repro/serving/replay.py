@@ -1,16 +1,25 @@
 """Load-replay: fire a workload trace at a sharded served cache.
 
-The harness partitions a trace by the cache's own hash ring (an
-untimed pre-pass), then runs **one thread per shard**, each firing its
-shard's substream in trace order as fast as the lock allows.  One
-thread per shard keeps each shard's request order identical to its
+The harness reads the trace's columns
+(:func:`~repro.trace.columnar.columns_of`) and partitions them by the
+cache's own hash ring — the owner is resolved once per document of the
+url table, and each shard gets its rows in trace order as a
+:class:`~repro.trace.columnar.TraceColumns` substream (an untimed
+pre-pass).  It then runs **one thread per shard**, each firing its
+substream in order as fast as the lock allows and keeping a hit column.
+One thread per shard keeps each shard's request order identical to its
 substream, which is what makes the replayed hit sequence reproducible:
 the served cache must then match a
 :func:`~repro.simulation.engine.run_cells` simulation of the same
 substream *exactly* — and, independently, land within the Che model's
-validation tolerance.  :func:`validate_replay` computes both
-comparisons; CI gates on them (triple-path validation: daemon,
-simulator, and analytical model mutually checking each other).
+validation tolerance.  Per-type counting is the simulator's own: each
+shard's hit column goes through one
+:class:`~repro.simulation.vectorized.Tally` into one
+:class:`~repro.simulation.metrics.TypeMetrics`.
+:func:`validate_replay` computes both comparisons, from one calibration
+of the whole trace narrowed per shard; CI gates on them (triple-path
+validation: daemon, simulator, and analytical model mutually checking
+each other).
 
 Throughput instrumentation is sampled: every ``latency_sample_every``-th
 request is timed with ``perf_counter`` into a reused observability
@@ -24,7 +33,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.core.policy import AccessOutcome
 from repro.errors import ConfigurationError
@@ -35,7 +46,9 @@ from repro.observability.events import emit
 from repro.observability.metrics import Histogram
 from repro.serving.sharding import ShardedCache, split_budget
 from repro.simulation.engine import SimulationConfig, run_cells
-from repro.types import DocumentType, Request, Trace
+from repro.simulation.metrics import TypeMetrics
+from repro.simulation.vectorized import Tally, decode_chunks
+from repro.trace.columnar import TraceColumns, columns_of
 
 #: Latency buckets in seconds: 1 µs to 100 ms.  A lock-plus-dict
 #: request lands in the low microseconds; anything in the ms buckets
@@ -200,29 +213,31 @@ class ReplayValidation:
                 "model_max_error": self.model_max_error}
 
 
-def _requests_of(trace: Union[Trace, Sequence[Request]]
-                 ) -> Sequence[Request]:
-    return trace.requests if isinstance(trace, Trace) else trace
+def partition_trace(trace, cache: ShardedCache
+                    ) -> Dict[str, TraceColumns]:
+    """Each shard's rows of ``trace``, in trace order, as columns.
 
-
-def partition_trace(trace: Union[Trace, Sequence[Request]],
-                    cache: ShardedCache
-                    ) -> Dict[str, List[Request]]:
-    """Group a trace's requests by owning shard, preserving order."""
+    The owner is resolved once per entry of the url table and gathered
+    per row through the doc-id column, so the ring is asked once per
+    document whatever its memo holds.
+    """
+    columns = columns_of(trace)
     ring = cache.ring
-    out: Dict[str, List[Request]] = {name: []
-                                     for name in ring.shards}
-    for request in _requests_of(trace):
-        out[ring.owner(request.url)].append(request)
-    return out
+    shard_of = {name: index for index, name in enumerate(ring.shards)}
+    owners = np.array([shard_of[ring.owner(url)]
+                       for url in columns.urls()], dtype=np.intp)
+    row_owners = owners[columns.doc_ids]
+    return {name: TraceColumns.take(columns,
+                                    np.flatnonzero(row_owners == index))
+            for name, index in shard_of.items()}
 
 
 class _ShardWorker(threading.Thread):
-    """Fires one shard's substream in order; accumulates privately and
-    merges under the report lock at the end (no shared hot state)."""
+    """Fires one shard's substream in order and keeps its hit column
+    (no shared hot state)."""
 
     def __init__(self, cache: ShardedCache, shard: str,
-                 substream: List[Request], sample_every: int,
+                 substream: TraceColumns, sample_every: int,
                  start_gate: threading.Event):
         super().__init__(name=f"replay-{shard}", daemon=True)
         self.cache = cache
@@ -230,9 +245,12 @@ class _ShardWorker(threading.Thread):
         self.substream = substream
         self.sample_every = sample_every
         self.start_gate = start_gate
-        self.hits = 0
-        self.type_hits: Dict[DocumentType, int] = {}
-        self.type_requests: Dict[DocumentType, int] = {}
+        # Decoded before the start gate, so only requests are timed.
+        self.rows: List[tuple] = []
+        for start, end, urls, types in decode_chunks(substream):
+            self.rows.extend(zip(urls, substream.sizes[start:end].tolist(),
+                                 types))
+        self.hit_column: List[bool] = []
         self.latencies: List[float] = []
         self.error: Optional[BaseException] = None
 
@@ -241,35 +259,23 @@ class _ShardWorker(threading.Thread):
             shard = self.cache.shard(self.shard_name)
             sample_every = self.sample_every
             perf = time.perf_counter
-            hits = 0
-            type_hits = self.type_hits
-            type_requests = self.type_requests
+            hit = AccessOutcome.HIT
+            record = self.hit_column.append
             latencies = self.latencies
             self.start_gate.wait()
-            for index, request in enumerate(self.substream):
-                doc_type = request.doc_type
+            for index, (url, size, doc_type) in enumerate(self.rows):
                 if index % sample_every:
-                    outcome = shard.request(request.url, request.size,
-                                            doc_type)
+                    outcome = shard.request(url, size, doc_type)
                 else:
                     began = perf()
-                    outcome = shard.request(request.url, request.size,
-                                            doc_type)
+                    outcome = shard.request(url, size, doc_type)
                     latencies.append(perf() - began)
-                hit = outcome is AccessOutcome.HIT
-                hits += hit
-                type_requests[doc_type] = (
-                    type_requests.get(doc_type, 0) + 1)
-                if hit:
-                    type_hits[doc_type] = (
-                        type_hits.get(doc_type, 0) + 1)
-            self.hits = hits
+                record(outcome is hit)
         except BaseException as exc:  # surfaced by replay()
             self.error = exc
 
 
-def replay(trace: Union[Trace, Sequence[Request]],
-           config: ReplayConfig,
+def replay(trace, config: ReplayConfig,
            cache: Optional[ShardedCache] = None) -> ReplayReport:
     """Replay a trace against a sharded cache, one thread per shard.
 
@@ -318,22 +324,19 @@ def replay(trace: Union[Trace, Sequence[Request]],
             hits=stats.hits, misses=stats.misses,
             capacity_bytes=stats.capacity_bytes))
 
-    type_requests: Dict[DocumentType, int] = {}
-    type_hits: Dict[DocumentType, int] = {}
+    metrics = TypeMetrics()
     for worker in workers:
-        for doc_type, count in worker.type_requests.items():
-            type_requests[doc_type] = (
-                type_requests.get(doc_type, 0) + count)
-        for doc_type, count in worker.type_hits.items():
-            type_hits[doc_type] = type_hits.get(doc_type, 0) + count
+        tally = Tally.of(worker.substream)
+        metrics.add(tally.totals(0), tally.totals(
+            0, np.array(worker.hit_column, dtype=bool)))
     per_type = {
-        doc_type.value: type_hits.get(doc_type, 0) / count
-        for doc_type, count in sorted(type_requests.items(),
-                                      key=lambda kv: kv[0].value)
-        if count}
+        doc_type.value: acc.hit_rate
+        for doc_type, acc in sorted(metrics.by_type.items(),
+                                    key=lambda kv: kv[0].value)
+        if acc.requests}
 
-    total_requests = sum(len(s) for s in substreams.values())
-    hits = sum(w.hits for w in workers)
+    total_requests = metrics.overall.requests
+    hits = metrics.overall.hits
     report = ReplayReport(
         trace_name=getattr(trace, "name", "trace"),
         policy=config.policy, n_shards=config.n_shards,
@@ -354,8 +357,7 @@ def replay(trace: Union[Trace, Sequence[Request]],
     return report
 
 
-def validate_replay(trace: Union[Trace, Sequence[Request]],
-                    config: ReplayConfig,
+def validate_replay(trace, config: ReplayConfig,
                     report: Optional[ReplayReport] = None
                     ) -> ReplayValidation:
     """Check a replay against the simulator and the Che model.
@@ -367,14 +369,19 @@ def validate_replay(trace: Union[Trace, Sequence[Request]],
     replays; and, for policies the model supports
     (:data:`MODEL_POLICIES`), predict the shard's hit rate analytically
     from its substream's catalog — agreement within the model's usual
-    few-percent tolerance.
+    few-percent tolerance.  The trace is calibrated once and the
+    catalog narrowed per shard, which is exact: a document's requests
+    all land on one shard, and the catalog and the columns both number
+    documents in first-seen order — checked, as the columns' ids
+    appearing in increasing order with the catalog's request counts.
     """
+    columns = columns_of(trace)
     if report is None:
-        report = replay(trace, config)
+        report = replay(columns, config)
     probe = ShardedCache(config.capacity_bytes,
                          n_shards=config.n_shards,
                          policy=config.policy, vnodes=config.vnodes)
-    substreams = partition_trace(trace, probe)
+    substreams = partition_trace(columns, probe)
     budgets = dict(zip(probe.shard_names,
                        split_budget(config.capacity_bytes,
                                     config.n_shards)))
@@ -383,13 +390,18 @@ def validate_replay(trace: Union[Trace, Sequence[Request]],
         model_policy = normalize_policy(config.policy)
     except Exception:
         model_policy = None
-    if model_policy not in MODEL_POLICIES:
-        model_policy = None
+    catalog = None
+    if model_policy in MODEL_POLICIES and len(columns):
+        catalog = catalog_from_trace(trace)
+        first = np.unique(columns.doc_ids, return_index=True)[1]
+        if np.any(np.diff(first) < 0) or not np.array_equal(
+                catalog.counts, np.bincount(columns.doc_ids)):
+            raise ConfigurationError("doc ids do not index the catalog")
 
     shards = []
     for shard in probe.shard_names:
         substream = substreams[shard]
-        if not substream:
+        if not len(substream):
             continue
         [sim] = run_cells(
             substream,
@@ -398,10 +410,10 @@ def validate_replay(trace: Union[Trace, Sequence[Request]],
                               warmup_fraction=0.0)],
             trace_name=f"{report.trace_name}/{shard}")
         model_rate = None
-        if model_policy is not None:
-            catalog = catalog_from_trace(substream,
-                                         name=f"{shard}-substream")
-            model_rate = predict(catalog, budgets[shard],
+        if catalog is not None:
+            narrowed = catalog.restrict(np.unique(substream.doc_ids),
+                                        name=f"{shard}-substream")
+            model_rate = predict(narrowed, budgets[shard],
                                  policy=model_policy).hit_rate
         shards.append(ShardValidation(
             shard=shard, requests=len(substream),

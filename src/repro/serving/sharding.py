@@ -102,14 +102,6 @@ class HashRing:
             index = 0
         return self._owners[index]
 
-    def partition(self, keys: Iterable[str]) -> Dict[str, List[str]]:
-        """Group keys by owning shard (every shard present, possibly
-        empty) — the replay harness's pre-pass."""
-        out: Dict[str, List[str]] = {name: [] for name in self.shards}
-        for key in keys:
-            out[self.owner(key)].append(key)
-        return out
-
 
 class ShardedCache:
     """Consistent-hash router over per-shard :class:`ServedCache`\\ s."""

@@ -712,6 +712,22 @@ class TraceColumns:
                                    dtype=np.float64)
         self._urls = list(ids)
 
+    @classmethod
+    def take(cls, columns, rows: np.ndarray) -> "TraceColumns":
+        """The rows ``rows`` of ``columns`` (a :class:`ColumnarTrace`
+        or :class:`TraceColumns`), in the order given.
+
+        The url table is the parent's, shared, so every row keeps its
+        doc id; the ids are then no longer dense or in first-seen order.
+        """
+        sub = cls.__new__(cls)
+        sub.name = columns.name
+        for column in ("doc_ids", "sizes", "transfers", "type_codes",
+                       "timestamps"):
+            setattr(sub, column, getattr(columns, column)[rows])
+        sub._urls = columns.urls()
+        return sub
+
     def urls(self) -> List[str]:
         """The interned url table, index = doc id."""
         return self._urls

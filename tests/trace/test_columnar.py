@@ -9,6 +9,7 @@ import pickle
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.trace.columnar import (
@@ -20,6 +21,7 @@ from repro.trace.columnar import (
     RECORD_DTYPE,
     ColumnarFormatError,
     ColumnarWriter,
+    TraceColumns,
     columns_of,
     convert_to_columnar,
     inspect_columnar,
@@ -152,6 +154,34 @@ def test_columns_of_gathers_what_the_file_holds(tmp_path):
                     getattr(on_disk, column).tolist(), column
     assert columns_of(Trace(requests, name="named")).name == "named"
     assert len(columns_of([])) == 0
+
+
+def test_take_keeps_each_rows_fields(tmp_path):
+    """A row subset shares the parent's url table, so every taken row
+    reads back the source row's url, size, transfer, type and time —
+    from the file's columns and from gathered ones alike."""
+    requests = sample_requests()
+    path = write_sample(tmp_path, requests)
+    rows = np.array([4, 0, 3], dtype=np.intp)
+    with open_columnar(path) as on_disk:
+        for source in (on_disk, columns_of(requests)):
+            taken = TraceColumns.take(source, rows)
+            assert len(taken) == 3
+            assert taken.name == source.name
+            urls = taken.urls()
+            for row, doc in zip(rows.tolist(), taken.doc_ids.tolist()):
+                assert urls[doc] == requests[row].url
+            for column in ("sizes", "transfers", "type_codes",
+                           "timestamps"):
+                assert getattr(taken, column).tolist() == \
+                    getattr(source, column)[rows].tolist(), column
+            assert [DOCUMENT_TYPES[c] for c in taken.type_codes] == \
+                [requests[r].doc_type for r in rows]
+            assert taken.sizes.tolist() == [50_000, 1000, 1200]
+            empty = TraceColumns.take(source, np.array([], dtype=np.intp))
+            assert len(empty) == 0
+            assert empty.urls() == source.urls()
+            assert empty.doc_ids.tolist() == []
 
 
 def test_columns_of_refuses_sizes_beyond_63_bits():
