@@ -44,8 +44,8 @@ VISITS_PER_SECOND_FLOOR = 1_000_000
 #: is held by the absolute floor above.
 SPEEDUP_FLOOR = 1.5 if SMOKE else 2.0
 #: Largest cacheable object (squid's ``maximum_object_size`` idiom);
-#: also guarantees every node admits every document — the no-bypass
-#: precondition of the fast path.
+#: every node admits every document, so the measured cell has no
+#: bypasses (the cascade would replay them, as the walk does).
 MAX_OBJECT_BYTES = 200_000
 
 #: Per-level capacities of the depth-3 binary tree: leaves hold the
@@ -58,8 +58,8 @@ LEVEL_CAPACITIES = (TOTAL_CAPACITY // 14, TOTAL_CAPACITY // 7,
 @pytest.fixture(scope="module")
 def stable_trace(dfn_trace):
     """The DFN workload with stable, size-capped documents (the
-    generator models modifications; the fast path requires one size
-    per document)."""
+    generator models modifications; the measured cell keeps the one
+    size per document it has always been measured with)."""
     first = {}
     requests = []
     for request in dfn_trace.requests:
@@ -94,7 +94,7 @@ def _node_dicts(result):
 def test_network_cascade_floor(columnar_trace, bench_scale):
     topology = tree(LEVEL_CAPACITIES, branching=2)
     config = NetworkConfig(topology=topology, strategy="lce")
-    assert fastpath_eligible(columnar_trace, config)
+    assert fastpath_eligible(config)
 
     # Warm both paths (imports, mmap pages, allocator) before timing.
     run_fastpath(columnar_trace, config)

@@ -14,14 +14,18 @@ One request's life, regardless of topology shape:
 4. the placement strategy (:mod:`repro.network.strategies`) decides
    which of the missed caches admit a copy of the fetched document;
 5. the walk notes one small int — the depth that served, −1 for an
-   origin fetch, −2 for a sibling serve.  A request reaches its path
-   down to that depth and hits only there, so after the walk the
-   per-node and network tallies are masked sums over the trace's
-   columns, counted past the warm-up by the same
-   :class:`~repro.simulation.vectorized.Tally` the single-cache pass
-   uses; only the (optional) end-to-end latency over the
-   :class:`~repro.simulation.latency.Link` path, whose running means
-   depend on order, is accumulated per request.
+   origin fetch, −2 for a sibling serve.
+
+That served-depth column is all an engine yields, besides its
+end-of-run cache counters: the walk here and the LRU/LCE cascade in
+:mod:`repro.network.fastpath` both hand theirs to :func:`account`.  A
+request reaches its path down to the depth that served it and hits
+only there, so the per-node and network tallies are masked sums over
+the trace's columns, counted past the warm-up by the same
+:class:`~repro.simulation.vectorized.Tally` the single-cache pass
+uses; the (optional) end-to-end latency over the
+:class:`~repro.simulation.latency.Link` paths, whose running means
+depend on order, is a left fold over the same column in trace order.
 
 Under leave-copy-everywhere the walk probes with
 ``Cache.reference()`` — probe and admit in one call; the goldens under
@@ -40,7 +44,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,7 +57,7 @@ from repro.network.topology import NodeSpec, Topology
 from repro.observability.events import emit
 from repro.observability.metrics import get_registry
 from repro.observability.trace import span as _span
-from repro.simulation.latency import LatencyMetrics, Link, path_latency
+from repro.simulation.latency import LatencyMetrics, path_latency
 from repro.simulation.metrics import TypeMetrics
 from repro.simulation.vectorized import Tally, decode_chunks
 from repro.structures.streaming import StreamingStats
@@ -69,8 +73,8 @@ class NetworkConfig:
     strategy: Union[str, PlacementStrategy] = "lce"
     warmup_fraction: float = 0.10
     #: Record end-to-end service times over the topology's links.
-    #: Off by default: the fast path skips it, and it roughly doubles
-    #: per-request bookkeeping.
+    #: Off by default: priced after the run by either engine, as a fold
+    #: over the served-depth column (two link paths per measured row).
     measure_latency: bool = False
     #: After a sibling serves, keep a copy at the home cache too (the
     #: bandwidth-hungry ICP variant).
@@ -160,6 +164,24 @@ class NetworkResult:
     sibling_serves: int = 0
     #: End-to-end service times over the topology's link paths.
     latency: Optional[LatencyMetrics] = None
+
+    @classmethod
+    def blank(cls, config: NetworkConfig, total: int,
+              trace_name: str) -> "NetworkResult":
+        """A run's result before any request: one empty node per cache,
+        latency accumulators when the config measures latency."""
+        topology = config.topology
+        result = cls(config=config, trace_name=trace_name,
+                     total_requests=total,
+                     warmup_requests=int(total * config.warmup_fraction),
+                     latency=(LatencyMetrics()
+                              if config.measure_latency else None))
+        for name, spec in topology.nodes.items():
+            result.nodes[name] = NodeResult(
+                name=name, level=topology.level_of(name),
+                capacity_bytes=spec.capacity_bytes,
+                policy=_policy_label(spec.policy))
+        return result
 
     @property
     def hit_rate(self) -> float:
@@ -287,13 +309,6 @@ class NetworkSimulator:
         self._spec_paths: List[List[NodeSpec]] = [
             [topology.nodes[name] for name in names]
             for names in self._paths]
-        # _links[j][k] is the link path when edge j's vertical walk is
-        # served at depth k; index len(path) is the origin path.
-        self._links: List[List[Tuple[Link, ...]]] = [
-            [(topology.client_link, *(spec.uplink for spec in specs[:k]))
-             for k in range(len(specs) + 1)]
-            for specs in self._spec_paths]
-        self._sibling_links = (topology.client_link, topology.peer_link)
         # Each edge's siblings in probe order: the ring from its own
         # position on (none for an edge outside the ring).
         ring = topology.sibling_ring
@@ -325,35 +340,23 @@ class NetworkSimulator:
     def _run(self, columns, tally: Tally, name: str) -> NetworkResult:
         """Walk a trace's ``columns``, then count the walk's outcome
         with ``tally`` — the one of the same columns."""
-        total = len(columns)
-        warmup = int(total * self.config.warmup_fraction)
+        result = NetworkResult.blank(self.config, len(columns), name)
         topology = self.config.topology
-        result = NetworkResult(
-            config=self.config, trace_name=name,
-            total_requests=total, warmup_requests=warmup,
-            latency=(LatencyMetrics()
-                     if self.config.measure_latency else None))
-        for node_name, spec in topology.nodes.items():
-            result.nodes[node_name] = NodeResult(
-                name=node_name, level=topology.level_of(node_name),
-                capacity_bytes=spec.capacity_bytes,
-                policy=_policy_label(spec.policy))
         with _span("network_simulate",
                    topology=topology.name,
                    strategy=self.config.strategy_name,
                    nodes=topology.n_caches,
-                   trace=name, requests=total):
-            served = self._drive(columns, tally.transfers, result)
-            self._account(served, tally, result)
+                   trace=name, requests=len(columns)):
+            served = self._drive(columns)
+            account(topology, served, tally, columns.type_codes, result)
             self._snapshot(result)
         publish_network_telemetry(result)
         return result
 
-    def _drive(self, columns, transfers: np.ndarray,
-               result: NetworkResult) -> List[int]:
-        """Walk every request of ``columns`` (``transfers``: the
-        measured ones); returns, per request, the path depth that
-        served it, −1 for an origin fetch, −2 for a sibling."""
+    def _drive(self, columns) -> List[int]:
+        """Walk every request of ``columns``; returns, per request, the
+        path depth that served it, −1 for an origin fetch, −2 for a
+        sibling."""
         caches = self.caches
         n_edges = len(self._paths)
         cache_paths = self._cache_paths
@@ -361,10 +364,6 @@ class NetworkSimulator:
         strategy = self.strategy
         admit_on_probe = strategy.admit_on_probe
         replicate = self.config.replicate_on_sibling_hit
-        latency = result.latency
-        warmup = result.warmup_requests
-        edge_latency = [result.nodes[edge].latency
-                        for edge in self.config.topology.edges]
         hit_outcome = AccessOutcome.HIT
         sizes = columns.sizes
         served: List[int] = []
@@ -372,10 +371,9 @@ class NetworkSimulator:
 
         # One decoded chunk of the columns is alive at a time.
         rows = chain.from_iterable(
-            zip(urls, sizes[start:end].tolist(), types,
-                transfers[start:end].tolist())
+            zip(urls, sizes[start:end].tolist(), types)
             for start, end, urls, types in decode_chunks(columns))
-        for index, (url, size, doc_type, transfer) in enumerate(rows):
+        for index, (url, size, doc_type) in enumerate(rows):
             j = index % n_edges
             path = cache_paths[j]
             served_level = -1
@@ -435,45 +433,7 @@ class NetworkSimulator:
                     caches[node].reference(url, size, doc_type)
 
             note(-2 if sibling_served else served_level)
-            if latency is None or index < warmup:
-                continue
-            links = self._links[j]
-            if sibling_served:
-                seconds = path_latency(self._sibling_links, transfer)
-            elif served_level >= 0:
-                seconds = path_latency(links[served_level], transfer)
-            else:
-                seconds = path_latency(links[len(path)], transfer)
-            latency.add(doc_type, seconds)
-            latency.baseline.add(
-                path_latency(links[len(path)], transfer))
-            edge_latency[j].add(seconds)
         return served
-
-    def _account(self, served: Sequence[int], tally: Tally,
-                 result: NetworkResult) -> None:
-        """Per-node and network tallies from the walk's ``served``
-        column: a request reaches its path down to the depth that
-        served it (all of it when none did) and hits only there."""
-        depth = np.array(served, dtype=np.int64)
-        n = len(depth)
-        warmup = result.warmup_requests
-        n_edges = len(self._paths)
-        for name, node in result.nodes.items():
-            reached = np.zeros(n, dtype=bool)
-            hit = np.zeros(n, dtype=bool)
-            for j, path in enumerate(self._paths):
-                if name in path:
-                    k = path.index(name)
-                    arrived = depth[j::n_edges]
-                    reached[j::n_edges] = (arrived < 0) | (arrived >= k)
-                    hit[j::n_edges] = arrived == k
-            node.metrics.add(tally.totals(warmup, reached),
-                             tally.totals(warmup, hit))
-        result.network.add(tally.totals(warmup),
-                           tally.totals(warmup, depth != -1))
-        result.sibling_serves = int(
-            np.count_nonzero(depth[warmup:] == -2))
 
     def _snapshot(self, result: NetworkResult) -> None:
         """Copy end-of-run cache state into the node results."""
@@ -487,6 +447,59 @@ class NetworkSimulator:
             node.used_bytes = cache.used_bytes
             for entry in cache.entries():
                 node.placement[entry.doc_type] += entry.size
+
+
+def account(topology: Topology, served: Sequence[int], tally: Tally,
+            type_codes: np.ndarray, result: NetworkResult) -> None:
+    """Count one run's served-depth column into ``result``.
+
+    Both engines end here.  A request reaches its path down to the
+    depth that served it (all of it when none did) and hits only
+    there, so the per-node and network tallies are masked sums by
+    ``tally``.  End-to-end latency, whose running means depend on
+    order, is a left fold over the measured rows in trace order: each
+    row's seconds over its link path go to the run, then its
+    origin-path seconds to the no-cache baseline, then its seconds to
+    its edge node.
+    """
+    depth = np.array(served, dtype=np.int64)
+    n = len(depth)
+    warmup = result.warmup_requests
+    paths = [topology.path_to_origin(edge) for edge in topology.edges]
+    n_edges = len(paths)
+    for name, node in result.nodes.items():
+        reached = np.zeros(n, dtype=bool)
+        hit = np.zeros(n, dtype=bool)
+        for j, path in enumerate(paths):
+            if name in path:
+                k = path.index(name)
+                arrived = depth[j::n_edges]
+                reached[j::n_edges] = (arrived < 0) | (arrived >= k)
+                hit[j::n_edges] = arrived == k
+        node.metrics.add(tally.totals(warmup, reached),
+                         tally.totals(warmup, hit))
+    result.network.add(tally.totals(warmup),
+                       tally.totals(warmup, depth != -1))
+    result.sibling_serves = int(np.count_nonzero(depth[warmup:] == -2))
+    latency = result.latency
+    if latency is None:
+        return
+    # links[j][d]: edge j's request served at depth d; links[j][-1],
+    # the origin path, is also its no-cache baseline.
+    links = [[(topology.client_link,
+               *(topology.nodes[name].uplink for name in path[:d]))
+              for d in range(len(path) + 1)] for path in paths]
+    sibling = (topology.client_link, topology.peer_link)
+    edge_latency = [result.nodes[edge].latency for edge in topology.edges]
+    rows = zip(depth[warmup:].tolist(), type_codes[warmup:].tolist(),
+               tally.transfers[warmup:].tolist())
+    for index, (d, code, transfer) in enumerate(rows, warmup):
+        j = index % n_edges
+        seconds = path_latency(sibling if d == -2 else links[j][d],
+                               transfer)
+        latency.add(DOCUMENT_TYPES[code], seconds)
+        latency.baseline.add(path_latency(links[j][-1], transfer))
+        edge_latency[j].add(seconds)
 
 
 def publish_network_telemetry(result: NetworkResult) -> None:
@@ -528,30 +541,22 @@ def run_network_cells(trace, configs: Sequence[NetworkConfig],
     """Run network cells over one trace — the one dispatch point.
 
     Validates every config, gathers the trace's columns once (an
-    ``.rcol`` is mmap'd, an iterator consumed here and nowhere else),
-    then splits the cells: those the vectorized cascade is lossless
-    for (LRU everywhere, LCE, no ring, latency off —
-    :mod:`repro.network.fastpath` proves bit-identity with the walk)
-    are served by it; the walk decodes the same columns chunk by chunk
-    for each of the rest, and they share one
-    :class:`~repro.simulation.vectorized.Tally` to count its outcome.
+    ``.rcol`` is mmap'd, an iterator consumed here and nowhere else) and
+    builds their one :class:`~repro.simulation.vectorized.Tally`, then
+    splits the cells: those the vectorized cascade is lossless for
+    (:func:`~repro.network.fastpath.fastpath_eligible`: LRU everywhere,
+    LCE, no ring) are served by it; the walk decodes the same columns
+    chunk by chunk for each of the rest.  Both engines count their
+    served-depth column with that tally through :func:`account`.
     """
-    from repro.network.fastpath import eligible_cells, run_fastpath
+    from repro.network.fastpath import fastpath_eligible, run_cascade
     for config in configs:
         config.validate()
     columns = columns_of(trace)
     name = trace_name or columns.name
-    fast_ids = set(map(id, eligible_cells(columns, configs)))
-    with _span("network_cells", cells=len(configs),
-               fastpath=len(fast_ids)):
-        tally = None
-        results = []
-        for config in configs:
-            if id(config) in fast_ids:
-                results.append(run_fastpath(columns, config, name))
-                continue
-            if tally is None:
-                tally = Tally.of(columns)
-            results.append(
-                NetworkSimulator(config)._run(columns, tally, name))
-    return results
+    tally = Tally.of(columns)
+    fast = [fastpath_eligible(config) for config in configs]
+    with _span("network_cells", cells=len(configs), fastpath=sum(fast)):
+        return [run_cascade(config, columns, tally, name) if eligible
+                else NetworkSimulator(config)._run(columns, tally, name)
+                for config, eligible in zip(configs, fast)]

@@ -22,7 +22,8 @@ to the per-request reference
 * **the LRU ladder** — byte-weighted stack distances feed vectorized
   per-capacity hit tests and final-resident counting
   (:func:`split_ladder`, :func:`run_lru_ladder`);
-* **FIFO** — a shadow recency-free queue replays
+* **FIFO** — a shadow queue (:func:`replay_queue`, the same kernel
+  the network's LRU cascade runs per node with recency on) replays
   :meth:`~repro.core.cache.Cache.reference` exactly, without entry or
   heap machinery;
 * **Greedy-Dual keys** — the cost-model term of ``H(p)`` is
@@ -205,11 +206,10 @@ def stable_max_size(doc_ids: np.ndarray,
     """The largest document size, or ``None`` if any document changes
     size within the trace.
 
-    The trace-side precondition of both vectorized LRU paths (the
-    ladder below and the network cascade in
-    :mod:`repro.network.fastpath`): with one size per document there
-    are no modification misses, and a cache at least this large never
-    bypasses.  An empty trace has largest size 0.
+    The trace-side precondition of the LRU ladder below: with one size
+    per document there are no modification misses, and a cache at
+    least this large never bypasses.  An empty trace has largest
+    size 0.
     """
     if not len(doc_ids):
         return 0
@@ -309,34 +309,36 @@ def run_lru_ladder(columns, tally: Tally,
         cell._evictions_override = admissions - residents[i]
 
 
-# ----- the FIFO shadow queue ------------------------------------------------
+# ----- the queue replay -----------------------------------------------------
 
 
-def _run_fifo_cell(cell: CacheCell, doc_list: list,
-                   size_list: list) -> bytearray:
-    """Replay :meth:`Cache.reference` for a FIFO cell and return its
-    hit column.
+def replay_queue(doc_list: list, size_list: list, capacity: int,
+                 recency: bool) -> Tuple[bytearray, Dict[str, int], Dict]:
+    """Replay :meth:`Cache.reference` for a FIFO (``recency=False``) or
+    an LRU (``recency=True``) cache, without entry or policy machinery.
 
-    FIFO never reorders on hits, so residency is just an insertion-
-    ordered ``doc id -> size`` dict: hit iff resident at the same size,
-    a size change invalidates and readmits at the queue tail, anything
-    larger than the cache bypasses, and eviction pops the front until
-    the newcomer fits.  Counters land on the real cache object so
-    :meth:`CacheCell.finalize` reads them unchanged.
+    Residency is an insertion-ordered ``doc id -> size`` dict, oldest
+    first (an LRU hit moves its document to the back): a reference hits
+    iff its document is resident at the same size; a size change
+    invalidates and readmits at the back; anything larger than the
+    cache bypasses; eviction pops the front until the newcomer fits.
+    Returns the hit column, the cache's counters by attribute name and
+    the final residents, in queue order.
     """
-    cache = cell.cache
-    capacity = cache.capacity_bytes
     resident: "OrderedDict[int, int]" = OrderedDict()
     used = 0
     misses = evictions = bypasses = invalidations = 0
     hit = bytearray(len(doc_list))
     get = resident.get
+    touch = resident.move_to_end
     pop_front = resident.popitem
     index = 0
     for doc, size in zip(doc_list, size_list):
         current = get(doc)
         if current is not None and current == size:
             hit[index] = 1
+            if recency:
+                touch(doc)
         else:
             if current is not None:
                 del resident[doc]
@@ -353,12 +355,10 @@ def _run_fifo_cell(cell: CacheCell, doc_list: list,
                 resident[doc] = size
                 used += size
         index += 1
-    cache.hits += len(hit) - misses
-    cache.misses += misses
-    cache.evictions += evictions
-    cache.bypasses += bypasses
-    cache.invalidations += invalidations
-    return hit
+    counters = {"hits": len(hit) - misses, "misses": misses,
+                "evictions": evictions, "bypasses": bypasses,
+                "invalidations": invalidations}
+    return hit, counters, resident
 
 
 # ----- chunked dispatch for everything else --------------------------------
@@ -462,10 +462,13 @@ def drive_columnar(trace, cells: Sequence[CacheCell], tally: Tally,
         if fifo:
             doc_list = trace.doc_ids.tolist()
             for cell, key in fifo:
-                hit_of[cell] = np.frombuffer(
-                    _run_fifo_cell(cell, doc_list,
-                                   resolved[key].tolist()),
-                    dtype=bool)
+                cache = cell.cache
+                hits, counters, _resident = replay_queue(
+                    doc_list, resolved[key].tolist(),
+                    cache.capacity_bytes, recency=False)
+                for counter, value in counters.items():
+                    setattr(cache, counter, getattr(cache, counter) + value)
+                hit_of[cell] = np.frombuffer(hits, dtype=bool)
         for cell, hits in hit_of.items():
             cell.account(tally, hits, trace)
     return len(fifo)

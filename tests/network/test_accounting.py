@@ -9,6 +9,10 @@ run over random small meshes, trees and paths.  The end-to-end service
 times the walk accumulates per request (their running means depend on
 order) are held to the same accountant: ``measured_transfer(request)``
 through ``path_latency`` over the topology's links.
+
+The LRU/LCE cascade yields the same kind of column and is counted by
+the same ``account``; the differential at the end holds it equal to
+the walk over the same random requests.
 """
 
 from unittest import mock
@@ -17,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.engine import NetworkConfig, NetworkSimulator
-from repro.network.topology import path, sibling_mesh, tree
+from repro.network.fastpath import fastpath_eligible, run_fastpath
+from repro.network.topology import path, sibling_mesh, single, tree, two_level
 from repro.simulation.latency import LatencyMetrics, path_latency
 from repro.simulation.metrics import TypeMetrics, measured_transfer
 from repro.structures.streaming import StreamingStats
@@ -105,12 +110,15 @@ TOPOLOGY = st.one_of(
     st.builds(lambda levels, policy:
               path([900, 1500, 2500][:levels], policy),
               st.integers(1, 3), POLICY))
-#: Few documents, sizes that sometimes change (stale copies) and
-#: transfers on both sides of the size (the clamp).
+#: Few documents, sizes that sometimes change (stale copies), are zero
+#: or outgrow some node (1000) or every node (3000, bypasses),
+#: transfers on both sides of the size (the clamp), and a type drawn
+#: per request (a url changes type).
 REQUESTS = st.lists(
     st.builds(lambda doc, size, transfer, code: Request(
         0.0, f"u{doc}", size, transfer, DOCUMENT_TYPES[code]),
-        st.integers(0, 7), st.sampled_from([300, 300, 300, 700]),
+        st.integers(0, 7),
+        st.sampled_from([300, 300, 300, 700, 0, 1000, 3000]),
         st.sampled_from([100, 300, 900]),
         st.integers(0, len(DOCUMENT_TYPES) - 1)),
     max_size=60)
@@ -141,3 +149,52 @@ def test_sibling_serves_on_both_sides_of_the_boundary():
             strategy=strategy, warmup_fraction=0.5), requests)
         assert warmup == 20
         assert served[:warmup].count(-2) == served[warmup:].count(-2) == 10
+
+
+def stats_fields(stats):
+    return {slot: getattr(stats, slot) for slot in StreamingStats.__slots__}
+
+
+def assert_cascade_is_the_walk(trace, config):
+    """The cascade's result equals the walk's: every ``as_dict`` key and
+    every field of every latency accumulator."""
+    assert fastpath_eligible(config)
+    walk = NetworkSimulator(config).run(trace)
+    fast = run_fastpath(trace, config)
+    assert fast.as_dict() == walk.as_dict()
+    if config.measure_latency:
+        for name in ("overall", "baseline"):
+            assert stats_fields(getattr(fast.latency, name)) == \
+                stats_fields(getattr(walk.latency, name)), name
+        for doc_type, stats in walk.latency.by_type.items():
+            assert stats_fields(fast.latency.by_type[doc_type]) == \
+                stats_fields(stats), doc_type
+    else:
+        assert fast.latency is walk.latency is None
+    for name, node in walk.nodes.items():
+        assert stats_fields(fast.nodes[name].latency) == \
+            stats_fields(node.latency), name
+    return fast
+
+
+CAPACITY = st.sampled_from([900, 1500, 2500])
+#: Every cascade-eligible shape: LRU everywhere, no sibling ring.
+CASCADE_TOPOLOGY = st.one_of(
+    st.builds(single, CAPACITY),
+    st.builds(two_level, CAPACITY, CAPACITY,
+              n_children=st.integers(1, 3)),
+    st.builds(lambda levels, branching:
+              tree([900, 1500, 2500][:levels], branching),
+              st.integers(1, 3), st.integers(1, 3)),
+    st.builds(lambda levels: path([900, 1500, 2500][:levels]),
+              st.integers(1, 3)))
+
+
+@settings(deadline=None)
+@given(CASCADE_TOPOLOGY, st.booleans(),
+       st.sampled_from([0.0, 0.1, 0.5, 0.9]), REQUESTS)
+def test_cascade_equals_walk(topology, measure_latency, warmup_fraction,
+                             requests):
+    assert_cascade_is_the_walk(Trace(requests), NetworkConfig(
+        topology=topology, warmup_fraction=warmup_fraction,
+        measure_latency=measure_latency))

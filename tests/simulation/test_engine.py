@@ -200,7 +200,7 @@ class TestFullRegistryEquivalence:
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_every_registered_policy(self, policy, feed):
-        # Stable sizes (ladder-, cascade-eligible) and modified sizes
+        # Stable sizes (ladder-eligible) and modified sizes
         # (where the three interpretations actually differ).
         for modify_every in (0, 7):
             trace = mixed_trace(modify_every=modify_every)
