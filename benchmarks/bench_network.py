@@ -1,15 +1,15 @@
 """Cache-network cascade vs the object walk on an 8-node tree.
 
 The claim (docs/guide.md, "Cache networks"): an LRU/LCE network over
-a columnar trace runs as a cascade of per-node LRU passes — no cache
-objects, no per-request python dispatch — bit-identical to the
-engine's object walk and fast enough to sweep topology grids: the
-7-cache binary tree (plus the origin: 8 network nodes) must clear
-≥1M aggregate node-visits per second on a single core, about three
-times the pace of the walk (which reads the same columns chunk by
-chunk).  This bench builds the tree, drives the DFN-like workload
-through both paths, asserts equality always, and writes the comparison
-to ``BENCH_network.json``.
+a columnar trace runs (``run_network`` dispatches it) as a cascade of
+per-node LRU queue replays — no cache objects, no per-request python
+dispatch — bit-identical to the engine's object walk and fast enough
+to sweep topology grids: the 7-cache binary tree (plus the origin: 8
+network nodes) must clear ≥1M aggregate node-visits per second on a
+single core, about three times the pace of the walk (which reads the
+same columns chunk by chunk).  This bench builds the tree, drives the
+DFN-like workload through both paths, asserts equality always, and
+writes the comparison to ``BENCH_network.json``.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) runs single-round
 and skips the absolute-throughput floor (shared runners); the
@@ -24,8 +24,9 @@ from time import perf_counter
 
 import pytest
 
-from repro.network.engine import NetworkConfig, NetworkSimulator
-from repro.network.fastpath import fastpath_eligible, run_fastpath
+from repro.network.engine import (NetworkConfig, NetworkSimulator,
+                                  run_network)
+from repro.network.fastpath import fastpath_eligible
 from repro.network.topology import tree
 from repro.trace.columnar import open_columnar, write_columnar
 from repro.types import Trace
@@ -97,10 +98,10 @@ def test_network_cascade_floor(columnar_trace, bench_scale):
     assert fastpath_eligible(config)
 
     # Warm both paths (imports, mmap pages, allocator) before timing.
-    run_fastpath(columnar_trace, config)
+    run_network(columnar_trace, config)
     object_walk = NetworkSimulator(config).run(columnar_trace)
 
-    fast_s, fast = _time(lambda: run_fastpath(columnar_trace, config))
+    fast_s, fast = _time(lambda: run_network(columnar_trace, config))
     object_s, object_result = _time(
         lambda: NetworkSimulator(config).run(columnar_trace))
 

@@ -12,8 +12,8 @@ is one topology instance, not a simulator of its own.  The parts:
   registry policy at each node, with per-node per-type metrics;
   :func:`run_network_cells` is the one dispatch point of a run
   (:func:`run_network` is a batch of one);
-* :mod:`repro.network.fastpath` — the vectorized LRU/LCE cascade for
-  columnar traces (bit-identical, benchmark-fast);
+* :mod:`repro.network.fastpath` — the vectorized LCE cascade of LRU
+  and FIFO nodes over columnar traces (bit-identical, benchmark-fast);
 * :mod:`repro.network.cli` — ``network run/sweep/validate/placement``.
 
 Durable network grids are :class:`repro.experiments.service.TrialSpec`

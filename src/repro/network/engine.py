@@ -17,7 +17,7 @@ One request's life, regardless of topology shape:
    origin fetch, −2 for a sibling serve.
 
 That served-depth column is all an engine yields, besides its
-end-of-run cache counters: the walk here and the LRU/LCE cascade in
+end-of-run cache counters: the walk here and the LCE queue cascade in
 :mod:`repro.network.fastpath` both hand theirs to :func:`account`.  A
 request reaches its path down to the depth that served it and hits
 only there, so the per-node and network tallies are masked sums over
@@ -544,10 +544,11 @@ def run_network_cells(trace, configs: Sequence[NetworkConfig],
     ``.rcol`` is mmap'd, an iterator consumed here and nowhere else) and
     builds their one :class:`~repro.simulation.vectorized.Tally`, then
     splits the cells: those the vectorized cascade is lossless for
-    (:func:`~repro.network.fastpath.fastpath_eligible`: LRU everywhere,
-    LCE, no ring) are served by it; the walk decodes the same columns
-    chunk by chunk for each of the rest.  Both engines count their
-    served-depth column with that tally through :func:`account`.
+    (:func:`~repro.network.fastpath.fastpath_eligible`: LCE, no ring,
+    every node a named LRU or FIFO queue) are served by it; the walk
+    decodes the same columns chunk by chunk for each of the rest.  Both
+    engines count their served-depth column with that tally through
+    :func:`account`.
     """
     from repro.network.fastpath import fastpath_eligible, run_cascade
     for config in configs:

@@ -1,12 +1,13 @@
-"""Vectorized LRU/LCE network fast path over a trace's columns.
+"""Vectorized LCE network fast path over a trace's columns.
 
-A network of LRU caches under leave-copy-everywhere decomposes into
-independent per-node single-cache problems: each node sees a fixed
-request substream (its edges' client streams merged with its
-children's miss streams), so the whole network runs as a cascade of
-per-node replays — leaves first, each emitting its miss rows upward.
-Each replay is :func:`~repro.simulation.vectorized.replay_queue` with
-recency on, the kernel the single-cache FIFO cells run without it: an
+A network of LRU and FIFO caches under leave-copy-everywhere
+decomposes into independent per-node single-cache problems: each node
+sees a fixed request substream (its edges' client streams merged with
+its children's miss streams), so the whole network runs as a cascade
+of per-node replays — leaves first, each emitting its miss rows upward.
+Each replay is :func:`~repro.simulation.vectorized.replay_queue`, the
+kernel the single-cache LRU and FIFO cells run, with the node's
+recency flag from :data:`~repro.simulation.engine.QUEUE_RECENCY`: an
 exact replay of :meth:`~repro.core.cache.Cache.reference`, size-change
 invalidations and bypasses included, that also yields the node's
 counters and final residents.  Its hit rows write the node's depth into
@@ -27,7 +28,7 @@ The cascade clears the benchmark's ≥1M aggregate node-visits/s floor
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -35,30 +36,25 @@ from repro.network.engine import (NetworkConfig, NetworkResult, NodeResult,
                                   account, publish_network_telemetry)
 from repro.network.strategies import LeaveCopyEverywhere
 from repro.observability.trace import span as _span
+from repro.simulation.engine import queue_recency
 from repro.simulation.vectorized import Tally, _exact_sum, replay_queue
-from repro.trace.columnar import columns_of
 from repro.types import DOCUMENT_TYPES
 
 
 def fastpath_eligible(config: NetworkConfig) -> bool:
     """True when the cascade is lossless for ``config``: LCE placement
     (a node's stream is its children's misses), no sibling ring (no
-    request leaves its path) and every node running the registry
-    ``"lru"`` policy (the kernel's recency order)."""
+    request leaves its path) and every node named a policy the queue
+    replays (:func:`~repro.simulation.engine.queue_recency`; a node
+    given a policy instance stays on the walk, which drives that very
+    object)."""
     strategy = config.strategy
     topology = config.topology
     return ((strategy == "lce" or isinstance(strategy, LeaveCopyEverywhere))
             and not topology.sibling_ring
-            and all(spec.policy == "lru"
+            and all(isinstance(spec.policy, str)
+                    and queue_recency(spec.policy) is not None
                     for spec in topology.nodes.values()))
-
-
-def run_fastpath(trace, config: NetworkConfig,
-                 trace_name: Optional[str] = None) -> NetworkResult:
-    """Run one eligible cell as a cascade of per-node LRU replays."""
-    columns = columns_of(trace)
-    return run_cascade(config, columns, Tally.of(columns),
-                       trace_name or columns.name)
 
 
 def run_cascade(config: NetworkConfig, columns, tally: Tally,
@@ -92,7 +88,8 @@ def run_cascade(config: NetworkConfig, columns, tally: Tally,
                 else np.sort(np.concatenate(parts))
             hits, counters, residents = replay_queue(
                 doc_ids[idx].tolist(), sizes[idx].tolist(),
-                node.capacity_bytes, recency=True)
+                node.capacity_bytes,
+                queue_recency(topology.nodes[node_name].policy))
             for counter, value in counters.items():
                 setattr(node, counter, value)
             node.used_bytes = sum(residents.values())

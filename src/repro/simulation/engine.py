@@ -50,10 +50,13 @@ no TTL model or occupancy sampling, and plain LRU — the entire LRU
 capacity ladder is served by **one** stack-distance pass
 (:func:`repro.simulation.vectorized.run_lru_ladder`) over four of the
 columns; hit and eviction counts are exact.  Cells that fail any
-precondition silently fall back to ordinary simulation in the shared
-pass.  :func:`fast_path` is the one place that decides, from a cell's
-config, which kernel besides the plain loop
-(:meth:`CacheCell.process_chunk`) may serve it.
+precondition fall back to the queue: LRU and FIFO are one insertion-
+ordered queue that differs only in whether a hit moves its document
+(:data:`QUEUE_RECENCY`), and
+:func:`repro.simulation.vectorized.replay_queue` replays either exactly,
+bypasses and size-change invalidations included.  :func:`fast_path` is
+the one place that decides, from a cell's config, which kernel besides
+the plain loop (:meth:`CacheCell.process_chunk`) may serve it.
 """
 
 from __future__ import annotations
@@ -217,14 +220,12 @@ class CacheCell:
             self.latency = LatencyMetrics(model=config.latency_model)
         self._cost_model = config.report_cost_model
         self._warmup = 0
-        self._evictions_override: Optional[int] = None
 
     # -- pass protocol ----------------------------------------------------
 
     def begin_run(self, warmup_requests: int) -> None:
         """Arm the cell for one pass with an absolute warmup count."""
         self._warmup = warmup_requests
-        self._evictions_override = None
 
     def step(self, url: str, size: int, doc_type: DocumentType,
              timestamp: float) -> bool:
@@ -338,9 +339,6 @@ class CacheCell:
                        else type(self.cache).__name__.lower())
         ttl_expiries = (self._freshness.expiries
                         if self._freshness is not None else None)
-        evictions = (self._evictions_override
-                     if self._evictions_override is not None
-                     else self.cache.evictions)
         return SimulationResult(
             policy=policy_name,
             capacity_bytes=self.config.capacity_bytes,
@@ -349,7 +347,7 @@ class CacheCell:
             warmup_requests=self._warmup if warmup is None else warmup,
             metrics=self.metrics,
             occupancy=self.occupancy,
-            evictions=evictions,
+            evictions=self.cache.evictions,
             invalidations=self.cache.invalidations,
             bypasses=self.cache.bypasses,
             final_beta=final_beta,
@@ -361,30 +359,42 @@ class CacheCell:
 # ----- the shared pass ------------------------------------------------------
 
 
+#: The policies :func:`~repro.simulation.vectorized.replay_queue`
+#: replays exactly, each with its ``recency`` flag: an LRU hit moves its
+#: document to the back of the queue, a FIFO hit leaves it in place.
+#: Keyed by exact class, so a subclass (``LRUThresholdPolicy``, whose
+#: admissions differ) is not replayed.
+QUEUE_RECENCY = {LRUPolicy: True, FIFOPolicy: False}
+
+
+def queue_recency(policy: Union[str, ReplacementPolicy]) -> Optional[bool]:
+    """The ``recency`` flag the queue replays ``policy`` with, or
+    ``None`` if it does not replay it.  A policy instance is looked up
+    by its exact class, a registry name by the class's name."""
+    if isinstance(policy, str):
+        return next((recency for kind, recency in QUEUE_RECENCY.items()
+                     if kind.name == policy), None)
+    return QUEUE_RECENCY.get(type(policy))
+
+
 def fast_path(cell: CacheCell) -> Optional[str]:
     """Which kernel besides the plain loop may serve ``cell``.
 
-    The config-side eligibility: ``"ladder"`` (plain LRU over
-    ``TRUSTED`` sizes: the all-capacities stack-distance pass, which
-    additionally needs the trace-side conditions
-    :func:`repro.simulation.vectorized.split_ladder` checks),
-    ``"fifo"`` (the shadow queue), ``"hinted"`` (any
+    The config-side eligibility: ``"queue"`` (a :data:`QUEUE_RECENCY`
+    policy: the queue replay, or the all-capacities LRU ladder where
+    :func:`repro.simulation.vectorized.split_ladder` finds its
+    remaining conditions), ``"hinted"`` (any
     :class:`~repro.core.heap_policy.GreedyDualPolicy` with a cost
     model, fed precomputed key costs), or ``None`` (the plain loop,
     :meth:`CacheCell.process_chunk`).  Every kernel needs a plain
     :class:`~repro.core.cache.Cache` and no TTL hook; occupancy
-    sampling also rules out the ladder and the FIFO queue, which keep
-    no cache entries to snapshot.  Cost and latency ride any kernel.
+    sampling also rules out the queue and the ladder, which keep no
+    cache entries to snapshot.  Cost and latency ride any kernel.
     """
     if type(cell.cache) is not Cache or cell.config.ttl_model is not None:
         return None
-    kind = type(cell.policy)
-    if cell.occupancy is None:
-        if (kind is LRUPolicy and cell.config.size_interpretation
-                is SizeInterpretation.TRUSTED):
-            return "ladder"
-        if kind is FIFOPolicy:
-            return "fifo"
+    if cell.occupancy is None and queue_recency(cell.policy) is not None:
+        return "queue"
     if (isinstance(cell.policy, GreedyDualPolicy)
             and cell.policy.cost_model is not None):
         return "hinted"
@@ -408,7 +418,8 @@ def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
             place; a :class:`~repro.types.Trace`, request sequence or
             request iterator is gathered into columns once.
         configs: One :class:`SimulationConfig` (or prebuilt
-            :class:`CacheCell`) per cell.
+            :class:`CacheCell`, whose cache has served nothing yet:
+            the kernels replay from an empty cache) per cell.
         trace_name: Overrides the trace's name in the results.
 
     Returns results in input order, bit-identical to running each
@@ -426,6 +437,11 @@ def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
     cells = [config if isinstance(config, CacheCell) else CacheCell(config)
              for config in configs]
     for cell in cells:
+        cache = cell.cache
+        if cache.hits or cache.misses or len(cache):
+            raise ConfigurationError(
+                "run_cells starts every cell from an empty cache; this "
+                "cell's cache has already served references")
         cell.begin_run(int(total * cell.config.warmup_fraction))
     emit("pass_started", cells=len(cells), requests=total)
     pass_span = _span("pass", cells=len(cells), requests=total, trace=name)
@@ -433,20 +449,20 @@ def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
         tally = vectorized.Tally.of(columns)
         ladder, rest = vectorized.split_ladder(columns, cells)
         pass_span.set_attribute("lru_ladder_cells", len(ladder))
-        n_fifo = vectorized.drive_columnar(columns, rest, tally, timings)
-        pass_span.set_attribute("fifo_queue_cells", n_fifo)
+        n_queue = vectorized.drive_columnar(columns, rest, tally, timings)
+        pass_span.set_attribute("queue_cells", n_queue)
         if ladder:
             with _span("lru_ladder", cells=len(ladder)), \
                     phase_timer("lru_ladder", timings):
                 vectorized.run_lru_ladder(columns, tally, ladder)
         with _span("aggregate"), phase_timer("aggregate", timings):
             results = [cell.finalize(name, total) for cell in cells]
-    _publish_pass_telemetry(timings, len(cells), len(ladder), n_fifo, total)
+    _publish_pass_telemetry(timings, len(cells), len(ladder), n_queue, total)
     return results
 
 
 def _publish_pass_telemetry(timings: PhaseTimings, n_cells: int,
-                            n_ladder: int, n_fifo: int,
+                            n_ladder: int, n_queue: int,
                             total_requests: int) -> None:
     """Batch one pass's aggregates into the metrics registry — one
     update per pass, never one per request or per cell."""
@@ -456,14 +472,14 @@ def _publish_pass_telemetry(timings: PhaseTimings, n_cells: int,
         registry.histogram("engine_cells_per_pass").observe(n_cells)
         if n_ladder:
             registry.counter("engine_lru_ladder_cells_total").inc(n_ladder)
-        if n_fifo:
-            registry.counter("engine_fifo_queue_cells_total").inc(n_fifo)
+        if n_queue:
+            registry.counter("engine_queue_cells_total").inc(n_queue)
         registry.counter("engine_pass_requests_total").inc(total_requests)
         for phase, seconds in timings.as_dict().items():
             registry.histogram("engine_phase_seconds",
                                phase=phase).observe(seconds)
     emit("pass_finished", cells=n_cells, requests=total_requests,
          duration_seconds=round(timings.total, 6),
-         lru_ladder_cells=n_ladder, fifo_queue_cells=n_fifo,
+         lru_ladder_cells=n_ladder, queue_cells=n_queue,
          phase_seconds={k: round(v, 6)
                         for k, v in timings.as_dict().items()})

@@ -22,10 +22,11 @@ to the per-request reference
 * **the LRU ladder** — byte-weighted stack distances feed vectorized
   per-capacity hit tests and final-resident counting
   (:func:`split_ladder`, :func:`run_lru_ladder`);
-* **FIFO** — a shadow queue (:func:`replay_queue`, the same kernel
-  the network's LRU cascade runs per node with recency on) replays
+* **the queue** — every other LRU cell and every FIFO cell: one
+  insertion-ordered queue (:func:`replay_queue`, recency on for LRU,
+  off for FIFO; the kernel the network cascade runs per node) replays
   :meth:`~repro.core.cache.Cache.reference` exactly, without entry or
-  heap machinery;
+  policy machinery;
 * **Greedy-Dual keys** — the cost-model term of ``H(p)`` is
   precomputed per chunk (:meth:`~repro.core.cost.CostModel.cost_array`)
   and consumed through the policies' ``_hint_cost`` slot.
@@ -57,6 +58,7 @@ from repro.simulation.engine import (
     CacheCell,
     SizeInterpretation,
     fast_path,
+    queue_recency,
     resolver_key,
 )
 from repro.types import DOCUMENT_TYPES, DocumentType
@@ -201,43 +203,32 @@ class Tally:
 # ----- the exact all-capacities LRU ladder ----------------------------------
 
 
-def stable_max_size(doc_ids: np.ndarray,
-                    sizes: np.ndarray) -> Optional[int]:
-    """The largest document size, or ``None`` if any document changes
-    size within the trace.
-
-    The trace-side precondition of the LRU ladder below: with one size
-    per document there are no modification misses, and a cache at
-    least this large never bypasses.  An empty trace has largest
-    size 0.
-    """
-    if not len(doc_ids):
-        return 0
-    order = np.argsort(doc_ids, kind="stable")
-    d_s = doc_ids[order]
-    s_s = sizes[order]
-    same_doc = d_s[1:] == d_s[:-1]
-    if bool(np.any(same_doc & (s_s[1:] != s_s[:-1]))):
-        return None
-    return int(sizes.max())
-
-
 def split_ladder(source, cells: Sequence[CacheCell]) -> tuple:
     """Partition ``cells`` into ``(ladder, rest)``.
 
     ``ladder`` cells are served by :func:`run_lru_ladder`.  Config
-    side they are
-    :func:`~repro.simulation.engine.fast_path`'s ``"ladder"`` cells;
-    trace side every document keeps one size across the trace and none
-    exceeds the cell's capacity (so no bypasses, no invalidations — the
-    regime where byte-bounded LRU obeys inclusion exactly).
+    side they are :func:`~repro.simulation.engine.fast_path`'s
+    ``"queue"`` cells replayed with recency (LRU) over ``TRUSTED``
+    sizes; trace side every document keeps one size across the trace
+    and none exceeds the cell's capacity (so no bypasses, no
+    invalidations — the regime where byte-bounded LRU obeys inclusion
+    exactly).  Every other ``"queue"`` cell stays in ``rest``, for
+    :func:`replay_queue`.
     """
-    candidates = [cell for cell in cells if fast_path(cell) == "ladder"]
+    candidates = [cell for cell in cells
+                  if fast_path(cell) == "queue"
+                  and queue_recency(cell.policy)
+                  and cell.config.size_interpretation
+                  is SizeInterpretation.TRUSTED]
     if not candidates:
         return [], cells
-    max_size = stable_max_size(source.doc_ids, source.sizes)
-    if max_size is None:
+    doc_ids, sizes = source.doc_ids, source.sizes
+    order = np.argsort(doc_ids, kind="stable")
+    d_s = doc_ids[order]
+    s_s = sizes[order]
+    if bool(np.any((d_s[1:] == d_s[:-1]) & (s_s[1:] != s_s[:-1]))):
         return [], cells
+    max_size = int(sizes.max()) if len(sizes) else 0
     ladder = [cell for cell in candidates
               if cell.config.capacity_bytes >= max_size]
     excluded = set(map(id, ladder))
@@ -266,8 +257,6 @@ def run_lru_ladder(columns, tally: Tally,
     doc_ids, sizes = columns.doc_ids, columns.sizes
     n = len(doc_ids)
     if n == 0:
-        for cell in cells:
-            cell._evictions_override = 0
         return
     distances = np.array(weighted_stack_distances(doc_ids.tolist(),
                                                   sizes.tolist()))
@@ -305,8 +294,10 @@ def run_lru_ladder(columns, tally: Tally,
         residents = [int(np.count_nonzero(fits <= capacity))
                      for capacity in capacities]
     for i, cell in enumerate(cells):
-        admissions = n - total_hits[i]
-        cell._evictions_override = admissions - residents[i]
+        cache = cell.cache
+        cache.hits = total_hits[i]
+        cache.misses = admissions = n - total_hits[i]
+        cache.evictions = admissions - residents[i]
 
 
 # ----- the queue replay -----------------------------------------------------
@@ -435,17 +426,17 @@ def drive_columnar(trace, cells: Sequence[CacheCell], tally: Tally,
 
     The body of :func:`repro.simulation.engine.run_cells` (which has
     already taken the LRU-ladder cells out of ``cells``).  Returns how
-    many cells the FIFO shadow queue served.
+    many cells :func:`replay_queue` served.
     """
-    fifo: List[Tuple[CacheCell, tuple]] = []
+    queue: List[Tuple[CacheCell, tuple]] = []
     plain: Dict[tuple, List[CacheCell]] = {}
     hinted: Dict[tuple, List[tuple]] = {}
     hit_of: Dict[CacheCell, np.ndarray] = {}
     for cell in cells:
         key = resolver_key(cell.config)
         path = fast_path(cell)
-        if path == "fifo":
-            fifo.append((cell, key))
+        if path == "queue":
+            queue.append((cell, key))
             continue
         hit_of[cell] = np.zeros(len(trace), dtype=bool)
         if path == "hinted":
@@ -459,16 +450,16 @@ def drive_columnar(trace, cells: Sequence[CacheCell], tally: Tally,
                     {resolver_key(cell.config) for cell in cells}}
     with _span("drive"), phase_timer("pass", timings):
         _drive_chunks(trace, resolved, plain, hinted, hit_of)
-        if fifo:
+        if queue:
             doc_list = trace.doc_ids.tolist()
-            for cell, key in fifo:
+            for cell, key in queue:
                 cache = cell.cache
                 hits, counters, _resident = replay_queue(
                     doc_list, resolved[key].tolist(),
-                    cache.capacity_bytes, recency=False)
+                    cache.capacity_bytes, queue_recency(cell.policy))
                 for counter, value in counters.items():
                     setattr(cache, counter, getattr(cache, counter) + value)
                 hit_of[cell] = np.frombuffer(hits, dtype=bool)
         for cell, hits in hit_of.items():
             cell.account(tally, hits, trace)
-    return len(fifo)
+    return len(queue)

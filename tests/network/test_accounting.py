@@ -10,9 +10,9 @@ times the walk accumulates per request (their running means depend on
 order) are held to the same accountant: ``measured_transfer(request)``
 through ``path_latency`` over the topology's links.
 
-The LRU/LCE cascade yields the same kind of column and is counted by
-the same ``account``; the differential at the end holds it equal to
-the walk over the same random requests.
+The LCE cascade of LRU and FIFO nodes yields the same kind of column
+and is counted by the same ``account``; the differential at the end
+holds it equal to the walk over the same random requests.
 """
 
 from unittest import mock
@@ -20,8 +20,9 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.engine import NetworkConfig, NetworkSimulator
-from repro.network.fastpath import fastpath_eligible, run_fastpath
+from repro.network.engine import (NetworkConfig, NetworkSimulator,
+                                  run_network)
+from repro.network.fastpath import fastpath_eligible
 from repro.network.topology import path, sibling_mesh, single, tree, two_level
 from repro.simulation.latency import LatencyMetrics, path_latency
 from repro.simulation.metrics import TypeMetrics, measured_transfer
@@ -160,7 +161,7 @@ def assert_cascade_is_the_walk(trace, config):
     every field of every latency accumulator."""
     assert fastpath_eligible(config)
     walk = NetworkSimulator(config).run(trace)
-    fast = run_fastpath(trace, config)
+    fast = run_network(trace, config)
     assert fast.as_dict() == walk.as_dict()
     if config.measure_latency:
         for name in ("overall", "baseline"):
@@ -178,16 +179,21 @@ def assert_cascade_is_the_walk(trace, config):
 
 
 CAPACITY = st.sampled_from([900, 1500, 2500])
-#: Every cascade-eligible shape: LRU everywhere, no sibling ring.
+QUEUE_POLICY = st.sampled_from(["lru", "fifo"])
+LEVEL_POLICIES = st.lists(QUEUE_POLICY, min_size=3, max_size=3)
+#: Every cascade-eligible shape, no sibling ring, with an LRU or FIFO
+#: policy drawn per level: LRU, FIFO and mixed trees.
 CASCADE_TOPOLOGY = st.one_of(
-    st.builds(single, CAPACITY),
-    st.builds(two_level, CAPACITY, CAPACITY,
+    st.builds(single, CAPACITY, QUEUE_POLICY),
+    st.builds(two_level, CAPACITY, CAPACITY, QUEUE_POLICY, QUEUE_POLICY,
               n_children=st.integers(1, 3)),
-    st.builds(lambda levels, branching:
-              tree([900, 1500, 2500][:levels], branching),
-              st.integers(1, 3), st.integers(1, 3)),
-    st.builds(lambda levels: path([900, 1500, 2500][:levels]),
-              st.integers(1, 3)))
+    st.builds(lambda levels, branching, policies:
+              tree([900, 1500, 2500][:levels], branching,
+                   policies[:levels]),
+              st.integers(1, 3), st.integers(1, 3), LEVEL_POLICIES),
+    st.builds(lambda levels, policies:
+              path([900, 1500, 2500][:levels], policies[:levels]),
+              st.integers(1, 3), LEVEL_POLICIES))
 
 
 @settings(deadline=None)

@@ -24,10 +24,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.lru import LRUPolicy
 from repro.errors import ConfigurationError
 from repro.network.engine import (NetworkConfig, NetworkSimulator,
                                   run_network, run_network_cells)
-from repro.network.fastpath import fastpath_eligible, run_fastpath
+from repro.network.fastpath import fastpath_eligible
 from repro.network.topology import (path, sibling_mesh, single, tree,
                                     two_level)
 from repro.observability.events import set_event_sink
@@ -175,7 +176,7 @@ class TestFastpath:
         slow = NetworkSimulator(config).run(capped_trace)
         for source in (columnar_trace, capped_trace):
             assert fastpath_eligible(config)
-            fast = run_fastpath(source, config)
+            fast = run_network(source, config)
             assert fast.trace_name == slow.trace_name
             assert fast.total_requests == slow.total_requests
             assert fast.warmup_requests == slow.warmup_requests
@@ -195,7 +196,7 @@ class TestFastpath:
         empty = Trace([], name="empty")
         assert fastpath_eligible(config)
         results = []
-        for engine in (run_fastpath,
+        for engine in (run_network,
                        lambda trace, config:
                        NetworkSimulator(config).run(trace)):
             events = []
@@ -235,9 +236,12 @@ class TestFastpath:
 
     def test_ineligible_cells_detected(self):
         topology = topologies()[0]
-        # Non-LRU policies disqualify.
-        assert not fastpath_eligible(NetworkConfig(
-            topology=single(MAX_SIZE * 40, "gds(1)")))
+        # A policy the queue does not replay disqualifies, a subclass
+        # of a queue policy included, and so does a node given a
+        # policy instance: the walk must drive that very object.
+        for policy in ("gds(1)", "lru-threshold", LRUPolicy()):
+            assert not fastpath_eligible(NetworkConfig(
+                topology=single(MAX_SIZE * 40, policy))), policy
         # Non-LCE placement disqualifies.
         assert not fastpath_eligible(NetworkConfig(
             topology=topology, strategy="lcd"))
@@ -279,7 +283,7 @@ class TestFastpath:
                        Request(1.0, "b", 100, 100, DocumentType.IMAGE),
                        Request(2.0, "a", 100, 100, DocumentType.IMAGE)])
         config = NetworkConfig(topology=single(1000), warmup_fraction=0.0)
-        placement = run_fastpath(trace, config).nodes["cache"].placement
+        placement = run_network(trace, config).nodes["cache"].placement
         assert placement == NetworkSimulator(config).run(
             trace).nodes["cache"].placement
         assert placement[DocumentType.HTML] == 100

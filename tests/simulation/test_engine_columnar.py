@@ -2,7 +2,7 @@
 
 :func:`repro.simulation.engine.run_cells` reads integer columns and
 nothing else, so every kernel in :mod:`repro.simulation.vectorized` —
-the LRU ladder, the FIFO shadow queue, hinted Greedy-Dual keys, masked
+the LRU ladder, the LRU/FIFO queue, hinted Greedy-Dual keys, masked
 boundary tallies — serves a request list or iterator exactly as it
 serves an mmap'd file.  The first classes re-run the source-parametrized
 equivalence matrix of ``test_engine.py`` with ``.rcol`` as the source;
@@ -13,10 +13,15 @@ latency statistic.
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.observability.events import set_event_sink
-from repro.simulation.engine import run_cells
+from repro.simulation.engine import CacheCell, run_cells
 from repro.simulation.parallel import run_sweep_parallel
-from repro.simulation.simulator import SimulationConfig, SizeInterpretation
+from repro.simulation.simulator import (
+    CacheSimulator,
+    SimulationConfig,
+    SizeInterpretation,
+)
 from repro.simulation.sweep import run_sweep
 from repro.trace.columnar import write_columnar
 from repro.types import DocumentType, Request, Trace
@@ -90,7 +95,7 @@ class TestFIFOFastPath:
             assert_cells_match_classic(feed(source, trace), trace,
                                        configs)
             (finished,) = recorder.named("pass_finished")
-            assert finished["fifo_queue_cells"] == len(configs), source
+            assert finished["queue_cells"] == len(configs), source
 
 
 class TestHintedGreedyDual:
@@ -162,6 +167,29 @@ class TestEdgeCases:
         for source in EVERY_SOURCE:
             assert_cells_match_classic(feed(source, trace), trace,
                                        configs)
+
+    @pytest.mark.parametrize("policy,modify_every", [
+        ("lru", 0), ("lru", 9), ("fifo", 9), ("gds(1)", 9),
+        ("lfu-da", 9)], ids=["ladder", "lru", "fifo", "hinted", "plain"])
+    def test_served_cell_is_refused(self, policy, modify_every):
+        """The kernels replay from an empty cache, so a prebuilt cell
+        whose cache has served a reference is refused, not silently
+        restarted; ``CacheSimulator`` still runs on from a warm cache."""
+        trace = mixed_trace(modify_every=modify_every)
+        config = SimulationConfig(capacity_bytes=9_000, policy=policy,
+                                  warmup_fraction=0.0)
+        cell = CacheCell(config)
+        run_cells(trace, [cell])
+        with pytest.raises(ConfigurationError, match="empty cache"):
+            run_cells(trace, [cell])
+        warm = CacheCell(config)
+        warm.cache.reference("u0", 200, DocumentType.HTML)
+        with pytest.raises(ConfigurationError, match="empty cache"):
+            run_cells(trace, [warm])
+        simulator = CacheSimulator(config)
+        simulator.run(trace)
+        assert len(simulator.cache)
+        simulator.run(trace)        # runs on from its warm cache
 
 
 class TestEntryPoints:
@@ -272,6 +300,6 @@ class TestTelemetry:
             assert started["requests"] == len(trace)
             assert finished["cells"] == len(configs)
             # Both vectorized fast paths fired: 2 plain-LRU ladder
-            # cells and 2 FIFO shadow-queue cells.
+            # cells and 2 FIFO queue cells.
             assert finished["lru_ladder_cells"] == 2
-            assert finished["fifo_queue_cells"] == 2
+            assert finished["queue_cells"] == 2

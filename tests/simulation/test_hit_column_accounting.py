@@ -1,7 +1,7 @@
 """Every cell of a shared pass is counted from its hit column.
 
 :func:`repro.simulation.engine.run_cells` has one request step: each
-cell's kernel (the LRU ladder, the FIFO queue, the hinted Greedy-Dual
+cell's kernel (the LRU ladder, the LRU/FIFO queue, the hinted Greedy-Dual
 loop or the plain loop) yields a hit column, and
 :meth:`~repro.simulation.engine.CacheCell.account` counts it — integers
 by :class:`~repro.simulation.vectorized.Tally`, cost and latency as
@@ -15,6 +15,7 @@ import functools
 import math
 import operator
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,17 +106,28 @@ class TestExtrasRideKernels:
             finished = pass_counts(feed(source, trace), trace, configs)
             assert finished["lru_ladder_cells"] == len(configs)
 
-    def test_cost_and_latency_fifo_cells_take_the_queue(self, feed):
-        configs = [SimulationConfig(capacity_bytes=c, policy="fifo",
-                                    warmup_fraction=0.2, **EXTRAS)
-                   for c in (1_500, 9_000)]
-        configs.append(SimulationConfig(capacity_bytes=9_000,
-                                        policy="fifo",
+    @pytest.mark.parametrize("policy", ["fifo", "lru"])
+    def test_cost_and_latency_fifo_cells_take_the_queue(
+            self, policy, feed, tiny_dfn_trace):
+        """The raw DFN workload changes document sizes, so no LRU cell
+        takes the ladder: under every size interpretation, and below the
+        largest document (bypasses), the queue replays LRU and FIFO."""
+        trace = tiny_dfn_trace
+        sizes = {request.url: request.size for request in trace}
+        total, largest = sum(sizes.values()), max(sizes.values())
+        configs = [SimulationConfig(capacity_bytes=c, policy=policy,
+                                    warmup_fraction=0.2,
+                                    size_interpretation=interpretation,
+                                    **EXTRAS)
+                   for interpretation in SizeInterpretation
+                   for c in (total // 50, largest - 1, total // 5)]
+        configs.append(SimulationConfig(capacity_bytes=total // 10,
+                                        policy=policy,
                                         latency_model=LatencyModel()))
-        trace = mixed_trace(modify_every=9)
         for source in ("requests", "rcol"):
             finished = pass_counts(feed(source, trace), trace, configs)
-            assert finished["fifo_queue_cells"] == len(configs)
+            assert finished["lru_ladder_cells"] == 0
+            assert finished["queue_cells"] == len(configs)
 
     def test_fast_path_by_extra(self):
         def path(policy, **extras):
@@ -127,8 +139,9 @@ class TestExtrasRideKernels:
         assert path("gd*(p)", **occupancy, **EXTRAS) == "hinted"
         assert path("lru", **occupancy) is None
         assert path("fifo", **occupancy) is None
-        assert path("lru", **EXTRAS) == "ladder"
-        assert path("fifo", **EXTRAS) == "fifo"
+        assert path("lru", **EXTRAS) == "queue"
+        assert path("fifo", **EXTRAS) == "queue"
+        assert path("lru-threshold", **EXTRAS) is None
         ttl = {"ttl_model": TTLModel(default_ttl=60.0)}
         for policy in ("lru", "fifo", "gds(1)", "gd*(p)", "lfu-da"):
             assert path(policy, **ttl) is None, policy
