@@ -1,7 +1,7 @@
 """Analytical model vs simulated sweep on a 16-point capacity curve.
 
 The tentpole claim of :mod:`repro.model`: once a catalog is calibrated
-(one streaming pass, reusable across every policy and capacity
+(from the trace's columns, reusable across every policy and capacity
 question), a whole capacity→hit-rate curve costs microseconds per
 point — versus the shared-pass engine, which still has to walk the
 trace once and update one cache per grid cell.  This bench times a

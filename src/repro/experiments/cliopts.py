@@ -88,12 +88,13 @@ def load_profile(args):
 
 
 def load_workload(args):
-    """The trace the workload options describe: the file, or one
-    generated from the profile."""
+    """The trace the workload options describe: the file's columns
+    (:func:`~repro.trace.columnar.columns_of`), or a trace generated
+    from the profile."""
     if from_trace_file(args):
-        from repro.trace.pipeline import load_trace
+        from repro.trace.columnar import columns_of
 
-        return load_trace(args.trace)
+        return columns_of(args.trace)
     from repro.workload.generator import generate_trace
 
     return generate_trace(load_profile(args),

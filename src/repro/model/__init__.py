@@ -19,8 +19,10 @@ The characteristic time ``T_C`` is the unique root of the byte-weighted
 occupancy constraint ``Σ_i size_i · h_i(T) = capacity_bytes``, so
 predictions live in the same bytes units as
 :class:`~repro.simulation.simulator.CacheSimulator`
-(:mod:`repro.model.solver`).  Calibration takes one pass over a trace
-— or none at all, from a :class:`~repro.workload.profiles.WorkloadProfile`
+(:mod:`repro.model.solver`).  Calibration reads a trace's columns
+(:func:`~repro.trace.columnar.columns_of`; an ``.rcol`` file in place)
+— or no trace at all, from a
+:class:`~repro.workload.profiles.WorkloadProfile`
 (:mod:`repro.model.catalog`); predictions decompose per document type
 and extend to a two-level hierarchy (:mod:`repro.model.che`); and a
 validation harness scores the model against
@@ -33,7 +35,7 @@ Quickstart::
     from repro.model import catalog_from_trace, hit_rate_curve
 
     trace = generate_trace(dfn_like(scale=1 / 256), temporal_model="irm")
-    catalog = catalog_from_trace(trace)      # the only trace pass
+    catalog = catalog_from_trace(trace)      # or a path to an .rcol
     for pred in hit_rate_curve(catalog, [2**20, 2**22, 2**24]):
         print(pred.capacity_bytes, pred.hit_rate, pred.byte_hit_rate)
 

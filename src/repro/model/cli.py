@@ -11,9 +11,10 @@ Three verbs, all driven by the same workload-source options::
 
 Workload sources:
 
-* ``--trace PATH`` — calibrate from a trace file in **one streaming
-  pass** (:func:`repro.trace.pipeline.iter_trace`); the trace is never
-  materialized and never read again.
+* ``--trace PATH`` — calibrate from the trace file's columns
+  (:func:`repro.trace.columnar.columns_of`): an ``.rcol`` is read in
+  place, building no ``Request``; a text log is gathered into columns
+  a chunk of requests at a time.
 * ``--profile NAME`` — calibrate from a named workload profile with
   no trace at all (``predict``/``curve``) or from a freshly generated
   synthetic trace (``validate``, which needs something to simulate).
@@ -137,12 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_catalog(args) -> Catalog:
     if from_trace_file(args):
-        from repro.trace.pipeline import iter_trace
-
-        catalog = catalog_from_trace(iter_trace(args.trace),
-                                     name=str(args.trace))
+        catalog = catalog_from_trace(args.trace, name=str(args.trace))
         _logger.info(
-            "calibrated %d documents from one pass over %s",
+            "calibrated %d documents from the columns of %s",
             catalog.n_documents, args.trace,
             extra={"documents": catalog.n_documents,
                    "trace": str(args.trace)})

@@ -4,7 +4,7 @@ An approximation is only useful with a measured error bar.  This
 harness runs the two stacks against the *same* workload —
 
 * the analytical side: one :func:`~repro.model.catalog.catalog_from_trace`
-  calibration pass, then :func:`~repro.model.che.hit_rate_curve` per
+  calibration from the trace's columns, then :func:`~repro.model.che.hit_rate_curve` per
   policy (microseconds per cell);
 * the simulated side: every (policy, capacity) cell rides **one**
   shared :func:`repro.simulation.engine.run_cells` pass —
@@ -34,6 +34,7 @@ from repro.observability.metrics import get_registry
 from repro.simulation.engine import SimulationConfig, run_cells
 from repro.simulation.results import SimulationResult
 from repro.simulation.sweep import PAPER_SIZE_FRACTIONS
+from repro.trace.columnar import columns_of
 from repro.types import DOCUMENT_TYPES, DocumentType, Trace
 
 #: Default policy set: every policy the analytical model covers.
@@ -347,6 +348,7 @@ def validate_hierarchy(trace: Trace,
     if not pairs or any(len(pair) != 2 for pair in pairs):
         raise ConfigurationError(
             "fraction_pairs must be (child, parent) fraction pairs")
+    trace = columns_of(trace)
     if catalog is None:
         catalog = catalog_from_trace(trace)
 
@@ -423,7 +425,10 @@ def validate_model(trace: Trace,
     """Score the analytical model against a shared-pass simulation grid.
 
     Args:
-        trace: The workload, materialized (both stacks walk it).
+        trace: The workload: anything
+            :func:`~repro.trace.columnar.columns_of` takes, whose
+            columns both stacks read (gathered once, or an ``.rcol``
+            read in place).
         policies: Model-covered policy names; each gets the full
             capacity ladder.
         capacities: Byte capacities; defaults to ``fractions`` of the
@@ -443,6 +448,7 @@ def validate_model(trace: Trace,
     policies = [normalize_policy(p) for p in policies]
     if not policies:
         raise ConfigurationError("need at least one policy")
+    trace = columns_of(trace)
     if capacities is None:
         capacities = cache_sizes_from_fractions(trace, fractions)
     if not capacities:

@@ -12,8 +12,8 @@ Four verbs over the general cache-network engine::
         --profile dfn --irm --max-mae 0.03
 
 Workload sources are the ones every sub-CLI shares
-(:mod:`repro.experiments.cliopts`): ``--trace PATH`` loads a trace
-file (columnar ``.rcol`` auto-detected), ``--profile NAME`` generates
+(:mod:`repro.experiments.cliopts`): ``--trace PATH`` opens a trace
+file's columns (an ``.rcol`` mmap'd), ``--profile NAME`` generates
 a synthetic trace from a named workload profile.
 
 ``validate`` scores the analytical two-level tandem predictor

@@ -18,10 +18,11 @@ bit-identical whatever the batch size.
 A batch is its own **process**: the scheduler starts one
 ``multiprocessing.Process`` per batch, at most ``n_workers`` at a
 time, and reads one answer from the batch's pipe — the per-cell
-payload list, or the exception the cells raised.  The trace object is
-the process argument: a fork-started child inherits it (request list
-or file mapping, nothing copied), a spawn-started child unpickles it,
-which for a :class:`~repro.trace.columnar.ColumnarTrace` means
+payload list, or the exception the cells raised.  The trace's columns
+(:func:`~repro.trace.columnar.columns_of`, taken once by the caller)
+are the process argument: a fork-started child inherits them (arrays
+or file mapping, nothing copied), a spawn-started child unpickles
+them, which for a :class:`~repro.trace.columnar.ColumnarTrace` means
 reopening the file by path, so the kernel page cache backs every
 child with one copy.
 
@@ -82,6 +83,7 @@ from repro.simulation.results import (
     SweepResult,
 )
 from repro.simulation.simulator import SimulationConfig, SizeInterpretation
+from repro.trace.columnar import columns_of
 
 #: Accepted values for ``failure_policy``.
 FAILURE_POLICIES = ("raise", "partial")
@@ -248,13 +250,14 @@ def run_sweep_parallel(trace,
     boundaries); ``n_workers`` — how many batch processes run at once —
     defaults to the CPU count capped by the cell count, and even one
     worker is a child process: the caller never runs a pass itself.
-    ``trace`` may be a :class:`~repro.types.Trace`, a
-    :class:`~repro.trace.columnar.ColumnarTrace`, or a trace file
-    path.  Each batch's process gets the trace object itself: a forked
-    child inherits it, a spawned child unpickles it — a request list
-    travels whole, a columnar trace as its path, which the child mmaps
-    itself (one kernel page-cache copy serves every process, and the
-    passes consume the columns directly).
+    ``trace`` is anything :func:`~repro.trace.columnar.columns_of`
+    opens or gathers — a :class:`~repro.types.Trace`, a
+    :class:`~repro.trace.columnar.ColumnarTrace`, or a trace file path —
+    and its columns are taken once, here.  Each batch's process gets
+    those columns: a forked child inherits them, a spawned child
+    unpickles them — gathered columns travel as arrays, a columnar
+    trace as its path, which the child mmaps itself (one kernel
+    page-cache copy serves every process).
 
     The process is the unit of blame: a death
     (:class:`~repro.errors.WorkerCrashError`) or a timeout (``kill()``,
@@ -305,16 +308,7 @@ def run_sweep_parallel(trace,
         profile_dir: When set, each cell attempt is run under cProfile
             in its process and dumps ``<cell>.attempt<n>.prof`` here.
     """
-    if isinstance(trace, (str, Path)):
-        from repro.trace.columnar import is_columnar_file, open_columnar
-
-        path = Path(trace)
-        if is_columnar_file(path):
-            trace = open_columnar(path, verify=False)
-        else:
-            from repro.trace.pipeline import load_trace
-
-            trace = load_trace(path)
+    trace = columns_of(trace)
     cells: List[Tuple[str, int]] = [
         (policy_name, capacity)
         for policy_name in policies

@@ -31,7 +31,12 @@ def cache_sizes_from_fractions(
         trace: Trace,
         fractions: Sequence[float] = PAPER_SIZE_FRACTIONS) -> List[int]:
     """Byte capacities equal to the given fractions of the trace's
-    overall (distinct-document) size."""
+    overall (distinct-document) size.
+
+    ``trace`` is anything with ``metadata()``: a
+    :class:`~repro.types.Trace` or the columns
+    :func:`~repro.trace.columnar.columns_of` gives.
+    """
     if not fractions:
         raise ConfigurationError("need at least one size fraction")
     if any(f <= 0 for f in fractions):
@@ -57,8 +62,11 @@ def run_sweep(trace: Union[Trace, str, Path],
         trace: The driving workload — a :class:`~repro.types.Trace`, a
             :class:`~repro.trace.columnar.ColumnarTrace`, or a trace
             *file path* (any format
-            :func:`repro.trace.reader.open_trace` handles), decoded
-            once for the whole grid and swept with bounded memory.
+            :func:`repro.trace.reader.open_trace` handles), opened by
+            :func:`~repro.trace.columnar.columns_of` once for the whole
+            grid — an ``.rcol`` mmap'd, a text format gathered into
+            columns a chunk of requests at a time — and named by its
+            file stem.
         policies: Policy names (see :mod:`repro.core.registry`).
         capacities: Cache capacities in bytes.
         warmup_fraction: Warm-up share per run (paper: 0.10).
@@ -89,29 +97,9 @@ def run_sweep(trace: Union[Trace, str, Path],
                 size_interpretation=size_interpretation,
                 occupancy_interval=occupancy_interval,
             ))
-    if isinstance(trace, (str, Path)):
-        name = Path(trace).stem
-        results = _run_cells_from_file(Path(trace), configs, name)
-    else:
-        name = trace.name
-        results = run_cells(trace, configs, trace_name=name)
+    name = Path(trace).stem if isinstance(trace, (str, Path)) \
+        else trace.name
     sweep = SweepResult(trace_name=name)
-    for result in results:
+    for result in run_cells(trace, configs, trace_name=name):
         sweep.add(result)
     return sweep
-
-
-def _run_cells_from_file(path: Path, configs, name: str):
-    """Open a trace *file* and drive the cells over its mmap'd columns,
-    never materializing Request objects for the whole trace.  A text
-    format is decoded once into a temporary ``.rcol`` first."""
-    import tempfile
-
-    from repro.trace.columnar import (convert_to_columnar,
-                                      is_columnar_file, open_columnar)
-
-    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
-        if not is_columnar_file(path):
-            path = convert_to_columnar(path, Path(scratch) / "trace.rcol")
-        with open_columnar(path) as columnar:
-            return run_cells(columnar, configs, trace_name=name)

@@ -29,7 +29,8 @@ from repro.analysis.tables import (
     render_properties_table,
     render_statistics_table,
 )
-from repro.observability.logs import LOG_LEVELS, configure, get_logger
+from repro.experiments.cliopts import add_observability_options, run_verbs
+from repro.observability.logs import get_logger
 from repro.trace.pipeline import load_trace
 from repro.trace.writer import write_trace
 from repro.workload.generator import generate_trace
@@ -41,13 +42,7 @@ _logger = get_logger("trace.cli")
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-trace", description="Proxy trace tools.")
-    parser.add_argument(
-        "--log-level", choices=list(LOG_LEVELS), default="info",
-        help="diagnostic verbosity on stderr (default: info)")
-    parser.add_argument(
-        "--log-json", action="store_true",
-        help="emit diagnostics as JSON lines instead of text")
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="verb", required=True)
 
     convert = commands.add_parser(
         "convert", help="any trace -> canonical CSV or columnar")
@@ -115,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="twin volume relative to the source "
                            "(default 1.0)")
     twin.add_argument("--seed", type=int, default=42)
+    for verb in commands.choices.values():
+        add_observability_options(verb)
     return parser
 
 
@@ -273,9 +270,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    configure(level=args.log_level, json_lines=args.log_json)
-    return _COMMANDS[args.command](args)
+    return run_verbs(build_parser(), _COMMANDS, "trace", argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

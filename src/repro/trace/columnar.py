@@ -38,6 +38,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Union
 
@@ -490,9 +491,12 @@ class ColumnarTrace:
         self.path = Path(path)
         self.header = read_header(self.path)
         self.name = self.header.extra.get("name") or self.path.stem
-        self._file = open(self.path, "rb")
-        self._mmap = mmap.mmap(self._file.fileno(), 0,
-                               access=mmap.ACCESS_READ)
+        # The mapping holds its own descriptor, so an unclosed trace
+        # (one ``columns_of`` opened from a path, say) leaves no open
+        # file behind once it is garbage.
+        with open(self.path, "rb") as stream:
+            self._mmap = mmap.mmap(stream.fileno(), 0,
+                                   access=mmap.ACCESS_READ)
         self.records = np.frombuffer(
             self._mmap, dtype=RECORD_DTYPE, count=self.header.n_records,
             offset=self.header.records_offset)
@@ -548,10 +552,6 @@ class ColumnarTrace:
         return self.records["epoch"]
 
     @property
-    def statuses(self) -> np.ndarray:
-        return self.records["status"]
-
-    @property
     def ctype_ids(self) -> np.ndarray:
         return self.records["ctype"]
 
@@ -584,10 +584,6 @@ class ColumnarTrace:
         return self._ctype_list
 
     # -- Trace-compatible surface ------------------------------------
-    @property
-    def request_count(self) -> int:
-        return self.header.n_records
-
     def __len__(self) -> int:
         return self.header.n_records
 
@@ -660,7 +656,6 @@ class ColumnarTrace:
             self._mmap.close()
         except BufferError:  # pragma: no cover - views still exported
             pass
-        self._file.close()
 
     def __enter__(self) -> "ColumnarTrace":
         return self
@@ -681,35 +676,43 @@ class TraceColumns:
     """The integer columns of a request sequence, held in memory.
 
     What :func:`columns_of` gathers a :class:`~repro.types.Trace`,
-    request list or request iterator into: the part of a
-    :class:`ColumnarTrace` the simulation's column kernels read
+    request list, request iterator or text trace file into: the part of
+    a :class:`ColumnarTrace` the simulation's column kernels read
     (``doc_ids``, ``sizes``, ``transfers``, ``type_codes``,
-    ``timestamps``, :meth:`urls`, ``name``, ``len``), with the same
-    interning — document ids in first-seen order — and no file.
+    ``timestamps``, :meth:`urls`, ``name``, ``len``, :meth:`metadata`),
+    with the same interning — document ids in first-seen order — and no
+    file.  Requests are gathered a fixed-size chunk at a time, so a
+    streamed source never has more than one chunk of them alive.
     """
 
     def __init__(self, requests: Iterable[Request], name: str = "trace"):
         self.name = name
-        if not isinstance(requests, (list, tuple)):
-            requests = list(requests)
         ids: dict = {}
         intern = ids.setdefault
+        stream = iter(requests)
+        # An empty first block types the columns of an empty source.
+        blocks = [tuple(np.empty(0, dtype) for dtype in (
+            np.int64, np.int64, np.int64, np.uint8, np.float64))]
         # One comprehension per column: about half the cost of one loop
         # appending to five lists.
-        self.doc_ids = np.array(
-            [intern(r.url, len(ids)) for r in requests], dtype=np.int64)
-        try:
-            self.sizes = np.array([r.size for r in requests],
-                                  dtype=np.int64)
-            self.transfers = np.array(
-                [r.transfer_size for r in requests], dtype=np.int64)
-        except OverflowError as exc:
-            raise ColumnarFormatError(
-                "a size exceeds the 63-bit size columns") from exc
-        self.type_codes = np.array(
-            [_TYPE_CODE[r.doc_type] for r in requests], dtype=np.uint8)
-        self.timestamps = np.array([r.timestamp for r in requests],
-                                   dtype=np.float64)
+        for chunk in iter(lambda: list(islice(stream, _FLUSH_ROWS)), []):
+            try:
+                blocks.append((
+                    np.array([intern(r.url, len(ids)) for r in chunk],
+                             dtype=np.int64),
+                    np.array([r.size for r in chunk], dtype=np.int64),
+                    np.array([r.transfer_size for r in chunk],
+                             dtype=np.int64),
+                    np.array([_TYPE_CODE[r.doc_type] for r in chunk],
+                             dtype=np.uint8),
+                    np.array([r.timestamp for r in chunk],
+                             dtype=np.float64)))
+            except OverflowError as exc:
+                raise ColumnarFormatError(
+                    "a size exceeds the 63-bit size columns") from exc
+        (self.doc_ids, self.sizes, self.transfers, self.type_codes,
+         self.timestamps) = (np.concatenate(column)
+                             for column in zip(*blocks))
         self._urls = list(ids)
 
     @classmethod
@@ -735,16 +738,38 @@ class TraceColumns:
     def __len__(self) -> int:
         return len(self.doc_ids)
 
+    def metadata(self) -> TraceMetadata:
+        """Table-1 aggregates from the columns, counted as
+        :meth:`~repro.types.Trace.metadata` counts them: each document
+        once, at its last size."""
+        last = len(self) - 1 - np.unique(self.doc_ids[::-1],
+                                         return_index=True)[1]
+        return TraceMetadata(
+            name=self.name, total_requests=len(self),
+            distinct_documents=len(last),
+            total_size_bytes=int(self.sizes[last].sum()),
+            requested_bytes=int(self.transfers.sum()))
+
 
 def columns_of(trace):
     """The integer columns of ``trace`` — what simulation passes read.
 
     A :class:`ColumnarTrace` (or columns gathered earlier) is returned
-    as is; a :class:`~repro.types.Trace`, request sequence or request
-    iterator is gathered once into :class:`TraceColumns`.
+    as is.  A trace file path is opened: an ``.rcol`` is mmap'd with its
+    CRC checked, any other format streams through
+    :func:`~repro.trace.pipeline.iter_trace` into :class:`TraceColumns`
+    named by the file stem.  A :class:`~repro.types.Trace`, request
+    sequence or request iterator is gathered once into
+    :class:`TraceColumns`.
     """
     if isinstance(trace, (ColumnarTrace, TraceColumns)):
         return trace
+    if isinstance(trace, (str, Path)):
+        if is_columnar_file(trace):
+            return open_columnar(trace)
+        from repro.trace.pipeline import iter_trace
+
+        return TraceColumns(iter_trace(trace), name=Path(trace).stem)
     return TraceColumns(getattr(trace, "requests", trace),
                         name=getattr(trace, "name", "trace"))
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 
 class ModificationPolicy(enum.Enum):
@@ -127,9 +127,3 @@ class ModificationDetector:
     def summary(self) -> Dict[str, int]:
         """Event counts by name, for reporting."""
         return {event.value: count for event, count in self.counts.items()}
-
-
-def split_sizes(observation: SizeObservation,
-                logged_size: int) -> Tuple[int, int]:
-    """(document_size, transfer_size) pair implied by an observation."""
-    return observation.document_size, logged_size

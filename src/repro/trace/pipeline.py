@@ -119,30 +119,12 @@ def load_trace(path: PathLike, fmt: Optional[str] = None,
     """
     path = Path(path)
     with phase_timer("trace_load", metric="trace_load_seconds"):
-        trace = _load(path, fmt, name, pipeline, max_errors, on_error)
+        trace = Trace(iter_trace(path, fmt=fmt, pipeline=pipeline,
+                                 max_errors=max_errors,
+                                 on_error=on_error),
+                      name=name or path.stem)
     _logger.debug("loaded trace %s: %d requests", trace.name,
                   len(trace.requests),
                   extra={"trace": trace.name, "path": str(path),
                          "requests": len(trace.requests)})
     return trace
-
-
-def _load(path: Path, fmt, name, pipeline, max_errors,
-          on_error) -> Trace:
-    stream = open_trace(path, fmt=fmt, max_errors=max_errors,
-                        on_error=on_error)
-    first = next(stream, None)
-    if first is None:
-        return Trace([], name=name or path.stem)
-    if isinstance(first, Request):
-        def _requests():
-            yield first
-            yield from stream
-        return Trace(_requests(), name=name or path.stem)
-
-    pipeline = pipeline or TracePipeline()
-
-    def _records():
-        yield first
-        yield from stream
-    return Trace(pipeline.process(_records()), name=name or path.stem)

@@ -107,6 +107,34 @@ class TestValidate:
         assert payload["cells"]
 
 
+    def test_rcol_trace_builds_no_request(self, capsys, tmp_path,
+                                          monkeypatch):
+        """``--trace x.rcol`` calibrates and simulates from the mapped
+        columns: with Request construction made to fail, its report is
+        byte-identical to the report of the profile it was written
+        from (the CI model-validation guard, smaller)."""
+        from repro.trace.cli import main as trace_main
+
+        rcol = tmp_path / "dfn-irm.rcol"
+        assert trace_main(["generate", "dfn", "--irm", "--scale",
+                           "0.001", "-o", str(rcol)]) == 0
+        common = ["--policies", "lru", "--fractions", "0.01,0.04"]
+        profile_report = tmp_path / "profile.json"
+        assert run(capsys, ["validate", "--profile", "dfn",
+                            "--profile-scale", "0.001", "--irm",
+                            *common, "--report",
+                            str(profile_report)])[0] == 0
+
+        def no_request(*args, **kwargs):
+            raise AssertionError("a Request was built")
+
+        monkeypatch.setattr("repro.trace.columnar.Request", no_request)
+        rcol_report = tmp_path / "rcol.json"
+        assert run(capsys, ["validate", "--trace", str(rcol), *common,
+                            "--report", str(rcol_report)])[0] == 0
+        assert rcol_report.read_bytes() == profile_report.read_bytes()
+
+
 class TestDispatchAndTelemetry:
     def test_experiments_cli_dispatches_model(self, capsys):
         code = experiments_main(["model", "predict", "--capacity",

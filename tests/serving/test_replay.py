@@ -19,6 +19,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.model.catalog import catalog_from_trace
+from repro.model.validation import validate_hierarchy, validate_model
 from repro.serving.replay import (
     ReplayConfig,
     partition_trace,
@@ -262,6 +263,31 @@ class TestReplayOnColumns:
         validation = validate_replay(rcol, config)
         assert [s.as_dict() for s in validation.shards] == \
             [s.as_dict() for s in expected_validation.shards]
+
+    def test_rcol_model_validations_build_no_request(
+            self, irm_trace, rcol_of, monkeypatch):
+        """The model's paths read an ``.rcol``'s columns too: with
+        Request construction made to fail, LRU replay validation (whose
+        shards the model predicts), model validation and hierarchy
+        validation each equal their in-memory run."""
+        rcol = rcol_of(irm_trace)
+        config = ReplayConfig(capacity_bytes=_capacity(irm_trace),
+                              n_shards=3, policy="lru")
+
+        def validations(trace):
+            replayed = validate_replay(trace, config)
+            assert all(s.model_error is not None
+                       for s in replayed.shards)
+            return ([s.as_dict() for s in replayed.shards],
+                    validate_model(trace).as_dict(),
+                    validate_hierarchy(trace).as_dict())
+        expected = validations(irm_trace)
+
+        def no_request(*args, **kwargs):
+            raise AssertionError("a Request was built")
+
+        monkeypatch.setattr("repro.trace.columnar.Request", no_request)
+        assert validations(rcol) == expected
 
     @pytest.mark.parametrize("source", ["trace", "rcol"])
     def test_restricted_catalog_equals_each_shards_own(

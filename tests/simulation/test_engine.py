@@ -402,9 +402,10 @@ class TestStreamingPass:
             assert_identical(s, m)
 
     def test_file_backed_sweep_both_engines(self, tmp_path):
-        """A text-file sweep (decoded once into a temporary ``.rcol``)
-        equals both the in-memory sweep and the reference simulator
-        streaming the same file per cell."""
+        """A text-file sweep (gathered into columns a chunk of
+        requests at a time, with no file written) equals both the
+        in-memory sweep and the reference simulator streaming the same
+        file per cell."""
         from repro.trace.pipeline import iter_trace
         from repro.trace.writer import write_trace
         trace = mixed_trace(modify_every=13)
@@ -414,7 +415,7 @@ class TestStreamingPass:
         capacities = [4_000, 20_000]
         memory = run_sweep(trace, policies, capacities)
         swept = run_sweep(path, policies, capacities)
-        # The conversion leaves nothing beside the trace.
+        # The sweep leaves nothing beside the trace.
         assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
         # Reference side: one CacheSimulator stream per cell over the
         # same file (csv rounds timestamps, so compare like sources).

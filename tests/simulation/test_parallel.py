@@ -85,3 +85,25 @@ def test_parallel_on_generated_trace(tiny_dfn_trace):
     serial = run_sweep(tiny_dfn_trace, ["lru", "gd*(1)"], capacities)
     for policy in ("lru", "gd*(1)"):
         assert parallel.series(policy) == serial.series(policy)
+
+
+def test_csv_path_matches_serial_sweep(tmp_path):
+    """A csv path is gathered into columns once, in the caller, and
+    named by its file stem: every cell equals a serial sweep of the
+    loaded trace, trace name included."""
+    from repro.trace.pipeline import load_trace
+    from repro.trace.writer import write_trace
+
+    path = tmp_path / "par-csv.csv"
+    write_trace(path, small_trace().requests)
+    policies, capacities = ["lru", "gd*(1)"], [5000, 20_000]
+    serial = run_sweep(load_trace(path), policies, capacities)
+    parallel = run_sweep_parallel(path, policies, capacities,
+                                  n_workers=2)
+
+    def flat(sweep):
+        return {(policy, capacity): cell.as_dict()
+                for policy, per_capacity in sweep.grid.items()
+                for capacity, cell in per_capacity.items()}
+    assert parallel.trace_name == serial.trace_name == "par-csv"
+    assert flat(parallel) == flat(serial)

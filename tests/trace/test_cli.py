@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro.trace`` CLI."""
 
 import gzip
+import json
 
 import pytest
 
@@ -82,6 +83,36 @@ class TestStatsAndCharacterize:
         capsys.readouterr()
         assert main(["characterize", str(out), "--no-locality"]) == 0
         assert "n/a" in capsys.readouterr().out
+
+
+class TestSharedScaffold:
+    def test_truncated_rcol_is_one_error_line(self, tmp_path, capsys):
+        """A ReproError exits 2 with one ``error:`` line, as in the
+        other CLIs, instead of escaping as a traceback."""
+        rcol = tmp_path / "t.rcol"
+        assert main(["generate", "dfn", "--scale", "0.0003",
+                     "-o", str(rcol)]) == 0
+        rcol.write_bytes(rcol.read_bytes()[:-8])
+        capsys.readouterr()
+        assert main(["stats", str(rcol)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "truncated" in err[0]
+
+    def test_telemetry_dir_writes_a_valid_manifest(self, tmp_path,
+                                                   capsys):
+        from repro.observability import validate_telemetry_dir
+
+        log = tmp_path / "access.log"
+        log.write_text(SQUID)
+        run_dir = tmp_path / "telemetry"
+        assert main(["stats", str(log), "--telemetry-dir",
+                     str(run_dir)]) == 0
+        assert "2 requests" in capsys.readouterr().out
+        assert validate_telemetry_dir(run_dir) == []
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert (manifest["kind"], manifest["status"]) == \
+            ("trace-stats", "complete")
 
 
 def test_unknown_command_rejected():

@@ -20,6 +20,7 @@ from repro.trace.columnar import (
     READER_VERSION,
     RECORD_DTYPE,
     ColumnarFormatError,
+    ColumnarTrace,
     ColumnarWriter,
     TraceColumns,
     columns_of,
@@ -182,6 +183,72 @@ def test_take_keeps_each_rows_fields(tmp_path):
             assert len(empty) == 0
             assert empty.urls() == source.urls()
             assert empty.doc_ids.tolist() == []
+
+
+def test_columns_of_opens_trace_paths(tmp_path):
+    """A path is opened, not iterated: an ``.rcol`` is mmap'd with its
+    CRC checked and keeps its header name, a csv streams into columns
+    named by its stem — the same columns either way."""
+    from repro.trace.writer import write_trace
+
+    requests = sample_requests()
+    rcol = write_sample(tmp_path, requests)
+    csv = tmp_path / "sample-csv.csv"
+    write_trace(csv, requests)
+    mapped = columns_of(str(rcol))
+    gathered = columns_of(csv)
+    assert (type(mapped), mapped.name) == (ColumnarTrace, "sample")
+    assert (type(gathered), gathered.name) == (TraceColumns, "sample-csv")
+    assert gathered.urls() == mapped.urls()
+    for column in ("doc_ids", "sizes", "transfers", "type_codes"):
+        assert getattr(gathered, column).tolist() == \
+            getattr(mapped, column).tolist(), column
+    mapped.close()
+    data = bytearray(rcol.read_bytes())
+    data[HEADER_RESERVE] ^= 0xFF
+    rcol.write_bytes(bytes(data))
+    with pytest.raises(ColumnarFormatError, match="CRC"):
+        columns_of(rcol)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_gathering_in_chunks_equals_one_gather(monkeypatch, extra):
+    """Requests are gathered a chunk at a time; one chunk minus one,
+    exactly one and one plus one requests give the columns a single
+    gather gives, interning across the chunk boundary included."""
+    chunk = 4
+    requests = [make_request(url=f"http://a/{i % 3}", size=100 + i,
+                             transfer=50 + i, timestamp=float(i),
+                             doc_type=DOCUMENT_TYPES[i % 5])
+                for i in range(chunk + extra)]
+    whole = TraceColumns(requests)
+    monkeypatch.setattr("repro.trace.columnar._FLUSH_ROWS", chunk)
+    for source in (requests, iter(requests)):
+        chunked = TraceColumns(source)
+        assert chunked.urls() == whole.urls()
+        for column in ("doc_ids", "sizes", "transfers", "type_codes",
+                       "timestamps"):
+            assert np.array_equal(getattr(chunked, column),
+                                  getattr(whole, column)), column
+            assert getattr(chunked, column).dtype == \
+                getattr(whole, column).dtype
+
+
+def test_gathered_metadata_is_the_traces(tiny_dfn_trace):
+    """Columns count Table 1 as the Trace does: each document once at
+    its last size — for a generated trace with size changes, the
+    hand-made sample, a row subset and an empty source."""
+    requests = sample_requests()
+    assert columns_of(tiny_dfn_trace).metadata() == \
+        tiny_dfn_trace.metadata()
+    assert columns_of(Trace(requests, name="s")).metadata() == \
+        Trace(requests, name="s").metadata()
+    rows = np.array([4, 1, 3, 2])
+    taken = TraceColumns.take(columns_of(Trace(requests, name="s")),
+                              rows)
+    assert taken.metadata() == \
+        Trace([requests[r] for r in rows], name="s").metadata()
+    assert columns_of([]).metadata() == Trace([]).metadata()
 
 
 def test_columns_of_refuses_sizes_beyond_63_bits():
