@@ -339,7 +339,7 @@ def validate_hierarchy(trace: Trace,
     errors into the ``hierarchy_validation_abs_error`` histogram.
     """
     from repro.network import NetworkConfig, run_network_cells, two_level
-    from repro.simulation.sweep import cache_sizes_from_fractions
+    from repro.simulation.sweep import cache_sizes_from_total
 
     policies = [normalize_policy(p) for p in policies]
     if not policies:
@@ -358,8 +358,9 @@ def validate_hierarchy(trace: Trace,
         n_children=n_children,
         warmup_fraction=warmup_fraction)
     registry = get_registry()
-    grid = [(policy, *cache_sizes_from_fractions(trace, pair))
-            for policy in policies for pair in pairs]
+    total = trace.metadata().total_size_bytes
+    sized = [cache_sizes_from_total(total, pair) for pair in pairs]
+    grid = [(policy, *sizes) for policy in policies for sizes in sized]
     simulated = run_network_cells(trace, [
         NetworkConfig(
             topology=two_level(child_cap, parent_cap,

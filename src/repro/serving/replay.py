@@ -392,7 +392,7 @@ def validate_replay(trace, config: ReplayConfig,
         model_policy = None
     catalog = None
     if model_policy in MODEL_POLICIES and len(columns):
-        catalog = catalog_from_trace(trace)
+        catalog = catalog_from_trace(columns)
         first = np.unique(columns.doc_ids, return_index=True)[1]
         if np.any(np.diff(first) < 0) or not np.array_equal(
                 catalog.counts, np.bincount(columns.doc_ids)):

@@ -21,14 +21,28 @@ Ops::
     {"op": "delete", "url"}                          -> {"ok": true, "deleted": bool}
     {"op": "stats"}                                  -> {"ok": true, "stats": {...}}
 
-The codec is built once: one ``JSONEncoder`` and one ``JSONDecoder``
-serve every frame (``json.dumps`` with ``separators`` constructs a new
-encoder per call; the bytes are the same).  :meth:`CacheServer._dispatch`
-answers with the response *frame*, not a dict.  The replies that
-depend only on their outcome — ``request`` and ``put`` per
-:class:`AccessOutcome`, the ``get`` miss, ``ping``, ``delete`` either
-way — are encoded once at import, through :func:`encode_frame`; a
-``get`` hit, ``stats`` and errors are encoded per call.
+Every header's bytes are those of ``json.dumps`` with
+``separators=(",", ":")``; the hot verbs reach them without the general
+codec.  :func:`encode_frame` runs one C encoder built at import, and
+:func:`pack_frame` is the one place a length prefix is written.  The
+clients fill the ``request``, ``get``, ``put`` and ``delete`` headers
+into templates (the URL quoted by ``encode_basestring_ascii``, an
+``int`` size written with ``%d``) and frame them with
+:func:`pack_frame`; any other URL or size type takes the general
+encoder, and the server refuses it as before.
+:meth:`CacheServer._dispatch` answers with the response *frame*, not a
+dict.  The replies that depend only on their outcome — ``request`` and
+``put`` per :class:`AccessOutcome`, the ``get`` miss, ``ping``,
+``delete`` either way — are encoded once at import
+(:data:`PRE_ENCODED_REPLIES`); a ``get`` hit, ``stats`` and errors are
+encoded per call.  A client answers a chunk that is exactly one
+pre-encoded reply, read at a frame boundary, from a table built from
+these, and decodes all else.  :class:`FrameDecoder` reads a header with
+the JSON scanner built once; what it does not consume whole
+(surrounding whitespace, extra data, not JSON) goes to the full
+decoder, so the frames accepted and every error text are unchanged.
+``doc_type`` values map to :class:`DocumentType` through a table; an
+unknown one is refused as ``DocumentType(value)`` refuses it.
 
 Ordering and back-pressure: a connection's frames are answered in
 arrival order, one response per request, each response one write; all
@@ -57,6 +71,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Dict, Optional, Set, Tuple, Union
 
 from repro.core.policy import AccessOutcome
@@ -70,9 +85,17 @@ MAX_FRAME = 64 * 1024 * 1024  # refuse absurd frames instead of OOMing
 
 _LEN = struct.Struct(">I")
 
-# Built once: json.dumps with separators builds a new encoder per call.
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
-_decode_json = json.JSONDecoder().decode
+# Built once: json.dumps with separators builds a new encoder per call,
+# and JSONEncoder.encode builds a new C encoder per call.  No markers
+# dict: one shared between calls would keep a failed call's entries
+# (and be shared across threads), so a cyclic message ends in
+# RecursionError instead of "Circular reference detected".
+_c_encode = c_make_encoder(None, json.JSONEncoder().default,
+                           encode_basestring_ascii, None, ":", ",",
+                           False, False, True)
+_decoder = json.JSONDecoder()
+_decode_json = _decoder.decode
+_scan_json = _decoder.scan_once     # the C scanner decode itself runs
 
 
 class ServingProtocolError(ReproError):
@@ -87,7 +110,14 @@ def encode_frame(message: dict, payload: Optional[bytes] = None) -> bytes:
         raise ConfigurationError("payload_bytes is set by the framing")
     if payload is not None:
         message = {**message, "payload_bytes": len(payload)}
-    header = _encode_json(message).encode("utf-8")
+    return pack_frame("".join(_c_encode(message, 0)).encode("utf-8"),
+                      payload)
+
+
+def pack_frame(header: bytes, payload: Optional[bytes] = None) -> bytes:
+    """The frame of an already-encoded JSON ``header`` (carrying
+    ``payload_bytes`` iff ``payload`` is given): the one place a length
+    prefix is written."""
     if len(header) > MAX_FRAME or (payload is not None
                                    and len(payload) > MAX_FRAME):
         raise ConfigurationError(
@@ -106,6 +136,9 @@ _NOT_FOUND = encode_frame({"ok": True, "found": False})
 _PONG = encode_frame({"ok": True, "pong": True})
 _DELETED = encode_frame({"ok": True, "deleted": True})
 _NOT_DELETED = encode_frame({"ok": True, "deleted": False})
+#: Every reply encoded once; a client recognises these without decoding.
+PRE_ENCODED_REPLIES: Tuple[bytes, ...] = (
+    *_OUTCOME_FRAMES.values(), _NOT_FOUND, _PONG, _DELETED, _NOT_DELETED)
 
 
 class FrameDecoder:
@@ -142,8 +175,16 @@ class FrameDecoder:
             if len(buffer) < end:
                 return None
             try:
-                message = _decode_json(
-                    buffer[_LEN.size:end].decode("utf-8"))
+                text = buffer[_LEN.size:end].decode("utf-8")
+                try:
+                    message, stop = _scan_json(text, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    stop = -1
+                # What the scanner did not take whole (surrounding
+                # whitespace, extra data, not JSON), the full decoder
+                # accepts or refuses as it always has.
+                if stop != len(text):
+                    message = _decode_json(text)
             except (ValueError, RecursionError) as exc:
                 raise ServingProtocolError(
                     f"header is not UTF-8 JSON: {exc}") from None
@@ -277,8 +318,7 @@ class CacheServer:
             op = message.get("op")
             if op == "request":
                 return _OUTCOME_FRAMES[self.cache.request(
-                    message["url"], _size(message),
-                    DocumentType(message.get("doc_type", "other")))]
+                    message["url"], _size(message), _doc_type(message))]
             if op == "get":
                 document = self.cache.get(message["url"])
                 if document is None:
@@ -290,8 +330,7 @@ class CacheServer:
                      "frequency": document.frequency}, document.payload)
             if op == "put":
                 return _OUTCOME_FRAMES[self.cache.put(
-                    message["url"], _size(message),
-                    DocumentType(message.get("doc_type", "other")),
+                    message["url"], _size(message), _doc_type(message),
                     payload)]
             if op == "ping":
                 return _PONG
@@ -318,6 +357,17 @@ def _size(message: dict) -> int:
         raise ConfigurationError(
             f"size must be a JSON integer, got {size!r}")
     return size
+
+
+_DOC_TYPES: Dict[str, DocumentType] = {t.value: t for t in DocumentType}
+
+
+def _doc_type(message: dict) -> DocumentType:
+    value = message.get("doc_type", "other")
+    try:
+        return _DOC_TYPES[value]
+    except (KeyError, TypeError):       # refused as DocumentType refuses
+        return DocumentType(value)
 
 
 async def serve(cache: Union[ServedCache, ShardedCache],

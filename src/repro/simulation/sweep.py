@@ -37,11 +37,18 @@ def cache_sizes_from_fractions(
     :class:`~repro.types.Trace` or the columns
     :func:`~repro.trace.columnar.columns_of` gives.
     """
+    return cache_sizes_from_total(trace.metadata().total_size_bytes,
+                                  fractions)
+
+
+def cache_sizes_from_total(total: int, fractions: Sequence[float]
+                           ) -> List[int]:
+    """:func:`cache_sizes_from_fractions` for a trace whose overall size
+    ``total`` was already read (one read for many fraction sets)."""
     if not fractions:
         raise ConfigurationError("need at least one size fraction")
     if any(f <= 0 for f in fractions):
         raise ConfigurationError("size fractions must be positive")
-    total = trace.metadata().total_size_bytes
     if total <= 0:
         raise ConfigurationError("trace has no bytes to size against")
     return sorted({max(int(total * f), 1) for f in fractions})

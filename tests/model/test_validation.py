@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.model.validation import validate_hierarchy, validate_model
-from repro.simulation.sweep import PAPER_SIZE_FRACTIONS
+from repro.model.validation import (HIERARCHY_FRACTION_PAIRS,
+                                   validate_hierarchy, validate_model)
+from repro.simulation.sweep import (PAPER_SIZE_FRACTIONS,
+                                    cache_sizes_from_fractions)
+from repro.trace.columnar import TraceColumns
 from repro.workload.generator import generate_trace
 from repro.workload.profiles import dfn_like
 
@@ -126,3 +129,25 @@ class TestValidateHierarchy:
         for key in ("total_requests", "n_children", "warmup_fraction"):
             assert report[key] == self.GOLDEN[key]
         assert report["mean_absolute_error"] <= 0.03
+
+    def test_trace_size_is_read_once(self, monkeypatch):
+        """Every capacity pair is sized from one read of the trace's
+        total bytes, to the capacities each pair sizes to alone."""
+        trace = generate_trace(dfn_like(scale=1.0 / 512.0),
+                               temporal_model="irm")
+        calls = []
+        metadata = TraceColumns.metadata
+
+        def spy(columns):
+            calls.append(columns)
+            return metadata(columns)
+
+        monkeypatch.setattr(TraceColumns, "metadata", spy)
+        report = validate_hierarchy(trace, policies=("lru", "fifo"))
+        assert len(calls) == 1
+        sizes = [cache_sizes_from_fractions(calls[0], pair)
+                 for pair in HIERARCHY_FRACTION_PAIRS]
+        assert [(cell.policy, cell.child_capacity_bytes,
+                 cell.parent_capacity_bytes) for cell in report.cells] == [
+            (policy, *pair) for policy in ("lru", "fifo")
+            for pair in sizes]

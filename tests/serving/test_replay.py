@@ -317,7 +317,7 @@ class TestReplayOnColumns:
         loudly instead of predicting from the wrong documents."""
         monkeypatch.setattr(
             replay_module, "catalog_from_trace",
-            lambda trace: catalog_from_trace(trace.requests[::-1]))
+            lambda columns: catalog_from_trace(irm_trace.requests[::-1]))
         config = ReplayConfig(capacity_bytes=_capacity(irm_trace),
                               n_shards=2, policy="lru")
         with pytest.raises(ConfigurationError, match="do not index"):
