@@ -33,7 +33,7 @@ import html as _html
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.experiments.service import AXES, TrialSpec
+from repro.experiments.service import AXES, TrialSpec, store_samples
 from repro.experiments.stats import summarize
 from repro.types import PLOTTED_TYPES
 
@@ -463,26 +463,24 @@ def render_document(title: str, sections: Sequence[str],
 # --------------------------------------------------------------------------
 
 def _store_groups(store) -> Dict[tuple, Dict[float, Dict[str, dict]]]:
-    """(condition, git_hash) -> size_fraction -> policy -> payloads
+    """(condition, git_hash) -> size_fraction -> policy -> metrics
     keyed by seed; the condition leaves out the two fields a panel
     plots against each other."""
     groups: Dict[tuple, Dict[float, Dict[str, dict]]] = {}
-    for key, record in sorted(store.records().items()):
-        payload = record.get("payload") or {}
-        spec = payload.get("spec") or {}
-        condition = TrialSpec.condition_of(spec, "policy",
-                                           "size_fraction")
-        if condition is None:
-            continue
-        group = groups.setdefault((condition, key.git_hash), {})
+    for sample in store_samples(store):
+        spec = sample.spec
+        group = groups.setdefault(
+            (TrialSpec.condition_of(spec, "policy", "size_fraction"),
+             sample.git_hash), {})
         by_policy = group.setdefault(float(spec["size_fraction"]), {})
-        by_policy.setdefault(spec["policy"], {})[key.seed] = payload
+        by_policy.setdefault(spec["policy"], {})[sample.seed] = \
+            sample.metrics
     return groups
 
 
 def _series_from_group(fractions: Sequence[float],
                        group: Dict[float, Dict[str, dict]],
-                       metric_of) -> List[dict]:
+                       metric: str) -> List[dict]:
     policies = sorted({policy for by_policy in group.values()
                        for policy in by_policy})
     series = []
@@ -491,10 +489,10 @@ def _series_from_group(fractions: Sequence[float],
         lo: List[Optional[float]] = []
         hi: List[Optional[float]] = []
         for fraction in fractions:
-            sample = [metric_of(payload) for _, payload in
+            sample = [metrics[metric] for _, metrics in
                       sorted((group.get(fraction) or {})
-                             .get(policy, {}).items())]
-            sample = [v for v in sample if v is not None]
+                             .get(policy, {}).items())
+                      if metric in metrics]
             if not sample:
                 values.append(None)
                 lo.append(None)
@@ -536,20 +534,16 @@ def report_from_store(store, *, regression: Optional[dict] = None,
         sections.append(line_chart(
             f"hit rate vs cache size — {subject}",
             x_labels,
-            _series_from_group(fractions, group,
-                               lambda p: p.get("hit_rate")),
+            _series_from_group(fractions, group, "hit_rate"),
             meta=meta, slots=slots))
         sections.append(line_chart(
             f"byte hit rate vs cache size — {subject}",
             x_labels,
-            _series_from_group(fractions, group,
-                               lambda p: p.get("byte_hit_rate")),
+            _series_from_group(fractions, group, "byte_hit_rate"),
             y_label="byte hit rate", meta=meta, slots=slots))
         for doc_type in PLOTTED_TYPES:
             type_series = _series_from_group(
-                fractions, group,
-                lambda p, t=doc_type.value:
-                (p.get("type_hit_rates") or {}).get(t))
+                fractions, group, f"hit_rate[{doc_type.value}]")
             if not any(v is not None for one in type_series
                        for v in one["values"]):
                 continue  # records predate the per-type breakdown

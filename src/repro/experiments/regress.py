@@ -5,10 +5,11 @@ two code revisions that ran the same seeded trial grid leave two
 replicate samples per configuration and metric.  This module turns
 those into verdicts: for every condition (every spec field but the
 seed — :meth:`~repro.experiments.service.TrialSpec.condition_of`)
-and every metric it can find — overall hit rate, byte hit
-rate, and the per-document-type hit rates the paper's analysis turns
-on — it runs a Mann-Whitney U test plus the Vargha-Delaney A12 effect
-size between the baseline and candidate revisions and labels the pair
+and every metric :func:`~repro.experiments.service.store_samples`
+reads — overall hit rate, byte hit rate, and the per-document-type
+hit rates the paper's analysis turns on — it runs a Mann-Whitney U
+test plus the Vargha-Delaney A12 effect size between the baseline and
+candidate revisions and labels the pair
 
 * ``improved`` / ``regressed`` — significant at ``alpha`` **and** a
   non-negligible effect size (direction from A12);
@@ -35,13 +36,15 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
+from repro.experiments.cliopts import add_observability_options, run_verbs
 from repro.experiments.stats import (
     a12_magnitude,
     mann_whitney_u,
     summarize,
     vargha_delaney_a12,
 )
-from repro.experiments.service import STORE_DIRNAME, TrialSpec
+from repro.experiments.service import (STORE_DIRNAME, TrialSpec,
+                                      store_samples)
 from repro.experiments.store import ResultsStore, git_revision
 
 __all__ = [
@@ -148,26 +151,6 @@ class RegressionReport:
         return "\n".join(lines)
 
 
-def _payload_metrics(payload: dict) -> Dict[str, float]:
-    """Every comparable metric a service record carries.
-
-    Older records (pre per-type breakdown) simply yield fewer metrics;
-    a revision pair is compared on the intersection both sides have.
-    """
-    out: Dict[str, float] = {}
-    for name in ("hit_rate", "byte_hit_rate"):
-        value = payload.get(name)
-        if isinstance(value, (int, float)) \
-                and not isinstance(value, bool):
-            out[name] = float(value)
-    for doc_type, value in sorted(
-            (payload.get("type_hit_rates") or {}).items()):
-        if isinstance(value, (int, float)) \
-                and not isinstance(value, bool):
-            out[f"hit_rate[{doc_type}]"] = float(value)
-    return out
-
-
 # condition -> git_hash -> metric -> {seed: value}
 Samples = Dict[tuple, Dict[str, Dict[str, Dict[int, float]]]]
 
@@ -182,15 +165,12 @@ def collect_samples(store: ResultsStore) -> Samples:
     never double-counts a replica.
     """
     samples: Samples = {}
-    for key, record in sorted(store.records().items()):
-        payload = record.get("payload") or {}
-        condition = TrialSpec.condition_of(payload.get("spec") or {})
-        if condition is None:
-            continue  # foreign record (not written by the service)
-        by_hash = samples.setdefault(condition, {})
-        by_metric = by_hash.setdefault(key.git_hash, {})
-        for metric, value in _payload_metrics(payload).items():
-            by_metric.setdefault(metric, {})[key.seed] = value
+    for sample in store_samples(store):
+        by_metric = samples.setdefault(
+            TrialSpec.condition_of(sample.spec), {}).setdefault(
+                sample.git_hash, {})
+        for metric, value in sample.metrics.items():
+            by_metric.setdefault(metric, {})[sample.seed] = value
     return samples
 
 
@@ -310,23 +290,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--root", default="service/",
                         help="service root directory")
     add_arguments(parser)
+    add_observability_options(parser)
+    parser.set_defaults(verb="regress")
     return parser
 
 
 def run(args: argparse.Namespace) -> int:
     """The regress verb on parsed arguments (``root`` plus the options
-    of :func:`add_arguments`); returns the exit code."""
+    of :func:`add_arguments`); returns the exit code.  A revision pair
+    that cannot be resolved raises :class:`~repro.errors.ServiceError`,
+    which :func:`~repro.experiments.cliopts.run_verbs` prints as one
+    ``error:`` line with exit code 2."""
     from repro.experiments.store import canonical_json
     from pathlib import Path
 
     store = ResultsStore(Path(args.root) / STORE_DIRNAME)
-    try:
-        report = detect_regressions(
-            store, baseline=args.baseline, candidate=args.candidate,
-            alpha=args.alpha, metrics=args.metric)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = detect_regressions(
+        store, baseline=args.baseline, candidate=args.candidate,
+        alpha=args.alpha, metrics=args.metric)
     if args.json:
         print(canonical_json(report.as_dict()))
     else:
@@ -337,8 +318,8 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    return run(build_parser().parse_args(
-        list(sys.argv[1:] if argv is None else argv)))
+    return run_verbs(build_parser(), {"regress": run}, "experiments",
+                     argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

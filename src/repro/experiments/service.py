@@ -6,9 +6,11 @@ policy, cache-size fraction, seed) — described by one flat
 *network* trial) or a shard axis (a *serving* replay trial).  There is
 one way through for every kind: :func:`enqueue_grid` (CLI: ``service
 enqueue``) queues specs, :func:`execute_trial` runs one, and every
-reader of the store asks :meth:`TrialSpec.condition_of` which trials
-are replicas of one condition.  The service splits a standing
-experiment program into three crash-isolated pieces:
+reader of the store — the report, the HTML report and the regression
+detector — takes its records from :func:`store_samples`, which asks
+:meth:`TrialSpec.condition_of` which trials are replicas of one
+condition and keeps only numeric metrics.  The service splits a
+standing experiment program into three crash-isolated pieces:
 
 * a :class:`~repro.experiments.queue.TrialQueue` of pending trials,
   claimed through leases so any number of workers on any number of
@@ -30,7 +32,11 @@ is safe: dying before the append re-runs the trial; dying between
 append and marker re-claims the trial and skips straight to the
 marker because the store already has the record; dying after the
 marker is a completed trial.  ``python -m repro.experiments service``
-exposes the verbs; :func:`repro.experiments.chaos.run_chaos` proves
+exposes the verbs on the scaffold every CLI shares
+(:func:`repro.experiments.cliopts.run_verbs`): ``--log-level``,
+``--log-json`` and ``--telemetry-dir`` go after the verb, and a
+:class:`~repro.errors.ReproError` is one ``error:`` line and exit 2;
+:func:`repro.experiments.chaos.run_chaos` proves
 the guarantees by killing workers mid-trial and corrupting the store
 on purpose.
 """
@@ -44,12 +50,13 @@ import time
 from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ServiceError
+from repro.experiments.cliopts import add_observability_options, run_verbs
 from repro.experiments.config import SCALES
 from repro.experiments.queue import ClaimedTrial, TrialQueue
-from repro.experiments.stats import compare, rank_policies, summarize
+from repro.experiments.stats import compare, rank_policies
 from repro.experiments.store import (
     ResultKey,
     ResultsStore,
@@ -57,8 +64,6 @@ from repro.experiments.store import (
     git_revision,
 )
 from repro.observability import events as _events
-from repro.observability.logs import LOG_LEVELS
-from repro.observability.logs import configure as configure_logs
 from repro.observability.trace import adopt, enable_tracing, inject
 from repro.observability.trace import span as _span
 from repro.resilience.checkpoint import config_hash
@@ -211,6 +216,49 @@ class TrialSpec:
             return None
         return (*(spec[name] for name in required if name not in drop),
                 *((axis, spec[axis]) for axis in AXES if axis in spec))
+
+
+@dataclass(frozen=True)
+class Sample:
+    """One service record as every reader of the store sees it: the
+    spec it ran, the revision that ran it, its seed, and its numeric
+    metrics — ``hit_rate``, ``byte_hit_rate`` and ``hit_rate[<type>]``
+    per document type."""
+
+    spec: dict
+    git_hash: str
+    seed: int
+    metrics: Dict[str, float]
+
+
+def _mapping(value) -> dict:
+    return value if isinstance(value, dict) else {}
+
+
+def store_samples(store: ResultsStore) -> Iterator[Sample]:
+    """The store's service records in key order, for the report, the
+    HTML report and the regression detector alike.
+
+    A record :meth:`TrialSpec.condition_of` rejects is foreign (not
+    written by the service) and skipped.  Store files are outside
+    input, so a metric that is a bool or not a number is dropped;
+    records that predate the per-type breakdown simply carry fewer
+    metrics.
+    """
+    for key, record in sorted(store.records().items()):
+        payload = _mapping(record["payload"])
+        spec = _mapping(payload.get("spec"))
+        if TrialSpec.condition_of(spec) is None:
+            continue
+        values = [(name, payload.get(name))
+                  for name in ("hit_rate", "byte_hit_rate")]
+        values += [(f"hit_rate[{doc_type}]", value) for doc_type, value
+                   in sorted(_mapping(payload.get("type_hit_rates"))
+                             .items())]
+        yield Sample(spec, key.git_hash, key.seed,
+                     {name: float(value) for name, value in values
+                      if isinstance(value, (int, float))
+                      and not isinstance(value, bool)})
 
 
 class _WorkerTraceCache:
@@ -633,16 +681,15 @@ def build_report(store: ResultsStore, alpha: float = 0.05,
             "metric must be 'hit_rate' or 'byte_hit_rate', "
             f"got {metric!r}")
     groups: Dict[tuple, Dict[str, Dict[int, float]]] = {}
-    for key, record in sorted(store.records().items()):
-        payload = record["payload"]
-        spec = payload.get("spec") or {}
-        value = payload.get(metric)
-        condition = TrialSpec.condition_of(spec, "policy")
-        if value is None or condition is None:
-            continue  # foreign record (not written by the service)
-        samples = groups.setdefault((condition, key.git_hash), {})
+    for sample in store_samples(store):
+        value = sample.metrics.get(metric)
+        if value is None:
+            continue
+        samples = groups.setdefault(
+            (TrialSpec.condition_of(sample.spec, "policy"),
+             sample.git_hash), {})
         # keyed by seed: a duplicate append never double-counts
-        samples.setdefault(spec["policy"], {})[key.seed] = value
+        samples.setdefault(sample.spec["policy"], {})[sample.seed] = value
 
     lines: List[str] = []
     data: dict = {"metric": metric, "alpha": alpha, "groups": []}
@@ -776,16 +823,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--root", default="service/",
                         help="service root directory (default: "
                              "service/)")
-    parser.add_argument("--log-level", choices=list(LOG_LEVELS),
-                        default="info",
-                        help="diagnostic verbosity on stderr")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    enq = sub.add_parser("enqueue",
-                         help="add a (trace x policy x size x seed) "
-                              "grid of trials, optionally widened "
-                              "by --topologies/--strategies/--n or "
-                              "by --shards; idempotent")
+    def verb(name: str, **kwargs) -> argparse.ArgumentParser:
+        verb_parser = sub.add_parser(name, **kwargs)
+        add_observability_options(verb_parser)
+        return verb_parser
+
+    enq = verb("enqueue",
+               help="add a (trace x policy x size x seed) grid of "
+                    "trials, optionally widened by --topologies/"
+                    "--strategies/--n or by --shards; idempotent")
     enq.add_argument("--traces", nargs="+", default=["dfn"],
                      choices=list(TRACE_PROFILES))
     enq.add_argument("--scale", choices=list(SCALES), default="tiny")
@@ -813,8 +861,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="make it a serving-replay grid at this "
                           "consistent-hash shard count")
 
-    wrk = sub.add_parser("work",
-                         help="run trials until the queue drains")
+    wrk = verb("work", help="run trials until the queue drains",
+               description="Run trials until the queue drains.  With "
+                           "--telemetry-dir, spans are on and worker "
+                           "processes append to their own "
+                           "events-<pid>.jsonl there; 'status --watch' "
+                           "tails <root>/telemetry by default.")
     wrk.add_argument("--workers", type=int, default=1,
                      help="worker processes (1 = run in-process)")
     wrk.add_argument("--lease-ttl", type=float, default=30.0,
@@ -825,14 +877,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "mode only)")
     wrk.add_argument("--max-attempts", type=int, default=3,
                      help="claims per trial before it is abandoned")
-    wrk.add_argument("--telemetry-dir", default=None,
-                     help="write span + lifecycle events here "
-                          "(workers append to their own "
-                          "events-<pid>.jsonl); 'status --watch' "
-                          "tails <root>/telemetry by default")
 
-    sta = sub.add_parser("status", help="queue + store census "
-                                        "(one-shot or live)")
+    sta = verb("status", help="queue + store census (one-shot or live)")
     sta.add_argument("--watch", action="store_true",
                      help="repaint a live dashboard (heartbeats, "
                           "open spans, throughput, ETA) instead of "
@@ -843,9 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="stop --watch after N repaints (default: "
                           "until Ctrl-C)")
 
-    rep = sub.add_parser("report",
-                         help="significance report from the store "
-                              "alone")
+    rep = verb("report", help="significance report from the store alone")
     rep.add_argument("--metric", choices=("hit_rate", "byte_hit_rate"),
                      default="hit_rate")
     rep.add_argument("--alpha", type=float, default=0.05)
@@ -854,19 +898,17 @@ def build_parser() -> argparse.ArgumentParser:
                           "(per-type hit-rate panels, CI whiskers, "
                           "span waterfall when telemetry exists)")
 
-    rgr = sub.add_parser("regress",
-                         help="statistically-gated cross-revision "
-                              "regression verdicts from the store")
-    regress.add_arguments(rgr)
+    regress.add_arguments(verb(
+        "regress", help="statistically-gated cross-revision regression "
+                        "verdicts from the store"))
 
-    sub.add_parser("compact",
-                   help="merge store segments into one sorted, "
-                        "deduplicated base file")
+    verb("compact", help="merge store segments into one sorted, "
+                         "deduplicated base file")
 
-    cha = sub.add_parser("chaos",
-                         help="prove the guarantees: SIGKILL workers "
-                              "mid-trial, corrupt the store, resume, "
-                              "compare against an uninterrupted run")
+    cha = verb("chaos",
+               help="prove the guarantees: SIGKILL workers mid-trial, "
+                    "corrupt the store, resume, compare against an "
+                    "uninterrupted run")
     cha.add_argument("--kills", type=int, default=2)
     cha.add_argument("--corrupt", action="store_true",
                      help="also bit-flip a store segment between "
@@ -875,122 +917,111 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
-    configure_logs(level=args.log_level)
+def _cmd_enqueue(args) -> int:
+    queue, _ = open_service(args.root)
+    ids = enqueue_grid(
+        queue, traces=args.traces, scale=SCALES[args.scale],
+        policies=args.policies, size_fractions=args.size_fractions,
+        seeds=args.seeds, topologies=args.topologies,
+        strategies=args.strategies
+        or (["lce"] if args.topologies else None),
+        n=args.n, shards=args.shards)
+    print(f"enqueued {len(ids)} trial(s); "
+          f"{queue.status().pending} pending")
+    return 0
+
+
+def _cmd_work(args) -> int:
     root = Path(args.root)
-
-    if args.verb == "enqueue":
-        queue, _ = open_service(root)
-        try:
-            ids = enqueue_grid(
-                queue, traces=args.traces, scale=SCALES[args.scale],
-                policies=args.policies,
-                size_fractions=args.size_fractions, seeds=args.seeds,
-                topologies=args.topologies,
-                strategies=args.strategies
-                or (["lce"] if args.topologies else None),
-                n=args.n, shards=args.shards)
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"enqueued {len(ids)} trial(s); "
-              f"{queue.status().pending} pending")
-        return 0
-
-    if args.verb == "work":
-        # Workers inherit the environment, so exporting this before the
-        # pool spawns points every child's trace cache at one place.
-        exported = "REPRO_SERVICE_TRACE_DIR" not in os.environ
-        if exported:
-            os.environ["REPRO_SERVICE_TRACE_DIR"] = str(root / "traces")
-        telemetry = None
-        if args.telemetry_dir is not None:
-            from repro.observability.manifest import TelemetryRun
-            telemetry = TelemetryRun(
-                args.telemetry_dir, kind="service",
-                settings={"root": str(root),
-                          "workers": args.workers},
-                install_sink=True)
-            enable_tracing()
-        try:
-            if args.workers > 1:
-                outcome = run_service(
-                    root, n_workers=args.workers,
-                    lease_ttl=args.lease_ttl,
-                    max_attempts=args.max_attempts,
-                    telemetry_dir=args.telemetry_dir)
-                print(canonical_json(outcome["status"]))
-                return 0
-            queue, store = open_service(
-                root, lease_ttl=args.lease_ttl,
-                max_attempts=args.max_attempts)
-            executed = work(queue, store, max_trials=args.max_trials)
-            queue.reconcile(store)
-            print(f"executed {executed} trial(s); "
-                  f"{canonical_json(queue.status().as_dict())}")
+    # Opened first, so a bad --lease-ttl or --max-attempts is refused
+    # before any worker process starts.
+    queue, store = open_service(root, lease_ttl=args.lease_ttl,
+                                max_attempts=args.max_attempts)
+    if args.telemetry_dir is not None:
+        enable_tracing()
+    # Workers inherit the environment, so exporting this before the
+    # pool spawns points every child's trace cache at one place.
+    exported = "REPRO_SERVICE_TRACE_DIR" not in os.environ
+    if exported:
+        os.environ["REPRO_SERVICE_TRACE_DIR"] = str(root / "traces")
+    try:
+        if args.workers > 1:
+            outcome = run_service(
+                root, n_workers=args.workers, lease_ttl=args.lease_ttl,
+                max_attempts=args.max_attempts,
+                telemetry_dir=args.telemetry_dir)
+            print(canonical_json(outcome["status"]))
             return 0
-        finally:
-            if exported:
-                del os.environ["REPRO_SERVICE_TRACE_DIR"]
-            if telemetry is not None:
-                telemetry.finalize("complete")
-
-    if args.verb == "status":
-        if args.watch:
-            from repro.experiments.dashboard import watch
-            return watch(root, interval=args.interval,
-                         iterations=args.iterations)
-        print(canonical_json(service_status(root)))
+        executed = work(queue, store, max_trials=args.max_trials)
+        queue.reconcile(store)
+        print(f"executed {executed} trial(s); "
+              f"{canonical_json(queue.status().as_dict())}")
         return 0
+    finally:
+        if exported:
+            del os.environ["REPRO_SERVICE_TRACE_DIR"]
 
-    if args.verb == "report":
-        _, store = open_service(root)
-        report = build_report(store, alpha=args.alpha,
-                              metric=args.metric)
-        print(report.text)
-        if args.html is not None:
-            from repro.experiments.htmlreport import (
-                report_from_store,
-                write_html_report,
-            )
-            from repro.observability.events import read_events
-            spans: List[dict] = []
-            telemetry_dir = root / "telemetry"
-            if telemetry_dir.is_dir():
-                for path in sorted(
-                        telemetry_dir.glob("events*.jsonl")):
-                    spans.extend(read_events(path, event="span"))
-            document = report_from_store(
-                store, span_events=spans or None)
-            written = write_html_report(args.html, document)
-            print(f"html report written to {written}",
-                  file=sys.stderr)
-        return 0
 
-    if args.verb == "regress":
-        from repro.experiments import regress
-        return regress.run(args)
+def _cmd_status(args) -> int:
+    if args.watch:
+        from repro.experiments.dashboard import watch
+        return watch(Path(args.root), interval=args.interval,
+                     iterations=args.iterations)
+    print(canonical_json(service_status(args.root)))
+    return 0
 
-    if args.verb == "compact":
-        _, store = open_service(root)
-        stats = store.compact()
-        print(f"compacted: {stats.records} record(s) from "
-              f"{stats.segments_merged} segment(s); "
-              f"{stats.quarantined} quarantined, "
-              f"{stats.duplicates_dropped} duplicate(s) dropped")
-        return 0
 
-    if args.verb == "chaos":
-        from repro.experiments.chaos import run_chaos
-        report = run_chaos(root, kills=args.kills,
-                           corrupt=args.corrupt,
-                           scale=SCALES[args.scale])
-        print(report.render())
-        return 0 if report.ok else 1
+def _cmd_report(args) -> int:
+    _, store = open_service(args.root)
+    print(build_report(store, alpha=args.alpha, metric=args.metric).text)
+    if args.html is not None:
+        from repro.experiments.htmlreport import (
+            report_from_store,
+            write_html_report,
+        )
+        from repro.observability.events import read_events
+        spans: List[dict] = []
+        telemetry_dir = Path(args.root) / "telemetry"
+        if telemetry_dir.is_dir():
+            for path in sorted(telemetry_dir.glob("events*.jsonl")):
+                spans.extend(read_events(path, event="span"))
+        document = report_from_store(store, span_events=spans or None)
+        written = write_html_report(args.html, document)
+        print(f"html report written to {written}", file=sys.stderr)
+    return 0
 
-    raise ServiceError(f"unknown verb {args.verb!r}")  # pragma: no cover
+
+def _cmd_regress(args) -> int:
+    from repro.experiments import regress
+    return regress.run(args)
+
+
+def _cmd_compact(args) -> int:
+    _, store = open_service(args.root)
+    stats = store.compact()
+    print(f"compacted: {stats.records} record(s) from "
+          f"{stats.segments_merged} segment(s); "
+          f"{stats.quarantined} quarantined, "
+          f"{stats.duplicates_dropped} duplicate(s) dropped")
+    return 0
+
+
+def _cmd_chaos(args) -> int:
+    from repro.experiments.chaos import run_chaos
+    report = run_chaos(Path(args.root), kills=args.kills,
+                       corrupt=args.corrupt, scale=SCALES[args.scale])
+    print(report.render())
+    return 0 if report.ok else 1
+
+
+_VERBS = {"enqueue": _cmd_enqueue, "work": _cmd_work,
+          "status": _cmd_status, "report": _cmd_report,
+          "regress": _cmd_regress, "compact": _cmd_compact,
+          "chaos": _cmd_chaos}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    return run_verbs(build_parser(), _VERBS, "service", argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

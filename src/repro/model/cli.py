@@ -50,7 +50,8 @@ from repro.model.che import hierarchy_predict, hit_rate_curve, predict
 from repro.model.solver import MODEL_POLICIES
 from repro.model.validation import DEFAULT_POLICIES, validate_model
 from repro.observability.logs import get_logger
-from repro.simulation.sweep import PAPER_SIZE_FRACTIONS
+from repro.simulation.sweep import (PAPER_SIZE_FRACTIONS,
+                                    cache_sizes_from_total)
 from repro.types import DOCUMENT_TYPES
 
 _logger = get_logger("model.cli")
@@ -157,8 +158,7 @@ def _capacities_for(args, catalog: Catalog) -> List[int]:
                  else split_list(args.fractions, "--fractions", float))
     if any(f <= 0 for f in fractions):
         raise ConfigurationError("--fractions must be positive")
-    total = catalog.total_bytes
-    return sorted({max(int(total * f), 1) for f in fractions})
+    return cache_sizes_from_total(catalog.total_bytes, fractions)
 
 
 def _format_prediction_table(predictions) -> str:

@@ -359,7 +359,10 @@ def validate_hierarchy(trace: Trace,
         warmup_fraction=warmup_fraction)
     registry = get_registry()
     total = trace.metadata().total_size_bytes
-    sized = [cache_sizes_from_total(total, pair) for pair in pairs]
+    # Each fraction alone: the sizing sorts and de-duplicates, which
+    # would swap a descending pair and collapse an equal one.
+    sized = [[cache_sizes_from_total(total, [f])[0] for f in pair]
+             for pair in pairs]
     grid = [(policy, *sizes) for policy in policies for sizes in sized]
     simulated = run_network_cells(trace, [
         NetworkConfig(

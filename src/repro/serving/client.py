@@ -10,7 +10,9 @@ and read replies through the server module's
 :class:`~repro.serving.server.FrameDecoder`, so a reply that breaks the
 framing raises instead of being trusted; a chunk that is exactly one of
 the server's pre-encoded replies, at a frame boundary, is answered from
-a table of them instead.
+a table of them instead.  A client holding bytes past the last reply
+refuses to send the next request, so a peer that answers once too often
+fails that call instead of shifting every later answer by one.
 
 Both return the decoded response dict verbatim, a document body
 attached as ``bytes`` under ``payload``; a response with ``ok: false``
@@ -33,6 +35,11 @@ from repro.types import DocumentType
 __all__ = ["AsyncCacheClient", "CacheClient", "ServingProtocolError"]
 
 _READ_BYTES = 64 * 1024       # asked of one read; a reply may take several
+
+#: Why a client refuses to send: the peer sent bytes beyond the last
+#: reply, and reading them as the next answer would shift every later
+#: answer by one.
+_HELD = "peer sent bytes that answer no request"
 
 #: Each document type as a header spells its ``doc_type``.
 _TYPE_JSON = {doc_type: _quote(doc_type.value) for doc_type in DocumentType}
@@ -125,6 +132,8 @@ class CacheClient:
         return self._exchange(encode_frame(message, payload))
 
     def _exchange(self, frame: bytes) -> dict:
+        if self._decoder.pending():
+            raise ServingProtocolError(_HELD)
         self._sock.sendall(frame)
         while True:
             response = _reply(self._decoder, self._sock.recv(_READ_BYTES))
@@ -186,6 +195,8 @@ class AsyncCacheClient:
         return await self._call(encode_frame(message, payload))
 
     async def _call(self, frame: bytes) -> dict:
+        if self._decoder.pending():
+            raise ServingProtocolError(_HELD)
         self._writer.write(frame)
         await self._writer.drain()
         while True:

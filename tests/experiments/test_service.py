@@ -627,3 +627,59 @@ class TestMixedKindStore:
             "",
             "== trace=rtp scale=0.01 cache=5.0% git=abc123 ==", *group,
         ]).rstrip()
+
+
+class TestOneSampleReader:
+    """Store files are outside input: the report, the HTML report and
+    the regression detector read them through one sample reader, which
+    drops a metric that is a bool or not a number."""
+
+    @staticmethod
+    def record(policy, seed, **metrics):
+        return {"spec": {"trace": "dfn", "scale": TINY,
+                         "policy": policy, "size_fraction": 0.01,
+                         "seed": seed}, **metrics}
+
+    @pytest.fixture
+    def clean(self, tmp_path):
+        store = ResultsStore(tmp_path / "clean")
+        for policy, base in (("lru", 0.40), ("gds(1)", 0.45)):
+            for seed in range(3):
+                rate = base + seed * 0.01
+                store.append(f"cfg-{policy}", "abc123", seed, self.record(
+                    policy, seed, hit_rate=rate, byte_hit_rate=rate / 2,
+                    type_hit_rates={"image": rate, "html": rate / 3}))
+        return store
+
+    @pytest.fixture
+    def malformed(self, clean, tmp_path):
+        store = ResultsStore(tmp_path / "malformed")
+        for key, record in sorted(clean.records().items()):
+            store.append(key.config_hash, key.git_hash, key.seed,
+                         record["payload"])
+        store.append("cfg-lru", "abc123", 3, self.record(
+            "lru", 3, hit_rate=True, byte_hit_rate=True))
+        store.append("cfg-lru", "abc123", 4, self.record(
+            "lru", 4, hit_rate="0.9", byte_hit_rate="0.4",
+            type_hit_rates={"image": "0.9"}))
+        return store
+
+    @pytest.mark.parametrize("metric", ["hit_rate", "byte_hit_rate"])
+    def test_build_report_counts_neither_value(self, clean, malformed,
+                                               metric):
+        report = build_report(malformed, metric=metric)
+        assert report.data == build_report(clean, metric=metric).data
+        assert report.text == build_report(clean, metric=metric).text
+
+    def test_html_report_counts_neither_value(self, clean, malformed):
+        from repro.experiments.htmlreport import report_from_store
+
+        assert report_from_store(malformed) == report_from_store(clean)
+
+    def test_collect_samples_counts_neither_value(self, clean,
+                                                  malformed):
+        samples = collect_samples(malformed)
+        assert samples == collect_samples(clean)
+        ((_, by_hash),) = [item for item in samples.items()
+                           if "lru" in item[0]]
+        assert sorted(by_hash["abc123"]["hit_rate"]) == [0, 1, 2]

@@ -231,3 +231,53 @@ class TestCliVerbs:
         assert main(["--root", str(root), "regress",
                      "--baseline", "x", "--candidate", "x"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestSharedScaffold:
+    """The service verbs run on the scaffold the other CLIs share:
+    the observability flags go after the verb, and a refused setting
+    is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("flags", [["--lease-ttl", "0"],
+                                       ["--max-attempts", "0"]],
+                             ids=["lease-ttl", "max-attempts"])
+    def test_bad_work_setting_is_one_error_line(self, tmp_path, capsys,
+                                                flags):
+        assert main(["--root", str(tmp_path / "svc"), "work",
+                     *flags]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == err.splitlines()
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_status_log_json(self, tmp_path, capsys):
+        root = tmp_path / "svc"
+        assert main(["--root", str(root), "status", "--log-json",
+                     "--telemetry-dir", str(tmp_path / "tel")]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["queue"]["total"] == 0
+        lines = [json.loads(line) for line in captured.err.splitlines()]
+        assert lines and all(line["level"] == "info" for line in lines)
+        manifest = json.loads((tmp_path / "tel" / "manifest.json")
+                              .read_text())
+        assert manifest["kind"] == "service-status"
+
+    def test_worker_fleet_telemetry_validates(self, tmp_path, capsys):
+        from repro.observability.validate import main as validate_main
+
+        root, telemetry = tmp_path / "svc", tmp_path / "tel"
+        assert main(["--root", str(root), "enqueue", "--policies",
+                     "lru", "--seeds", "1", "2"]) == 0
+        assert main(["--root", str(root), "work", "--workers", "2",
+                     "--telemetry-dir", str(telemetry)]) == 0
+        assert validate_main([str(telemetry)]) == 0
+        # The scaffold's manifest, named as every CLI names its verbs.
+        manifest = json.loads((telemetry / "manifest.json").read_text())
+        assert (manifest["kind"], manifest["status"]) == \
+            ("service-work", "complete")
+        spans = [span for path in sorted(telemetry.glob("events*.jsonl"))
+                 for span in read_events(path, event="span")]
+        assert {"service", "worker", "trial"} <= \
+            {span["name"] for span in spans}
+        assert sum(span["name"] == "trial" for span in spans) == 2

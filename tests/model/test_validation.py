@@ -151,3 +151,27 @@ class TestValidateHierarchy:
                  cell.parent_capacity_bytes) for cell in report.cells] == [
             (policy, *pair) for policy in ("lru", "fifo")
             for pair in sizes]
+
+    @pytest.fixture(scope="class")
+    def small_irm_trace(self):
+        return generate_trace(dfn_like(scale=1.0 / 1024.0),
+                              temporal_model="irm")
+
+    def sized(self, trace, fraction):
+        return cache_sizes_from_fractions(trace, [fraction])[0]
+
+    def test_a_descending_pair_keeps_its_order(self, small_irm_trace):
+        """``(child, parent)`` is read by position: a child larger than
+        its parent runs as given, not swapped."""
+        (cell,) = validate_hierarchy(
+            small_irm_trace, fraction_pairs=((0.04, 0.01),)).cells
+        assert (cell.child_capacity_bytes, cell.parent_capacity_bytes) \
+            == (self.sized(small_irm_trace, 0.04),
+                self.sized(small_irm_trace, 0.01))
+        assert cell.child_capacity_bytes > cell.parent_capacity_bytes
+
+    def test_an_equal_pair_runs_equal_capacities(self, small_irm_trace):
+        (cell,) = validate_hierarchy(
+            small_irm_trace, fraction_pairs=((0.01, 0.01),)).cells
+        assert cell.child_capacity_bytes == cell.parent_capacity_bytes \
+            == self.sized(small_irm_trace, 0.01)

@@ -302,6 +302,33 @@ def _sent(make_client, verb: str, *args) -> bytes:
 _clients = pytest.mark.parametrize("make_client",
                                    [_sync_client, _async_client],
                                    ids=["sync", "async"])
+
+
+class _ScriptedPeer(_Loopback):
+    """A peer that keeps what is sent and answers with set chunks."""
+
+    def __init__(self, *chunks: bytes):
+        self.sent = []
+        self._replies = list(chunks)
+
+    def sendall(self, data: bytes) -> None:
+        self.sent.append(data)
+
+    write = sendall
+
+
+@_clients
+def test_a_reply_no_request_asked_for_fails_the_next_call(make_client):
+    """A peer that answers one request with two frames: the next call
+    is refused before it sends, not answered with the extra frame."""
+    (first, first_frame), (_, extra_frame) = \
+        list(wire._OUTCOME_FRAMES.items())[:2]
+    peer = _ScriptedPeer(first_frame + extra_frame, first_frame)
+    client = make_client(peer)
+    assert _call(client, "request", "a", 1) == first.value
+    with pytest.raises(ServingProtocolError, match="answer no request"):
+        _call(client, "request", "a", 1)
+    assert len(peer.sent) == 1
 _urls = st.text(st.characters() | st.sampled_from(
     ['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028",
      "\U0001f600", "\ud800", "\udfff"]), max_size=40)
