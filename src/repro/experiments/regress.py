@@ -35,8 +35,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ServiceError
-from repro.experiments.cliopts import add_observability_options, run_verbs
+from repro.errors import ReproError, ServiceError
 from repro.experiments.stats import (
     a12_magnitude,
     mann_whitney_u,
@@ -290,17 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--root", default="service/",
                         help="service root directory")
     add_arguments(parser)
-    add_observability_options(parser)
-    parser.set_defaults(verb="regress")
     return parser
 
 
 def run(args: argparse.Namespace) -> int:
     """The regress verb on parsed arguments (``root`` plus the options
     of :func:`add_arguments`); returns the exit code.  A revision pair
-    that cannot be resolved raises :class:`~repro.errors.ServiceError`,
-    which :func:`~repro.experiments.cliopts.run_verbs` prints as one
-    ``error:`` line with exit code 2."""
+    that cannot be resolved raises :class:`~repro.errors.ServiceError`;
+    both command lines print it as one ``error:`` line with exit code
+    2."""
     from repro.experiments.store import canonical_json
     from pathlib import Path
 
@@ -318,8 +315,12 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    return run_verbs(build_parser(), {"regress": run}, "experiments",
-                     argv)
+    try:
+        return run(build_parser().parse_args(
+            list(sys.argv[1:] if argv is None else argv)))
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,9 +7,9 @@ policy, cache-size fraction, seed) — described by one flat
 one way through for every kind: :func:`enqueue_grid` (CLI: ``service
 enqueue``) queues specs, :func:`execute_trial` runs one, and every
 reader of the store — the report, the HTML report and the regression
-detector — takes its records from :func:`store_samples`, which asks
-:meth:`TrialSpec.condition_of` which trials are replicas of one
-condition and keeps only numeric metrics.  The service splits a
+detector — takes its records from :func:`store_samples`, which keeps
+only records whose spec :meth:`TrialSpec.from_dict` accepts and only
+finite numeric metrics.  The service splits a
 standing experiment program into three crash-isolated pieces:
 
 * a :class:`~repro.experiments.queue.TrialQueue` of pending trials,
@@ -44,6 +44,7 @@ on purpose.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -178,7 +179,7 @@ class TrialSpec:
             return cls(**{name: coerce(data[name])
                           for name, coerce in _FIELD_TYPES.items()
                           if name in data})
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ServiceError(f"malformed trial spec: {exc}") from exc
 
     def as_dict(self) -> dict:
@@ -235,30 +236,45 @@ def _mapping(value) -> dict:
     return value if isinstance(value, dict) else {}
 
 
+def _finite(value) -> Optional[float]:
+    """``value`` as a finite float, or ``None`` for a bool, a
+    non-number, or a number no finite float represents."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def store_samples(store: ResultsStore) -> Iterator[Sample]:
     """The store's service records in key order, for the report, the
     HTML report and the regression detector alike.
 
-    A record :meth:`TrialSpec.condition_of` rejects is foreign (not
-    written by the service) and skipped.  Store files are outside
-    input, so a metric that is a bool or not a number is dropped;
+    Store files are outside input.  A record whose spec
+    :meth:`TrialSpec.from_dict` refuses is foreign (not written by the
+    service) or malformed and is skipped; the others yield the spec as
+    :meth:`TrialSpec.as_dict` writes it, so every field has its type.
+    A metric that is a bool, not a number, or not finite is dropped;
     records that predate the per-type breakdown simply carry fewer
     metrics.
     """
     for key, record in sorted(store.records().items()):
         payload = _mapping(record["payload"])
-        spec = _mapping(payload.get("spec"))
-        if TrialSpec.condition_of(spec) is None:
+        try:
+            spec = TrialSpec.from_dict(_mapping(payload.get("spec")))
+        except ServiceError:
             continue
         values = [(name, payload.get(name))
                   for name in ("hit_rate", "byte_hit_rate")]
         values += [(f"hit_rate[{doc_type}]", value) for doc_type, value
                    in sorted(_mapping(payload.get("type_hit_rates"))
                              .items())]
-        yield Sample(spec, key.git_hash, key.seed,
-                     {name: float(value) for name, value in values
-                      if isinstance(value, (int, float))
-                      and not isinstance(value, bool)})
+        metrics = {name: _finite(value) for name, value in values}
+        yield Sample(spec.as_dict(), key.git_hash, key.seed,
+                     {name: value for name, value in metrics.items()
+                      if value is not None})
 
 
 class _WorkerTraceCache:

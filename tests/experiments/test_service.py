@@ -520,7 +520,8 @@ class TestEnqueueVerb:
     @pytest.mark.parametrize("argv", [
         ["--log-level", "bogus", "status"],
         ["enqueue", "--topologies", "torus"],
-    ], ids=["log-level", "topology"])
+        ["status", "--log-level", "bogus"],
+    ], ids=["log-level", "topology", "verb-log-level"])
     def test_argparse_refuses(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             service_main(argv)
@@ -632,13 +633,14 @@ class TestMixedKindStore:
 class TestOneSampleReader:
     """Store files are outside input: the report, the HTML report and
     the regression detector read them through one sample reader, which
-    drops a metric that is a bool or not a number."""
+    skips a record whose spec is malformed and drops a metric that is a
+    bool, not a number, or not a finite float."""
 
     @staticmethod
-    def record(policy, seed, **metrics):
+    def record(policy, seed, spec=(), **metrics):
         return {"spec": {"trace": "dfn", "scale": TINY,
                          "policy": policy, "size_fraction": 0.01,
-                         "seed": seed}, **metrics}
+                         "seed": seed, **dict(spec)}, **metrics}
 
     @pytest.fixture
     def clean(self, tmp_path):
@@ -662,6 +664,13 @@ class TestOneSampleReader:
         store.append("cfg-lru", "abc123", 4, self.record(
             "lru", 4, hit_rate="0.9", byte_hit_rate="0.4",
             type_hit_rates={"image": "0.9"}))
+        store.append("cfg-lru", "abc123", 5, self.record(
+            "lru", 5, spec={"trace": ["dfn"]}, hit_rate=0.9))
+        store.append("cfg-lru", "abc123", 6, self.record(
+            "lru", 6, spec={"scale": "tiny"}, hit_rate=0.9))
+        store.append("cfg-lru", "abc123", 7, self.record(
+            "lru", 7, hit_rate=10 ** 400, byte_hit_rate=float("nan"),
+            type_hit_rates={"image": 10 ** 400, "html": float("inf")}))
         return store
 
     @pytest.mark.parametrize("metric", ["hit_rate", "byte_hit_rate"])
