@@ -38,7 +38,7 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 ROUNDS = 1 if SMOKE else 3
 #: Acceptance floor for the vectorized LRU ladder against the classic
 #: per-cell object loop on the dense paper-range size axis (measured
-#: ~20x on a shared box; one Fenwick pass serves every capacity, so
+#: ~20x on a shared box; one stack-distance pass serves every capacity, so
 #: the margin grows with ladder resolution).
 LADDER_SPEEDUP_FLOOR = 10.0
 #: Ladder resolution: capacities spanning the paper's 0.5 %-4 % range.

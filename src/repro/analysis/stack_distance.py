@@ -10,21 +10,46 @@ so this is the document-granularity companion to the byte-accurate
 simulator, and the cross-validation tests pin the two together on
 fixed-size workloads).
 
-Implementation: classic Fenwick-tree formulation, O(n log n) over the
-trace; per-document-type distance histograms come for free.
+Implementation: the exact array kernel
+:func:`repro.simulation.vectorized.weighted_stack_distances` (the one
+the simulator's LRU capacity ladder runs), ``⌈log2 n⌉`` levels of numpy
+array operations over the trace with URLs interned to ints;
+per-document-type distance histograms are array counts over its
+columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.structures.fenwick import FenwickTree
+import numpy as np
+
+from repro.simulation.vectorized import weighted_stack_distances
 from repro.types import DOCUMENT_TYPES, DocumentType, Request
 
 #: Stack distance reported for first references (cold misses).
 COLD = math.inf
+
+
+def _distance_columns(requests: Sequence[Request], byte_weighted: bool
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(distances, cold, weights)`` columns of a request list: URLs
+    interned to ints, weights the sizes (``byte_weighted``) or ones."""
+    interned: Dict[str, int] = {}
+    keys = np.array([interned.setdefault(request.url, len(interned))
+                     for request in requests], dtype=np.int64)
+    if byte_weighted:
+        sizes = [request.size for request in requests]
+        try:
+            weights = np.array(sizes, dtype=np.int64)
+        except OverflowError:
+            weights = np.array(sizes, dtype=object)
+    else:
+        weights = np.ones(len(keys), dtype=np.int64)
+    distances, cold, _last = weighted_stack_distances(keys, weights)
+    return distances, cold, weights
 
 
 def stack_distances(requests: Sequence[Request],
@@ -42,40 +67,11 @@ def stack_distances(requests: Sequence[Request],
     the eviction boundary (a byte-bounded LRU evicts whole documents),
     which is why the byte curve helper carries a tolerance.
     """
-    return weighted_stack_distances(
-        [request.url for request in requests],
-        [request.size for request in requests] if byte_weighted
-        else [1] * len(requests))
-
-
-def weighted_stack_distances(keys: Sequence,
-                             weights: Sequence[int]) -> List[float]:
-    """Stack distances over parallel key/weight sequences.
-
-    The one Fenwick loop behind :func:`stack_distances` (keys are URLs)
-    and the simulator's exact LRU capacity ladder (keys are interned
-    document ids, weights their byte sizes).  Python-int arithmetic
-    throughout, so byte distances are exact at any trace size.
-    """
-    n = len(keys)
-    distances: List[float] = [COLD] * n
-    if n == 0:
-        return distances
-    tree = FenwickTree(n)
-    last: dict = {}
-    for position in range(n):
-        key = keys[position]
-        previous = last.get(key)
-        if previous is not None:
-            # Distinct documents touched strictly between the two
-            # references = flagged weight in (previous, position); the
-            # older reference then stops being the document's latest.
-            distances[position] = float(
-                tree.range_sum(previous + 1, position - 1))
-            tree.add(previous, -tree.range_sum(previous, previous))
-        tree.add(position, weights[position])
-        last[key] = position
-    return distances
+    distances, cold, _weights = _distance_columns(requests,
+                                                  byte_weighted)
+    values = distances.astype(np.float64).astype(object)
+    values[cold] = COLD
+    return values.tolist()
 
 
 @dataclass
@@ -132,18 +128,25 @@ def stack_profile(requests: Sequence[Request],
     requests' distances are counted, mirroring the paper's per-type
     hit-rate definition.
     """
-    profile = StackProfile()
-    distances = stack_distances(requests)
-    for request, distance in zip(requests, distances):
-        if doc_type is not None and request.doc_type is not doc_type:
-            continue
-        profile.total_references += 1
-        if distance is COLD or math.isinf(distance):
-            profile.cold_misses += 1
-        else:
-            key = int(distance)
-            profile.histogram[key] = profile.histogram.get(key, 0) + 1
-    return profile
+    distances, cold, _ones = _distance_columns(requests,
+                                               byte_weighted=False)
+    if doc_type is None:
+        selected = np.ones(len(distances), dtype=bool)
+    else:
+        selected = np.array([request.doc_type is doc_type
+                             for request in requests], dtype=bool)
+    return _profile(distances, cold, selected)
+
+
+def _profile(distances: np.ndarray, cold: np.ndarray,
+             selected: np.ndarray) -> StackProfile:
+    """The :class:`StackProfile` of the ``selected`` rows."""
+    warm = distances[selected & ~cold]
+    values, counts = np.unique(warm, return_counts=True)
+    return StackProfile(
+        histogram=dict(zip(values.tolist(), counts.tolist())),
+        cold_misses=int(np.count_nonzero(selected & cold)),
+        total_references=int(np.count_nonzero(selected)))
 
 
 def approximate_byte_curve(requests: Sequence[Request],
@@ -160,37 +163,25 @@ def approximate_byte_curve(requests: Sequence[Request],
     ordered = sorted(set(capacities_bytes))
     if not ordered:
         return []
-    distances = stack_distances(requests, byte_weighted=True)
-    totals = [0] * len(ordered)
-    counted = 0
-    for request, distance in zip(requests, distances):
-        counted += 1
-        if math.isinf(distance):
-            continue
-        needed = distance + request.size
-        for index, capacity in enumerate(ordered):
-            if needed <= capacity:
-                totals[index] += 1
-    if counted == 0:
+    if not requests:
         return [(capacity, 0.0) for capacity in ordered]
-    return [(capacity, hits / counted)
-            for capacity, hits in zip(ordered, totals)]
+    distances, cold, sizes = _distance_columns(requests, byte_weighted=True)
+    needed = np.sort((distances + sizes)[~cold])
+    hits = np.searchsorted(needed, ordered, side="right").tolist()
+    return [(capacity, count / len(requests))
+            for capacity, count in zip(ordered, hits)]
 
 
 def profiles_by_type(requests: Sequence[Request]
                      ) -> Dict[Optional[DocumentType], StackProfile]:
     """One pass, all profiles: overall (key None) plus one per type."""
+    distances, cold, _ones = _distance_columns(requests,
+                                               byte_weighted=False)
+    codes = {doc_type: code for code, doc_type in enumerate(DOCUMENT_TYPES)}
+    typed = np.array([codes[request.doc_type] for request in requests],
+                     dtype=np.int64)
     profiles: Dict[Optional[DocumentType], StackProfile] = {
-        None: StackProfile()}
-    for doc_type in DOCUMENT_TYPES:
-        profiles[doc_type] = StackProfile()
-    distances = stack_distances(requests)
-    for request, distance in zip(requests, distances):
-        for profile in (profiles[None], profiles[request.doc_type]):
-            profile.total_references += 1
-            if math.isinf(distance):
-                profile.cold_misses += 1
-            else:
-                key = int(distance)
-                profile.histogram[key] = profile.histogram.get(key, 0) + 1
+        None: _profile(distances, cold, np.ones(len(typed), dtype=bool))}
+    for code, doc_type in enumerate(DOCUMENT_TYPES):
+        profiles[doc_type] = _profile(distances, cold, typed == code)
     return profiles

@@ -19,7 +19,9 @@ to the per-request reference
   per document type as masked integer sums (the network engines count
   their per-node columns through the same class), while
   :meth:`CacheCell.account` folds any cost and latency over it;
-* **the LRU ladder** — byte-weighted stack distances feed vectorized
+* **the LRU ladder** — byte-weighted stack distances
+  (:func:`weighted_stack_distances`, a merge-sort count over the
+  next-reference column, no per-reference loop) feed integer
   per-capacity hit tests and final-resident counting
   (:func:`split_ladder`, :func:`run_lru_ladder`);
 * **the queue** — every other LRU cell and every FIFO cell: one
@@ -36,10 +38,12 @@ Which cell takes which kernel is decided in one place,
 plain loop, :meth:`CacheCell.process_chunk`, over the same lists,
 decoded once per chunk from the columns.
 
-Bit-identity caveat: array float ops round ``int64 → float64`` before
-dividing where the scalar path divides exact integers, so identity is
-guaranteed for sizes and capacities below 2**53 bytes — far above any
-real trace.
+Bit-identity caveat: the hinted Greedy-Dual key costs
+(:meth:`~repro.core.cost.CostModel.cost_array`) round ``int64 →
+float64`` before dividing where the scalar path divides exact
+integers, so their identity is guaranteed for sizes below 2**53 bytes —
+far above any real trace.  Everything else here is integer: ladder
+hits compare ``distance + size`` to the capacity exactly at any size.
 """
 
 from __future__ import annotations
@@ -235,64 +239,108 @@ def split_ladder(source, cells: Sequence[CacheCell]) -> tuple:
     return ladder, [cell for cell in cells if id(cell) not in excluded]
 
 
+def weighted_stack_distances(keys: np.ndarray, weights: np.ndarray
+                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted LRU stack distances of a key column, as array ops.
+
+    Returns ``(distances, cold, last)``: ``distances[i]`` is the total
+    weight of the distinct keys referenced strictly between position
+    ``i`` and the previous reference to ``keys[i]``, each key at the
+    weight of its latest reference (0 where ``cold``, a key's first
+    reference); ``last`` marks each key's final reference.  Weights are
+    non-negative integers: a unit column counts distinct documents (the
+    Mattson distance), a size column sums their bytes.
+
+    With ``next[j]`` the position of ``j``'s key's next reference
+    (``n`` if none) and ``W`` the prefix sum of ``w``, a re-reference
+    at ``i`` whose previous reference is at ``p`` has ::
+
+        d[i] = sum(w[j] for p < j < i if next[j] > i)
+             = (W[i] - W[p+1]) - sum(w[j] for j > p if next[j] < i)
+
+    since ``j < next[j]``.  The last sum — the weight right of ``p``
+    with a smaller ``next`` than ``p``'s own — is counted by a
+    bottom-up merge sort of ``next``: each level is one stable argsort
+    of ``(block, next)`` (two presorted runs per block, so a merge),
+    and there every element of a block's left half gains the right-half
+    weight merged ahead of it, one cumsum.  ``⌈log2 n⌉`` levels, int64
+    arithmetic, or exact python ints (``dtype=object``, the same code)
+    once the total weight reaches ``2**62``.
+    """
+    n = len(keys)
+    order = np.argsort(keys, kind="stable")
+    same = keys[order[1:]] == keys[order[:-1]]
+    following = np.full(n, n, dtype=np.int64)
+    following[order[:-1][same]] = order[1:][same]
+    del order, same
+    last = following == n
+    previous = np.flatnonzero(~last)
+    current = following[previous]
+    cold = np.ones(n, dtype=bool)
+    cold[current] = False
+    exact = weights.dtype == object or _exact_sum(weights) >= _SUM_GUARD
+    dtype = object if exact else np.int64
+    weights = weights.astype(dtype, copy=False)
+    nested = np.zeros(n, dtype=dtype)
+    ranked = np.zeros(n + 1, dtype=dtype)
+    span = n + 1
+    tree = np.arange(n, dtype=np.int64)
+    level = 1
+    while (1 << (level - 1)) < n:
+        block_key = (tree >> level) * span + following[tree]
+        tree = tree[np.argsort(block_key, kind="stable")]
+        del block_key
+        right = ((tree >> (level - 1)) & 1).astype(bool)
+        np.cumsum(np.where(right, weights[tree], 0), out=ranked[1:])
+        left = np.flatnonzero(~right)
+        start = (tree[left] >> level) << level
+        nested[tree[left]] += ranked[left + 1] - ranked[start]
+        level += 1
+    del tree, ranked
+    prefix = np.zeros(n + 1, dtype=dtype)
+    np.cumsum(weights, out=prefix[1:])
+    distances = np.zeros(n, dtype=dtype)
+    distances[current] = (prefix[current] - prefix[previous + 1]
+                          - nested[previous])
+    return distances, cold, last
+
+
 def run_lru_ladder(columns, tally: Tally,
                    cells: Sequence[CacheCell]) -> None:
-    """Serve eligible LRU cells from one vectorized stack-distance pass.
+    """Serve eligible LRU cells from one stack-distance pass.
 
     Hits: a reference hits capacity ``C`` iff byte-weighted stack
-    distance + document size ≤ ``C`` (exact under the preconditions
-    checked by :func:`split_ladder`).  Evictions: admissions equal
-    misses (every miss admits — nothing bypasses), so evictions =
-    misses − residents at end of trace; the final resident set falls
-    out of the last-reference recency order.
+    distance + document size ≤ ``C``, compared in integers (exact under
+    the preconditions checked by :func:`split_ladder`).  Evictions:
+    admissions equal misses (every miss admits — nothing bypasses), so
+    evictions = misses − residents at end of trace; the final resident
+    set is each document's last reference, most recent first, while
+    the cumulative bytes fit.
 
-    The stack-distance Fenwick loop stays scalar (python-int exact);
-    everything downstream — per-capacity hit tests, final-resident
-    counting — runs as column ops, and each cell's hit column is
-    counted by :meth:`CacheCell.account`.
+    Every step is a column op — :func:`weighted_stack_distances`, the
+    per-capacity hit tests, final-resident counting — and each cell's
+    hit column is counted by :meth:`CacheCell.account`.
     """
-    # Lazy: repro.analysis imports repro.simulation (tables -> results).
-    from repro.analysis.stack_distance import weighted_stack_distances
-
     doc_ids, sizes = columns.doc_ids, columns.sizes
     n = len(doc_ids)
     if n == 0:
         return
-    distances = np.array(weighted_stack_distances(doc_ids.tolist(),
-                                                  sizes.tolist()))
+    distances, cold, last = weighted_stack_distances(doc_ids, sizes)
     needed = distances + sizes
+    warm = ~cold
     total_hits: List[int] = []
     for cell in cells:
-        hit = needed <= cell.config.capacity_bytes
+        hit = warm & (needed <= cell.config.capacity_bytes)
         total_hits.append(int(np.count_nonzero(hit)))
         cell.account(tally, hit, columns)
 
-    # Final residents: walk last references in recency order and count
-    # how many fit each capacity (prefix bytes + own size <= C).
-    reversed_docs = doc_ids[::-1]
-    _, first_in_reversed = np.unique(reversed_docs, return_index=True)
-    last_positions = (n - 1) - first_in_reversed
-    descending = np.sort(last_positions)[::-1]
-    last_sizes = sizes[descending].astype(np.int64)
-    capacities = [cell.config.capacity_bytes for cell in cells]
-    if float(last_sizes.sum(dtype=np.float64)) >= float(_SUM_GUARD):
-        residents = [0] * len(cells)
-        max_capacity = max(capacities)
-        cumulative = 0
-        for size in last_sizes.tolist():
-            if cumulative > max_capacity:
-                break
-            for i, capacity in enumerate(capacities):
-                if cumulative + size <= capacity:
-                    residents[i] += 1
-            cumulative += size
-    else:
-        prefix = np.zeros(len(last_sizes), dtype=np.int64)
-        if len(last_sizes) > 1:
-            prefix[1:] = np.cumsum(last_sizes[:-1], dtype=np.int64)
-        fits = prefix + last_sizes
-        residents = [int(np.count_nonzero(fits <= capacity))
-                     for capacity in capacities]
+    # Final residents: last references in recency order, counted while
+    # prefix bytes + own size fit each capacity.
+    last_sizes = sizes[np.flatnonzero(last)[::-1]].astype(distances.dtype,
+                                                         copy=False)
+    fits = np.cumsum(last_sizes)
+    residents = [int(np.count_nonzero(fits <= cell.config.capacity_bytes))
+                 for cell in cells]
     for i, cell in enumerate(cells):
         cache = cell.cache
         cache.hits = total_hits[i]

@@ -1,11 +1,13 @@
 """Fenwick tree (binary indexed tree) over integer positions.
 
-Backs the one-pass LRU stack-distance computation
-(:mod:`repro.analysis.stack_distance`): each trace position holds a 0/1
-flag ("is this the most recent reference to its document"), and the
-stack distance of a re-reference is the number of set flags between the
-previous reference and now — a prefix-sum query.  Both update and query
-are O(log n).
+The scalar form of the LRU stack-distance recurrence: each trace
+position holds a 0/1 flag ("is this the most recent reference to its
+document"), and the stack distance of a re-reference is the number of
+set flags between the previous reference and now — a prefix-sum query.
+Both update and query are O(log n).  The library computes stack
+distances with the array kernel
+:func:`repro.simulation.vectorized.weighted_stack_distances`; this tree
+is the recurrence its tests check it against.
 """
 
 from __future__ import annotations
