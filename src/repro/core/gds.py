@@ -17,10 +17,17 @@ weakness, motivating GD*, is ignoring frequency.
 from __future__ import annotations
 
 from repro.core.cost import ConstantCost, CostModel
-from repro.core.heap_policy import GreedyDualPolicy
+from repro.core.heap_policy import GreedyDualPolicy, heap_kernel
 from repro.core.policy import CacheEntry
 
 
+def base_value(frequency: int, cost: float, size: int) -> float:
+    """u(p) = c/s of a document of (floored) ``size``; frequency plays
+    no part."""
+    return cost / size
+
+
+@heap_kernel(base_value)
 class GDSPolicy(GreedyDualPolicy):
     """Greedy-Dual-Size with inflation-based aging."""
 
@@ -38,4 +45,4 @@ class GDSPolicy(GreedyDualPolicy):
         cost = self._hint_cost
         if cost is None:
             cost = self.cost_model.cost(size)
-        return self.inflation + cost / size
+        return self.inflation + base_value(entry.frequency, cost, size)

@@ -10,10 +10,16 @@ exponent).
 from __future__ import annotations
 
 from repro.core.cost import ConstantCost, CostModel
-from repro.core.heap_policy import GreedyDualPolicy
+from repro.core.heap_policy import GreedyDualPolicy, heap_kernel
 from repro.core.policy import CacheEntry
 
 
+def base_value(frequency: int, cost: float, size: int) -> float:
+    """u(p) = f·c/s, evaluated left to right."""
+    return frequency * cost / size
+
+
+@heap_kernel(base_value)
 class GDSFPolicy(GreedyDualPolicy):
     """Greedy-Dual-Size-Frequency with inflation-based aging."""
 
@@ -27,5 +33,4 @@ class GDSFPolicy(GreedyDualPolicy):
         cost = self._hint_cost
         if cost is None:
             cost = self.cost_model.cost(size)
-        utility = entry.frequency * cost / size
-        return self.inflation + utility
+        return self.inflation + base_value(entry.frequency, cost, size)

@@ -30,7 +30,7 @@ from typing import Optional, Union
 
 from repro.core.beta_estimator import FixedBetaEstimator, OnlineBetaEstimator
 from repro.core.cost import ConstantCost, CostModel
-from repro.core.heap_policy import GreedyDualPolicy
+from repro.core.heap_policy import GreedyDualPolicy, heap_kernel
 from repro.core.policy import CacheEntry
 
 Estimator = Union[OnlineBetaEstimator, FixedBetaEstimator]
@@ -40,6 +40,22 @@ Estimator = Union[OnlineBetaEstimator, FixedBetaEstimator]
 _MAX_UTILITY = 1e12
 
 
+def base_value(frequency: int, cost: float, size: int,
+               beta: float) -> float:
+    """u(p) = (f·c/s)^(1/β), the utility clamped to :data:`_MAX_UTILITY`
+    first and an overflowing power replaced by its square."""
+    utility = frequency * cost / size
+    if utility > _MAX_UTILITY:
+        utility = _MAX_UTILITY
+    exponent = 1.0 / beta
+    # Guard against overflow for utility > 1 with a large exponent.
+    try:
+        return utility ** exponent
+    except OverflowError:
+        return _MAX_UTILITY ** 2
+
+
+@heap_kernel(base_value)
 class GDStarPolicy(GreedyDualPolicy):
     """Greedy-Dual* with online (or fixed) β."""
 
@@ -68,16 +84,8 @@ class GDStarPolicy(GreedyDualPolicy):
         cost = self._hint_cost
         if cost is None:
             cost = self.cost_model.cost(size)
-        utility = entry.frequency * cost / size
-        if utility > _MAX_UTILITY:
-            utility = _MAX_UTILITY
-        exponent = 1.0 / estimator.beta
-        # Guard against overflow for utility > 1 with a large exponent.
-        try:
-            powered = utility ** exponent
-        except OverflowError:
-            powered = _MAX_UTILITY ** 2
-        return self.inflation + powered
+        return self.inflation + base_value(entry.frequency, cost, size,
+                                           estimator.beta)
 
     def clear(self) -> None:
         super().clear()

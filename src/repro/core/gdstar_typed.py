@@ -24,12 +24,10 @@ from typing import Callable, Dict, Optional
 
 from repro.core.beta_estimator import OnlineBetaEstimator
 from repro.core.cost import ConstantCost, CostModel
+from repro.core.gdstar import base_value
 from repro.core.heap_policy import GreedyDualPolicy
 from repro.core.policy import CacheEntry
 from repro.types import DOCUMENT_TYPES, DocumentType
-
-#: See :data:`repro.core.gdstar._MAX_UTILITY`.
-_MAX_UTILITY = 1e12
 
 EstimatorFactory = Callable[[], OnlineBetaEstimator]
 
@@ -63,15 +61,8 @@ class GDStarTypedPolicy(GreedyDualPolicy):
         cost = self._hint_cost
         if cost is None:
             cost = self.cost_model.cost(size)
-        utility = entry.frequency * cost / size
-        if utility > _MAX_UTILITY:
-            utility = _MAX_UTILITY
-        exponent = 1.0 / estimator.beta
-        try:
-            powered = utility ** exponent
-        except OverflowError:
-            powered = _MAX_UTILITY ** 2
-        return self.inflation + powered
+        return self.inflation + base_value(entry.frequency, cost, size,
+                                           estimator.beta)
 
     def clear(self) -> None:
         super().clear()

@@ -14,18 +14,38 @@ resident entries — and the whole
 only what its key is; LFU, SIZE, LRU-K and the Belady bound sit directly
 on it.  :class:`GreedyDualPolicy` adds L, the optional cost model and
 the engine's cost hint, for LFU-DA, GDS, GDSF, GD*, typed GD* and
-Landlord.
+Landlord.  :data:`HEAP_KERNEL` names the members whose whole scheme is
+``L + u(p)``: each defines u once, as a function its ``_key`` and the
+columnar engine's heap replay
+(:func:`repro.simulation.vectorized.replay_heap`) both call.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
 from heapq import heappop, heappush
-from typing import Any, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.cost import CostModel
 from repro.core.policy import CacheEntry, ReplacementPolicy
 from repro.structures.addressable_heap import _SLACK, AddressableHeap
+
+
+#: Exact class -> base value ``u(frequency, cost, size)`` of the
+#: Greedy-Dual members :func:`repro.simulation.vectorized.replay_heap`
+#: replays (GD*'s also takes β).  Keyed by exact class, so a subclass,
+#: which may key differently, is not replayed.  Filled by
+#: :func:`heap_kernel` as each member's module is imported.
+HEAP_KERNEL: Dict[type, Callable[..., float]] = {}
+
+
+def heap_kernel(base_value: Callable[..., float]):
+    """Class decorator: the heap replay takes the class, keying with
+    ``inflation + base_value(...)`` as the class's ``_key`` does."""
+    def declare(cls):
+        HEAP_KERNEL[cls] = base_value
+        return cls
+    return declare
 
 
 class HeapPolicy(AddressableHeap, ReplacementPolicy):
@@ -91,7 +111,9 @@ class GreedyDualPolicy(HeapPolicy):
     cost_model: Optional[CostModel] = None
 
     #: Per-reference cost precomputed by the columnar engine
-    #: (:meth:`repro.simulation.engine.CacheCell.process_chunk_hinted`).
+    #: (:meth:`repro.simulation.engine.CacheCell.process_chunk_hinted`,
+    #: for the cells the heap replay does not take: typed GD*, Landlord
+    #: and occupancy-sampling cells).
     #: When set, ``_key`` consumes it instead of calling the cost model.
     #: Sound because keys are computed only from on_admit/on_hit, whose
     #: entry size always equals the current reference's size.  Only the

@@ -12,10 +12,16 @@ representative under the fixed-cost/fixed-size assumption.
 
 from __future__ import annotations
 
-from repro.core.heap_policy import GreedyDualPolicy
+from repro.core.heap_policy import GreedyDualPolicy, heap_kernel
 from repro.core.policy import CacheEntry
 
 
+def base_value(frequency: int, cost, size: int) -> int:
+    """u(p) = f: no cost model (``cost`` is None), size plays no part."""
+    return frequency
+
+
+@heap_kernel(base_value)
 class LFUDAPolicy(GreedyDualPolicy):
     """Min-heap on ``frequency + inflation``: Greedy-Dual with base
     value f and no cost term."""
@@ -23,4 +29,4 @@ class LFUDAPolicy(GreedyDualPolicy):
     name = "lfu-da"
 
     def _key(self, entry: CacheEntry) -> float:
-        return entry.frequency + self.inflation
+        return self.inflation + base_value(entry.frequency, None, entry.size)

@@ -17,7 +17,7 @@ One request's life, regardless of topology shape:
    origin fetch, −2 for a sibling serve.
 
 That served-depth column is all an engine yields, besides its
-end-of-run cache counters: the walk here and the LCE queue cascade in
+end-of-run cache counters: the walk here and the LCE cascade in
 :mod:`repro.network.fastpath` both hand theirs to :func:`account`.  A
 request reaches its path down to the depth that served it and hits
 only there, so the per-node and network tallies are masked sums over
@@ -545,7 +545,8 @@ def run_network_cells(trace, configs: Sequence[NetworkConfig],
     builds their one :class:`~repro.simulation.vectorized.Tally`, then
     splits the cells: those the vectorized cascade is lossless for
     (:func:`~repro.network.fastpath.fastpath_eligible`: LCE, no ring,
-    every node a named LRU or FIFO queue) are served by it; the walk
+    every node a named LRU, FIFO, GDS, GDSF, GD* or LFU-DA cache) are
+    served by it; the walk
     decodes the same columns chunk by chunk for each of the rest.  Both
     engines count their served-depth column with that tally through
     :func:`account`.

@@ -1,16 +1,20 @@
 """Vectorized LCE network fast path over a trace's columns.
 
-A network of LRU and FIFO caches under leave-copy-everywhere
-decomposes into independent per-node single-cache problems: each node
-sees a fixed request substream (its edges' client streams merged with
-its children's miss streams), so the whole network runs as a cascade
-of per-node replays — leaves first, each emitting its miss rows upward.
-Each replay is :func:`~repro.simulation.vectorized.replay_queue`, the
-kernel the single-cache LRU and FIFO cells run, with the node's
-recency flag from :data:`~repro.simulation.engine.QUEUE_RECENCY`: an
-exact replay of :meth:`~repro.core.cache.Cache.reference`, size-change
-invalidations and bypasses included, that also yields the node's
-counters and final residents.  Its hit rows write the node's depth into
+A network of caches under leave-copy-everywhere decomposes into
+independent per-node single-cache problems: each node sees a fixed
+request substream (its edges' client streams merged with its children's
+miss streams), so the whole network runs as a cascade of per-node
+replays — leaves first, each emitting its miss rows upward.  Each
+replay is a kernel the single-cache cells run:
+:func:`~repro.simulation.vectorized.replay_queue` for LRU and FIFO
+nodes, with the node's recency flag from
+:data:`~repro.simulation.engine.QUEUE_RECENCY`, and
+:func:`~repro.simulation.vectorized.replay_heap` for GDS, GDSF, GD* and
+LFU-DA nodes (:data:`~repro.core.heap_policy.HEAP_KERNEL`), each with a
+fresh policy of its name: an exact replay of
+:meth:`~repro.core.cache.Cache.reference`, size-change invalidations and
+bypasses included, that also yields the node's counters and final
+residents.  Its hit rows write the node's depth into
 the run's served-depth column, and
 :func:`repro.network.engine.account` counts that column exactly as it
 counts the object walk's, latency included.
@@ -32,29 +36,54 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.core.heap_policy import HEAP_KERNEL
+from repro.core.registry import make_policy
 from repro.network.engine import (NetworkConfig, NetworkResult, NodeResult,
                                   account, publish_network_telemetry)
 from repro.network.strategies import LeaveCopyEverywhere
 from repro.observability.trace import span as _span
 from repro.simulation.engine import queue_recency
-from repro.simulation.vectorized import Tally, _exact_sum, replay_queue
+from repro.simulation.vectorized import (Tally, _exact_sum, key_costs,
+                                        replay_heap, replay_queue)
 from repro.types import DOCUMENT_TYPES
+
+
+def _replayed(policy) -> bool:
+    """True when a node's policy is a registry name that the queue
+    (:func:`~repro.simulation.engine.queue_recency`) or the heap replay
+    (:data:`~repro.core.heap_policy.HEAP_KERNEL`) replays."""
+    return isinstance(policy, str) and (
+        queue_recency(policy) is not None
+        or type(make_policy(policy)) in HEAP_KERNEL)
 
 
 def fastpath_eligible(config: NetworkConfig) -> bool:
     """True when the cascade is lossless for ``config``: LCE placement
     (a node's stream is its children's misses), no sibling ring (no
-    request leaves its path) and every node named a policy the queue
-    replays (:func:`~repro.simulation.engine.queue_recency`; a node
-    given a policy instance stays on the walk, which drives that very
-    object)."""
+    request leaves its path) and every node named a policy one of the
+    replays takes (a node given a policy instance stays on the walk,
+    which drives that very object)."""
     strategy = config.strategy
     topology = config.topology
     return ((strategy == "lce" or isinstance(strategy, LeaveCopyEverywhere))
             and not topology.sibling_ring
-            and all(isinstance(spec.policy, str)
-                    and queue_recency(spec.policy) is not None
+            and all(_replayed(spec.policy)
                     for spec in topology.nodes.values()))
+
+
+def _replay_node(policy_name: str, docs: np.ndarray, sizes: np.ndarray,
+                 capacity: int) -> tuple:
+    """One node's replay of its request substream: the queue for LRU
+    and FIFO, else the heap replay with a fresh policy of that name, as
+    the walk builds one per node."""
+    recency = queue_recency(policy_name)
+    if recency is not None:
+        return replay_queue(docs.tolist(), sizes.tolist(), capacity,
+                            recency)
+    policy = make_policy(policy_name)
+    return replay_heap(docs.tolist(), sizes.tolist(),
+                       key_costs(policy.cost_model, sizes), capacity,
+                       policy)
 
 
 def run_cascade(config: NetworkConfig, columns, tally: Tally,
@@ -86,10 +115,9 @@ def run_cascade(config: NetworkConfig, columns, tally: Tally,
             node = result.nodes[node_name]
             idx = parts[0] if len(parts) == 1 \
                 else np.sort(np.concatenate(parts))
-            hits, counters, residents = replay_queue(
-                doc_ids[idx].tolist(), sizes[idx].tolist(),
-                node.capacity_bytes,
-                queue_recency(topology.nodes[node_name].policy))
+            hits, counters, residents = _replay_node(
+                topology.nodes[node_name].policy, doc_ids[idx],
+                sizes[idx], node.capacity_bytes)
             for counter, value in counters.items():
                 setattr(node, counter, value)
             node.used_bytes = sum(residents.values())

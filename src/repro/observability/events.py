@@ -80,7 +80,8 @@ EVENT_TABLE: Dict[str, Tuple[int, Dict[str, Optional[tuple]]]] = {
     "pass_finished": (DEBUG, {"cells": None, "requests": None,
                               "duration_seconds": None,
                               "lru_ladder_cells": None,
-                              "queue_cells": None}),
+                              "queue_cells": None,
+                              "heap_cells": None}),
     # analytical model (repro.model): calibration and predictions
     "model_calibrated": (DEBUG, {"documents": None, "requests": None,
                                  "source": None}),

@@ -34,6 +34,21 @@ the same order per accumulator as the reference's request loop, and
 occupancy is snapshotted at the same positions by cutting chunks at
 the sampling interval (:meth:`CacheCell.run_chunk`).
 
+Greedy-Dual heap replay
+-----------------------
+
+GDS, GDSF, GD* and LFU-DA are one scheme — a priority queue on
+``H = L + u(p)`` whose inflation ``L`` is the last victim's key — and
+:func:`repro.simulation.vectorized.replay_heap` replays it exactly
+without :meth:`~repro.core.cache.Cache.reference`: residents are a dict
+of live heap tuples, and each key is ``L`` plus the member's own
+base-value function, the one its ``_key`` calls
+(:data:`~repro.core.heap_policy.HEAP_KERNEL`, by exact class).  GD*
+feeds its own β estimator the same gaps in the same order.  Only the
+cells it cannot take still run the object path with precomputed key
+costs (:meth:`CacheCell.process_chunk_hinted`): typed GD*, Landlord and
+occupancy-sampling cells, whose snapshots read cache entries.
+
 LRU inclusion fast path
 -----------------------
 
@@ -77,7 +92,7 @@ from typing import (
 from repro.core.cache import Cache
 from repro.core.fifo import FIFOPolicy
 from repro.core.gdstar import GDStarPolicy
-from repro.core.heap_policy import GreedyDualPolicy
+from repro.core.heap_policy import HEAP_KERNEL, GreedyDualPolicy
 from repro.core.lru import LRUPolicy
 from repro.core.policy import AccessOutcome, ReplacementPolicy
 from repro.core.registry import make_policy
@@ -262,8 +277,10 @@ class CacheCell:
         clamped size, is precomputed as one array op by the columnar
         engine, and the policy consumes it through its ``_hint_cost``
         slot instead of recomputing ``cost_model.cost(size)``.
-        Only the columnar driver calls this, and only on cells whose
-        policy advertises the slot.
+        Only the columnar driver calls this, and only on the
+        :func:`fast_path` ``"hinted"`` cells: typed GD* and Landlord,
+        and the cost-model members of an occupancy-sampling cell (the
+        heap replay takes the rest of the family).
         """
         reference = self.cache.reference
         policy = self.policy
@@ -383,18 +400,25 @@ def fast_path(cell: CacheCell) -> Optional[str]:
     The config-side eligibility: ``"queue"`` (a :data:`QUEUE_RECENCY`
     policy: the queue replay, or the all-capacities LRU ladder where
     :func:`repro.simulation.vectorized.split_ladder` finds its
-    remaining conditions), ``"hinted"`` (any
-    :class:`~repro.core.heap_policy.GreedyDualPolicy` with a cost
-    model, fed precomputed key costs), or ``None`` (the plain loop,
-    :meth:`CacheCell.process_chunk`).  Every kernel needs a plain
-    :class:`~repro.core.cache.Cache` and no TTL hook; occupancy
-    sampling also rules out the queue and the ladder, which keep no
-    cache entries to snapshot.  Cost and latency ride any kernel.
+    remaining conditions), ``"heap"`` (a
+    :data:`~repro.core.heap_policy.HEAP_KERNEL` member — GDS, GDSF, GD*,
+    LFU-DA — replayed by :func:`repro.simulation.vectorized.replay_heap`),
+    ``"hinted"`` (any other :class:`~repro.core.heap_policy.GreedyDualPolicy`
+    with a cost model — typed GD*, Landlord — and the cost-model members
+    of an occupancy-sampling cell, fed precomputed key costs), or
+    ``None`` (the plain loop, :meth:`CacheCell.process_chunk`).  Every
+    kernel needs a plain :class:`~repro.core.cache.Cache` and no TTL
+    hook; occupancy sampling also rules out the queue, the ladder and
+    the heap replay, which keep no cache entries to snapshot.  Cost and
+    latency ride any kernel.
     """
     if type(cell.cache) is not Cache or cell.config.ttl_model is not None:
         return None
-    if cell.occupancy is None and queue_recency(cell.policy) is not None:
-        return "queue"
+    if cell.occupancy is None:
+        if queue_recency(cell.policy) is not None:
+            return "queue"
+        if type(cell.policy) in HEAP_KERNEL:
+            return "heap"
     if (isinstance(cell.policy, GreedyDualPolicy)
             and cell.policy.cost_model is not None):
         return "hinted"
@@ -447,22 +471,25 @@ def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
     pass_span = _span("pass", cells=len(cells), requests=total, trace=name)
     with pass_span:
         tally = vectorized.Tally.of(columns)
-        ladder, rest = vectorized.split_ladder(columns, cells)
+        ladder, rest, order = vectorized.split_ladder(columns, cells)
         pass_span.set_attribute("lru_ladder_cells", len(ladder))
-        n_queue = vectorized.drive_columnar(columns, rest, tally, timings)
+        n_queue, n_heap = vectorized.drive_columnar(columns, rest, tally,
+                                                    timings)
         pass_span.set_attribute("queue_cells", n_queue)
+        pass_span.set_attribute("heap_cells", n_heap)
         if ladder:
             with _span("lru_ladder", cells=len(ladder)), \
                     phase_timer("lru_ladder", timings):
-                vectorized.run_lru_ladder(columns, tally, ladder)
+                vectorized.run_lru_ladder(columns, tally, ladder, order)
         with _span("aggregate"), phase_timer("aggregate", timings):
             results = [cell.finalize(name, total) for cell in cells]
-    _publish_pass_telemetry(timings, len(cells), len(ladder), n_queue, total)
+    _publish_pass_telemetry(timings, len(cells), len(ladder), n_queue,
+                            n_heap, total)
     return results
 
 
 def _publish_pass_telemetry(timings: PhaseTimings, n_cells: int,
-                            n_ladder: int, n_queue: int,
+                            n_ladder: int, n_queue: int, n_heap: int,
                             total_requests: int) -> None:
     """Batch one pass's aggregates into the metrics registry — one
     update per pass, never one per request or per cell."""
@@ -474,6 +501,8 @@ def _publish_pass_telemetry(timings: PhaseTimings, n_cells: int,
             registry.counter("engine_lru_ladder_cells_total").inc(n_ladder)
         if n_queue:
             registry.counter("engine_queue_cells_total").inc(n_queue)
+        if n_heap:
+            registry.counter("engine_heap_cells_total").inc(n_heap)
         registry.counter("engine_pass_requests_total").inc(total_requests)
         for phase, seconds in timings.as_dict().items():
             registry.histogram("engine_phase_seconds",
@@ -481,5 +510,6 @@ def _publish_pass_telemetry(timings: PhaseTimings, n_cells: int,
     emit("pass_finished", cells=n_cells, requests=total_requests,
          duration_seconds=round(timings.total, 6),
          lru_ladder_cells=n_ladder, queue_cells=n_queue,
+         heap_cells=n_heap,
          phase_seconds={k: round(v, 6)
                         for k, v in timings.as_dict().items()})

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.core.admission import SecondHitAdmission
 from repro.core.belady import BeladyPolicy, compute_next_uses
 from repro.core.cache import Cache
-from repro.core.heap_policy import GreedyDualPolicy, HeapPolicy
+from repro.core.heap_policy import HEAP_KERNEL, GreedyDualPolicy, HeapPolicy
 from repro.core.registry import POLICY_NAMES, make_policy
 from repro.simulation.engine import CacheCell, SimulationConfig, fast_path
 from repro.types import DocumentType, Request
@@ -188,14 +188,17 @@ def references():
 
 @pytest.mark.parametrize("policy_name", GREEDY_DUAL)
 def test_greedy_dual_family_contract(policy_name, references):
-    """One family, one contract: the engine feeds key costs to exactly
-    the members that have a cost model, L never decreases, and an
+    """One family, one contract: the engine replays the heap-kernel
+    members without the object path, feeds key costs to the other
+    members (which all have a cost model), L never decreases, and an
     invalidation (``remove``) never moves it."""
     cell = CacheCell(SimulationConfig(CAPACITY_BYTES, policy_name))
     cell.begin_run(0)
     policy, cache = cell.policy, cell.cache
     assert fast_path(cell) == (
-        "hinted" if policy.cost_model is not None else None)
+        "heap" if type(policy) in HEAP_KERNEL else "hinted")
+    assert (type(policy) in HEAP_KERNEL) == (
+        not policy_name.startswith(("gd*t", "landlord")))
     level = policy.inflation
     assert level == 0.0
     for url, size, doc_type in references:

@@ -180,20 +180,30 @@ def assert_cascade_is_the_walk(trace, config):
 
 CAPACITY = st.sampled_from([900, 1500, 2500])
 QUEUE_POLICY = st.sampled_from(["lru", "fifo"])
-LEVEL_POLICIES = st.lists(QUEUE_POLICY, min_size=3, max_size=3)
-#: Every cascade-eligible shape, no sibling ring, with an LRU or FIFO
-#: policy drawn per level: LRU, FIFO and mixed trees.
-CASCADE_TOPOLOGY = st.one_of(
-    st.builds(single, CAPACITY, QUEUE_POLICY),
-    st.builds(two_level, CAPACITY, CAPACITY, QUEUE_POLICY, QUEUE_POLICY,
-              n_children=st.integers(1, 3)),
-    st.builds(lambda levels, branching, policies:
-              tree([900, 1500, 2500][:levels], branching,
-                   policies[:levels]),
-              st.integers(1, 3), st.integers(1, 3), LEVEL_POLICIES),
-    st.builds(lambda levels, policies:
-              path([900, 1500, 2500][:levels], policies[:levels]),
-              st.integers(1, 3), LEVEL_POLICIES))
+#: Every policy a cascade node replays: the queue's and the heap's.
+REPLAYED_POLICY = st.sampled_from(["lru", "fifo", "gds(1)", "gds(p)",
+                                   "gdsf(1)", "gd*(1)", "gd*(p)", "lfu-da"])
+
+
+def cascade_topologies(policy):
+    """Every cascade-eligible shape, no sibling ring, with a ``policy``
+    drawn per level."""
+    level_policies = st.lists(policy, min_size=3, max_size=3)
+    return st.one_of(
+        st.builds(single, CAPACITY, policy),
+        st.builds(two_level, CAPACITY, CAPACITY, policy, policy,
+                  n_children=st.integers(1, 3)),
+        st.builds(lambda levels, branching, policies:
+                  tree([900, 1500, 2500][:levels], branching,
+                       policies[:levels]),
+                  st.integers(1, 3), st.integers(1, 3), level_policies),
+        st.builds(lambda levels, policies:
+                  path([900, 1500, 2500][:levels], policies[:levels]),
+                  st.integers(1, 3), level_policies))
+
+
+#: LRU, FIFO and mixed trees.
+CASCADE_TOPOLOGY = cascade_topologies(QUEUE_POLICY)
 
 
 @settings(deadline=None)
@@ -201,6 +211,18 @@ CASCADE_TOPOLOGY = st.one_of(
        st.sampled_from([0.0, 0.1, 0.5, 0.9]), REQUESTS)
 def test_cascade_equals_walk(topology, measure_latency, warmup_fraction,
                              requests):
+    assert_cascade_is_the_walk(Trace(requests), NetworkConfig(
+        topology=topology, warmup_fraction=warmup_fraction,
+        measure_latency=measure_latency))
+
+
+@settings(deadline=None)
+@given(cascade_topologies(REPLAYED_POLICY), st.booleans(),
+       st.sampled_from([0.0, 0.5]), REQUESTS)
+def test_greedy_dual_cascade_equals_walk(topology, measure_latency,
+                                         warmup_fraction, requests):
+    """GDS, GDSF, GD* and LFU-DA nodes, alone or beside queue nodes,
+    cascade through the heap replay."""
     assert_cascade_is_the_walk(Trace(requests), NetworkConfig(
         topology=topology, warmup_fraction=warmup_fraction,
         measure_latency=measure_latency))

@@ -156,14 +156,15 @@ def columnar_trace(capped_trace, tmp_path_factory):
     return ColumnarTrace(target)
 
 
-def topologies():
+def topologies(policies=("lru",) * 3):
+    """The four eligible shapes, with a policy per level, leaves first."""
     total = int(MAX_SIZE * 40)
     per = total // 8
     return [
-        single(total),
-        two_level(per, per * 4, n_children=3),
-        path([per, per * 2, per * 4]),
-        tree([per, per * 2, per * 4], branching=2),
+        single(total, policies[0]),
+        two_level(per, per * 4, policies[0], policies[-1], n_children=3),
+        path([per, per * 2, per * 4], list(policies)),
+        tree([per, per * 2, per * 4], branching=2, policy=list(policies)),
     ]
 
 
@@ -236,10 +237,10 @@ class TestFastpath:
 
     def test_ineligible_cells_detected(self):
         topology = topologies()[0]
-        # A policy the queue does not replay disqualifies, a subclass
-        # of a queue policy included, and so does a node given a
-        # policy instance: the walk must drive that very object.
-        for policy in ("gds(1)", "lru-threshold", LRUPolicy()):
+        # A policy no replay takes disqualifies, a subclass of a queue
+        # policy included, and so does a node given a policy instance:
+        # the walk must drive that very object.
+        for policy in ("gd*t(1)", "lru-threshold", LRUPolicy()):
             assert not fastpath_eligible(NetworkConfig(
                 topology=single(MAX_SIZE * 40, policy))), policy
         # Non-LCE placement disqualifies.
@@ -275,6 +276,26 @@ class TestFastpath:
         node = result.nodes["cache"]
         assert node.bypasses > 0
         assert node.invalidations > 0
+
+    @pytest.mark.parametrize("shape", range(4),
+                             ids=[t.name for t in topologies()])
+    @pytest.mark.parametrize("policies", [
+        ("gds(1)",) * 3, ("gd*(1)",) * 3, ("gdsf(p)", "lfu-da", "gd*(p)"),
+        ("lfu-da", "lru", "gds(p)")], ids="+".join)
+    def test_greedy_dual_nodes_take_the_cascade(self, shape, policies,
+                                                tiny_dfn_trace):
+        """GDS, GDSF, GD* and LFU-DA nodes, alone or beside a queue
+        node, run the heap replay over the raw DFN workload, whose size
+        changes invalidate: every node's counters, used bytes and
+        per-type placement are the walk's."""
+        config = NetworkConfig(topology=topologies(policies)[shape])
+        fast = assert_cascade_is_the_walk(tiny_dfn_trace, config)
+        walk = NetworkSimulator(config).run(tiny_dfn_trace)
+        for name, node in walk.nodes.items():
+            assert fast.nodes[name].used_bytes == node.used_bytes > 0
+            assert fast.nodes[name].placement == node.placement
+        assert sum(node.invalidations for node in fast.nodes.values()) > 0
+        assert sum(node.evictions for node in fast.nodes.values()) > 0
 
     def test_placement_types_residents_as_admitted(self):
         """A resident keeps the type it was admitted with, not its

@@ -299,7 +299,8 @@ class TestTelemetry:
             assert started["cells"] == len(configs)
             assert started["requests"] == len(trace)
             assert finished["cells"] == len(configs)
-            # Both vectorized fast paths fired: 2 plain-LRU ladder
-            # cells and 2 FIFO queue cells.
+            # Every vectorized fast path fired: 2 plain-LRU ladder
+            # cells, 2 FIFO queue cells and 2 GDS heap cells.
             assert finished["lru_ladder_cells"] == 2
             assert finished["queue_cells"] == 2
+            assert finished["heap_cells"] == 2

@@ -21,6 +21,9 @@ from hypothesis import strategies as st
 
 from repro.core.cost import ConstantCost, PacketCost
 from repro.observability.events import set_event_sink
+from repro.observability.metrics import (MetricsRegistry, get_registry,
+                                         set_registry)
+from repro.observability.trace import Tracer, set_tracer
 from repro.simulation.engine import (
     DEFAULT_CHUNK_SIZE,
     CacheCell,
@@ -56,16 +59,33 @@ def latency_state(latency):
             for s in stats]
 
 
+#: The cell counts a pass reports per kernel, each as a
+#: ``pass_finished`` field, a pass-span attribute and an engine counter.
+KERNEL_COUNTS = ("lru_ladder_cells", "queue_cells", "heap_cells")
+
+
 def pass_counts(source, trace, configs):
     """The shared pass checked against the reference, and its
-    ``pass_finished`` event."""
+    ``pass_finished`` event; the pass span and the engine's counters
+    report the same count per kernel."""
     recorder = EventRecorder()
     previous = set_event_sink(recorder)
+    tracer = set_tracer(Tracer())
+    registry = set_registry(MetricsRegistry())
     try:
         assert_cells_match_classic(source, trace, configs)
+        counters = get_registry().as_dict()
     finally:
         set_event_sink(previous)
+        set_tracer(tracer)
+        set_registry(registry)
     (finished,) = recorder.named("pass_finished")
+    (pass_span,) = [event for event in recorder.named("span")
+                    if event["name"] == "pass"]
+    for count in KERNEL_COUNTS:
+        assert pass_span["attributes"][count] == finished[count], count
+        assert counters.get(f"engine_{count}_total", 0) == \
+            finished[count], count
     return finished
 
 
@@ -129,12 +149,37 @@ class TestExtrasRideKernels:
             assert finished["lru_ladder_cells"] == 0
             assert finished["queue_cells"] == len(configs)
 
+    @pytest.mark.parametrize("interpretation", list(SizeInterpretation))
+    def test_cost_and_latency_gd_cells_take_the_heap(
+            self, interpretation, feed, tiny_dfn_trace):
+        """Every heap-kernel member, with every extra, under one size
+        interpretation of the raw DFN workload (size changes) and
+        below the largest document (bypasses)."""
+        trace = tiny_dfn_trace
+        sizes = {request.url: request.size for request in trace}
+        total, largest = sum(sizes.values()), max(sizes.values())
+        configs = [SimulationConfig(capacity_bytes=c, policy=policy,
+                                    warmup_fraction=0.2,
+                                    size_interpretation=interpretation,
+                                    **EXTRAS)
+                   for policy in ("gds(1)", "gdsf(p)", "gd*(1)", "lfu-da")
+                   for c in (total // 50, largest - 1)]
+        configs.append(SimulationConfig(capacity_bytes=total // 10,
+                                        policy="lru", **EXTRAS))
+        finished = pass_counts(feed("rcol", trace), trace, configs)
+        assert finished["heap_cells"] == len(configs) - 1
+        assert finished["queue_cells"] == 1
+
     def test_fast_path_by_extra(self):
         def path(policy, **extras):
             return fast_path(CacheCell(SimulationConfig(
                 capacity_bytes=9_000, policy=policy, **extras)))
 
         occupancy = {"occupancy_interval": 10}
+        for policy in ("gds(1)", "gdsf(p)", "gd*(1)", "lfu-da"):
+            assert path(policy, **EXTRAS) == "heap", policy
+        assert path("gd*t(1)", **EXTRAS) == "hinted"
+        assert path("lfu-da", **occupancy) is None
         assert path("gds(1)", **occupancy) == "hinted"
         assert path("gd*(p)", **occupancy, **EXTRAS) == "hinted"
         assert path("lru", **occupancy) is None
