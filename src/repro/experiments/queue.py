@@ -233,6 +233,11 @@ class TrialQueue:
             lease = self.leases.acquire(trial_id)
             if lease is None:
                 continue
+            if (self.done_dir / f"{trial_id}.json").exists():
+                # Completed since the scan above: its holder writes the
+                # marker before it lets the lease go.
+                self.leases.release(lease)
+                continue
             spec = self.spec_for(trial_id)
             if spec is None:
                 self.leases.release(lease)

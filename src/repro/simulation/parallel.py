@@ -47,7 +47,10 @@ lifecycle whatever the batch size.
 
 Results are bit-identical to :func:`repro.simulation.sweep.run_sweep`
 — every policy is deterministic, and retries rerun the identical
-computation — which the tests assert, fault injection included.
+computation — which the tests assert, fault injection included.  The
+grid is filled in the order the cells were asked for, once every batch
+has answered, so the order batches finish in (or a resume restores
+them in) never reaches a report.
 """
 
 from __future__ import annotations
@@ -331,6 +334,9 @@ def run_sweep_parallel(trace,
     n_workers = max(min(n_workers, len(cells)), 1)
 
     sweep = SweepResult(trace_name=trace.name)
+    # Batches finish in any order: results wait here until _finish.
+    finished: Dict[Tuple[str, int], SimulationResult] = {}
+    grid_cells = cells
 
     telemetry: Optional[TelemetryRun] = None
     if telemetry_dir is not None:
@@ -353,6 +359,9 @@ def run_sweep_parallel(trace,
                        workers=n_workers)
 
     def _finish() -> SweepResult:
+        for cell in grid_cells:
+            if cell in finished:
+                sweep.add(finished[cell])
         sweep_span.set_attribute("failures", len(sweep.failures))
         sweep_span.end()
         if telemetry is not None:
@@ -379,7 +388,8 @@ def run_sweep_parallel(trace,
                 payload = done_payloads.get(key)
                 if payload is not None:
                     try:
-                        sweep.add(_deserialize(payload, key))
+                        finished[(policy_name, capacity)] = \
+                            _deserialize(payload, key)
                     except WorkerCrashError:
                         pass  # unreadable checkpoint: rerun the cell
                     else:
@@ -409,6 +419,7 @@ def run_sweep_parallel(trace,
             failure_policy=failure_policy,
             fault_injector=fault_injector,
             on_cell_done=_checkpoint_cell,
+            finished=finished,
             profile_dir=profile_dir,
         ).run(sweep)
         return _finish()
@@ -482,7 +493,7 @@ class _Scheduler:
     def __init__(self, trace, batches, warmup_fraction,
                  size_interpretation, n_workers, max_retries,
                  cell_timeout, failure_policy, fault_injector,
-                 on_cell_done, profile_dir):
+                 on_cell_done, profile_dir, finished):
         self.trace = trace
         self.warmup_fraction = warmup_fraction
         self.size_interpretation = size_interpretation
@@ -507,6 +518,8 @@ class _Scheduler:
         #: Receiving pipe end -> the batch whose answer it carries.
         self.in_flight: Dict[object, _BatchRun] = {}
         self.failures: List[FailureRecord] = []
+        #: (policy, capacity) -> its result, as batches answer.
+        self.finished = finished
 
     # -- process lifecycle ------------------------------------------------
 
@@ -594,7 +607,7 @@ class _Scheduler:
                 duration_seconds=batch_elapsed,
             ))
 
-    def _handle_answer(self, connection, sweep: SweepResult) -> None:
+    def _handle_answer(self, connection) -> None:
         """Process one batch whose pipe has an answer, or has closed."""
         try:
             payloads = connection.recv()
@@ -625,7 +638,7 @@ class _Scheduler:
                 run.cells, run.cell_keys, results, payloads):
             result.duration_seconds = batch_elapsed
             result.attempts = run.attempt
-            sweep.add(result)
+            self.finished[(policy, capacity)] = result
             self.on_cell_done(policy, capacity, payload)
             _events.emit("cell_finished", key=key, attempt=run.attempt,
                          duration_seconds=round(batch_elapsed, 6))
@@ -669,7 +682,7 @@ class _Scheduler:
                     self._start(*self.queue.popleft())
                 for connection in _wait(list(self.in_flight),
                                         self._wait_seconds()):
-                    self._handle_answer(connection, sweep)
+                    self._handle_answer(connection)
                 self._kill_overdue()
         finally:
             for connection in list(self.in_flight):

@@ -79,6 +79,19 @@ class TestClaimComplete:
         clock.advance(1000)
         assert queue.claim() is None
 
+    def test_trial_completed_after_the_scan_is_not_claimed(
+            self, tmp_path, clock, monkeypatch):
+        """``w2`` scans the done markers, ``w1`` then completes the
+        trial and lets its lease go, and ``w2`` acquires the lease: the
+        trial must not run a second time."""
+        first = make_queue(tmp_path, clock, owner="w1")
+        second = make_queue(tmp_path, clock, owner="w2")
+        first.enqueue(SPEC)
+        first.complete(first.claim())
+        monkeypatch.setattr(second, "done_ids", lambda: [])
+        assert second.claim() is None
+        assert first.status().done == 1
+
     def test_claimed_trial_not_claimable_by_others(self, tmp_path, clock):
         first = make_queue(tmp_path, clock, owner="w1")
         second = make_queue(tmp_path, clock, owner="w2")

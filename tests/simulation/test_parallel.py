@@ -9,7 +9,8 @@ from repro.observability.events import (
     read_events,
     set_event_sink,
 )
-from repro.simulation.parallel import run_sweep_parallel
+from repro.resilience import FaultInjector
+from repro.simulation.parallel import cell_key, run_sweep_parallel
 from repro.simulation.sweep import cache_sizes_from_fractions, run_sweep
 from repro.types import DocumentType, Request, Trace
 
@@ -70,6 +71,23 @@ def test_two_workers_match_serial():
         for doc_type in (DocumentType.IMAGE, DocumentType.HTML):
             assert parallel.series(policy, doc_type) == \
                 serial.series(policy, doc_type)
+
+
+def test_grid_order_is_the_cells_not_the_finishing_order():
+    """The first batch is held back a second, so the second answers
+    first; the grid still lists policies and capacities as asked, as
+    ``run_sweep`` does (reports iterate the grid)."""
+    trace = small_trace()
+    capacities = [5000, 20_000]
+    serial = run_sweep(trace, ["gds(1)", "lru"], capacities)
+    parallel = run_sweep_parallel(
+        trace, ["gds(1)", "lru"], capacities, n_workers=2,
+        fault_injector=FaultInjector.hang_once(cell_key("gds(1)", 5000),
+                                               hang_seconds=1.0))
+    assert parallel.policies == serial.policies == ["gds(1)", "lru"]
+    assert [list(per) for per in parallel.grid.values()] == \
+        [capacities, capacities]
+    assert parallel.series("lru") == serial.series("lru")
 
 
 def test_workers_capped_by_cells():
